@@ -19,6 +19,11 @@ statistics:
   mapped to the normal scale through it (normal-copula construction); the
   joint law on that scale is multivariate normal with correlation C_hat.
 
+``max_type_rejects`` is the yes/no form of the two-sided max-type test that
+the simulation study asks once per replicate and variant.  With p1 the
+closed-form tail of one coordinate, p1 <= p_mmm <= dim * p1 holds exactly,
+so it integrates only when alpha lies between those bounds.
+
 The unadjusted and Bonferroni baselines live here too; each marginal model
 is tested against its own reference (Student t for gaussian models, normal
 for logit models).
@@ -26,7 +31,7 @@ for logit models).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.special import ndtr, ndtri, stdtr, stdtrit
@@ -46,6 +51,7 @@ __all__ = [
     "stack",
     "joint_scale",
     "max_type_p",
+    "max_type_rejects",
     "adjusted_p",
     "simultaneous_ci",
     "unadjusted_p",
@@ -197,6 +203,39 @@ def max_type_p(
         rect = mv_rect_prob(corr, lower, upper, df=df, settings=settings)
         out[k] = min(max(1.0 - rect.value, 0.0), 1.0)
     return out
+
+
+def max_type_rejects(
+    corr: CorrelationMatrix,
+    b: float,
+    df: int | None = None,
+    alpha: float = 0.05,
+    settings: QuadratureSettings = QuadratureSettings(),
+) -> bool:
+    """Whether the two-sided max-type p-value at box edge ``b`` is <= alpha.
+
+    The p-value is 1 - P(-b <= X_r <= b for all r) under the joint law of
+    ``max_type_p``.  Every coordinate shares one marginal law, so with p1 =
+    2 * P(X_1 < -b) (normal when ``df`` is None, else Student t) the bounds
+    p1 <= p <= dim * p1 are exact: the test rejects when dim * p1 <= alpha
+    and accepts when p1 > alpha without any quadrature.  In between, the
+    rectangle is screened at five times the settings' target error, and a
+    screened p-value within its reported error (or twice the target) of
+    alpha is evaluated again at ``settings``.
+    """
+    p1 = 2.0 * (ndtr(-b) if df is None else stdtr(df, -b))
+    if corr.dim * p1 <= alpha:
+        return True
+    if p1 > alpha:
+        return False
+    lower, upper = np.full(corr.dim, -b), np.full(corr.dim, b)
+    screen = replace(settings, target_abs_error=5.0 * settings.target_abs_error)
+    rect = mv_rect_prob(corr, lower, upper, df=df, settings=screen)
+    p = 1.0 - rect.value
+    if abs(p - alpha) <= max(rect.error, 2.0 * settings.target_abs_error):
+        rect = mv_rect_prob(corr, lower, upper, df=df, settings=settings)
+        p = 1.0 - rect.value
+    return p <= alpha
 
 
 def adjusted_p(

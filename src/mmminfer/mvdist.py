@@ -19,13 +19,18 @@ Two evaluation strategies share that integrand:
   standard errors over the scrambles and the sample size doubles until the
   estimate meets the requested accuracy or the budget runs out.  Point sets
   are cached per dimension and seed, so repeated calls only pay for
-  integrand evaluations.
+  integrand evaluations.  On the multivariate-t path the radial factor of
+  each point (its leading Sobol coordinate mapped through the chi quantile)
+  is cached as well, per point set and df, for the first 2**14 points of
+  each scramble; least recently used entries are dropped so the cache never
+  holds more than 2**21 factors (16 MiB).
 
 The univariate case is evaluated in closed form.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -283,6 +288,43 @@ def _sobol_points(qdim, settings, n):
     return pts[:, :n, :]
 
 
+# Radial factors of the multivariate-t path, keyed by (qdim, seed, shifts,
+# df): the leading Sobol column of each scramble mapped through the chi
+# quantile.  An entry is [factors, filled]: factors is allocated once,
+# shaped (shifts, _RADIAL_POINTS), and its first ``filled`` columns are
+# computed on demand.  Later points, which only high-accuracy calls reach,
+# are transformed afresh on every call.
+_RADIAL_POINTS = 1 << 14
+_RADIAL_VALUES = 1 << 21
+_RADIAL_CACHE: OrderedDict = OrderedDict()
+
+
+def _radial_factors(u, df):
+    """Chi scale factors s = sqrt(2 * Gamma(df/2)^-1(u) / df) of uniforms."""
+    return np.sqrt(2.0 * gammaincinv(0.5 * df, u) / df)
+
+
+def _cached_radial(pts, settings, df, end):
+    """Cached radial factors, shaped (shifts, _RADIAL_POINTS), of which the
+    first ``end`` columns are filled; ``pts`` holds at least ``end`` points
+    per scramble and ``end`` must not exceed ``_RADIAL_POINTS``.
+    """
+    key = (pts.shape[2], settings.seed, settings.shifts, df)
+    entry = _RADIAL_CACHE.pop(key, None)
+    if entry is None:
+        entry = [np.empty((settings.shifts, _RADIAL_POINTS)), 0]
+    factors, filled = entry
+    if filled < end:
+        u = np.clip(pts[:, filled:end, 0], _TINY, 1.0 - _TINY)
+        factors[:, filled:end] = _radial_factors(u, df)
+        entry[1] = end
+    _RADIAL_CACHE[key] = entry  # most recently used last
+    # an entry larger than the whole budget (over 128 shifts) is not kept
+    while sum(e[0].size for e in _RADIAL_CACHE.values()) > _RADIAL_VALUES:
+        _RADIAL_CACHE.popitem(last=False)
+    return factors
+
+
 class _SobolSampler:
     """Randomized QMC evaluator bound to one Cholesky factor.
 
@@ -302,8 +344,13 @@ class _SobolSampler:
         pts = _sobol_points(self.qdim, self.settings, start + count)
         w = pts[:, start : start + count, :].reshape(-1, self.qdim)
         if self.df is not None:
-            u = np.clip(w[:, 0], _TINY, 1.0 - _TINY)
-            radial = np.sqrt(2.0 * gammaincinv(0.5 * self.df, u) / self.df)
+            end = start + count
+            if end <= _RADIAL_POINTS:
+                radial = _cached_radial(pts, self.settings, self.df, end)
+                radial = radial[:, start:end].reshape(-1)
+            else:
+                u = np.clip(w[:, 0], _TINY, 1.0 - _TINY)
+                radial = _radial_factors(u, self.df)
             vals = _genz_weights(self.chol, lower, upper, w[:, 1:], radial)
         else:
             vals = _genz_weights(self.chol, lower, upper, w)

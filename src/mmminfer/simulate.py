@@ -17,6 +17,16 @@ relevant hypothesis is rejected; under delta = 0 every family hypothesis
 is relevant (familywise error), under delta > 0 only hypotheses whose
 treated subjects include affected ones are (power).  All tests are
 two-sided at alpha = 0.05 by default.
+
+Every mmm decision goes through ``mmm.max_type_rejects``.  Its exact bounds
+p1 <= p_mmm <= m * p1 (p1 the closed-form tail of the largest relevant
+statistic, m the stacked dimension) settle most replicates without
+quadrature: all with m * p1 <= alpha reject and all with p1 > alpha
+accept.  Under ``dfind`` the upper bound is the Bonferroni test of that
+statistic, so a Bonferroni rejection is an ``mmm.dfind`` rejection by
+construction.  Only the replicates between the bounds integrate, screened
+at five times the caller's target error and re-evaluated at the caller's
+settings when the screen lands near alpha.
 """
 
 from __future__ import annotations
@@ -33,8 +43,10 @@ from scipy.special import stdtr
 from .contrasts import default_contrasts, fit_cell_means
 from .errors import IncompatibleMethod, SchemaError
 from .linmodels import Dataset, ModelSpec, fit_ols
-from .mmm import joint_scale, stack
-from .mvdist import QuadratureSettings, equicoordinate_quantile, mv_rect_prob
+from .mmm import joint_scale, max_type_rejects, stack
+# mv_rect_prob stays bound here: perfbench/test_harness.py checks that the
+# benchmark's tracer patches and restores this binding.
+from .mvdist import QuadratureSettings, equicoordinate_quantile, mv_rect_prob  # noqa: F401
 
 __all__ = [
     "METHODS",
@@ -69,14 +81,11 @@ _MMM_MODES = {
 
 # Quadrature noise well below Monte Carlo noise at 10,000 replicates; the
 # noise is zero-mean in the rectangle value, so its effect on a rejection
-# proportion is second order.
+# proportion is second order.  It touches only the replicates that the exact
+# bounds of ``max_type_rejects`` leave open, whose loose screen runs at
+# 2.5e-3 with these same shifts and seed.
 SIM_SETTINGS = QuadratureSettings(
     target_abs_error=5e-4, shifts=8, first_round_samples=64
-)
-# Loose first pass for rejection decisions; a decision within the reported
-# error of the threshold is re-evaluated at SIM_SETTINGS.
-_SCREEN_SETTINGS = QuadratureSettings(
-    target_abs_error=2.5e-3, shifts=8, first_round_samples=64
 )
 
 _CELL_ROW_SUBSET = {"target": "S1", "complement": "S2", "total": "all"}
@@ -301,23 +310,6 @@ def _cellmeans_fixture(scenario: Scenario, alpha: float, settings):
     return contrasts, crit, subsets
 
 
-def _box_rejects(corr, dim, b, df, alpha, settings) -> bool:
-    """Whether the adjusted p-value at statistic ``b`` is at most alpha.
-
-    The symmetric rectangle is first screened at a loose tolerance; only
-    decisions within the reported error of the threshold pay for a tight
-    evaluation, which keeps the per-replicate cost low without biasing
-    them.
-    """
-    lower, upper = np.full(dim, -b), np.full(dim, b)
-    rect = mv_rect_prob(corr, lower, upper, df=df, settings=_SCREEN_SETTINGS)
-    p = 1.0 - rect.value
-    if abs(p - alpha) <= max(rect.error, 2.0 * settings.target_abs_error):
-        rect = mv_rect_prob(corr, lower, upper, df=df, settings=settings)
-        p = 1.0 - rect.value
-    return p <= alpha
-
-
 def run(
     scenario: Scenario,
     methods=None,
@@ -330,7 +322,11 @@ def run(
     is power, counting only rejections of hypotheses whose treated
     subjects include affected ones.  The mmm variants stack exactly the
     family's models and reject when the adjusted p-value at the largest
-    relevant statistic falls at or below alpha.
+    relevant statistic falls at or below alpha, decided by
+    ``mmm.max_type_rejects``: exact bounds settle most replicates, and the
+    rest integrate at a screen five times looser than ``settings`` and, near
+    alpha, at ``settings`` itself, so the seed and shifts given here govern
+    every rectangle evaluated.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
@@ -383,9 +379,7 @@ def run(
                     fit.statistics, fit.per_model_df, _MMM_MODES[name]
                 )
                 b = np.abs(scaled[live]).max()
-                if b <= 0.0:
-                    continue
-                counts[name] += _box_rejects(fit.c_hat, m, b, df, alpha, settings)
+                counts[name] += max_type_rejects(fit.c_hat, b, df, alpha, settings)
 
     return SimResult(
         scenario=scenario,

@@ -27,7 +27,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtr, ndtri
 
-from mmminfer.casestudy import analyze, expand, load_averroes
+from mmminfer.casestudy import expand, load_averroes
 from mmminfer.linmodels import Dataset, ModelSpec, fit_logit, fit_ols
 from mmminfer.mmm import adjusted_p, stack
 from mmminfer.mvdist import (
@@ -85,11 +85,6 @@ class TestReferenceTables:
         for row in rows:
             for method in methods:
                 assert 0.0 < float(row[method]) < 0.20
-
-
-@pytest.fixture(scope="module")
-def report():
-    return analyze(load_averroes())
 
 
 @pytest.mark.slow

@@ -148,11 +148,6 @@ class TestExpand:
         assert int((e1 * e2).sum()) == 1
 
 
-@pytest.fixture(scope="module")
-def report():
-    return analyze(load_averroes())
-
-
 class TestAnalyze:
     def test_labels_and_order(self, report):
         assert [r.group for r in report.rows[:3]] == ["Global"] * 3

@@ -2,9 +2,10 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings as hsettings, strategies as st
+from hypothesis import assume, given, settings as hsettings, strategies as st
 from scipy.special import ndtr, ndtri, stdtr, stdtrit
 
+from mmminfer import mmm
 from mmminfer.errors import DegenerateVariance, MismatchedSubjectAxis
 from mmminfer.linmodels import Dataset, ModelSpec, fit_ols
 from mmminfer.mmm import (
@@ -12,12 +13,16 @@ from mmminfer.mmm import (
     bonferroni_ci,
     bonferroni_p,
     critical_values,
+    joint_scale,
+    max_type_p,
+    max_type_rejects,
     simultaneous_ci,
     stack,
     unadjusted_ci,
     unadjusted_p,
 )
-from mmminfer.mvdist import QuadratureSettings
+from mmminfer.mvdist import CorrelationMatrix, QuadratureSettings
+from mmminfer.simulate import SIM_SETTINGS, Scenario, generate
 
 FAST = QuadratureSettings(target_abs_error=5e-4, shifts=8, first_round_samples=64)
 
@@ -184,6 +189,91 @@ class TestAdjustedP:
         f = three_model_stack()
         with pytest.raises(ValueError, match="alternative"):
             adjusted_p(f, "sideways")
+
+
+def marginal_quantile(p, df):
+    return ndtri(p) if df is None else stdtrit(df, p)
+
+
+def random_psd_correlation(rng, dim):
+    """Correlation matrix of a random Gram matrix, rank 1 up to full."""
+    a = rng.standard_normal((dim, int(rng.integers(1, dim + 2))))
+    s = a @ a.T
+    d = np.sqrt(np.diag(s))
+    return CorrelationMatrix(s / np.outer(d, d))
+
+
+class TestMaxTypeRejects:
+    @pytest.mark.parametrize("df", [None, 20])
+    @pytest.mark.parametrize("dim", [2, 5])
+    def test_exact_bounds_settle_without_quadrature(self, monkeypatch, dim, df):
+        calls = []
+        rect = mmm.mv_rect_prob
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return rect(*args, **kwargs)
+
+        monkeypatch.setattr(mmm, "mv_rect_prob", spy)
+        corr = CorrelationMatrix(np.full((dim, dim), 0.5) + 0.5 * np.eye(dim))
+        bonferroni_edge = marginal_quantile(1.0 - 0.05 / (2 * dim), df)
+        unadjusted_edge = marginal_quantile(1.0 - 0.05 / 2.0, df)
+        # dim * p1 <= alpha: reject; p1 > alpha: accept
+        assert max_type_rejects(corr, bonferroni_edge + 1e-6, df, 0.05, FAST)
+        assert not max_type_rejects(corr, unadjusted_edge - 1e-6, df, 0.05, FAST)
+        assert not max_type_rejects(corr, 0.0, df, 0.05, FAST)
+        assert calls == []
+        # between the bounds the rectangle is integrated
+        max_type_rejects(corr, 0.5 * (bonferroni_edge + unadjusted_edge), df, 0.05, FAST)
+        assert calls
+
+    def test_bonferroni_rejection_implies_dfind_rejection_per_replicate(self):
+        # a5-any: five overlapping subgroup models of one gaussian endpoint
+        scenario = Scenario(
+            total_n=50, prop_target=0.6, family="any", overlap=True, seed=20150436
+        )
+        m = len(scenario.model_specs)
+        bonferroni = dfind = 0
+        for r in range(200):
+            data = generate(scenario, r)
+            fit = stack([fit_ols(data, spec) for spec in scenario.model_specs])
+            p = 2.0 * stdtr(fit.per_model_df, -np.abs(fit.statistics))
+            z, df = joint_scale(fit.statistics, fit.per_model_df, "dfind")
+            rejects = max_type_rejects(fit.c_hat, np.abs(z).max(), df, 0.05, SIM_SETTINGS)
+            if (p <= 0.05 / m).any():
+                bonferroni += 1
+                assert rejects, r
+            dfind += rejects
+        assert bonferroni >= 3
+        assert dfind >= bonferroni
+
+
+@hsettings(max_examples=20, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.integers(2, 6),
+    t_path=st.booleans(),
+    position=st.floats(-0.2, 1.2),
+)
+def test_max_type_rejects_matches_tight_p_value(seed, dim, t_path, position):
+    """Away from alpha, the decision is that of a tightly integrated p-value.
+
+    ``position`` places the box edge between the unadjusted (0) and the
+    Bonferroni (1) critical value, where the exact bounds leave the
+    decision to quadrature, and a little beyond on either side.
+    """
+    rng = np.random.default_rng(seed)
+    corr = random_psd_correlation(rng, dim)
+    df = int(rng.integers(3, 80)) if t_path else None
+    lo = marginal_quantile(1.0 - 0.05 / 2.0, df)
+    hi = marginal_quantile(1.0 - 0.05 / (2 * dim), df)
+    b = float(lo + position * (hi - lo))
+    p = max_type_p(corr, np.r_[b, np.zeros(dim - 1)], df=df)[0]
+    assume(abs(p - 0.05) > 1e-3)
+    decision_settings = QuadratureSettings(
+        target_abs_error=1e-4, shifts=8, first_round_samples=64
+    )
+    assert max_type_rejects(corr, b, df, 0.05, decision_settings) == (p <= 0.05)
 
 
 class TestSimultaneousCi:

@@ -1,10 +1,18 @@
 """Tests for the multivariate normal/t rectangle probability kernel."""
 
+import json
+import os
+import subprocess
+import sys
+from collections import OrderedDict
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import ndtri
 
+from mmminfer import mvdist
 from mmminfer.errors import NotPSD
 from mmminfer.mvdist import (
     CorrelationMatrix,
@@ -274,6 +282,91 @@ class TestEquicoordinateQuantile:
         rng = np.random.default_rng(56)
         corr = CorrelationMatrix(random_correlation(rng, 5))
         assert equicoordinate_quantile(corr, 0.05) == equicoordinate_quantile(corr, 0.05)
+
+
+# Rectangle calls on the multivariate-t QMC path, small to large sample
+# counts: (target, max_samples); all share one point set (seed, 8 shifts).
+T_CALLS = ((2e-3, 1_500_000), (5e-4, 1_500_000), (1e-12, 8 << 15), (1e-12, 8 << 10))
+T_DF = 9
+
+
+def t_path_values(calls=T_CALLS):
+    """Each call's (value, error, samples), floats as exact hex strings,
+    keyed by call, plus one equicoordinate quantile."""
+    rng = np.random.default_rng(60)
+    corr = CorrelationMatrix(random_correlation(rng, 5))
+    lower, upper = np.full(5, -2.4), np.array([2.4, 2.0, np.inf, 2.6, 2.2])
+    out = {}
+    for target, budget in calls:
+        s = QuadratureSettings(
+            target_abs_error=target, max_samples=budget, shifts=8, first_round_samples=64
+        )
+        r = mv_rect_prob(corr, lower, upper, df=T_DF, settings=s)
+        out[f"{target:g}/{budget}"] = [r.value.hex(), r.error.hex(), r.samples]
+    q = equicoordinate_quantile(
+        corr, 0.05, df=T_DF, settings=QuadratureSettings(target_abs_error=1e-3, shifts=8)
+    )
+    out["quantile"] = q.hex()
+    return out
+
+
+@pytest.fixture
+def empty_point_caches(monkeypatch):
+    monkeypatch.setattr(mvdist, "_SOBOL_CACHE", {})
+    monkeypatch.setattr(mvdist, "_RADIAL_CACHE", OrderedDict())
+
+
+class TestRadialCache:
+    def test_values_equal_a_fresh_process(self):
+        warm = t_path_values(T_CALLS[::-1])
+        script = (
+            "import json, sys\n"
+            f"sys.path.insert(0, {str(Path(__file__).parent)!r})\n"
+            "from test_mvdist import t_path_values\n"
+            "print(json.dumps(t_path_values()))\n"
+        )
+        src = str(Path(mvdist.__file__).resolve().parents[1])
+        fresh = subprocess.run(
+            [sys.executable, "-c", script],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=300,
+        )
+        assert warm == t_path_values() == json.loads(fresh.stdout)
+
+    def test_call_order_does_not_matter(self, empty_point_caches):
+        forward = t_path_values()
+        mvdist._SOBOL_CACHE.clear()
+        mvdist._RADIAL_CACHE.clear()
+        assert t_path_values(T_CALLS[::-1]) == forward
+
+    def test_bytes_stay_under_the_bound(self, empty_point_caches):
+        corr = CorrelationMatrix(np.full((5, 5), 0.5) + 0.5 * np.eye(5))
+        lower, upper = np.full(5, -np.inf), np.full(5, 2.0)
+        s = QuadratureSettings(target_abs_error=1e-12, shifts=8, first_round_samples=64)
+        r = mv_rect_prob(corr, lower, upper, df=T_DF, settings=s)
+        assert r.samples * 2 > s.max_samples  # ran to the sample cap
+        ((factors, filled),) = mvdist._RADIAL_CACHE.values()
+        assert factors.shape == (8, mvdist._RADIAL_POINTS)
+        assert filled == mvdist._RADIAL_POINTS
+        assert 8 * mvdist._RADIAL_VALUES == 16 << 20  # the documented 16 MiB
+        assert factors.nbytes <= 8 * mvdist._RADIAL_VALUES
+
+    def test_least_recently_used_entries_are_dropped(self, empty_point_caches, monkeypatch):
+        # room for two full entries of 8 shifts
+        monkeypatch.setattr(mvdist, "_RADIAL_VALUES", 2 * 8 * mvdist._RADIAL_POINTS)
+        corr = CorrelationMatrix(np.full((5, 5), 0.5) + 0.5 * np.eye(5))
+        lower, upper = np.full(5, -np.inf), np.full(5, 2.0)
+        s = QuadratureSettings(
+            target_abs_error=1e-12, max_samples=8 << 15, shifts=8, first_round_samples=64
+        )
+        for df in (5, 6, 5, 7):
+            mv_rect_prob(corr, lower, upper, df=df, settings=s)
+        assert [key[3] for key in mvdist._RADIAL_CACHE] == [5, 7]
+        nbytes = sum(factors.nbytes for factors, _ in mvdist._RADIAL_CACHE.values())
+        assert nbytes <= 8 * mvdist._RADIAL_VALUES
 
 
 class TestSettingsValidation:

@@ -3,11 +3,13 @@
 import io
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
 
+from mmminfer import mvdist
 from mmminfer.errors import IncompatibleMethod, SchemaError
 from mmminfer.simulate import (
     FAMILIES,
@@ -223,6 +225,26 @@ class TestRunValidation:
     def test_bad_alpha(self):
         with pytest.raises(ValueError, match="alpha"):
             run(small(), alpha=0.0)
+
+    def test_rectangles_use_the_callers_seed_and_shifts(self, monkeypatch):
+        rect = mvdist.mv_rect_prob
+        seen = []
+
+        def spy(corr, lower, upper, df=None, settings=mvdist.QuadratureSettings()):
+            seen.append(settings)
+            return rect(corr, lower, upper, df=df, settings=settings)
+
+        # every module's binding, wherever the decision is made
+        for name, module in list(sys.modules.items()):
+            if name.startswith("mmminfer") and getattr(module, "mv_rect_prob", None) is rect:
+                monkeypatch.setattr(module, "mv_rect_prob", spy)
+        custom = mvdist.QuadratureSettings(
+            target_abs_error=5e-4, seed=7, shifts=4, first_round_samples=64
+        )
+        scenario = small(total_n=50, prop_target=0.6, family="any", overlap=True, replications=40)
+        run(scenario, methods=["mmm", "mmm.dfmin"], settings=custom)
+        assert seen
+        assert {(s.seed, s.shifts) for s in seen} == {(7, 4)}
 
 
 class TestSimResult:
