@@ -7,7 +7,9 @@ separation-of-variables transform of Genz, which turns the rectangle
 probability into an integral of a smooth function over the unit cube of
 dimension ``dim - 1`` (one more for multivariate t, whose radial variable is
 integrated with a generalized Gauss-Laguerre rule matched to the chi-square
-density).
+density).  An infinite limit enters the integrand as its exact conditional
+probability, 0 or 1, with no normal CDF evaluated for it, so one-sided
+rectangles cost markedly less than two-sided ones.
 
 Two evaluation strategies share that integrand:
 
@@ -25,17 +27,21 @@ Two evaluation strategies share that integrand:
   each scramble; least recently used entries are dropped so the cache never
   holds more than 2**21 factors (16 MiB).
 
-The univariate case is evaluated in closed form.
+The univariate case is evaluated in closed form.  Equicoordinate quantiles
+freeze one of these rules (ladder level or sample size) and solve for the
+critical value with Brent's method.
 """
 
 from __future__ import annotations
 
+import math
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
+from scipy.optimize import brentq
 from scipy.special import gammaincinv, ndtr, ndtri, roots_legendre, stdtr, stdtrit
 from scipy.stats import qmc
 
@@ -78,6 +84,10 @@ class QuadratureSettings:
             raise ValueError("target_abs_error must be positive")
         if self.shifts < 2:
             raise ValueError("need at least 2 shifts for an error estimate")
+        if self.max_samples < 1:
+            raise ValueError("max_samples must be at least 1")
+        if self.first_round_samples < 1:
+            raise ValueError("first_round_samples must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -171,22 +181,41 @@ def _genz_weights(chol, lower, upper, w, radial=None):
     ``w`` holds the quadrature points, one row per point; ``radial``
     optionally carries per-point chi scale factors for the multivariate t
     case.  Requires dim >= 2 (the 1-d case is handled in closed form
-    upstream).
+    upstream).  An infinite limit has conditional probability exactly 0
+    (lower) or 1 (upper); it is carried as None, so it costs no ``ndtr`` pass
+    and no arithmetic, and the values are bit for bit those of the full
+    formula.
     """
     nvar = chol.shape[0]
     scale = 1.0 if radial is None else radial  # strictly positive
-    d = ndtr(lower[0] * scale / chol[0, 0])
-    e = ndtr(upper[0] * scale / chol[0, 0])
-    f = e - d
+
+    def cdf(limit, mu, sd):
+        return None if math.isinf(limit) else ndtr((limit * scale - mu) / sd)
+
+    def width(d, e):
+        if d is None:
+            return e
+        return 1.0 - d if e is None else e - d
+
+    d = cdf(lower[0], 0.0, chol[0, 0])
+    e = cdf(upper[0], 0.0, chol[0, 0])
+    f = span = width(d, e)
     y = np.empty((w.shape[0], nvar - 1))
     for i in range(1, nvar):
-        u = np.clip(d + w[:, i - 1] * (e - d), _TINY, 1.0 - _TINY)
-        y[:, i - 1] = ndtri(u)
+        u = w[:, i - 1] if span is None else w[:, i - 1] * span
+        if d is not None:
+            u = d + u
+        y[:, i - 1] = ndtri(np.clip(u, _TINY, 1.0 - _TINY))
         mu = y[:, :i] @ chol[i, :i]
-        d = ndtr((lower[i] * scale - mu) / chol[i, i])
-        e = ndtr((upper[i] * scale - mu) / chol[i, i])
-        f = f * np.maximum(e - d, 0.0)
-    return f
+        d = cdf(lower[i], mu, chol[i, i])
+        e = cdf(upper[i], mu, chol[i, i])
+        span = width(d, e)
+        if span is not None:
+            both = d is not None and e is not None
+            factor = np.maximum(span, 0.0) if both else span
+            f = factor if f is None else f * factor
+    # f stays None or a scalar when every factor after the first is open
+    return f if np.ndim(f) else np.full(w.shape[0], 1.0 if f is None else f)
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +275,11 @@ def _gl_value(chol, lower, upper, df, n):
 
 
 def _gl_estimate(chol, lower, upper, df, target):
-    """Escalate the node ladder until two levels agree within ``target``."""
+    """Escalate the node ladder until two levels agree within ``target``.
+
+    Returns (estimate, error, converged, samples, level), where ``level`` is
+    the ladder level of the estimate (the top level when not converged).
+    """
     total = 0
     prev = None
     for n in _GL_LADDER:
@@ -255,9 +288,9 @@ def _gl_estimate(chol, lower, upper, df, target):
         if prev is not None:
             err = abs(est - prev)
             if err <= target:
-                return est, err, True, total
+                return est, err, True, total, n
         prev = est
-    return est, err, False, total
+    return est, err, False, total, n
 
 
 # ---------------------------------------------------------------------------
@@ -282,9 +315,14 @@ def _sobol_points(qdim, settings, n):
         entry = [engines, np.empty((settings.shifts, 0, qdim))]
         _SOBOL_CACHE[key] = entry
     engines, pts = entry
-    if n > pts.shape[1]:
-        extra = np.stack([eng.random(n - pts.shape[1]) for eng in engines])
-        entry[1] = pts = np.concatenate([pts, extra], axis=1)
+    have = pts.shape[1]
+    if n > have:
+        # grow in place: one new array, the old one dropped before the draws
+        grown = np.empty((settings.shifts, n, qdim))
+        grown[:, :have] = pts
+        entry[1] = pts = grown
+        for eng, block in zip(engines, grown[:, have:]):
+            block[...] = eng.random(n - have)
     return pts[:, :n, :]
 
 
@@ -329,8 +367,10 @@ class _SobolSampler:
     """Randomized QMC evaluator bound to one Cholesky factor.
 
     ``estimate`` integrates a given rectangle adaptively; ``estimate_fixed``
-    reuses a caller-chosen sample size so repeated calls are exactly
-    monotone in the limits.
+    uses a caller-chosen sample size on the same points, so at that size it
+    is a fixed deterministic function of the limits.  It need not be
+    monotone in them: with off-diagonal Cholesky entries, moving one limit
+    shifts the later coordinates' conditional limits at every fixed point.
     """
 
     def __init__(self, chol, df, settings: QuadratureSettings):
@@ -413,7 +453,7 @@ def mv_rect_prob(
     if corr.dim == 1:
         return RectProb(_exact_1d(lower[0], upper[0], df), 0.0, True, 0)
     if corr.dim <= 3:
-        est, err, ok, used = _gl_estimate(
+        est, err, ok, used, _ = _gl_estimate(
             corr.cholesky(), lower, upper, df, settings.target_abs_error
         )
     else:
@@ -449,10 +489,14 @@ def equicoordinate_quantile(
 
     ``tail="two-sided"`` solves P(-c <= X_r <= c for all r) = 1 - alpha;
     ``tail="one-sided"`` solves P(X_r <= c for all r) = 1 - alpha.  The
-    answer always lies between the unadjusted and the Bonferroni quantile;
-    bisection exploits that the rectangle probability is strictly
-    increasing in c.  The root is located to 1e-5, well inside the 1e-4
-    quantile contract; residual error is dominated by the quadrature.
+    answer always lies between the unadjusted and the Bonferroni quantile.
+    The rectangle probability is evaluated by one frozen rule, a fixed
+    deterministic function of c: the Gauss-Legendre ladder level (dimension
+    3 and below) or the QMC sample size that meets the accuracy target at
+    the bracket midpoint.  Brent's method locates its crossing of 1 - alpha
+    to 1e-5, well inside the 1e-4 quantile contract, and needs only a sign
+    change over the bracket, not monotonicity point by point; residual
+    error is dominated by the quadrature.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
@@ -470,42 +514,30 @@ def equicoordinate_quantile(
         return np.full(corr.dim, -np.inf), np.full(corr.dim, c)
 
     chol = corr.cholesky()
+    mid = 0.5 * (lo + hi)
     if corr.dim <= 3:
-        # The tensor rule is already deterministic and smooth in c; freeze
-        # the ladder level that converged at the bracket midpoint.
-        mid = 0.5 * (lo + hi)
-        level = None
-        prev = None
-        for n in _GL_LADDER:
-            est, _ = _gl_value(chol, *limits(mid), df, n)
-            if prev is not None and abs(est - prev) <= settings.target_abs_error:
-                level = n
-                break
-            prev = est
-        level = level or _GL_LADDER[-1]
+        level = _gl_estimate(chol, *limits(mid), df, settings.target_abs_error)[4]
 
         def prob(c):
             return _gl_value(chol, *limits(c), df, level)[0]
 
     else:
         sampler = _SobolSampler(chol, df, settings)
-        # Size the sample once at the bracket midpoint, then freeze it so
-        # the bisection sees an exactly monotone function of c.
-        mid = 0.5 * (lo + hi)
-        _, _, _, n_per_shift = sampler.estimate(*limits(mid))
+        n_per_shift = sampler.estimate(*limits(mid))[3]
 
         def prob(c):
             return sampler.estimate_fixed(*limits(c), n_per_shift)[0]
 
-    if prob(lo) >= target:
+    at_lo = prob(lo) - target
+    if at_lo >= 0.0:
         return lo
-    if prob(hi) <= target:
+    at_hi = prob(hi) - target
+    if at_hi <= 0.0:
         return hi
-    a, b = lo, hi
-    while b - a > 1e-5:
-        c = 0.5 * (a + b)
-        if prob(c) < target:
-            a = c
-        else:
-            b = c
-    return 0.5 * (a + b)
+    known = {lo: at_lo, hi: at_hi}
+
+    def excess(c):
+        # brentq starts at the endpoints, whose values are already known
+        return known.pop(c) if c in known else prob(c) - target
+
+    return float(brentq(excess, lo, hi, xtol=1e-5))

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.special import ndtri
+from scipy.special import ndtr, ndtri
 
 from mmminfer import mvdist
 from mmminfer.errors import NotPSD
@@ -284,6 +284,134 @@ class TestEquicoordinateQuantile:
         assert equicoordinate_quantile(corr, 0.05) == equicoordinate_quantile(corr, 0.05)
 
 
+def frozen_prob(corr, alpha, tail, df, settings):
+    """The quantile's frozen evaluator and bracket, rebuilt from its parts:
+    the ladder level (dim <= 3) or the QMC sample size (higher dims) that
+    meets the target at the bracket midpoint."""
+    lo, hi = mvdist._quantile_bracket(alpha, tail, corr.dim, df)
+    lower = (lambda c: -c) if tail == "two-sided" else (lambda c: -np.inf)
+
+    def limits(c):
+        return np.full(corr.dim, lower(c)), np.full(corr.dim, c)
+
+    chol = corr.cholesky()
+    mid = 0.5 * (lo + hi)
+    if corr.dim <= 3:
+        level = mvdist._gl_estimate(chol, *limits(mid), df, settings.target_abs_error)[4]
+        return (lambda c: mvdist._gl_value(chol, *limits(c), df, level)[0]), lo, hi
+    sampler = mvdist._SobolSampler(chol, df, settings)
+    n = sampler.estimate(*limits(mid))[3]
+    return (lambda c: sampler.estimate_fixed(*limits(c), n)[0]), lo, hi
+
+
+LOOSE = QuadratureSettings(target_abs_error=1e-3, shifts=8)
+
+
+class TestQuantileRootFind:
+    def test_qmc_path_makes_few_frozen_evaluations(self, monkeypatch):
+        calls = []
+        fixed = mvdist._SobolSampler.estimate_fixed
+
+        def spy(self, lower, upper, n_per_shift):
+            calls.append(n_per_shift)
+            return fixed(self, lower, upper, n_per_shift)
+
+        monkeypatch.setattr(mvdist._SobolSampler, "estimate_fixed", spy)
+        corr = CorrelationMatrix(random_correlation(np.random.default_rng(70), 5))
+        equicoordinate_quantile(corr, 0.05)
+        assert 3 <= len(calls) <= 10
+        assert len(set(calls)) == 1  # one frozen sample size
+
+    def test_gl_path_makes_few_frozen_evaluations(self, monkeypatch):
+        events = []
+        value, estimate = mvdist._gl_value, mvdist._gl_estimate
+
+        def spy_value(chol, lower, upper, df, n):
+            events.append(n)
+            return value(chol, lower, upper, df, n)
+
+        def spy_estimate(*args):
+            out = estimate(*args)
+            events.append(("sized", out[4]))
+            return out
+
+        monkeypatch.setattr(mvdist, "_gl_value", spy_value)
+        monkeypatch.setattr(mvdist, "_gl_estimate", spy_estimate)
+        corr = CorrelationMatrix(random_correlation(np.random.default_rng(71), 3))
+        equicoordinate_quantile(corr, 0.05, df=12)
+        marks = [i for i, ev in enumerate(events) if isinstance(ev, tuple)]
+        assert len(marks) == 1  # the level is sized once, by the ladder itself
+        level = events[marks[0]][1]
+        frozen = events[marks[0] + 1 :]
+        assert 3 <= len(frozen) <= 10
+        assert set(frozen) == {level}
+
+    @pytest.mark.parametrize("tail", ["two-sided", "one-sided"])
+    @pytest.mark.parametrize("df", [None, 11])
+    @pytest.mark.parametrize("dim", [2, 3, 5])
+    def test_root_matches_a_bisection(self, dim, df, tail):
+        rng = np.random.default_rng(100 + dim)
+        corr = CorrelationMatrix(random_correlation(rng, dim))
+        alpha = 0.05
+        q = equicoordinate_quantile(corr, alpha, tail=tail, df=df, settings=LOOSE)
+        prob, a, b = frozen_prob(corr, alpha, tail, df, LOOSE)
+        assert prob(a) < 1.0 - alpha < prob(b)  # an interior root
+        while b - a > 1e-9:
+            c = 0.5 * (a + b)
+            if prob(c) < 1.0 - alpha:
+                a = c
+            else:
+                b = c
+        assert abs(q - 0.5 * (a + b)) <= 1e-5
+
+
+def full_formula_weights(chol, lower, upper, w, radial=None):
+    """The Genz integrand as the full formula, every limit through ndtr."""
+    nvar = chol.shape[0]
+    scale = 1.0 if radial is None else radial
+    d = ndtr(lower[0] * scale / chol[0, 0])
+    e = ndtr(upper[0] * scale / chol[0, 0])
+    f = e - d
+    y = np.empty((w.shape[0], nvar - 1))
+    for i in range(1, nvar):
+        u = np.clip(d + w[:, i - 1] * (e - d), mvdist._TINY, 1.0 - mvdist._TINY)
+        y[:, i - 1] = ndtri(u)
+        mu = y[:, :i] @ chol[i, :i]
+        d = ndtr((lower[i] * scale - mu) / chol[i, i])
+        e = ndtr((upper[i] * scale - mu) / chol[i, i])
+        f = f * np.maximum(e - d, 0.0)
+    return f
+
+
+class TestOpenLimits:
+    CORR = [
+        [1.0, 0.6, 0.3, -0.2],
+        [0.6, 1.0, 0.4, 0.1],
+        [0.3, 0.4, 1.0, 0.5],
+        [-0.2, 0.1, 0.5, 1.0],
+    ]
+    LIMITS = {
+        "one-sided": ([-np.inf] * 4, [1.1, 0.4, 2.0, 1.6]),
+        "upper-open": ([-1.1, -0.4, -2.0, -1.6], [np.inf] * 4),
+        "mixed": ([-np.inf, -0.7, -np.inf, -1.2], [0.9, np.inf, np.inf, 1.4]),
+        "tail-open": ([-1.5, -np.inf, -np.inf, -np.inf], [0.8, np.inf, np.inf, np.inf]),
+        "all-open": ([-np.inf] * 4, [np.inf] * 4),
+        "finite": ([-1.5, -0.3, -2.2, -1.0], [0.8, 1.9, 0.2, 1.3]),
+    }
+
+    @pytest.mark.parametrize("radial", [False, True], ids=["normal", "t"])
+    @pytest.mark.parametrize("case", sorted(LIMITS))
+    def test_equals_the_full_formula(self, case, radial):
+        rng = np.random.default_rng(80)
+        chol = CorrelationMatrix(self.CORR).cholesky()
+        w = rng.random((4096, 3))
+        r = np.sqrt(rng.chisquare(7, 4096) / 7) if radial else None
+        lower, upper = (np.array(x, dtype=float) for x in self.LIMITS[case])
+        got = mvdist._genz_weights(chol, lower, upper, w, r)
+        assert got.shape == (4096,)
+        np.testing.assert_array_equal(got, full_formula_weights(chol, lower, upper, w, r))
+
+
 # Rectangle calls on the multivariate-t QMC path, small to large sample
 # counts: (target, max_samples); all share one point set (seed, 8 shifts).
 T_CALLS = ((2e-3, 1_500_000), (5e-4, 1_500_000), (1e-12, 8 << 15), (1e-12, 8 << 10))
@@ -382,6 +510,16 @@ class TestSettingsValidation:
         s = QuadratureSettings()
         with pytest.raises(Exception):
             s.seed = 1
+
+    @pytest.mark.parametrize("value", [0, -64])
+    def test_rejects_nonpositive_first_round(self, value):
+        with pytest.raises(ValueError, match="first_round_samples"):
+            QuadratureSettings(first_round_samples=value)
+
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_rejects_nonpositive_budget(self, value):
+        with pytest.raises(ValueError, match="max_samples"):
+            QuadratureSettings(max_samples=value)
 
 
 @settings(max_examples=15, deadline=None)
