@@ -175,13 +175,14 @@ def _run_all(scenarios, methods, alpha):
         return pool.map(worker, scenarios)
 
 
-def _write_manifest(primary_path, subcommand, config, seed, outputs, started):
+def _write_manifest(primary_path, subcommand, config, seed, outputs, started, **extra):
     manifest = {
         "subcommand": subcommand,
         "config": config,
         "seed": seed,
         "version": __version__,
         "outputs": [str(p) for p in outputs],
+        **extra,
         "wall_time": round(time.perf_counter() - started, 3),
     }
     path = f"{primary_path}.manifest.json"
@@ -240,6 +241,10 @@ def cmd_simulate(args) -> int:
             seeds[0] if len(seeds) == 1 else seeds,
             [args.out],
             started,
+            # per scenario, in config order: sqrt(p (1 - p) / replications)
+            monte_carlo_se=[
+                {m: result.standard_error(m) for m in result.methods} for result in results
+            ],
         )
         print(f"wrote {args.out} and {manifest}", file=sys.stderr)
     else:
@@ -409,9 +414,8 @@ def cmd_tables(args) -> int:
     header = f"{'N':>5} {'prop':>5} {'method':<12} {'published':>9} "
     header += f"{'simulated':>9} {'diff':>8} {'tol':>7} ok"
     print(header)
-    good = total = 0
-    for row in rows:
-        scenario_args = dict(
+    scenarios = [
+        Scenario(
             total_n=int(row["N"]),
             prop_target=float(row["prop_targ"]),
             sd=5.0,
@@ -419,7 +423,10 @@ def cmd_tables(args) -> int:
             seed=args.seed,
             **design,
         )
-        result = _run_all([Scenario(**scenario_args)], None, 0.05)[0]
+        for row in rows
+    ]
+    good = total = 0
+    for row, result in zip(rows, _run_all(scenarios, None, 0.05)):
         for method in result.methods:
             column = _PUBLISHED_NAMES.get(method, method)
             target = float(row[column])

@@ -30,6 +30,7 @@ __all__ = [
     "CellMeansModel",
     "ContrastMatrix",
     "fit_cell_means",
+    "cell_moments",
     "default_contrasts",
     "cell_means_test",
 ]
@@ -166,36 +167,49 @@ def fit_cell_means(data: Dataset, endpoint: str, subgroup: str | None = None) ->
         raise SchemaError(f"unknown subgroup {subgroup!r}")
     flag = data.subgroups[subgroup]
     used = ~np.isnan(y) & ~np.isnan(flag)
-
-    means = np.empty(4)
-    counts = np.empty(4, dtype=int)
-    rss = 0.0
-    for k, (code, in_target) in enumerate(
-        [(0, True), (1, True), (0, False), (1, False)]
-    ):
-        mask = used & (data.treatment == code) & ((flag == 1.0) == in_target)
-        counts[k] = int(mask.sum())
-        if counts[k] < _MIN_CELL:
-            arm = data.treatment_levels[code]
-            part = subgroup if in_target else f"complement of {subgroup}"
+    cells = np.array(
+        [
+            used & (data.treatment == code) & ((flag == 1.0) == in_target)
+            for code, in_target in ((0, True), (1, True), (0, False), (1, False))
+        ]
+    )
+    counts = cells.sum(axis=1)
+    for k, count in enumerate(counts):
+        if count < _MIN_CELL:
+            arm = data.treatment_levels[k % 2]
+            part = subgroup if k < 2 else f"complement of {subgroup}"
             raise EmptyCell(
-                f"cell ({arm}, {part}) has {counts[k]} subjects, needs {_MIN_CELL}"
+                f"cell ({arm}, {part}) has {count} subjects, needs {_MIN_CELL}"
             )
-        values = y[mask]
-        means[k] = values.mean()
-        rss += float(((values - means[k]) ** 2).sum())
-    n = int(counts.sum())
-    if rss <= 0.0:
-        raise ZeroVariance(f"endpoint {endpoint!r} has zero within-cell variance")
+    means, pooled_sd = cell_moments(y, cells, endpoint)
     return CellMeansModel(
         endpoint=endpoint,
         subgroup=subgroup,
         treatment_levels=data.treatment_levels,
         cell_means=means,
         cell_counts=counts,
-        pooled_sd=float(np.sqrt(rss / (n - 4))),
-        residual_df=n - 4,
+        pooled_sd=float(pooled_sd),
+        residual_df=int(counts.sum()) - 4,
     )
+
+
+def cell_moments(y, cells, endpoint: str):
+    """Cell means and pooled residual SD of responses over four cells.
+
+    ``y`` (..., n) holds one or more response vectors on a shared subject
+    axis and ``cells`` (4, n) the disjoint boolean cell masks, each with at
+    least two subjects; subjects in no cell are ignored.  Returns the cell
+    means (..., 4) and the pooled SD (...), the square root of the
+    within-cell residual sum of squares over its n - 4 degrees of freedom.
+    """
+    counts = cells.sum(axis=1)
+    means = np.stack([np.where(c, y, 0.0).sum(axis=-1) for c in cells], axis=-1) / counts
+    own_mean = means[..., np.argmax(cells, axis=0)]
+    resid = np.where(cells.any(axis=0), y - own_mean, 0.0)
+    rss = (resid * resid).sum(axis=-1)
+    if np.any(rss <= 0.0):
+        raise ZeroVariance(f"endpoint {endpoint!r} has zero within-cell variance")
+    return means, np.sqrt(rss / (counts.sum() - 4))
 
 
 def cell_means_test(

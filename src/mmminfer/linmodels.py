@@ -36,6 +36,7 @@ __all__ = [
     "ModelSpec",
     "MarginalModel",
     "fit_ols",
+    "fit_ols_batch",
     "fit_logit",
     "fit",
     "read_dataset",
@@ -167,49 +168,70 @@ class MarginalModel:
         return self.coefficient / self.standard_error
 
 
-def _design(data: Dataset, spec: ModelSpec):
-    """Subset mask, used indices and responses for one model."""
+def _used(data: Dataset, spec: ModelSpec):
+    """Responses of the model's endpoint and the mask of subjects it uses."""
     y = data.responses.get(spec.endpoint)
     if y is None:
         raise SchemaError(f"unknown endpoint {spec.endpoint!r}")
-    mask = data.subset_mask(spec.subset) & ~np.isnan(y)
-    idx = np.flatnonzero(mask)
-    return idx, data.treatment[idx].astype(float), y[idx]
+    return y, data.subset_mask(spec.subset) & ~np.isnan(y)
 
 
-def fit_ols(data: Dataset, spec: ModelSpec) -> MarginalModel:
-    """Gaussian-identity fit: difference of treatment means with pooled SE."""
-    if spec.family != "gaussian-identity":
-        raise SchemaError(f"fit_ols expects gaussian-identity, got {spec.family!r}")
-    idx, x, y = _design(data, spec)
-    n = idx.size
-    n1 = int(x.sum())
-    n0 = n - n1
-    if n0 < 2 or n1 < 2:
+def fit_ols_batch(y, treatment, used, labels):
+    """Gaussian-identity fits of a stack of models on one subject axis.
+
+    ``y`` (..., m, n) holds each model's responses, ``used`` (broadcast
+    against ``y``) marks the subjects each fit uses, ``treatment`` (n,)
+    codes subjects 0 (reference) or 1 (test) and ``labels`` name the m
+    models in errors.  Each fit is the difference of treatment means with
+    the pooled-variance standard error.  Returns ``(coefficient,
+    standard_error, residual_df, scores)``: the first three of shape
+    (..., m), the score contributions (..., m, n), zero outside ``used``.
+    """
+    test = np.asarray(treatment) == 1
+    used1 = used & test
+    used0 = used & ~test
+    n1 = used1.sum(axis=-1)
+    n0 = used0.sum(axis=-1)
+    thin = (n0 < 2) | (n1 < 2)
+    if thin.any():
+        at = np.unravel_index(np.argmax(thin), thin.shape)
         raise DegenerateSubset(
-            f"model {spec.label!r} needs 2 subjects per arm, has {n0} and {n1}"
+            f"model {labels[at[-1]]!r} needs 2 subjects per arm, has {n0[at]} and {n1[at]}"
         )
-    mean0 = y[x == 0.0].mean()
-    mean1 = y[x == 1.0].mean()
-    coef = mean1 - mean0
-    resid = y - np.where(x == 1.0, mean1, mean0)
-    rss = float(resid @ resid)
-    if rss <= 0.0:
-        raise ZeroVariance(f"model {spec.label!r} has zero residual variance")
-    sigma2 = rss / (n - 2)
-    se = math.sqrt(sigma2 * (1.0 / n0 + 1.0 / n1))
+    mean1 = np.where(used1, y, 0.0).sum(axis=-1) / n1
+    mean0 = np.where(used0, y, 0.0).sum(axis=-1) / n0
+    fitted = np.where(test, mean1[..., None], mean0[..., None])
+    resid = np.where(used, y - fitted, 0.0)
+    rss = (resid * resid).sum(axis=-1)
+    flat = rss <= 0.0
+    if flat.any():
+        at = np.unravel_index(np.argmax(flat), flat.shape)
+        raise ZeroVariance(f"model {labels[at[-1]]!r} has zero residual variance")
+    n = n0 + n1
+    se = np.sqrt(rss / (n - 2) * (1.0 / n0 + 1.0 / n1))
     # influence for the slope of [1, x]: (x_i - x_bar) * resid_i / Sxx
     xbar = n1 / n
     sxx = n1 * (1.0 - xbar) ** 2 + n0 * xbar**2
-    scores = np.zeros(data.n)
-    scores[idx] = (x - xbar) * resid / sxx
+    scores = (test - xbar[..., None]) * resid / sxx[..., None]
+    return mean1 - mean0, se, np.broadcast_to(n - 2, se.shape), scores
+
+
+def fit_ols(data: Dataset, spec: ModelSpec) -> MarginalModel:
+    """Gaussian-identity fit: difference of treatment means with pooled SE.
+
+    The one-model case of :func:`fit_ols_batch`.
+    """
+    if spec.family != "gaussian-identity":
+        raise SchemaError(f"fit_ols expects gaussian-identity, got {spec.family!r}")
+    y, used = _used(data, spec)
+    coef, se, df, scores = fit_ols_batch(y[None], data.treatment, used[None], (spec.label,))
     return MarginalModel(
         spec=spec,
-        coefficient=float(coef),
-        standard_error=float(se),
-        n_used=n,
-        residual_df=n - 2,
-        score_contributions=scores,
+        coefficient=float(coef[0]),
+        standard_error=float(se[0]),
+        n_used=int(used.sum()),
+        residual_df=int(df[0]),
+        score_contributions=scores[0],
     )
 
 
@@ -228,7 +250,9 @@ def fit_logit(data: Dataset, spec: ModelSpec) -> MarginalModel:
     """
     if spec.family != "binomial-logit":
         raise SchemaError(f"fit_logit expects binomial-logit, got {spec.family!r}")
-    idx, x, y = _design(data, spec)
+    y, used = _used(data, spec)
+    idx = np.flatnonzero(used)
+    x, y = data.treatment[idx].astype(float), y[idx]
     if not np.isin(y, (0.0, 1.0)).all():
         raise SchemaError(f"endpoint {spec.endpoint!r} is not binary in {spec.label!r}")
     n = idx.size

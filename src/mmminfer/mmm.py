@@ -20,9 +20,10 @@ statistics:
   joint law on that scale is multivariate normal with correlation C_hat.
 
 ``max_type_rejects`` is the yes/no form of the two-sided max-type test that
-the simulation study asks once per replicate and variant.  With p1 the
-closed-form tail of one coordinate, p1 <= p_mmm <= dim * p1 holds exactly,
-so it integrates only when alpha lies between those bounds.
+the simulation study asks per replicate and variant.  With p1 the
+closed-form tail of one coordinate, p1 <= p_mmm <= dim * p1 holds exactly;
+``max_type_bounds`` applies these bounds to whole arrays of statistics, and
+``max_type_rejects`` integrates only when alpha lies between them.
 
 The unadjusted and Bonferroni baselines live here too; each marginal model
 is tested against its own reference (Student t for gaussian models, normal
@@ -49,9 +50,11 @@ __all__ = [
     "DF_MODES",
     "MmmFit",
     "stack",
+    "score_correlation",
     "joint_scale",
     "max_type_p",
     "max_type_rejects",
+    "max_type_bounds",
     "adjusted_p",
     "simultaneous_ci",
     "unadjusted_p",
@@ -93,12 +96,30 @@ def _check_alternative(alternative):
         )
 
 
+def score_correlation(psi, labels):
+    """``(Sigma_hat, C_hat)`` of stacked score rows ``psi`` of shape (..., m, n).
+
+    ``Sigma_hat`` is the empirical covariance (1/n normalization) of the
+    per-subject score contributions over the shared subject axis and
+    ``C_hat`` its correlation matrix, both of shape (..., m, m); ``labels``
+    name the m models for the error raised on a zero score variance.
+    ``C_hat`` is returned unvalidated.
+    """
+    sigma = np.einsum("...in,...jn->...ij", psi, psi) / psi.shape[-1]
+    var = np.diagonal(sigma, axis1=-2, axis2=-1)
+    degenerate = (var <= 0.0).reshape(-1, var.shape[-1]).any(axis=0)
+    if degenerate.any():
+        bad = [labels[k] for k in np.flatnonzero(degenerate)]
+        raise DegenerateVariance(f"zero score variance in models {bad}")
+    scale = 1.0 / np.sqrt(var)
+    return sigma, sigma * (scale[..., :, None] * scale[..., None, :])
+
+
 def stack(models, df_mode: str = "normal") -> MmmFit:
     """Stack marginal models and estimate their joint correlation.
 
-    ``Sigma_hat`` is the empirical covariance (1/N normalization) of the
-    per-subject score contributions over the shared subject axis; ``C_hat``
-    is its correlation matrix.
+    ``Sigma_hat`` and ``C_hat`` come from :func:`score_correlation` of the
+    models' score contributions.
     """
     models = tuple(models)
     if not models:
@@ -110,15 +131,9 @@ def stack(models, df_mode: str = "normal") -> MmmFit:
         raise MismatchedSubjectAxis(
             f"models disagree on the subject axis length: {sorted(sizes)}"
         )
-    n = sizes.pop()
-    psi = np.column_stack([m.score_contributions for m in models])
-    sigma = psi.T @ psi / n
-    var = np.diag(sigma)
-    if np.any(var <= 0.0):
-        bad = [models[k].spec.label for k in np.flatnonzero(var <= 0.0)]
-        raise DegenerateVariance(f"zero score variance in models {bad}")
-    scale = 1.0 / np.sqrt(var)
-    c_hat = CorrelationMatrix(sigma * np.outer(scale, scale))
+    psi = np.stack([m.score_contributions for m in models])
+    sigma, c = score_correlation(psi, [m.spec.label for m in models])
+    c_hat = CorrelationMatrix(c)
     sigma.flags.writeable = False
     stats = np.array([m.coefficient / m.standard_error for m in models])
     stats.flags.writeable = False
@@ -146,11 +161,13 @@ def _to_normal_scale(stats, dfs):
 
 
 def joint_scale(statistics, per_model_df, df_mode: str):
-    """Statistics and scalar df on the scale the joint law is evaluated.
+    """Statistics and df on the scale the joint law is evaluated.
 
     Returns ``(statistics, df)`` where ``df`` is None for a multivariate
     normal reference; ``dfind`` maps each statistic through its own
-    marginal t distribution onto the normal scale.
+    marginal t distribution onto the normal scale.  Statistics and dfs of
+    shape (..., m) hold a stack per leading index; ``dfmin`` / ``dfmax``
+    then give one df per stack, an int for a single stack.
     """
     if df_mode not in DF_MODES:
         raise ValueError(f"df_mode must be one of {DF_MODES}, got {df_mode!r}")
@@ -158,11 +175,11 @@ def joint_scale(statistics, per_model_df, df_mode: str):
     per_model_df = np.asarray(per_model_df)
     if df_mode == "normal":
         return statistics, None
-    if df_mode == "dfmin":
-        return statistics, int(per_model_df.min())
-    if df_mode == "dfmax":
-        return statistics, int(per_model_df.max())
-    return _to_normal_scale(statistics, per_model_df), None
+    if df_mode == "dfind":
+        return _to_normal_scale(statistics, per_model_df), None
+    reduce = np.min if df_mode == "dfmin" else np.max
+    df = reduce(per_model_df, axis=-1)
+    return statistics, int(df) if df.ndim == 0 else df
 
 
 def _joint_scale(fit: MmmFit):
@@ -215,18 +232,16 @@ def max_type_rejects(
     """Whether the two-sided max-type p-value at box edge ``b`` is <= alpha.
 
     The p-value is 1 - P(-b <= X_r <= b for all r) under the joint law of
-    ``max_type_p``.  Every coordinate shares one marginal law, so with p1 =
-    2 * P(X_1 < -b) (normal when ``df`` is None, else Student t) the bounds
-    p1 <= p <= dim * p1 are exact: the test rejects when dim * p1 <= alpha
-    and accepts when p1 > alpha without any quadrature.  In between, the
-    rectangle is screened at five times the settings' target error, and a
-    screened p-value within its reported error (or twice the target) of
-    alpha is evaluated again at ``settings``.
+    ``max_type_p``.  Every coordinate shares one marginal law, so the exact
+    bounds of :func:`max_type_bounds` settle most decisions without any
+    quadrature.  In between, the rectangle is screened at five times the
+    settings' target error, and a screened p-value within its reported
+    error (or twice the target) of alpha is evaluated again at ``settings``.
     """
-    p1 = 2.0 * (ndtr(-b) if df is None else stdtr(df, -b))
-    if corr.dim * p1 <= alpha:
+    rejects, accepts = max_type_bounds(b, df, corr.dim, alpha)
+    if rejects:
         return True
-    if p1 > alpha:
+    if accepts:
         return False
     lower, upper = np.full(corr.dim, -b), np.full(corr.dim, b)
     screen = replace(settings, target_abs_error=5.0 * settings.target_abs_error)
@@ -235,7 +250,20 @@ def max_type_rejects(
     if abs(p - alpha) <= max(rect.error, 2.0 * settings.target_abs_error):
         rect = mv_rect_prob(corr, lower, upper, df=df, settings=settings)
         p = 1.0 - rect.value
-    return p <= alpha
+    return bool(p <= alpha)
+
+
+def max_type_bounds(b, df, dim: int, alpha: float):
+    """Decisions of ``max_type_rejects`` that its exact bounds settle.
+
+    With p1 = 2 * P(X_1 < -b), normal when ``df`` is None and Student t
+    otherwise, the two-sided max-type p-value p of a ``dim``-dimensional box
+    satisfies p1 <= p <= dim * p1.  Returns ``(rejects, accepts)``, that is
+    dim * p1 <= alpha and p1 > alpha, elementwise over arrays of box edges
+    ``b`` (and of ``df``); where both are False only quadrature decides.
+    """
+    p1 = 2.0 * (ndtr(-b) if df is None else stdtr(df, -b))
+    return dim * p1 <= alpha, p1 > alpha
 
 
 def adjusted_p(

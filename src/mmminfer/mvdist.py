@@ -49,6 +49,7 @@ from .errors import NotPSD
 
 __all__ = [
     "CorrelationMatrix",
+    "validate_correlation",
     "QuadratureSettings",
     "RectProb",
     "mv_rect_prob",
@@ -105,37 +106,54 @@ class RectProb:
     samples: int
 
 
+def validate_correlation(entries) -> np.ndarray:
+    """Checked, symmetrized copy of one (d, d) or a stack (..., d, d) of
+    correlation matrices.
+
+    Every matrix must be symmetric (within 1e-12) with a unit diagonal
+    (within 1e-8), off-diagonal entries in [-1, 1] (within 1e-10) and no
+    eigenvalue below -1e-8; a stack fails when any of its matrices does.
+    The copy is symmetrized, clipped to [-1, 1] and has an exact unit
+    diagonal.
+    """
+    a = np.asarray(entries, dtype=float)
+    if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
+        raise ValueError(f"correlation matrix must be square, got {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("correlation matrix has non-finite entries")
+    if np.max(np.abs(a - np.swapaxes(a, -1, -2))) > 1e-12:
+        raise ValueError("correlation matrix is not symmetric (tol 1e-12)")
+    diag = np.arange(a.shape[-1])
+    if np.max(np.abs(a[..., diag, diag] - 1.0)) > 1e-8:
+        raise ValueError("correlation matrix diagonal must be 1")
+    a = 0.5 * (a + np.swapaxes(a, -1, -2))
+    a[..., diag, diag] = 1.0
+    off = a[..., ~np.eye(a.shape[-1], dtype=bool)]
+    if off.size and np.max(np.abs(off)) > 1.0 + 1e-10:
+        raise ValueError("off-diagonal correlations must lie in [-1, 1]")
+    if np.any(np.linalg.eigvalsh(a)[..., 0] < -1e-8):
+        raise NotPSD("correlation matrix has eigenvalue below -1e-8")
+    np.clip(a, -1.0, 1.0, out=a)
+    a[..., diag, diag] = 1.0
+    return a
+
+
 class CorrelationMatrix:
     """Symmetric unit-diagonal PSD matrix driving the quadrature.
 
-    Construction validates symmetry (within 1e-12), the unit diagonal and
-    positive semi-definiteness (eigenvalues >= -1e-8).  Near-singular
-    matrices are accepted; their Cholesky factor is computed after clipping
-    eigenvalues at 1e-10, so duplicated models (correlation exactly 1) are
-    legal inputs.
+    Construction validates the entries with :func:`validate_correlation`.
+    Near-singular matrices are accepted; their Cholesky factor is computed
+    after clipping eigenvalues at 1e-10, so duplicated models (correlation
+    exactly 1) are legal inputs.
     """
 
     __slots__ = ("dim", "entries", "_chol")
 
     def __init__(self, entries):
-        a = np.array(entries, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        a = np.asarray(entries, dtype=float)
+        if a.ndim != 2:
             raise ValueError(f"correlation matrix must be square, got {a.shape}")
-        if not np.all(np.isfinite(a)):
-            raise ValueError("correlation matrix has non-finite entries")
-        if np.max(np.abs(a - a.T)) > 1e-12:
-            raise ValueError("correlation matrix is not symmetric (tol 1e-12)")
-        if np.max(np.abs(np.diag(a) - 1.0)) > 1e-8:
-            raise ValueError("correlation matrix diagonal must be 1")
-        a = 0.5 * (a + a.T)
-        np.fill_diagonal(a, 1.0)
-        off = a[~np.eye(a.shape[0], dtype=bool)]
-        if off.size and np.max(np.abs(off)) > 1.0 + 1e-10:
-            raise ValueError("off-diagonal correlations must lie in [-1, 1]")
-        if np.linalg.eigvalsh(a)[0] < -1e-8:
-            raise NotPSD("correlation matrix has eigenvalue below -1e-8")
-        np.clip(a, -1.0, 1.0, out=a)
-        np.fill_diagonal(a, 1.0)
+        a = validate_correlation(a)
         a.flags.writeable = False
         self.dim = a.shape[0]
         self.entries = a

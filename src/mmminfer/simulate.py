@@ -5,10 +5,11 @@ equal treatment arms, fixed subgroup counts (half-up rounding of the
 target proportion per arm), an additive effect delta for treated subjects
 of the targeted subgroup, and optionally a second, independently drawn
 subgroup definition (overlap, Bernoulli membership at the same target
-proportion) or a second correlated endpoint.  Every replicate is
-generated from its own RNG stream derived from ``(seed,
-replicate_index)``, so results are reproducible and replicates are
-independent.
+proportion) or a second correlated endpoint.  Replicate r draws from its
+own stream ``np.random.default_rng((seed, r))``, overlap flags first, then
+the response noise, so results are reproducible, replicates are
+independent, and ``generate(scenario, r)`` rebuilds any single replicate
+as a ``Dataset``.
 
 ``run`` evaluates one hypothesis family per scenario: "targeted-or-total"
 tests the total population and the targeted subgroup, "any" adds the
@@ -18,19 +19,30 @@ is relevant (familywise error), under delta > 0 only hypotheses whose
 treated subjects include affected ones are (power).  All tests are
 two-sided at alpha = 0.05 by default.
 
-Every mmm decision goes through ``mmm.max_type_rejects``.  Its exact bounds
-p1 <= p_mmm <= m * p1 (p1 the closed-form tail of the largest relevant
-statistic, m the stacked dimension) settle most replicates without
-quadrature: all with m * p1 <= alpha reject and all with p1 > alpha
-accept.  Under ``dfind`` the upper bound is the Bonferroni test of that
-statistic, so a Bonferroni rejection is an ``mmm.dfind`` rejection by
-construction.  Only the replicates between the bounds integrate, screened
-at five times the caller's target error and re-evaluated at the caller's
-settings when the screen lands near alpha.
+``run`` works through the replicates in blocks.  For a block it fills one
+(block, endpoints, n) response array from the replicates' own streams,
+fits every marginal OLS model of every replicate at once
+(``linmodels.fit_ols_batch``), forms all score correlations C_hat with one
+``einsum`` (``mmm.score_correlation``) and validates them together
+(``mvdist.validate_correlation``).  The noadjust, Bonferroni and cell-means
+decisions, and the exact bounds p1 <= p_mmm <= m * p1 of every mmm variant
+(``mmm.max_type_bounds``; p1 the closed-form tail of the largest relevant
+statistic, m the stacked dimension), then take one vectorized call each.
+The block size follows from the number of models and subjects so that no
+(block, models, subjects) array exceeds 2**20 floats (8 MiB), whatever the
+replicate count.
+
+Only replicates between the mmm bounds build a ``CorrelationMatrix`` and go
+through ``mmm.max_type_rejects``, which integrates at five times the
+caller's target error and again at the caller's settings when that screen
+lands near alpha.  Under ``dfind`` the upper bound is the Bonferroni test of
+the largest statistic, so a Bonferroni rejection is an ``mmm.dfind``
+rejection by construction.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import time
@@ -40,13 +52,19 @@ from types import MappingProxyType
 import numpy as np
 from scipy.special import stdtr
 
-from .contrasts import default_contrasts, fit_cell_means
+from .contrasts import cell_moments, default_contrasts
 from .errors import IncompatibleMethod, SchemaError
-from .linmodels import Dataset, ModelSpec, fit_ols
-from .mmm import joint_scale, max_type_rejects, stack
+from .linmodels import Dataset, ModelSpec, fit_ols_batch
+from .mmm import joint_scale, max_type_bounds, max_type_rejects, score_correlation
 # mv_rect_prob stays bound here: perfbench/test_harness.py checks that the
 # benchmark's tracer patches and restores this binding.
-from .mvdist import QuadratureSettings, equicoordinate_quantile, mv_rect_prob  # noqa: F401
+from .mvdist import (  # noqa: F401
+    CorrelationMatrix,
+    QuadratureSettings,
+    equicoordinate_quantile,
+    mv_rect_prob,
+    validate_correlation,
+)
 
 __all__ = [
     "METHODS",
@@ -89,6 +107,10 @@ SIM_SETTINGS = QuadratureSettings(
 )
 
 _CELL_ROW_SUBSET = {"target": "S1", "complement": "S2", "total": "all"}
+
+# Largest (block, models, subjects) float array of the block engine: 2**20
+# entries, 8 MiB.
+_BLOCK_FLOATS = 2**20
 
 
 def _half_up(x: float) -> int:
@@ -218,9 +240,44 @@ class SimResult:
     def proportion(self, method: str) -> float:
         return self.rejections[method] / self.scenario.replications
 
+    def standard_error(self, method: str) -> float:
+        """Monte Carlo standard error of ``proportion(method)``,
+        sqrt(p (1 - p) / replications)."""
+        p = self.proportion(method)
+        return math.sqrt(p * (1.0 - p) / self.scenario.replications)
+
     @property
     def proportions(self) -> dict:
         return {m: self.proportion(m) for m in self.rejections}
+
+
+def _layout(scenario: Scenario):
+    """Treatment codes, primary subgroup flags and the mask of subjects the
+    effect delta shifts (treated members of S1), reference arm first."""
+    per_arm = scenario.arm_size
+    k = scenario.target_per_arm
+    treatment = np.repeat([0, 1], per_arm)
+    s1 = np.tile(np.r_[np.ones(k), np.zeros(per_arm - k)], 2)
+    return treatment, s1, (treatment == 1) & (s1 == 1.0)
+
+
+def _draw(scenario: Scenario, replicate_index: int, shift):
+    """Overlap flags (None without overlap) and (endpoints, n) responses of
+    one replicate, from its own stream; ``shift`` is the per-subject mean."""
+    rng = np.random.default_rng((scenario.seed, replicate_index))
+    per_arm = scenario.arm_size
+    n = scenario.total_n
+    s1b = None
+    if scenario.overlap:
+        while True:
+            s1b = (rng.random(n) < scenario.prop_target).astype(float)
+            by_arm = s1b.reshape(2, per_arm).sum(axis=1)
+            if (by_arm >= 2).all() and (by_arm <= per_arm - 2).all():
+                break
+    z = rng.standard_normal((scenario.endpoints, n))
+    if scenario.endpoints == 2:
+        z[1] = scenario.rho * z[0] + math.sqrt(1.0 - scenario.rho**2) * z[1]
+    return s1b, scenario.sd * z + shift
 
 
 def generate(scenario: Scenario, replicate_index: int) -> Dataset:
@@ -234,37 +291,58 @@ def generate(scenario: Scenario, replicate_index: int) -> Dataset:
     estimable; the redraw probability is negligible beyond tiny designs).
     Draw order is fixed: overlap flags first, then response noise.
     """
-    rng = np.random.default_rng((scenario.seed, replicate_index))
-    per_arm = scenario.arm_size
-    k = scenario.target_per_arm
-    n = scenario.total_n
-    treatment = np.repeat([0, 1], per_arm)
-    s1 = np.tile(np.r_[np.ones(k), np.zeros(per_arm - k)], 2)
+    treatment, s1, affected = _layout(scenario)
+    s1b, y = _draw(scenario, replicate_index, scenario.delta * affected)
     subgroups = {"S1": s1, "S2": 1.0 - s1}
-    if scenario.overlap:
-        while True:
-            s1b = (rng.random(n) < scenario.prop_target).astype(float)
-            by_arm = s1b.reshape(2, per_arm).sum(axis=1)
-            if (by_arm >= 2).all() and (by_arm <= per_arm - 2).all():
-                break
+    if s1b is not None:
         subgroups["S1b"] = s1b
         subgroups["S2b"] = 1.0 - s1b
-    shift = scenario.delta * ((treatment == 1) & (s1 == 1.0))
-    if scenario.endpoints == 1:
-        responses = {"y1": scenario.sd * rng.standard_normal(n) + shift}
-    else:
-        z = rng.standard_normal((2, n))
-        y2 = scenario.rho * z[0] + math.sqrt(1.0 - scenario.rho**2) * z[1]
-        responses = {
-            "y1": scenario.sd * z[0] + shift,
-            "y2": scenario.sd * y2 + shift,
-        }
     return Dataset(
         treatment=treatment,
         treatment_levels=("control", "treatment"),
         subgroups=subgroups,
-        responses=responses,
+        responses=dict(zip(scenario.endpoint_names, y)),
     )
+
+
+def _fixed_masks(s1) -> dict:
+    """Membership masks of the subsets every replicate shares."""
+    return {"all": np.ones(s1.shape, dtype=bool), "S1": s1 == 1.0, "S2": s1 == 0.0}
+
+
+def _subset_masks(scenario: Scenario, s1, flags):
+    """Membership masks (replicates or 1, subsets, n) of ``scenario.subsets``;
+    ``flags`` holds the replicates' overlap flags, or None."""
+    named = _fixed_masks(s1)
+    if flags is None:
+        return np.stack([named[s] for s in scenario.subsets])[None]
+    named.update(S1b=flags == 1.0, S2b=flags == 0.0)
+    return np.stack(
+        [np.broadcast_to(named[s], flags.shape) for s in scenario.subsets], axis=1
+    )
+
+
+def _fit_block(scenario: Scenario, start: int, stop: int):
+    """Responses, subject masks and marginal fits of replicates start..stop-1.
+
+    Returns ``(y, used, fit)``: responses (block, endpoints, n), the subjects
+    (block or 1, models, n) of each model of ``scenario.model_specs`` and the
+    ``fit_ols_batch`` result over those models.
+    """
+    treatment, s1, affected = _layout(scenario)
+    shift = scenario.delta * affected
+    y = np.empty((stop - start, scenario.endpoints, scenario.total_n))
+    flags = np.empty((stop - start, scenario.total_n)) if scenario.overlap else None
+    for i, r in enumerate(range(start, stop)):
+        s1b, y[i] = _draw(scenario, r, shift)
+        if flags is not None:
+            flags[i] = s1b
+    specs = scenario.model_specs
+    subset = [scenario.subsets.index(spec.subset) for spec in specs]
+    endpoint = [scenario.endpoint_names.index(spec.endpoint) for spec in specs]
+    used = _subset_masks(scenario, s1, flags)[:, subset]
+    fit = fit_ols_batch(y[:, endpoint], treatment, used, [spec.label for spec in specs])
+    return y, used, fit
 
 
 def _applicable_methods(scenario: Scenario, methods) -> tuple:
@@ -288,22 +366,27 @@ def _applicable_methods(scenario: Scenario, methods) -> tuple:
     return methods
 
 
-def _cellmeans_fixture(scenario: Scenario, alpha: float, settings):
+@functools.lru_cache(maxsize=64)
+def _cellmeans_fixture(
+    target: int, complement: int, family: str, alpha: float, settings
+):
     """Contrast rows, fixed critical value and row relevance subsets.
 
-    Cell counts are fixed by the design, so the contrast correlation and
-    the equicoordinate critical value are shared by every replicate.
+    ``target`` and ``complement`` are the subgroup sizes per arm.  Cell
+    counts, and with them the contrast correlation, the residual df and the
+    equicoordinate critical value, are fixed by the design, so every
+    replicate shares them, and so does every run of the same design
+    (cached, as power curves re-run one design across effect sizes).
     """
-    k = scenario.target_per_arm
-    counts = np.array([k, k, scenario.arm_size - k, scenario.arm_size - k])
+    counts = np.array([target, target, complement, complement])
     contrasts = default_contrasts(counts)
-    if scenario.family == "targeted-or-total":
+    if family == "targeted-or-total":
         contrasts = contrasts.restrict((0, 2))
     crit = equicoordinate_quantile(
         contrasts.correlation(counts),
         alpha,
         tail="two-sided",
-        df=scenario.total_n - 4,
+        df=int(counts.sum()) - 4,
         settings=settings,
     )
     subsets = tuple(_CELL_ROW_SUBSET[label] for label in contrasts.labels)
@@ -322,64 +405,80 @@ def run(
     is power, counting only rejections of hypotheses whose treated
     subjects include affected ones.  The mmm variants stack exactly the
     family's models and reject when the adjusted p-value at the largest
-    relevant statistic falls at or below alpha, decided by
-    ``mmm.max_type_rejects``: exact bounds settle most replicates, and the
-    rest integrate at a screen five times looser than ``settings`` and, near
-    alpha, at ``settings`` itself, so the seed and shifts given here govern
-    every rectangle evaluated.
+    relevant statistic falls at or below alpha.
+
+    Replicates are processed in blocks (see the module docstring); replicate
+    r always comes from the stream ``(scenario.seed, r)``, so the counts do
+    not depend on the block size.  Exact bounds settle most mmm decisions
+    for a whole block at once; the rest go one by one through
+    ``mmm.max_type_rejects``, which integrates at a screen five times looser
+    than ``settings`` and, near alpha, at ``settings`` itself, so the seed
+    and shifts given here govern every rectangle evaluated.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     methods = _applicable_methods(scenario, methods)
     specs = scenario.model_specs
+    labels = [spec.label for spec in specs]
     m = len(specs)
     mmm_modes = [name for name in methods if name in _MMM_MODES]
+    treatment, s1, affected = _layout(scenario)
     if "cellmeans" in methods:
-        contrasts, cm_crit, cm_subsets = _cellmeans_fixture(scenario, alpha, settings)
+        k = scenario.target_per_arm
+        contrasts, cm_crit, cm_subsets = _cellmeans_fixture(
+            k, scenario.arm_size - k, scenario.family, alpha, settings
+        )
+        named = _fixed_masks(s1)
+        cells = np.array(
+            [named[g] & (treatment == code) for g in ("S1", "S2") for code in (0, 1)]
+        )
+        cm_unit_se = np.sqrt(np.diag(contrasts.gram(cells.sum(axis=1))))
+        cm_live = np.array(
+            [scenario.delta == 0.0 or (named[g] & affected).any() for g in cm_subsets]
+        )
 
     started = time.perf_counter()
     counts = dict.fromkeys(methods, 0)
-    for r in range(scenario.replications):
-        data = generate(scenario, r)
-        models = [fit_ols(data, spec) for spec in specs]
-        affected = (data.treatment == 1) & (data.subgroups["S1"] == 1.0)
+    block = max(1, _BLOCK_FLOATS // (m * scenario.total_n))
+    for start in range(0, scenario.replications, block):
+        stop = min(start + block, scenario.replications)
+        y, used, (coef, se, dfs, scores) = _fit_block(scenario, start, stop)
+        stats = coef / se
+        # The total population is in every family and holds the affected
+        # subjects, so every replicate has a relevant hypothesis.
         if scenario.delta > 0.0:
-            relevant = {
-                s: bool((data.subset_mask(s) & affected).any())
-                for s in set(scenario.subsets)
-            }
+            live = (used & affected).any(axis=-1)
         else:
-            relevant = dict.fromkeys(scenario.subsets, True)
-        live = np.array([relevant[s.subset] for s in specs])
-        if not live.any():
-            continue
+            live = np.ones((1, m), dtype=bool)
 
-        stats = np.array([model.statistic for model in models])
         if "noadjust" in methods or "bonferroni" in methods:
-            dfs = np.array([model.residual_df for model in models])
-            p_marginal = 2.0 * stdtr(dfs[live], -np.abs(stats[live]))
-            if "noadjust" in methods:
-                counts["noadjust"] += bool((p_marginal <= alpha).any())
-            if "bonferroni" in methods:
-                counts["bonferroni"] += bool((p_marginal <= alpha / m).any())
+            p_marginal = 2.0 * stdtr(dfs, -np.abs(stats))
+            for name, level in (("noadjust", alpha), ("bonferroni", alpha / m)):
+                if name in counts:
+                    counts[name] += int(((p_marginal <= level) & live).any(axis=1).sum())
 
         if "cellmeans" in methods:
-            cm = fit_cell_means(data, "y1", "S1")
-            estimates = contrasts.rows @ cm.cell_means
-            ses = cm.pooled_sd * np.sqrt(np.diag(contrasts.gram(cm.cell_counts)))
-            cm_live = np.array([relevant[s] for s in cm_subsets])
-            if cm_live.any():
-                largest = np.abs(estimates / ses)[cm_live].max()
-                counts["cellmeans"] += bool(largest > cm_crit)
+            means, pooled_sd = cell_moments(y[:, 0], cells, "y1")
+            ses = pooled_sd[:, None] * cm_unit_se
+            cm_stats = np.abs((means @ contrasts.rows.T) / ses)[:, cm_live]
+            counts["cellmeans"] += int((cm_stats.max(axis=1) > cm_crit).sum())
 
         if mmm_modes:
-            fit = stack(models)
+            c_hat = score_correlation(scores, labels)[1]
+            validate_correlation(c_hat)
             for name in mmm_modes:
-                scaled, df = joint_scale(
-                    fit.statistics, fit.per_model_df, _MMM_MODES[name]
-                )
-                b = np.abs(scaled[live]).max()
-                counts[name] += max_type_rejects(fit.c_hat, b, df, alpha, settings)
+                scaled, df = joint_scale(stats, dfs, _MMM_MODES[name])
+                b = np.where(live, np.abs(scaled), 0.0).max(axis=1)
+                rejects, accepts = max_type_bounds(b, df, m, alpha)
+                for i in np.flatnonzero(~(rejects | accepts)):
+                    rejects[i] = max_type_rejects(
+                        CorrelationMatrix(c_hat[i]),
+                        b[i],
+                        None if df is None else int(df[i]),
+                        alpha,
+                        settings,
+                    )
+                counts[name] += int(rejects.sum())
 
     return SimResult(
         scenario=scenario,

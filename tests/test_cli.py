@@ -3,13 +3,16 @@
 import csv
 import io
 import json
+import math
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 
+from mmminfer import cli
 from mmminfer.cli import main
 from mmminfer.simulate import Scenario, load_scenarios
+from mmminfer.tables import published_rows
 
 
 def run_cli(argv):
@@ -95,6 +98,13 @@ class TestSimulate:
         assert manifest["seed"] == 9
         assert manifest["outputs"] == [str(out)]
         assert manifest["wall_time"] >= 0.0
+        # Monte Carlo standard errors per scenario and method, sqrt(p(1-p)/R)
+        (row,) = csv.DictReader(io.StringIO(out.read_text()))
+        (errors,) = manifest["monte_carlo_se"]
+        assert set(errors) == set(row) - set(manifest["config"]["scenarios"][0])
+        for method, se in errors.items():
+            p = float(row[method])
+            assert se == pytest.approx(math.sqrt(p * (1.0 - p) / 50), rel=1e-5)
         # the manifest's resolved config reloads into the very scenarios run
         reloaded = load_scenarios(
             io.StringIO(json.dumps(manifest["config"]["scenarios"]))
@@ -213,6 +223,26 @@ class TestCaseStudyCli:
         assert "greater" in text
         for fragment in ("Global", "S1 (TIA)", "S2 (noTIA)", "2.32", "Hemorrhag"):
             assert fragment in text
+
+
+class TestTablesRows:
+    def test_rows_run_in_one_batch(self, capsys, monkeypatch):
+        # every row of a table goes to _run_all at once, so MMMINFER_JOBS
+        # workers share the rows
+        calls = []
+
+        def spy(scenarios, methods, alpha):
+            calls.append(list(scenarios))
+            return run_all(scenarios, methods, alpha)
+
+        run_all = cli._run_all
+        monkeypatch.setattr(cli, "_run_all", spy)
+        assert run_cli(["tables", "--which", "a4", "--reps", "20"]) == 0
+        assert len(calls) == 1
+        assert [(s.total_n, s.prop_target) for s in calls[0]] == [
+            (int(row["N"]), float(row["prop_targ"])) for row in published_rows("a4_fwer_any")
+        ]
+        assert "cells within tolerance" in capsys.readouterr().out
 
 
 @pytest.mark.slow

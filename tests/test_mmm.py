@@ -227,6 +227,26 @@ class TestMaxTypeRejects:
         max_type_rejects(corr, 0.5 * (bonferroni_edge + unadjusted_edge), df, 0.05, FAST)
         assert calls
 
+    @pytest.mark.parametrize("mode", ["normal", "dfmin", "dfmax", "dfind"])
+    def test_stacks_match_single_calls(self, mode):
+        # one row per replicate: joint_scale and max_type_bounds on whole
+        # blocks give exactly the values of one call per replicate
+        rng = np.random.default_rng(5)
+        stats = rng.normal(scale=2.0, size=(40, 3))
+        dfs = rng.integers(5, 60, size=(40, 3))
+        scaled, df = joint_scale(stats, dfs, mode)
+        b = np.abs(scaled).max(axis=1)
+        rejects, accepts = mmm.max_type_bounds(b, df, 3, 0.05)
+        assert rejects.any() and accepts.any() and not (rejects & accepts).any()
+        for i in range(40):
+            row_scaled, row_df = joint_scale(stats[i], dfs[i], mode)
+            np.testing.assert_array_equal(row_scaled, scaled[i])
+            assert row_df == (None if df is None else df[i])
+            assert mmm.max_type_bounds(abs(row_scaled).max(), row_df, 3, 0.05) == (
+                rejects[i],
+                accepts[i],
+            )
+
     def test_bonferroni_rejection_implies_dfind_rejection_per_replicate(self):
         # a5-any: five overlapping subgroup models of one gaussian endpoint
         scenario = Scenario(

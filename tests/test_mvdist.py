@@ -84,6 +84,19 @@ class TestCorrelationMatrix:
         chol = c.cholesky()
         assert np.all(np.isfinite(chol))
 
+    def test_stack_validation_matches_single_matrices(self):
+        rng = np.random.default_rng(12)
+        stack = np.array([random_correlation(rng, 3) for _ in range(4)])
+        checked = mvdist.validate_correlation(stack)
+        for a, entries in zip(stack, checked):
+            np.testing.assert_array_equal(CorrelationMatrix(a).entries, entries)
+        stack[2] = [[1.0, 0.9, -0.9], [0.9, 1.0, 0.9], [-0.9, 0.9, 1.0]]
+        with pytest.raises(NotPSD):
+            mvdist.validate_correlation(stack)
+        stack[2, 0, 1] += 1e-9
+        with pytest.raises(ValueError, match="symmetric"):
+            mvdist.validate_correlation(stack)
+
     def test_entries_read_only(self):
         c = CorrelationMatrix.identity(2)
         with pytest.raises(ValueError):

@@ -9,11 +9,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
 
-from mmminfer import mvdist
+from scipy.special import stdtr
+
+from mmminfer import mvdist, simulate
+from mmminfer.contrasts import default_contrasts, fit_cell_means
 from mmminfer.errors import IncompatibleMethod, SchemaError
+from mmminfer.linmodels import fit_ols
+from mmminfer.mmm import joint_scale, max_type_rejects, score_correlation, stack
+from mmminfer.mvdist import equicoordinate_quantile
 from mmminfer.simulate import (
     FAMILIES,
     METHODS,
+    SIM_SETTINGS,
     Scenario,
     SimResult,
     generate,
@@ -22,6 +29,7 @@ from mmminfer.simulate import (
 )
 
 MMM_METHODS = ("mmm", "mmm.dfmax", "mmm.dfmin", "mmm.dfind")
+MMM_MODES = {"mmm": "normal", "mmm.dfmax": "dfmax", "mmm.dfmin": "dfmin", "mmm.dfind": "dfind"}
 
 
 def small(**overrides) -> Scenario:
@@ -265,6 +273,11 @@ class TestSimResult:
         assert result.proportion("mmm") == pytest.approx(0.2)
         assert result.proportions == {"mmm": 0.2, "bonferroni": 0.1}
 
+    def test_standard_error(self):
+        result = SimResult(scenario=small(), rejections={"mmm": 10, "bonferroni": 0})
+        assert result.standard_error("mmm") == pytest.approx(math.sqrt(0.2 * 0.8 / 50))
+        assert result.standard_error("bonferroni") == 0.0
+
 
 class TestLoadScenarios:
     def test_reads_list_and_wrapped_forms(self, tmp_path):
@@ -417,3 +430,139 @@ class TestVariantScenarios:
         )
         assert result.rejections["mmm"] >= result.rejections["mmm.dfind"]
         assert result.rejections["mmm.dfind"] >= result.rejections["bonferroni"]
+
+
+def reference_counts(scenario, methods, alpha=0.05, settings=SIM_SETTINGS):
+    """Rejection counts from one replicate at a time: generate, fit_ols,
+    stack, joint_scale and max_type_rejects, plus the marginal and
+    cell-means rules, written out replicate by replicate."""
+    specs = scenario.model_specs
+    m = len(specs)
+    if "cellmeans" in methods:
+        k = scenario.target_per_arm
+        cell_counts = np.array([k, k, scenario.arm_size - k, scenario.arm_size - k])
+        contrasts = default_contrasts(cell_counts)
+        if scenario.family == "targeted-or-total":
+            contrasts = contrasts.restrict((0, 2))
+        crit = equicoordinate_quantile(
+            contrasts.correlation(cell_counts),
+            alpha,
+            tail="two-sided",
+            df=scenario.total_n - 4,
+            settings=settings,
+        )
+        row_subsets = [
+            {"target": "S1", "complement": "S2", "total": "all"}[label]
+            for label in contrasts.labels
+        ]
+    counts = dict.fromkeys(methods, 0)
+    for r in range(scenario.replications):
+        data = generate(scenario, r)
+        models = [fit_ols(data, spec) for spec in specs]
+        affected = (data.treatment == 1) & (data.subgroups["S1"] == 1.0)
+        relevant = {
+            s: scenario.delta == 0.0 or bool((data.subset_mask(s) & affected).any())
+            for s in ("all", *scenario.subsets)
+        }
+        live = np.array([relevant[spec.subset] for spec in specs])
+        stats = np.array([model.statistic for model in models])
+        dfs = np.array([model.residual_df for model in models])
+        p = 2.0 * stdtr(dfs[live], -np.abs(stats[live]))
+        if "noadjust" in methods:
+            counts["noadjust"] += bool((p <= alpha).any())
+        if "bonferroni" in methods:
+            counts["bonferroni"] += bool((p <= alpha / m).any())
+        if "cellmeans" in methods:
+            cm = fit_cell_means(data, "y1", "S1")
+            estimates = contrasts.rows @ cm.cell_means
+            ses = cm.pooled_sd * np.sqrt(np.diag(contrasts.gram(cm.cell_counts)))
+            row_live = np.array([relevant[s] for s in row_subsets])
+            counts["cellmeans"] += bool(np.abs(estimates / ses)[row_live].max() > crit)
+        fit = stack(models)
+        for name, mode in MMM_MODES.items():
+            if name in methods:
+                scaled, df = joint_scale(fit.statistics, fit.per_model_df, mode)
+                b = np.abs(scaled[live]).max()
+                counts[name] += max_type_rejects(fit.c_hat, b, df, alpha, settings)
+    return counts
+
+
+# (id, Scenario fields): the published null designs at N=50, prop 0.6, one
+# power row with per-replicate relevance, and one row whose replicates span
+# several blocks.
+ORACLE_ROWS = [
+    ("a3", dict(total_n=50, prop_target=0.6, replications=300)),
+    ("a4", dict(total_n=50, prop_target=0.6, family="any", replications=200)),
+    ("a5-any", dict(total_n=50, prop_target=0.6, family="any", overlap=True, replications=40)),
+    (
+        "a6-any",
+        dict(total_n=50, prop_target=0.6, family="any", endpoints=2, rho=0.8, replications=40),
+    ),
+    (
+        "power-overlap",
+        dict(
+            total_n=50,
+            sd=2.0,
+            delta=1.5,
+            prop_target=0.6,
+            overlap=True,
+            family="any",
+            replications=60,
+        ),
+    ),
+    ("a3-blocks", dict(total_n=4000, prop_target=0.6, replications=300)),
+]
+
+
+class TestBlockEngine:
+    @pytest.mark.parametrize(
+        "fields", [f for _, f in ORACLE_ROWS], ids=[i for i, _ in ORACLE_ROWS]
+    )
+    def test_counts_match_replicate_by_replicate_reference(self, fields):
+        scenario = Scenario(seed=20150436, **fields)
+        result = run(scenario)
+        assert dict(result.rejections) == reference_counts(scenario, result.methods)
+
+    def test_block_boundary_is_crossed(self):
+        fields = dict(ORACLE_ROWS)["a3-blocks"]
+        scenario = Scenario(**fields)
+        block = simulate._BLOCK_FLOATS // (len(scenario.model_specs) * scenario.total_n)
+        assert 1 < block < scenario.replications // 2
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            dict(total_n=50, prop_target=0.6, family="any", overlap=True),
+            dict(total_n=50, prop_target=0.6, family="any", endpoints=2, rho=0.8, delta=1.0),
+        ],
+        ids=["a5-any", "a6-any-delta"],
+    )
+    def test_batched_fits_match_fit_ols_and_stack(self, fields):
+        scenario = Scenario(seed=3, **fields)
+        y, _, (coef, se, dfs, scores) = simulate._fit_block(scenario, 5, 17)
+        c_hat = score_correlation(scores, [s.label for s in scenario.model_specs])[1]
+        for i, r in enumerate(range(5, 17)):
+            data = generate(scenario, r)
+            np.testing.assert_array_equal(
+                y[i], [data.responses[e] for e in scenario.endpoint_names]
+            )
+            fit = stack([fit_ols(data, spec) for spec in scenario.model_specs])
+            np.testing.assert_allclose(coef[i] / se[i], fit.statistics, rtol=0, atol=1e-12)
+            np.testing.assert_array_equal(dfs[i], fit.per_model_df)
+            np.testing.assert_allclose(c_hat[i], fit.c_hat.entries, rtol=0, atol=1e-12)
+
+    def test_cellmeans_critical_value_computed_once_per_design(self, monkeypatch):
+        quantile = simulate.equicoordinate_quantile
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return quantile(*args, **kwargs)
+
+        monkeypatch.setattr(simulate, "equicoordinate_quantile", spy)
+        simulate._cellmeans_fixture.cache_clear()
+        for delta, seed in ((0.0, 1), (1.0, 2), (2.0, 1)):
+            run(small(delta=delta, seed=seed, replications=5), methods=["cellmeans"])
+        assert len(calls) == 1
+        run(small(family="any", replications=5), methods=["cellmeans"])
+        assert len(calls) == 2
