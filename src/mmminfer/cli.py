@@ -167,24 +167,29 @@ def _run_scenario(scenario, methods, alpha):
 
 
 def _run_all(scenarios, methods, alpha):
+    """Yield each scenario's result in order, as soon as it is done."""
     jobs = _jobs()
     worker = functools.partial(_run_scenario, methods=methods, alpha=alpha)
     if jobs == 1 or len(scenarios) == 1:
-        return [worker(s) for s in scenarios]
+        yield from map(worker, scenarios)
+        return
     with multiprocessing.Pool(min(jobs, len(scenarios))) as pool:
-        return pool.map(worker, scenarios)
+        yield from pool.imap(worker, scenarios)
 
 
-def _write_manifest(primary_path, subcommand, config, seed, outputs, started, **extra):
+def _write_manifest(
+    primary_path, subcommand, config, seed, outputs, started, monte_carlo_se=None
+):
     manifest = {
         "subcommand": subcommand,
         "config": config,
         "seed": seed,
         "version": __version__,
         "outputs": [str(p) for p in outputs],
-        **extra,
-        "wall_time": round(time.perf_counter() - started, 3),
     }
+    if monte_carlo_se is not None:
+        manifest["monte_carlo_se"] = monte_carlo_se
+    manifest["wall_time"] = round(time.perf_counter() - started, 3)
     path = f"{primary_path}.manifest.json"
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(manifest, handle, indent=2)
@@ -200,7 +205,7 @@ def cmd_simulate(args) -> int:
     if args.seed is not None:
         scenarios = [replace(s, seed=args.seed) for s in scenarios]
     methods = args.methods
-    results = _run_all(scenarios, methods, args.alpha)
+    results = list(_run_all(scenarios, methods, args.alpha))
 
     columns = [m for m in METHODS if any(m in r.rejections for r in results)]
     fields = (

@@ -153,11 +153,21 @@ class CorrelationMatrix:
         a = np.asarray(entries, dtype=float)
         if a.ndim != 2:
             raise ValueError(f"correlation matrix must be square, got {a.shape}")
-        a = validate_correlation(a)
-        a.flags.writeable = False
-        self.dim = a.shape[0]
-        self.entries = a
+        self._wrap(validate_correlation(a))
+
+    def _wrap(self, checked):
+        checked.flags.writeable = False
+        self.dim = checked.shape[0]
+        self.entries = checked
         self._chol = None
+
+    @classmethod
+    def _checked(cls, checked) -> "CorrelationMatrix":
+        """Wrap one (d, d) matrix of a ``validate_correlation`` result without
+        repeating its checks."""
+        corr = cls.__new__(cls)
+        corr._wrap(np.array(checked, dtype=float))
+        return corr
 
     def cholesky(self) -> np.ndarray:
         """Lower Cholesky factor, regularized by eigenvalue clipping."""

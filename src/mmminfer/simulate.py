@@ -29,20 +29,21 @@ decisions, and the exact bounds p1 <= p_mmm <= m * p1 of every mmm variant
 (``mmm.max_type_bounds``; p1 the closed-form tail of the largest relevant
 statistic, m the stacked dimension), then take one vectorized call each.
 The block size follows from the number of models and subjects so that no
-(block, models, subjects) array exceeds 2**20 floats (8 MiB), whatever the
-replicate count.
+(block, models, subjects) array exceeds 2**17 floats (1 MiB), whatever the
+replicate count; the fit holds about eight such arrays at once, so a block
+adds under 10 MB to peak memory.
 
-Only replicates between the mmm bounds build a ``CorrelationMatrix`` and go
-through ``mmm.max_type_rejects``, which integrates at five times the
-caller's target error and again at the caller's settings when that screen
-lands near alpha.  Under ``dfind`` the upper bound is the Bonferroni test of
-the largest statistic, so a Bonferroni rejection is an ``mmm.dfind``
-rejection by construction.
+Only replicates between the mmm bounds build a ``CorrelationMatrix`` (from
+the already validated C_hat, without checking it again) and go through
+``mmm.max_type_rejects``, which integrates at five times the caller's target
+error and again at the caller's settings when that screen lands near alpha.
+Under ``dfind`` the upper bound is the Bonferroni test of the largest
+statistic, so a Bonferroni rejection is an ``mmm.dfind`` rejection by
+construction.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import time
@@ -108,9 +109,9 @@ SIM_SETTINGS = QuadratureSettings(
 
 _CELL_ROW_SUBSET = {"target": "S1", "complement": "S2", "total": "all"}
 
-# Largest (block, models, subjects) float array of the block engine: 2**20
-# entries, 8 MiB.
-_BLOCK_FLOATS = 2**20
+# Largest (block, models, subjects) float array of the block engine: 2**17
+# entries, 1 MiB.  Larger blocks run no faster but raise peak memory.
+_BLOCK_FLOATS = 2**17
 
 
 def _half_up(x: float) -> int:
@@ -366,27 +367,22 @@ def _applicable_methods(scenario: Scenario, methods) -> tuple:
     return methods
 
 
-@functools.lru_cache(maxsize=64)
-def _cellmeans_fixture(
-    target: int, complement: int, family: str, alpha: float, settings
-):
+def _cellmeans_fixture(scenario: Scenario, alpha: float, settings):
     """Contrast rows, fixed critical value and row relevance subsets.
 
-    ``target`` and ``complement`` are the subgroup sizes per arm.  Cell
-    counts, and with them the contrast correlation, the residual df and the
-    equicoordinate critical value, are fixed by the design, so every
-    replicate shares them, and so does every run of the same design
-    (cached, as power curves re-run one design across effect sizes).
+    Cell counts are fixed by the design, so the contrast correlation and
+    the equicoordinate critical value are shared by every replicate.
     """
-    counts = np.array([target, target, complement, complement])
+    k = scenario.target_per_arm
+    counts = np.array([k, k, scenario.arm_size - k, scenario.arm_size - k])
     contrasts = default_contrasts(counts)
-    if family == "targeted-or-total":
+    if scenario.family == "targeted-or-total":
         contrasts = contrasts.restrict((0, 2))
     crit = equicoordinate_quantile(
         contrasts.correlation(counts),
         alpha,
         tail="two-sided",
-        df=int(counts.sum()) - 4,
+        df=scenario.total_n - 4,
         settings=settings,
     )
     subsets = tuple(_CELL_ROW_SUBSET[label] for label in contrasts.labels)
@@ -424,10 +420,7 @@ def run(
     mmm_modes = [name for name in methods if name in _MMM_MODES]
     treatment, s1, affected = _layout(scenario)
     if "cellmeans" in methods:
-        k = scenario.target_per_arm
-        contrasts, cm_crit, cm_subsets = _cellmeans_fixture(
-            k, scenario.arm_size - k, scenario.family, alpha, settings
-        )
+        contrasts, cm_crit, cm_subsets = _cellmeans_fixture(scenario, alpha, settings)
         named = _fixed_masks(s1)
         cells = np.array(
             [named[g] & (treatment == code) for g in ("S1", "S2") for code in (0, 1)]
@@ -464,15 +457,14 @@ def run(
             counts["cellmeans"] += int((cm_stats.max(axis=1) > cm_crit).sum())
 
         if mmm_modes:
-            c_hat = score_correlation(scores, labels)[1]
-            validate_correlation(c_hat)
+            c_hat = validate_correlation(score_correlation(scores, labels)[1])
             for name in mmm_modes:
                 scaled, df = joint_scale(stats, dfs, _MMM_MODES[name])
                 b = np.where(live, np.abs(scaled), 0.0).max(axis=1)
                 rejects, accepts = max_type_bounds(b, df, m, alpha)
                 for i in np.flatnonzero(~(rejects | accepts)):
                     rejects[i] = max_type_rejects(
-                        CorrelationMatrix(c_hat[i]),
+                        CorrelationMatrix._checked(c_hat[i]),
                         b[i],
                         None if df is None else int(df[i]),
                         alpha,

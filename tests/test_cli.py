@@ -244,6 +244,26 @@ class TestTablesRows:
         ]
         assert "cells within tolerance" in capsys.readouterr().out
 
+    def test_rows_print_as_they_finish(self, capsys, monkeypatch):
+        # a failing last row still leaves every finished row printed
+        last = published_rows("a4_fwer_any")[-1]
+        run_scenario = cli._run_scenario
+
+        def fail_last(scenario, methods, alpha):
+            if (scenario.total_n, scenario.prop_target) == (
+                int(last["N"]),
+                float(last["prop_targ"]),
+            ):
+                raise RuntimeError("last row")
+            return run_scenario(scenario, methods, alpha)
+
+        monkeypatch.setattr(cli, "_run_scenario", fail_last)
+        with pytest.raises(RuntimeError, match="last row"):
+            run_cli(["tables", "--which", "a4", "--reps", "20"])
+        out = capsys.readouterr().out
+        verdicts = [l for l in out.splitlines() if l.endswith(" yes") or l.endswith(" NO")]
+        assert len(verdicts) == 19 * 7
+
 
 @pytest.mark.slow
 class TestTables:

@@ -90,7 +90,11 @@ class TestCorrelationMatrix:
         checked = mvdist.validate_correlation(stack)
         for a, entries in zip(stack, checked):
             np.testing.assert_array_equal(CorrelationMatrix(a).entries, entries)
-        stack[2] = [[1.0, 0.9, -0.9], [0.9, 1.0, 0.9], [-0.9, 0.9, 1.0]]
+            wrapped = CorrelationMatrix._checked(entries)
+            np.testing.assert_array_equal(wrapped.entries, entries)
+            assert not wrapped.entries.flags.writeable
+        assert checked.flags.writeable  # wrapping copies, the stack stays usable
+        stack[2] =[[1.0, 0.9, -0.9], [0.9, 1.0, 0.9], [-0.9, 0.9, 1.0]]
         with pytest.raises(NotPSD):
             mvdist.validate_correlation(stack)
         stack[2, 0, 1] += 1e-9

@@ -551,18 +551,26 @@ class TestBlockEngine:
             np.testing.assert_array_equal(dfs[i], fit.per_model_df)
             np.testing.assert_allclose(c_hat[i], fit.c_hat.entries, rtol=0, atol=1e-12)
 
-    def test_cellmeans_critical_value_computed_once_per_design(self, monkeypatch):
-        quantile = simulate.equicoordinate_quantile
+    def test_each_c_hat_is_validated_once(self, monkeypatch):
+        # one batch check per block; undecided replicates reuse its result
+        validate = mvdist.validate_correlation
         calls = []
 
-        def spy(*args, **kwargs):
-            calls.append(args)
-            return quantile(*args, **kwargs)
+        def spy(entries):
+            calls.append(np.shape(entries))
+            return validate(entries)
 
-        monkeypatch.setattr(simulate, "equicoordinate_quantile", spy)
-        simulate._cellmeans_fixture.cache_clear()
-        for delta, seed in ((0.0, 1), (1.0, 2), (2.0, 1)):
-            run(small(delta=delta, seed=seed, replications=5), methods=["cellmeans"])
-        assert len(calls) == 1
-        run(small(family="any", replications=5), methods=["cellmeans"])
-        assert len(calls) == 2
+        monkeypatch.setattr(mvdist, "validate_correlation", spy)
+        monkeypatch.setattr(simulate, "validate_correlation", spy)
+        checked = mvdist.CorrelationMatrix._checked
+        undecided = []
+
+        def counting(entries):
+            undecided.append(entries)
+            return checked(entries)
+
+        scenario = Scenario(total_n=50, prop_target=0.6, replications=200, seed=5)
+        monkeypatch.setattr(mvdist.CorrelationMatrix, "_checked", counting)
+        run(scenario, methods=["mmm"])
+        assert undecided
+        assert calls == [(200, 2, 2)]
