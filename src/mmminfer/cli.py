@@ -23,7 +23,7 @@ Exit codes: 0 success, 1 invalid input, 2 numerical failure.
 from __future__ import annotations
 
 import argparse
-import functools
+import itertools
 import json
 import math
 import multiprocessing
@@ -54,7 +54,14 @@ from .mmm import (
 )
 from .mvdist import QuadratureSettings
 from .report import HypothesisRow, InferenceReport, MethodCell
-from .simulate import METHODS, Scenario, load_scenarios, power_gain, run
+from .simulate import (
+    METHODS,
+    Scenario,
+    load_scenarios,
+    paired_gain,
+    power_cells,
+    run,
+)
 from .tables import published_rows
 
 __all__ = ["main"]
@@ -166,15 +173,23 @@ def _run_scenario(scenario, methods, alpha):
     return run(scenario, methods=methods, alpha=alpha)
 
 
+def _run_task(task):
+    return _run_scenario(*task)
+
+
 def _run_all(scenarios, methods, alpha):
-    """Yield each scenario's result in order, as soon as it is done."""
+    """Yield each scenario's result in order, as soon as it is done.
+
+    ``methods`` holds one method list per scenario (None for every
+    applicable method).
+    """
     jobs = _jobs()
-    worker = functools.partial(_run_scenario, methods=methods, alpha=alpha)
+    tasks = zip(scenarios, methods, itertools.repeat(alpha))
     if jobs == 1 or len(scenarios) == 1:
-        yield from map(worker, scenarios)
+        yield from map(_run_task, tasks)
         return
     with multiprocessing.Pool(min(jobs, len(scenarios))) as pool:
-        yield from pool.imap(worker, scenarios)
+        yield from pool.imap(_run_task, tasks)
 
 
 def _write_manifest(
@@ -204,7 +219,7 @@ def cmd_simulate(args) -> int:
         scenarios = [replace(s, replications=args.reps) for s in scenarios]
     if args.seed is not None:
         scenarios = [replace(s, seed=args.seed) for s in scenarios]
-    methods = args.methods
+    methods = [args.methods] * len(scenarios)
     results = list(_run_all(scenarios, methods, args.alpha))
 
     columns = [m for m in METHODS if any(m in r.rejections for r in results)]
@@ -431,7 +446,8 @@ def cmd_tables(args) -> int:
         for row in rows
     ]
     good = total = 0
-    for row, result in zip(rows, _run_all(scenarios, None, 0.05)):
+    results = _run_all(scenarios, [None] * len(scenarios), 0.05)
+    for row, result in zip(rows, results):
         for method in result.methods:
             column = _PUBLISHED_NAMES.get(method, method)
             target = float(row[column])
@@ -459,13 +475,22 @@ def _power_report(args) -> int:
     )
     width = max(len(c["label"]) for c in _POWER_CLAIMS)
     print(f"{'claim':<{width}} {'published':>10} {'simulated':>10} {'diff':>9} ok")
-    good = 0
+    # every claim's cells go to one _run_all call, each running its pair
+    claims, scenarios, methods = [], [], []
     for claim in _POWER_CLAIMS:
         claim = dict(claim)
         label = claim.pop("label")
         target = claim.pop("published")
         at_least = claim.pop("at_least", False)
-        gain = power_gain(replications=args.reps, seed=args.seed, **claim)
+        pair = [claim.pop("baseline"), claim.pop("method")]
+        cells = power_cells(replications=args.reps, seed=args.seed, **claim)
+        claims.append((label, target, at_least, pair, len(cells)))
+        scenarios += cells
+        methods += [pair] * len(cells)
+    results = _run_all(scenarios, methods, 0.05)
+    good = 0
+    for label, target, at_least, pair, n_cells in claims:
+        gain = paired_gain(itertools.islice(results, n_cells), *pair)
         tol = _cell_tolerance(0.1, args.reps)
         shown = f"{'>=' if at_least else ''}{100 * target:.2f}pp"
         if at_least:

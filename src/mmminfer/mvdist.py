@@ -20,8 +20,14 @@ Two evaluation strategies share that integrand:
   points, one independent scramble per "shift".  The error estimate is three
   standard errors over the scrambles and the sample size doubles until the
   estimate meets the requested accuracy or the budget runs out.  Point sets
-  are cached per dimension and seed, so repeated calls only pay for
-  integrand evaluations.  On the multivariate-t path the radial factor of
+  are cached per dimension, seed and number of shifts, so repeated calls
+  only pay for integrand evaluations.  The integrand streams through the
+  cached points in blocks of at most 2**13 points (whole scrambles grouped
+  while they fit, otherwise views into one scramble), so besides the
+  caches one evaluation holds a few block-sized arrays and one value per
+  sample, about 7 MB at dimension 9 with 12 shifts of 2**16 points, where
+  whole-range arrays took over 100 MB.  The sums per scramble do not
+  depend on the blocking.  On the multivariate-t path the radial factor of
   each point (its leading Sobol coordinate mapped through the chi quantile)
   is cached as well, per point set and df, for the first 2**14 points of
   each scramble; least recently used entries are dropped so the cache never
@@ -329,6 +335,11 @@ def _gl_estimate(chol, lower, upper, df, target):
 # the points drawn so far, shaped (shifts, n, qdim).
 _SOBOL_CACHE: dict = {}
 
+# Most points the QMC integrand sees in one call: a dimension-9 block then
+# keeps its working arrays (about 1 MB) in cache.  On AVERROES, 2**11 to
+# 2**13 ran alike and 2**14 or more lost most of the gain (BENCH_5.json).
+_BLOCK_POINTS = 1 << 13
+
 
 def _sobol_points(qdim, settings, n):
     """First ``n`` points of each cached scramble, drawing more if needed."""
@@ -399,6 +410,13 @@ class _SobolSampler:
     is a fixed deterministic function of the limits.  It need not be
     monotone in them: with off-diagonal Cholesky entries, moving one limit
     shifts the later coordinates' conditional limits at every fixed point.
+
+    Points come from the cache of ``_sobol_points``, keyed by integrand
+    dimension, seed and number of shifts.  The integrand streams through
+    them in blocks of at most ``_BLOCK_POINTS`` points, so the transient
+    memory of one evaluation is a few arrays of that many points (a few
+    MB at dimension 9) plus one float per sample for the values, whatever
+    the sample size.
     """
 
     def __init__(self, chol, df, settings: QuadratureSettings):
@@ -408,21 +426,38 @@ class _SobolSampler:
         self.settings = settings
 
     def _sums(self, lower, upper, start, count):
-        """Integrand sums per scramble over points [start, start + count)."""
-        pts = _sobol_points(self.qdim, self.settings, start + count)
-        w = pts[:, start : start + count, :].reshape(-1, self.qdim)
-        if self.df is not None:
-            end = start + count
-            if end <= _RADIAL_POINTS:
-                radial = _cached_radial(pts, self.settings, self.df, end)
-                radial = radial[:, start:end].reshape(-1)
-            else:
-                u = np.clip(w[:, 0], _TINY, 1.0 - _TINY)
-                radial = _radial_factors(u, self.df)
-            vals = _genz_weights(self.chol, lower, upper, w[:, 1:], radial)
-        else:
-            vals = _genz_weights(self.chol, lower, upper, w)
-        return vals.reshape(self.settings.shifts, count).sum(axis=1)
+        """Integrand sums per scramble over points [start, start + count).
+
+        The integrand is evaluated one block of at most ``_BLOCK_POINTS``
+        points at a time: whole scrambles grouped while they fit in a block,
+        else consecutive runs of one scramble's points read as views.  The
+        values land in one (shifts, count) array, summed as a whole, so the
+        sums do not depend on the blocking.
+        """
+        shifts = self.settings.shifts
+        end = start + count
+        pts = _sobol_points(self.qdim, self.settings, end)
+        radial = None
+        if self.df is not None and end <= _RADIAL_POINTS:
+            radial = _cached_radial(pts, self.settings, self.df, end)
+        rows = max(_BLOCK_POINTS // count, 1)  # scrambles per block
+        width = min(count, _BLOCK_POINTS)  # points per scramble per block
+        vals = np.empty((shifts, count))
+        for j in range(0, shifts, rows):
+            for a in range(start, end, width):
+                b = min(a + width, end)
+                w = pts[j : j + rows, a:b].reshape(-1, self.qdim)
+                if self.df is None:
+                    block = _genz_weights(self.chol, lower, upper, w)
+                else:
+                    if radial is None:
+                        u = np.clip(w[:, 0], _TINY, 1.0 - _TINY)
+                        scale = _radial_factors(u, self.df)
+                    else:
+                        scale = radial[j : j + rows, a:b].reshape(-1)
+                    block = _genz_weights(self.chol, lower, upper, w[:, 1:], scale)
+                vals[j : j + rows, a - start : b - start] = block.reshape(-1, b - a)
+        return vals.sum(axis=1)
 
     def estimate_fixed(self, lower, upper, n_per_shift):
         sums = self._sums(lower, upper, 0, n_per_shift)

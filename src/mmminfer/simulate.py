@@ -76,6 +76,8 @@ __all__ = [
     "generate",
     "run",
     "power_curves",
+    "power_cells",
+    "paired_gain",
     "power_gain",
     "load_scenarios",
 ]
@@ -526,6 +528,42 @@ def power_curves(
     }
 
 
+def power_cells(
+    total_n: int,
+    sd: float,
+    cells,
+    family: str = "targeted-or-total",
+    endpoints: int = 1,
+    rho: float = 0.0,
+    replications: int = 10_000,
+    seed: int = 20150436,
+) -> list:
+    """One scenario per (delta, prop_target) cell of a power-gain scan."""
+    return [
+        Scenario(
+            total_n=total_n,
+            sd=sd,
+            prop_target=prop,
+            delta=float(delta),
+            endpoints=endpoints,
+            rho=rho,
+            family=family,
+            replications=replications,
+            seed=seed,
+        )
+        for delta, prop in cells
+    ]
+
+
+def paired_gain(results, baseline: str, method: str) -> float:
+    """Largest rejection-proportion difference, ``method`` minus
+    ``baseline``, over the results of a power-gain scan's cells."""
+    return max(
+        (r.proportion(method) - r.proportion(baseline) for r in results),
+        default=-math.inf,
+    )
+
+
 def power_gain(
     total_n: int,
     sd: float,
@@ -547,26 +585,14 @@ def power_gain(
     estimate.  Scanning the grid cells where a gain curve peaks reproduces
     the headline "gain of power" figures.
     """
-    best = -math.inf
-    for delta, prop in cells:
-        result = run(
-            Scenario(
-                total_n=total_n,
-                sd=sd,
-                prop_target=prop,
-                delta=float(delta),
-                endpoints=endpoints,
-                rho=rho,
-                family=family,
-                replications=replications,
-                seed=seed,
-            ),
-            methods=[baseline, method],
-            alpha=alpha,
-            settings=settings,
-        )
-        best = max(best, result.proportion(method) - result.proportion(baseline))
-    return best
+    scenarios = power_cells(
+        total_n, sd, cells, family, endpoints, rho, replications, seed
+    )
+    results = (
+        run(s, methods=[baseline, method], alpha=alpha, settings=settings)
+        for s in scenarios
+    )
+    return paired_gain(results, baseline, method)
 
 
 def load_scenarios(source) -> list:

@@ -9,7 +9,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from mmminfer import cli
+from mmminfer import cli, simulate
 from mmminfer.cli import main
 from mmminfer.simulate import Scenario, load_scenarios
 from mmminfer.tables import published_rows
@@ -243,6 +243,38 @@ class TestTablesRows:
             (int(row["N"]), float(row["prop_targ"])) for row in published_rows("a4_fwer_any")
         ]
         assert "cells within tolerance" in capsys.readouterr().out
+
+    def test_power_claims_run_in_one_batch(self, capsys, monkeypatch):
+        # every claim's cells go to one _run_all call, each cell running only
+        # its claim's two methods
+        calls = []
+
+        def spy(scenarios, methods, alpha):
+            calls.append((list(scenarios), list(methods)))
+            return run_all(scenarios, methods, alpha)
+
+        run_all = cli._run_all
+        monkeypatch.setattr(cli, "_run_all", spy)
+        assert run_cli(["tables", "--which", "power", "--reps", "20"]) == 0
+        assert len(calls) == 1
+        scenarios, methods = calls[0]
+        expected = [
+            (claim["total_n"], float(delta), prop, [claim["baseline"], claim["method"]])
+            for claim in cli._POWER_CLAIMS
+            for delta, prop in claim["cells"]
+        ]
+        assert [
+            (s.total_n, s.delta, s.prop_target, m) for s, m in zip(scenarios, methods)
+        ] == expected
+        # each printed gain is the one power_gain computes claim by claim
+        verdicts = [
+            l for l in capsys.readouterr().out.splitlines() if l.endswith((" yes", " NO"))
+        ]
+        assert len(verdicts) == len(cli._POWER_CLAIMS)
+        for line, claim in zip(verdicts, cli._POWER_CLAIMS):
+            claim = {k: v for k, v in claim.items() if k not in ("label", "published", "at_least")}
+            gain = simulate.power_gain(replications=20, **claim)
+            assert f" {100 * gain:>8.2f}pp " in line
 
     def test_rows_print_as_they_finish(self, capsys, monkeypatch):
         # a failing last row still leaves every finished row printed

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from collections import OrderedDict
 from pathlib import Path
 
@@ -512,6 +513,111 @@ class TestRadialCache:
         assert [key[3] for key in mvdist._RADIAL_CACHE] == [5, 7]
         nbytes = sum(factors.nbytes for factors, _ in mvdist._RADIAL_CACHE.values())
         assert nbytes <= 8 * mvdist._RADIAL_VALUES
+
+
+def whole_range_sums(sampler, lower, upper, start, count):
+    """Integrand sums per scramble from one integrand call over all points
+    of the range, reshaped into one array (no blocks)."""
+    s, df = sampler.settings, sampler.df
+    end = start + count
+    pts = mvdist._sobol_points(sampler.qdim, s, end)
+    w = pts[:, start:end, :].reshape(-1, sampler.qdim)
+    if df is None:
+        vals = mvdist._genz_weights(sampler.chol, lower, upper, w)
+    else:
+        if end <= mvdist._RADIAL_POINTS:
+            radial = mvdist._cached_radial(pts, s, df, end)[:, start:end].reshape(-1)
+        else:
+            u = np.clip(w[:, 0], mvdist._TINY, 1.0 - mvdist._TINY)
+            radial = mvdist._radial_factors(u, df)
+        vals = mvdist._genz_weights(sampler.chol, lower, upper, w[:, 1:], radial)
+    return vals.reshape(s.shifts, count).sum(axis=1)
+
+
+BLOCK = mvdist._BLOCK_POINTS
+RADIAL = mvdist._RADIAL_POINTS
+# (start, count, shifts) of one _sums call, against the block size: every
+# scramble in one block, scrambles grouped unevenly, exactly one block per
+# scramble, several blocks per scramble with a short last one; radial
+# factors cached (end <= RADIAL) or computed per block (end > RADIAL).
+SUMS_CASES = {
+    "grouped-all": (0, BLOCK // 16, 8),
+    "grouped-uneven": (0, BLOCK // 8 - 24, 12),
+    "at-block": (0, BLOCK, 3),
+    "above-block-cached": (RADIAL - BLOCK - BLOCK // 2, BLOCK + BLOCK // 2, 3),
+    "above-block-uncached": (RADIAL, BLOCK + BLOCK // 2, 2),
+    "crossing-the-cache": (0, RADIAL + 100, 2),
+}
+
+
+def spy_block_sizes(monkeypatch):
+    """Record the number of points of every integrand call."""
+    sizes = []
+    genz = mvdist._genz_weights
+
+    def spy(chol, lower, upper, w, radial=None):
+        sizes.append(w.shape[0])
+        return genz(chol, lower, upper, w, radial)
+
+    monkeypatch.setattr(mvdist, "_genz_weights", spy)
+    return sizes
+
+
+class TestStreamedSums:
+    CORR = random_correlation(np.random.default_rng(90), 5)
+    LOWER = np.array([-2.1, -np.inf, -1.8, -2.4, -np.inf])
+    UPPER = np.array([2.1, 1.9, np.inf, 2.4, 2.2])
+
+    @pytest.mark.parametrize("df", [None, 7], ids=["normal", "t"])
+    @pytest.mark.parametrize("case", sorted(SUMS_CASES))
+    def test_equals_the_whole_range_formula(self, case, df, empty_point_caches):
+        start, count, shifts = SUMS_CASES[case]
+        sampler = mvdist._SobolSampler(
+            CorrelationMatrix(self.CORR).cholesky(), df, QuadratureSettings(shifts=shifts)
+        )
+        # draw a power-of-two point set first; the ranges then only read it
+        mvdist._sobol_points(sampler.qdim, sampler.settings, 2 * RADIAL)
+        got = sampler._sums(self.LOWER, self.UPPER, start, count)
+        want = whole_range_sums(sampler, self.LOWER, self.UPPER, start, count)
+        assert got.shape == (shifts,)
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("df", [None, 7], ids=["normal", "t"])
+    def test_small_calls_stay_one_call(self, df, monkeypatch):
+        sizes = spy_block_sizes(monkeypatch)
+        sampler = mvdist._SobolSampler(
+            CorrelationMatrix(self.CORR).cholesky(), df, QuadratureSettings()
+        )
+        sampler._sums(self.LOWER, self.UPPER, 0, 256)
+        assert sizes == [12 * 256]
+
+    @pytest.mark.parametrize("df", [None, 12], ids=["normal", "t"])
+    def test_no_call_exceeds_the_block(self, df, monkeypatch, empty_point_caches):
+        sizes = spy_block_sizes(monkeypatch)
+        dim = 9
+        corr = CorrelationMatrix(np.full((dim, dim), 0.4) + 0.6 * np.eye(dim))
+        s = QuadratureSettings(target_abs_error=1e-12, max_samples=12 << 16)
+        r = mv_rect_prob(corr, np.full(dim, -2.5), np.full(dim, 2.5), df=df, settings=s)
+        assert r.samples == 12 << 16  # ran to the sample cap
+        assert max(sizes) <= BLOCK
+        assert sum(sizes) == r.samples  # every point evaluated once
+
+    @pytest.mark.parametrize("df", [None, 12], ids=["normal", "t"])
+    def test_transient_memory_stays_small(self, df, empty_point_caches):
+        # one two-sided evaluation of 12 x 2**16 samples at dimension 9; the
+        # point caches are grown first, so only the evaluation is traced
+        dim = 9
+        corr = CorrelationMatrix(np.full((dim, dim), 0.4) + 0.6 * np.eye(dim))
+        sampler = mvdist._SobolSampler(corr.cholesky(), df, QuadratureSettings())
+        limits = np.full(dim, -2.5), np.full(dim, 2.5)
+        sampler.estimate_fixed(*limits, 1 << 16)
+        tracemalloc.start()
+        try:
+            sampler.estimate_fixed(*limits, 1 << 16)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 << 20
 
 
 class TestSettingsValidation:
