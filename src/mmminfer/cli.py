@@ -192,18 +192,17 @@ def _run_all(scenarios, methods, alpha):
         yield from pool.imap(_run_task, tasks)
 
 
-def _write_manifest(
-    primary_path, subcommand, config, seed, outputs, started, monte_carlo_se=None
-):
+def _write_manifest(primary_path, subcommand, config, seed, outputs, started, **extra):
+    """Write ``<primary_path>.manifest.json``; ``extra`` fields follow the
+    outputs, before the wall time."""
     manifest = {
         "subcommand": subcommand,
         "config": config,
         "seed": seed,
         "version": __version__,
         "outputs": [str(p) for p in outputs],
+        **extra,
     }
-    if monte_carlo_se is not None:
-        manifest["monte_carlo_se"] = monte_carlo_se
     manifest["wall_time"] = round(time.perf_counter() - started, 3)
     path = f"{primary_path}.manifest.json"
     with open(path, "w", encoding="utf-8") as handle:
@@ -219,8 +218,7 @@ def cmd_simulate(args) -> int:
         scenarios = [replace(s, replications=args.reps) for s in scenarios]
     if args.seed is not None:
         scenarios = [replace(s, seed=args.seed) for s in scenarios]
-    methods = [args.methods] * len(scenarios)
-    results = list(_run_all(scenarios, methods, args.alpha))
+    results = list(_run_all(scenarios, [args.methods] * len(scenarios), args.alpha))
 
     columns = [m for m in METHODS if any(m in r.rejections for r in results)]
     fields = (
@@ -255,7 +253,7 @@ def cmd_simulate(args) -> int:
             "simulate",
             {
                 "scenarios": [s.to_dict() for s in scenarios],
-                "methods": list(methods) if methods else None,
+                "methods": list(args.methods) if args.methods else None,
                 "alpha": args.alpha,
             },
             seeds[0] if len(seeds) == 1 else seeds,
@@ -264,6 +262,10 @@ def cmd_simulate(args) -> int:
             # per scenario, in config order: sqrt(p (1 - p) / replications)
             monte_carlo_se=[
                 {m: result.standard_error(m) for m in result.methods} for result in results
+            ],
+            # per scenario: each mmm method's decisions per rung of its ladder
+            mmm_decisions=[
+                {m: dict(c) for m, c in result.mmm_decisions.items()} for result in results
             ],
         )
         print(f"wrote {args.out} and {manifest}", file=sys.stderr)

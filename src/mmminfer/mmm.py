@@ -20,10 +20,21 @@ statistics:
   joint law on that scale is multivariate normal with correlation C_hat.
 
 ``max_type_rejects`` is the yes/no form of the two-sided max-type test that
-the simulation study asks per replicate and variant.  With p1 the
-closed-form tail of one coordinate, p1 <= p_mmm <= dim * p1 holds exactly;
-``max_type_bounds`` applies these bounds to whole arrays of statistics, and
-``max_type_rejects`` integrates only when alpha lies between them.
+the simulation study asks per replicate and variant.  It climbs a ladder
+of three rungs and stops at the first that settles the decision:
+
+1. first-order bounds: with p1 the closed-form tail of one coordinate,
+   p1 <= p_mmm <= dim * p1 holds exactly;
+2. pairwise bounds, from dimension 4 on (where the rectangle would need
+   QMC): the Hunter-Worsley upper bound and the larger of the
+   Dawson-Sankoff and best-pair lower bounds, built from the bivariate
+   probabilities of ``mvdist.pair_exceedance``; a bound settles only where
+   it clears alpha by more than the bivariate error accumulated into it;
+3. the integrated rectangle probability.
+
+``max_type_bounds`` runs the first two rungs on whole arrays of statistics
+and correlation matrices; ``max_type_rejects`` calls it and integrates only
+what it leaves open.
 
 The unadjusted and Bonferroni baselines live here too; each marginal model
 is tested against its own reference (Student t for gaussian models, normal
@@ -40,9 +51,12 @@ from scipy.special import ndtr, ndtri, stdtr, stdtrit
 from .errors import DegenerateVariance, MismatchedSubjectAxis
 from .linmodels import MarginalModel
 from .mvdist import (
+    _GL_MAX_DIM,
+    _PAIR_LEVELS,
     CorrelationMatrix,
     QuadratureSettings,
     mv_rect_prob,
+    pair_exceedance,
     equicoordinate_quantile,
 )
 
@@ -67,6 +81,10 @@ DF_MODES = ("normal", "dfmin", "dfmax", "dfind")
 ALTERNATIVES = ("two-sided", "greater", "less")
 
 _PCLIP = 1e-16
+
+# Largest (replicates, pairs, nodes) array of the pairwise bounds: 2**17
+# floats, 1 MiB, as the simulation's replicate blocks.
+_PAIR_BLOCK_FLOATS = 2**17
 
 
 @dataclass(frozen=True)
@@ -233,12 +251,13 @@ def max_type_rejects(
 
     The p-value is 1 - P(-b <= X_r <= b for all r) under the joint law of
     ``max_type_p``.  Every coordinate shares one marginal law, so the exact
-    bounds of :func:`max_type_bounds` settle most decisions without any
-    quadrature.  In between, the rectangle is screened at five times the
-    settings' target error, and a screened p-value within its reported
-    error (or twice the target) of alpha is evaluated again at ``settings``.
+    bounds of :func:`max_type_bounds` settle most decisions without
+    integrating the rectangle.  In between, the rectangle is screened at
+    five times the settings' target error, and a screened p-value within its
+    reported error (or twice the target) of alpha is evaluated again at
+    ``settings``.
     """
-    rejects, accepts = max_type_bounds(b, df, corr.dim, alpha)
+    rejects, accepts, _ = max_type_bounds(b, df, corr.entries, alpha)
     if rejects:
         return True
     if accepts:
@@ -253,17 +272,99 @@ def max_type_rejects(
     return bool(p <= alpha)
 
 
-def max_type_bounds(b, df, dim: int, alpha: float):
+def max_type_bounds(b, df, c_hat, alpha: float):
     """Decisions of ``max_type_rejects`` that its exact bounds settle.
 
-    With p1 = 2 * P(X_1 < -b), normal when ``df`` is None and Student t
-    otherwise, the two-sided max-type p-value p of a ``dim``-dimensional box
-    satisfies p1 <= p <= dim * p1.  Returns ``(rejects, accepts)``, that is
-    dim * p1 <= alpha and p1 > alpha, elementwise over arrays of box edges
-    ``b`` (and of ``df``); where both are False only quadrature decides.
+    ``b`` holds box edges, ``df`` None (normal) or matching dfs (Student t)
+    and ``c_hat`` one (m, m) correlation matrix or a matching stack
+    (..., m, m).  With A_r = {|X_r| > b} and p1 = P(A_r) in closed form, the
+    two-sided max-type p-value p = P(A_1 or ... or A_m) satisfies
+    p1 <= p <= m * p1.  From dimension 4 on, decisions these first-order
+    bounds leave open get the pairwise bounds, from P(A_i and A_j) of every
+    pair (``mvdist.pair_exceedance``):
+
+    * Hunter-Worsley: p <= m * p1 - sum of P(A_i and A_j) over a maximum
+      spanning tree of the pairs (Prim's algorithm);
+    * Dawson-Sankoff: p >= 2 S1 / (k + 1) - 2 S2 / (k (k + 1)) with
+      S1 = m * p1, S2 the sum over all pairs and k = 1 + floor(2 S2 / S1);
+    * best pair: p >= max P(A_i or A_j) = 2 p1 - min P(A_i and A_j).
+
+    Each settles a decision only where it clears alpha after the
+    bivariate errors it accumulates are added against it.
+
+    Returns ``(rejects, accepts, paired)``, elementwise over the edges:
+    p <= alpha, p > alpha, and whether the pairwise bounds made the
+    decision.  Where neither ``rejects`` nor ``accepts`` holds, only
+    quadrature decides.
     """
+    c_hat = np.asarray(c_hat)
+    m = c_hat.shape[-1]
+    b = np.asarray(b, dtype=float)
     p1 = 2.0 * (ndtr(-b) if df is None else stdtr(df, -b))
-    return dim * p1 <= alpha, p1 > alpha
+    rejects, accepts = m * p1 <= alpha, p1 > alpha
+    paired = np.zeros_like(rejects)
+    if m <= _GL_MAX_DIM or (rejects | accepts).all():
+        return rejects, accepts, paired
+    shape = rejects.shape
+    rejects, accepts, paired = (a.reshape(-1) for a in (rejects, accepts, paired))
+    b, p1 = b.reshape(-1), p1.reshape(-1)
+    df = None if df is None else np.broadcast_to(df, shape).reshape(-1)
+    c_hat = np.broadcast_to(c_hat, shape + (m, m)).reshape(-1, m, m)
+    i, j = np.triu_indices(m, 1)
+    chunk = max(1, _PAIR_BLOCK_FLOATS // (len(i) * max(_PAIR_LEVELS)))
+    undecided = np.flatnonzero(~(rejects | accepts))
+    for start in range(0, len(undecided), chunk):
+        rows = undecided[start : start + chunk]
+        pair, err = pair_exceedance(
+            b[rows, None], c_hat[rows][:, i, j], None if df is None else df[rows, None]
+        )
+        upper = _hunter_worsley(p1[rows], pair, err, i, j, m)
+        lower = _pair_lower(p1[rows], pair, err, m)
+        rejects[rows] = upper <= alpha
+        accepts[rows] = lower > alpha
+        paired[rows] = rejects[rows] | accepts[rows]
+    return rejects.reshape(shape), accepts.reshape(shape), paired.reshape(shape)
+
+
+def _hunter_worsley(p1, pair, err, i, j, m):
+    """Hunter-Worsley upper bound plus its accumulated error, per row.
+
+    ``pair`` and ``err`` hold P(A_i and A_j) and its error for the pairs
+    (i, j) = ``np.triu_indices(m, 1)``, one row per replicate; the spanning
+    tree maximizing the summed pair probabilities is grown with Prim's
+    algorithm for every row at once.
+    """
+    n = len(p1)
+    weight, error = np.zeros((2, n, m, m))
+    weight[:, i, j] = weight[:, j, i] = pair
+    error[:, i, j] = error[:, j, i] = err
+    rows = np.arange(n)
+    in_tree = np.zeros((n, m), dtype=bool)
+    in_tree[:, 0] = True
+    best, best_err = weight[:, 0].copy(), error[:, 0].copy()
+    tree = np.zeros(n)
+    for _ in range(m - 1):
+        k = np.where(in_tree, -np.inf, best).argmax(axis=1)
+        tree += best[rows, k] - best_err[rows, k]
+        in_tree[rows, k] = True
+        closer = weight[rows, k] > best
+        best = np.where(closer, weight[rows, k], best)
+        best_err = np.where(closer, error[rows, k], best_err)
+    return m * p1 - tree
+
+
+def _pair_lower(p1, pair, err, m):
+    """Larger of the Dawson-Sankoff and best-pair lower bounds, each less
+    its accumulated error, per row (``pair`` and ``err`` as for
+    ``_hunter_worsley``); Dawson-Sankoff holds for any integer k >= 1, so k
+    may come from the estimated S2."""
+    s1, s2 = m * p1, pair.sum(axis=1)
+    k = 1.0 + np.floor(2.0 * s2 / s1)
+    dawson_sankoff = 2.0 * s1 / (k + 1.0) - 2.0 * (s2 + err.sum(axis=1)) / (k * (k + 1.0))
+    rows = np.arange(len(p1))
+    worst = pair.argmin(axis=1)
+    best_pair = 2.0 * p1 - pair[rows, worst] - err[rows, worst]
+    return np.maximum(dawson_sankoff, best_pair)
 
 
 def adjusted_p(

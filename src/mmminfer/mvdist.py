@@ -36,6 +36,12 @@ Two evaluation strategies share that integrand:
 The univariate case is evaluated in closed form.  Equicoordinate quantiles
 freeze one of these rules (ladder level or sample size) and solve for the
 critical value with Brent's method.
+
+``pair_exceedance`` gives the bivariate probabilities P(|X_i| > b, |X_j| > b)
+that the pairwise bounds of ``mmm.max_type_bounds`` need, for whole arrays
+of edges and correlations at once.  By Plackett's identity each is a
+one-dimensional integral of the bivariate density over the correlation,
+closed form for normal and t alike, evaluated with Gauss-Legendre rules.
 """
 
 from __future__ import annotations
@@ -59,6 +65,7 @@ __all__ = [
     "QuadratureSettings",
     "RectProb",
     "mv_rect_prob",
+    "pair_exceedance",
     "equicoordinate_quantile",
 ]
 
@@ -68,6 +75,14 @@ _EIG_FLOOR = 1e-10
 # the fixed size of the radial rule for multivariate t.
 _GL_LADDER = (12, 16, 24, 32, 48)
 _RADIAL_NODES = 16
+# Highest dimension evaluated by the tensor Gauss-Legendre rules; QMC above.
+_GL_MAX_DIM = 3
+# Gauss-Legendre levels of ``pair_exceedance`` and the floor of its error
+# estimate, well above round-off.  Against adaptive quadrature (b 1.9 to 3.2,
+# |rho| <= 0.999, df 3 to normal) 12 nodes are within 5e-10 and 24 within
+# 1e-15.
+_PAIR_LEVELS = (12, 24)
+_PAIR_ERROR_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -327,6 +342,53 @@ def _gl_estimate(chol, lower, upper, df, target):
     return est, err, False, total, n
 
 
+def pair_exceedance(b, rho, df=None):
+    """P(|X_1| > b, |X_2| > b) for a standard bivariate normal or t_df with
+    correlation ``rho``, elementwise over broadcast arrays of edges ``b``,
+    correlations and dfs.
+
+    Returns ``(value, error)``.  With rho = sin(theta), Plackett's identity
+    dP/dtheta = (1/pi) [g(1 + sin theta) - g(1 - sin theta)] holds, where
+    g(w) = exp(-b^2 / w) for the normal and (1 + 2 b^2 / (df w))^(-df/2) for
+    the t (the mixture of g over the t's chi scale).  Integrated down from
+    |rho| = 1, where the probability is the closed-form p1 = P(|X_1| > b),
+    and with the half angle psi = (pi/2 - theta) / 2,
+
+        P = p1 - (2/pi) int_0^{arccos(|rho|)/2} [g(2 cos^2 psi) - g(2 sin^2 psi)] dpsi,
+
+    a smooth integrand on a short interval.  It is evaluated with the two
+    Gauss-Legendre rules of ``_PAIR_LEVELS``; the value is the finer one and
+    the error their difference plus a floor above round-off.
+    """
+    b, rho = np.broadcast_arrays(np.asarray(b, dtype=float), np.asarray(rho, dtype=float))
+    half = 0.5 * np.arccos(np.minimum(np.abs(rho), 1.0))
+    b2 = (b * b)[..., None]
+    if df is None:
+        p1 = 2.0 * ndtr(-b)
+
+        def g(w):
+            return np.exp(-b2 / w)
+
+    else:
+        nu = np.broadcast_to(np.asarray(df, dtype=float), b.shape)[..., None]
+        p1 = 2.0 * stdtr(nu[..., 0], -b)
+
+        def g(w):
+            return np.exp(-0.5 * nu * np.log1p(2.0 * b2 / (nu * w)))
+
+    est = []
+    for n in _PAIR_LEVELS:
+        x, wt = _tensor_rule(n, 1)
+        psi = half[..., None] * x[:, 0]
+        # 2 sin^2 psi vanishes only at |rho| = 1, where the interval is empty
+        low = np.maximum(2.0 * np.sin(psi) ** 2, np.finfo(float).tiny)
+        with np.errstate(over="ignore"):
+            est.append(half * ((g(2.0 * np.cos(psi) ** 2) - g(low)) @ wt))
+    value = p1 - (2.0 / np.pi) * est[-1]
+    error = (2.0 / np.pi) * np.abs(est[-1] - est[0]) + _PAIR_ERROR_FLOOR
+    return value, error
+
+
 # ---------------------------------------------------------------------------
 # randomized high-dimensional rule
 
@@ -515,7 +577,7 @@ def mv_rect_prob(
         raise ValueError("lower limits must be strictly below upper limits")
     if corr.dim == 1:
         return RectProb(_exact_1d(lower[0], upper[0], df), 0.0, True, 0)
-    if corr.dim <= 3:
+    if corr.dim <= _GL_MAX_DIM:
         est, err, ok, used, _ = _gl_estimate(
             corr.cholesky(), lower, upper, df, settings.target_abs_error
         )
@@ -578,7 +640,7 @@ def equicoordinate_quantile(
 
     chol = corr.cholesky()
     mid = 0.5 * (lo + hi)
-    if corr.dim <= 3:
+    if corr.dim <= _GL_MAX_DIM:
         level = _gl_estimate(chol, *limits(mid), df, settings.target_abs_error)[4]
 
         def prob(c):

@@ -25,21 +25,25 @@ fits every marginal OLS model of every replicate at once
 (``linmodels.fit_ols_batch``), forms all score correlations C_hat with one
 ``einsum`` (``mmm.score_correlation``) and validates them together
 (``mvdist.validate_correlation``).  The noadjust, Bonferroni and cell-means
-decisions, and the exact bounds p1 <= p_mmm <= m * p1 of every mmm variant
-(``mmm.max_type_bounds``; p1 the closed-form tail of the largest relevant
-statistic, m the stacked dimension), then take one vectorized call each.
-The block size follows from the number of models and subjects so that no
-(block, models, subjects) array exceeds 2**17 floats (1 MiB), whatever the
-replicate count; the fit holds about eight such arrays at once, so a block
-adds under 10 MB to peak memory.
+decisions, and the exact bounds of every mmm variant (``mmm.max_type_bounds``
+on the block's edges and C_hat stack), then take one vectorized call each.
+The bounds are the first-order p1 <= p_mmm <= m * p1 (p1 the closed-form
+tail of the largest relevant statistic, m the stacked dimension) and, from
+dimension 4 on, the pairwise Hunter-Worsley and Dawson-Sankoff bounds for
+the decisions the first-order ones leave open.  The block size follows from
+the number of models and subjects so that no (block, models, subjects)
+array exceeds 2**17 floats (1 MiB), whatever the replicate count; the fit
+holds about eight such arrays at once, so a block adds under 10 MB to peak
+memory.
 
 Only replicates between the mmm bounds build a ``CorrelationMatrix`` (from
 the already validated C_hat, without checking it again) and go through
 ``mmm.max_type_rejects``, which integrates at five times the caller's target
 error and again at the caller's settings when that screen lands near alpha.
-Under ``dfind`` the upper bound is the Bonferroni test of the largest
-statistic, so a Bonferroni rejection is an ``mmm.dfind`` rejection by
-construction.
+``SimResult.mmm_decisions`` counts, per mmm variant, the decisions settled
+at each rung of this ladder (``DECISION_STAGES``).  Under ``dfind`` the
+first-order upper bound is the Bonferroni test of the largest statistic, so
+a Bonferroni rejection is an ``mmm.dfind`` rejection by construction.
 """
 
 from __future__ import annotations
@@ -70,6 +74,7 @@ from .mvdist import (  # noqa: F401
 __all__ = [
     "METHODS",
     "FAMILIES",
+    "DECISION_STAGES",
     "SIM_SETTINGS",
     "Scenario",
     "SimResult",
@@ -92,6 +97,9 @@ METHODS = (
     "mmm.dfind",
 )
 FAMILIES = ("targeted-or-total", "any")
+# Rungs of the mmm decision ladder, in the order they are tried: the
+# first-order bounds, the pairwise bounds and the integrated rectangle.
+DECISION_STAGES = ("first_order", "pairwise", "integrated")
 
 _MMM_MODES = {
     "mmm": "normal",
@@ -216,14 +224,26 @@ class Scenario:
 
 @dataclass(frozen=True)
 class SimResult:
-    """Rejection counts per method for one scenario."""
+    """Rejection counts per method for one scenario.
+
+    ``mmm_decisions`` maps each mmm method to its decision counts per rung
+    of the decision ladder, ``{stage: count}`` over ``DECISION_STAGES``.
+    """
 
     scenario: Scenario
     rejections: dict = field(default_factory=dict)
     wall_time: float = 0.0
+    mmm_decisions: dict = field(default_factory=dict)
 
     def __post_init__(self):
         object.__setattr__(self, "rejections", MappingProxyType(dict(self.rejections)))
+        object.__setattr__(
+            self,
+            "mmm_decisions",
+            MappingProxyType(
+                {m: MappingProxyType(dict(c)) for m, c in self.mmm_decisions.items()}
+            ),
+        )
         bad = {
             m: k
             for m, k in self.rejections.items()
@@ -233,8 +253,12 @@ class SimResult:
             raise ValueError(f"rejection counts outside 0..replications: {bad}")
 
     def __reduce__(self):
-        # the read-only rejections view cannot be pickled directly
-        return (type(self), (self.scenario, dict(self.rejections), self.wall_time))
+        # the read-only views cannot be pickled directly
+        decisions = {m: dict(c) for m, c in self.mmm_decisions.items()}
+        return (
+            type(self),
+            (self.scenario, dict(self.rejections), self.wall_time, decisions),
+        )
 
     @property
     def methods(self) -> tuple:
@@ -411,7 +435,8 @@ def run(
     for a whole block at once; the rest go one by one through
     ``mmm.max_type_rejects``, which integrates at a screen five times looser
     than ``settings`` and, near alpha, at ``settings`` itself, so the seed
-    and shifts given here govern every rectangle evaluated.
+    and shifts given here govern every rectangle evaluated.  The result
+    counts each mmm method's decisions per rung (``mmm_decisions``).
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
@@ -434,6 +459,7 @@ def run(
 
     started = time.perf_counter()
     counts = dict.fromkeys(methods, 0)
+    stages = {name: dict.fromkeys(DECISION_STAGES, 0) for name in mmm_modes}
     block = max(1, _BLOCK_FLOATS // (m * scenario.total_n))
     for start in range(0, scenario.replications, block):
         stop = min(start + block, scenario.replications)
@@ -463,8 +489,13 @@ def run(
             for name in mmm_modes:
                 scaled, df = joint_scale(stats, dfs, _MMM_MODES[name])
                 b = np.where(live, np.abs(scaled), 0.0).max(axis=1)
-                rejects, accepts = max_type_bounds(b, df, m, alpha)
-                for i in np.flatnonzero(~(rejects | accepts)):
+                rejects, accepts, paired = max_type_bounds(b, df, c_hat, alpha)
+                undecided = ~(rejects | accepts)
+                stage = stages[name]
+                stage["first_order"] += int((~undecided & ~paired).sum())
+                stage["pairwise"] += int(paired.sum())
+                stage["integrated"] += int(undecided.sum())
+                for i in np.flatnonzero(undecided):
                     rejects[i] = max_type_rejects(
                         CorrelationMatrix._checked(c_hat[i]),
                         b[i],
@@ -478,6 +509,7 @@ def run(
         scenario=scenario,
         rejections=counts,
         wall_time=time.perf_counter() - started,
+        mmm_decisions=stages,
     )
 
 

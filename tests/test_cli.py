@@ -110,6 +110,26 @@ class TestSimulate:
             io.StringIO(json.dumps(manifest["config"]["scenarios"]))
         )
         assert reloaded == [Scenario(total_n=20, replications=50, seed=9)]
+        # no --methods: every applicable method, recorded as null
+        assert manifest["config"]["methods"] is None
+        # each mmm method's decisions per rung of the decision ladder
+        (decisions,) = manifest["mmm_decisions"]
+        assert set(decisions) == {m for m in errors if m.startswith("mmm")}
+        for counts in decisions.values():
+            assert list(counts) == ["first_order", "pairwise", "integrated"]
+            assert sum(counts.values()) == 50
+
+    def test_manifest_records_the_method_list(self, tmp_path, capsys):
+        config = write_scenarios(
+            tmp_path,
+            [{"total_n": 20, "replications": 30}, {"total_n": 20, "replications": 30}],
+        )
+        out = tmp_path / "result.csv"
+        argv = ["simulate", config, "--out", str(out), "--methods", "bonferroni", "mmm"]
+        assert run_cli(argv) == 0
+        manifest = json.loads((tmp_path / "result.csv.manifest.json").read_text())
+        assert manifest["config"]["methods"] == ["bonferroni", "mmm"]
+        assert [list(d) for d in manifest["mmm_decisions"]] == [["mmm"], ["mmm"]]
 
     def test_same_config_same_bytes(self, tmp_path):
         config = write_scenarios(tmp_path, [{"total_n": 20, "replications": 50}])

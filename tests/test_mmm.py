@@ -21,7 +21,13 @@ from mmminfer.mmm import (
     unadjusted_ci,
     unadjusted_p,
 )
-from mmminfer.mvdist import CorrelationMatrix, QuadratureSettings
+from mmminfer.mvdist import (
+    CorrelationMatrix,
+    QuadratureSettings,
+    equicoordinate_quantile,
+    mv_rect_prob,
+    pair_exceedance,
+)
 from mmminfer.simulate import SIM_SETTINGS, Scenario, generate
 
 FAST = QuadratureSettings(target_abs_error=5e-4, shifts=8, first_round_samples=64)
@@ -223,8 +229,10 @@ class TestMaxTypeRejects:
         assert not max_type_rejects(corr, unadjusted_edge - 1e-6, df, 0.05, FAST)
         assert not max_type_rejects(corr, 0.0, df, 0.05, FAST)
         assert calls == []
-        # between the bounds the rectangle is integrated
-        max_type_rejects(corr, 0.5 * (bonferroni_edge + unadjusted_edge), df, 0.05, FAST)
+        # at the critical value no exact bound settles: the rectangle is
+        # integrated
+        critical = equicoordinate_quantile(corr, 0.05, df=df)
+        max_type_rejects(corr, critical, df, 0.05, FAST)
         assert calls
 
     @pytest.mark.parametrize("mode", ["normal", "dfmin", "dfmax", "dfind"])
@@ -236,15 +244,16 @@ class TestMaxTypeRejects:
         dfs = rng.integers(5, 60, size=(40, 3))
         scaled, df = joint_scale(stats, dfs, mode)
         b = np.abs(scaled).max(axis=1)
-        rejects, accepts = mmm.max_type_bounds(b, df, 3, 0.05)
+        rejects, accepts, paired = mmm.max_type_bounds(b, df, np.eye(3), 0.05)
         assert rejects.any() and accepts.any() and not (rejects & accepts).any()
         for i in range(40):
             row_scaled, row_df = joint_scale(stats[i], dfs[i], mode)
             np.testing.assert_array_equal(row_scaled, scaled[i])
             assert row_df == (None if df is None else df[i])
-            assert mmm.max_type_bounds(abs(row_scaled).max(), row_df, 3, 0.05) == (
+            assert mmm.max_type_bounds(abs(row_scaled).max(), row_df, np.eye(3), 0.05) == (
                 rejects[i],
                 accepts[i],
+                paired[i],
             )
 
     def test_bonferroni_rejection_implies_dfind_rejection_per_replicate(self):
@@ -294,6 +303,80 @@ def test_max_type_rejects_matches_tight_p_value(seed, dim, t_path, position):
         target_abs_error=1e-4, shifts=8, first_round_samples=64
     )
     assert max_type_rejects(corr, b, df, 0.05, decision_settings) == (p <= 0.05)
+
+
+class TestPairwiseBounds:
+    def test_pairwise_settled_decisions_integrate_nothing(self, monkeypatch):
+        calls = []
+        rect = mmm.mv_rect_prob
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return rect(*args, **kwargs)
+
+        monkeypatch.setattr(mmm, "mv_rect_prob", spy)
+        dim = 5
+        corr = CorrelationMatrix(np.full((dim, dim), 0.5) + 0.5 * np.eye(dim))
+        critical = equicoordinate_quantile(corr, 0.05)
+        bonferroni_edge = marginal_quantile(1.0 - 0.05 / (2 * dim), None)
+        unadjusted_edge = marginal_quantile(1.0 - 0.05 / 2.0, None)
+        # edges open under the first-order bounds on both sides of the
+        # critical value, where the pairwise bounds settle
+        for b, rejects in (
+            (bonferroni_edge - 0.015, True),
+            (0.5 * (critical + unadjusted_edge), False),
+        ):
+            p1 = 2.0 * ndtr(-b)
+            assert 0.05 / dim < p1 <= 0.05
+            assert mmm.max_type_bounds(b, None, corr.entries, 0.05) == (
+                rejects,
+                not rejects,
+                True,
+            )
+            assert max_type_rejects(corr, b, None, 0.05, FAST) == rejects
+        assert calls == []
+
+
+def pairwise_bound_values(corr, b, df):
+    """(lower - error, upper + error) of the pairwise bounds at edge ``b``."""
+    m = corr.shape[0]
+    i, j = np.triu_indices(m, 1)
+    p1 = np.atleast_1d(2.0 * (ndtr(-b) if df is None else stdtr(df, -b)))
+    pair, err = pair_exceedance(b, corr[i, j][None], df)
+    lower = mmm._pair_lower(p1, pair, err, m)[0]
+    upper = mmm._hunter_worsley(p1, pair, err, i, j, m)[0]
+    return lower, upper
+
+
+@hsettings(max_examples=12, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.integers(4, 6),
+    t_path=st.booleans(),
+    position=st.floats(0.0, 1.0),
+)
+def test_pairwise_bounds_enclose_the_tight_p_value(seed, dim, t_path, position):
+    """On random PSD correlations, lower - err <= p <= upper + err for the
+    max-type p-value integrated at target 1e-5, within its reported error."""
+    rng = np.random.default_rng(seed)
+    corr = random_psd_correlation(rng, dim)
+    df = int(rng.integers(3, 80)) if t_path else None
+    lo = marginal_quantile(1.0 - 0.05 / 2.0, df)
+    hi = marginal_quantile(1.0 - 0.05 / (2 * dim), df)
+    b = float(lo + position * (hi - lo))
+    rect = mv_rect_prob(
+        corr,
+        np.full(dim, -b),
+        np.full(dim, b),
+        df=df,
+        settings=QuadratureSettings(target_abs_error=1e-5),
+    )
+    p = 1.0 - rect.value
+    lower, upper = pairwise_bound_values(corr.entries, b, df)
+    p1 = 2.0 * (ndtr(-b) if df is None else stdtr(df, -b))
+    # never looser than the first-order bounds p1 <= p <= dim * p1
+    assert p1 - 1e-9 <= lower <= p + rect.error
+    assert p - rect.error <= upper <= dim * p1 + 1e-9
 
 
 class TestSimultaneousCi:

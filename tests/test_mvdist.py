@@ -11,7 +11,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.special import ndtr, ndtri
+from scipy import integrate
+from scipy.special import ndtr, ndtri, stdtr
+from scipy.stats import norm, t as student_t
 
 from mmminfer import mvdist
 from mmminfer.errors import NotPSD
@@ -21,6 +23,7 @@ from mmminfer.mvdist import (
     RectProb,
     equicoordinate_quantile,
     mv_rect_prob,
+    pair_exceedance,
 )
 
 Z975 = 1.959963984540054
@@ -618,6 +621,69 @@ class TestStreamedSums:
         finally:
             tracemalloc.stop()
         assert peak < 16 << 20
+
+
+def quad_pair_exceedance(b, rho, df):
+    """P(|X| > b, |Y| > b) by adaptive quadrature over the tail of X of the
+    conditional tail probability of Y: N(rho x, 1 - rho^2) given X = x for
+    the normal, a scaled t with df + 1 for the t."""
+    if df is None:
+
+        def integrand(x):
+            s = np.sqrt(1.0 - rho**2)
+            return norm.pdf(x) * (ndtr((-b - rho * x) / s) + ndtr((rho * x - b) / s))
+
+    else:
+
+        def integrand(x):
+            s = np.sqrt((df + x * x) * (1.0 - rho**2) / (df + 1.0))
+            tails = stdtr(df + 1, (-b - rho * x) / s) + stdtr(df + 1, (rho * x - b) / s)
+            return student_t.pdf(x, df) * tails
+
+    # both tails of X contribute alike
+    return 2.0 * integrate.quad(integrand, b, np.inf, epsabs=1e-14, epsrel=1e-12)[0]
+
+
+PAIR_RHOS = (-0.95, -0.6, -0.2, 0.0, 0.3, 0.77, 0.95)
+
+
+class TestPairExceedance:
+    @pytest.mark.parametrize("df", [None, 3, 18, 48])
+    @pytest.mark.parametrize("b", [1.9, 2.5, 3.2])
+    def test_matches_adaptive_quadrature(self, b, df):
+        value, error = pair_exceedance(b, np.array(PAIR_RHOS), df)
+        for rho, v, e in zip(PAIR_RHOS, value, error):
+            exact = quad_pair_exceedance(b, rho, df)
+            assert abs(v - exact) <= e, (rho, v, exact, e)
+            assert e <= 1e-8
+
+    def test_vectorized_matches_elementwise(self):
+        rng = np.random.default_rng(4)
+        b = rng.uniform(1.5, 3.5, size=(6, 1))
+        rho = rng.uniform(-1.0, 1.0, size=(6, 10))
+        df = rng.integers(2, 80, size=(6, 1))
+        for dfs in (None, df):
+            value, error = pair_exceedance(b, rho, dfs)
+            assert value.shape == error.shape == (6, 10)
+            for r in range(6):
+                row_df = None if dfs is None else int(df[r, 0])
+                for c in range(10):
+                    v, _ = pair_exceedance(b[r, 0], rho[r, c], row_df)
+                    assert v == pytest.approx(value[r, c], rel=1e-12, abs=1e-17)
+
+    @pytest.mark.parametrize("df", [None, 7])
+    def test_limits(self, df):
+        p1 = 2.0 * (ndtr(-2.2) if df is None else stdtr(df, -2.2))
+        # perfectly (anti-)correlated: both exceed together
+        value, _ = pair_exceedance(2.2, np.array([-1.0, 1.0]), df)
+        np.testing.assert_allclose(value, p1, rtol=1e-14)
+        # a zero edge is always exceeded
+        value, _ = pair_exceedance(0.0, np.array([-1.0, 0.0, 0.4, 1.0]), df)
+        np.testing.assert_allclose(value, 1.0, rtol=1e-14)
+        if df is None:
+            # independent normals
+            value, _ = pair_exceedance(2.2, 0.0)
+            assert value == pytest.approx(p1 * p1, rel=1e-12)
 
 
 class TestSettingsValidation:

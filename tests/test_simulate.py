@@ -3,6 +3,7 @@
 import io
 import json
 import math
+import pickle
 import sys
 
 import numpy as np
@@ -11,13 +12,14 @@ from hypothesis import given, settings as hyp_settings, strategies as st
 
 from scipy.special import stdtr
 
-from mmminfer import mvdist, simulate
+from mmminfer import mmm, mvdist, simulate
 from mmminfer.contrasts import default_contrasts, fit_cell_means
 from mmminfer.errors import IncompatibleMethod, SchemaError
 from mmminfer.linmodels import fit_ols
 from mmminfer.mmm import joint_scale, max_type_rejects, score_correlation, stack
 from mmminfer.mvdist import equicoordinate_quantile
 from mmminfer.simulate import (
+    DECISION_STAGES,
     FAMILIES,
     METHODS,
     SIM_SETTINGS,
@@ -277,6 +279,16 @@ class TestSimResult:
         result = SimResult(scenario=small(), rejections={"mmm": 10, "bonferroni": 0})
         assert result.standard_error("mmm") == pytest.approx(math.sqrt(0.2 * 0.8 / 50))
         assert result.standard_error("bonferroni") == 0.0
+
+
+    def test_decision_counts_read_only_and_pickled(self):
+        stages = {"mmm": {"first_order": 40, "pairwise": 7, "integrated": 3}}
+        result = SimResult(scenario=small(), rejections={"mmm": 10}, mmm_decisions=stages)
+        with pytest.raises(TypeError):
+            result.mmm_decisions["mmm"]["pairwise"] = 0
+        copy = pickle.loads(pickle.dumps(result))
+        assert copy.mmm_decisions == stages
+        assert copy.rejections == result.rejections
 
 
 class TestLoadScenarios:
@@ -550,6 +562,57 @@ class TestBlockEngine:
             np.testing.assert_allclose(coef[i] / se[i], fit.statistics, rtol=0, atol=1e-12)
             np.testing.assert_array_equal(dfs[i], fit.per_model_df)
             np.testing.assert_allclose(c_hat[i], fit.c_hat.entries, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "fields", [f for _, f in ORACLE_ROWS[:4]], ids=[i for i, _ in ORACLE_ROWS[:4]]
+    )
+    def test_decision_counts_add_up(self, fields):
+        scenario = Scenario(seed=20150436, **fields)
+        result = run(scenario)
+        assert set(result.mmm_decisions) == set(MMM_METHODS)
+        for counts in result.mmm_decisions.values():
+            assert tuple(counts) == DECISION_STAGES
+            assert sum(counts.values()) == scenario.replications
+            # the pairwise rung exists only where the rectangle needs QMC
+            assert (counts["pairwise"] > 0) == (len(scenario.model_specs) >= 4)
+
+    def test_only_integrated_decisions_reach_quadrature(self, monkeypatch):
+        integrated, rects = [], []
+        rejects, rect = mmm.max_type_rejects, mmm.mv_rect_prob
+
+        def spy_rejects(*args, **kwargs):
+            integrated.append(args)
+            return rejects(*args, **kwargs)
+
+        def spy_rect(*args, **kwargs):
+            rects.append(args)
+            return rect(*args, **kwargs)
+
+        monkeypatch.setattr(simulate, "max_type_rejects", spy_rejects)
+        monkeypatch.setattr(mmm, "mv_rect_prob", spy_rect)
+        fields = dict(ORACLE_ROWS)["a5-any"]
+        result = run(Scenario(seed=20150436, **dict(fields, replications=200)))
+        open_ = sum(c["integrated"] for c in result.mmm_decisions.values())
+        settled = sum(c["pairwise"] for c in result.mmm_decisions.values())
+        assert settled > 5 * open_ > 0
+        # one screen per integrated decision, a second one near alpha
+        assert len(integrated) == open_
+        assert open_ <= len(rects) <= 2 * open_
+
+    def test_dimension_three_never_enters_the_pairwise_stage(self, monkeypatch):
+        calls = []
+        pairs = mmm.pair_exceedance
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return pairs(*args, **kwargs)
+
+        monkeypatch.setattr(mmm, "pair_exceedance", spy)
+        for row in ("a3", "a4"):
+            run(Scenario(seed=20150436, **dict(ORACLE_ROWS)[row]))
+        assert calls == []
+        run(Scenario(seed=20150436, **dict(ORACLE_ROWS)["a5-any"]))
+        assert calls
 
     def test_each_c_hat_is_validated_once(self, monkeypatch):
         # one batch check per block; undecided replicates reuse its result
