@@ -28,17 +28,9 @@ import numpy as np
 
 from .errors import InconsistentTotals, SchemaError
 from .linmodels import Dataset, ModelSpec, fit_logit
-from .mmm import (
-    adjusted_p,
-    bonferroni_ci,
-    bonferroni_p,
-    simultaneous_ci,
-    stack,
-    unadjusted_ci,
-    unadjusted_p,
-)
+from .mmm import infer
 from .mvdist import QuadratureSettings
-from .report import HypothesisRow, InferenceReport, MethodCell
+from .report import InferenceReport
 
 __all__ = ["CountTable", "load_averroes", "expand", "analyze"]
 
@@ -228,7 +220,6 @@ def analyze(
     table: CountTable,
     alpha: float = 0.05,
     settings: QuadratureSettings = QuadratureSettings(),
-    group_labels=None,
 ) -> InferenceReport:
     """One-sided simultaneous analysis over groups x endpoints.
 
@@ -237,11 +228,7 @@ def analyze(
     (the reference arm is protective when the odds ratio exceeds 1), and
     reports unadjusted, Bonferroni and mmm conclusions side by side.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    labels = dict(AVERROES_GROUP_LABELS if group_labels is None else group_labels)
     data = expand(table)
-    subsets = ("all",) + table.subgroups
     models = [
         fit_logit(
             data,
@@ -252,49 +239,15 @@ def analyze(
                 effect_direction="greater",
             ),
         )
-        for s in subsets
+        for s in ("all",) + table.subgroups
         for e in table.all_endpoints
     ]
-
-    fit = stack(models, df_mode="normal")
-    p_un = unadjusted_p(models, "greater")
-    p_bon = bonferroni_p(models, "greater")
-    p_mmm = adjusted_p(fit, "greater", settings)
-    ci_un = unadjusted_ci(models, alpha, "greater")
-    ci_bon = bonferroni_ci(models, alpha, "greater")
-    ci_mmm = simultaneous_ci(fit, alpha, "greater", settings)
-
-    rows = []
-    for k, m in enumerate(models):
-        cells = {}
-        for name, p, ci in (
-            ("noadjust", p_un, ci_un),
-            ("bonferroni", p_bon, ci_bon),
-            ("mmm", p_mmm, ci_mmm),
-        ):
-            cells[name] = MethodCell(
-                p=float(p[k]),
-                ci_lower=float(ci[0][k]),
-                ci_upper=float(ci[1][k]),
-                rejected=bool(p[k] <= alpha),
-            )
-        rows.append(
-            HypothesisRow(
-                label=m.spec.label,
-                group=labels.get(m.spec.subset, m.spec.subset),
-                endpoint=m.spec.endpoint,
-                estimate=m.coefficient,
-                or_scale=True,
-                methods=cells,
-            )
-        )
-    return InferenceReport(
-        title="Simultaneous inference",
-        alpha=alpha,
-        alternative="greater",
-        df_mode="normal",
-        seed=settings.seed,
-        quadrature_error=settings.target_abs_error,
-        method_names=("noadjust", "bonferroni", "mmm"),
-        rows=tuple(rows),
+    return infer(
+        models,
+        "Simultaneous inference",
+        alpha,
+        "greater",
+        "normal",
+        settings,
+        group_labels=AVERROES_GROUP_LABELS,
     )

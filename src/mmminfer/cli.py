@@ -1,18 +1,16 @@
 """Command-line surface: simulate scenario grids, analyze datasets, and
 regenerate the reference tables.
 
-Three subcommands share one executable:
-
 ``simulate``
-    Run the scenarios in a JSON config and write one CSV row per scenario
-    with a rejection-proportion column per method.
+    Run the scenarios in a JSON config; one CSV row per scenario with a
+    rejection-proportion column per method.
 ``analyze``
-    Fit a family of marginal models to a subject-level CSV (or, with no
-    arguments, the packaged AVERROES count table) and report unadjusted,
-    Bonferroni and mmm inference as text, JSON and an optional forest SVG.
+    Fit a family of marginal models to a subject-level CSV (with no
+    arguments, the packaged AVERROES count table) and write the
+    ``mmm.infer`` report as text, JSON and an optional forest SVG.
 ``tables``
-    Re-simulate a published familywise-error table or the headline power
-    gains and print published-vs-simulated values with a tolerance verdict.
+    Re-simulate a table or the power claims registered in ``tables`` and
+    print published-vs-simulated values with a tolerance verdict.
 
 File-writing runs leave a ``<output>.manifest.json`` next to the primary
 output recording the resolved configuration, seed, package version, output
@@ -25,7 +23,6 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
-import math
 import multiprocessing
 import os
 import sys
@@ -43,17 +40,8 @@ from .errors import (
 )
 from .forest import write_forest
 from .linmodels import ModelSpec, fit, read_dataset
-from .mmm import (
-    adjusted_p,
-    bonferroni_ci,
-    bonferroni_p,
-    simultaneous_ci,
-    stack,
-    unadjusted_ci,
-    unadjusted_p,
-)
+from .mmm import infer
 from .mvdist import QuadratureSettings
-from .report import HypothesisRow, InferenceReport, MethodCell
 from .simulate import (
     METHODS,
     Scenario,
@@ -62,7 +50,14 @@ from .simulate import (
     power_cells,
     run,
 )
-from .tables import published_rows
+from .tables import (
+    LEVEL_METHODS,
+    POWER_CLAIMS,
+    PUBLISHED_COLUMN,
+    TABLE_DESIGNS,
+    cell_tolerance,
+    published_rows,
+)
 
 __all__ = ["main"]
 
@@ -74,81 +69,6 @@ _VALIDATION_ERRORS = (
     OSError,
     json.JSONDecodeError,
 )
-
-# Published tables use "ttest" for the Bonferroni-adjusted t tests.
-_PUBLISHED_NAMES = {"bonferroni": "ttest"}
-
-_TABLE_DESIGNS = {
-    "a3": dict(published="a3_fwer_tt", family="targeted-or-total"),
-    "a4": dict(published="a4_fwer_any", family="any"),
-    "a5": dict(published="a5_fwer_tt", family="targeted-or-total", overlap=True),
-    "a5-any": dict(published="a5_fwer_any", family="any", overlap=True),
-    "a6": dict(
-        published="a6_fwer_tt", family="targeted-or-total", endpoints=2, rho=0.8
-    ),
-    "a6-any": dict(published="a6_fwer_any", family="any", endpoints=2, rho=0.8),
-}
-
-# Headline power gains: method pair, the grid cells where the published
-# gain curve peaks, and the quoted value (percentage points / 100).
-_POWER_CLAIMS = (
-    dict(
-        label="mmm.dfind - bonferroni, 1 endpoint, N=50, sd=10",
-        published=0.0547,
-        total_n=50,
-        sd=10.0,
-        baseline="bonferroni",
-        method="mmm.dfind",
-        family="targeted-or-total",
-        cells=((7, 0.8), (8, 0.8)),
-    ),
-    dict(
-        label="cellmeans - bonferroni, N=20, sd=2",
-        published=0.138,
-        total_n=20,
-        sd=2.0,
-        baseline="bonferroni",
-        method="cellmeans",
-        family="any",
-        cells=((3, 0.5), (4, 0.5)),
-    ),
-    dict(
-        label="cellmeans - bonferroni, N=50, sd=2",
-        published=0.06,
-        at_least=True,
-        total_n=50,
-        sd=2.0,
-        baseline="bonferroni",
-        method="cellmeans",
-        family="any",
-        cells=((2, 0.5),),
-    ),
-    dict(
-        label="mmm.dfind - bonferroni, 2 endpoints rho=0.8, N=50, sd=5",
-        published=0.0835,
-        total_n=50,
-        sd=5.0,
-        baseline="bonferroni",
-        method="mmm.dfind",
-        family="targeted-or-total",
-        endpoints=2,
-        rho=0.8,
-        cells=((3, 0.8),),
-    ),
-    dict(
-        label="mmm.dfind - bonferroni, 2 endpoints rho=0.8, N=50, sd=10",
-        published=0.085,
-        total_n=50,
-        sd=10.0,
-        baseline="bonferroni",
-        method="mmm.dfind",
-        family="targeted-or-total",
-        endpoints=2,
-        rho=0.8,
-        cells=((7, 0.8),),
-    ),
-)
-
 
 class _Parser(argparse.ArgumentParser):
     """Argument parser whose usage errors exit with the validation code."""
@@ -288,57 +208,6 @@ def _read_model_config(path):
     return raw
 
 
-def _df_label(df_mode, models):
-    if df_mode == "normal":
-        return "normal"
-    dfs = [m.residual_df for m in models]
-    if df_mode == "dfmin":
-        return f"t({min(dfs)})"
-    if df_mode == "dfmax":
-        return f"t({max(dfs)})"
-    return "dfind(" + ", ".join(str(d) for d in dfs) + ")"
-
-
-def _build_report(models, title, alpha, alternative, df_mode, settings):
-    fit_ = stack(models, df_mode=df_mode)
-    blocks = (
-        ("noadjust", unadjusted_p(models, alternative), unadjusted_ci(models, alpha, alternative)),
-        ("bonferroni", bonferroni_p(models, alternative), bonferroni_ci(models, alpha, alternative)),
-        ("mmm", adjusted_p(fit_, alternative, settings), simultaneous_ci(fit_, alpha, alternative, settings)),
-    )
-    rows = []
-    for k, model in enumerate(models):
-        cells = {
-            name: MethodCell(
-                p=float(p[k]),
-                ci_lower=float(ci[0][k]),
-                ci_upper=float(ci[1][k]),
-                rejected=bool(p[k] <= alpha),
-            )
-            for name, p, ci in blocks
-        }
-        rows.append(
-            HypothesisRow(
-                label=model.spec.label,
-                group=model.spec.subset,
-                endpoint=model.spec.endpoint,
-                estimate=model.coefficient,
-                or_scale=model.spec.family == "binomial-logit",
-                methods=cells,
-            )
-        )
-    return InferenceReport(
-        title=title,
-        alpha=alpha,
-        alternative=alternative,
-        df_mode=_df_label(df_mode, models),
-        seed=settings.seed,
-        quadrature_error=settings.target_abs_error,
-        method_names=("noadjust", "bonferroni", "mmm"),
-        rows=tuple(rows),
-    )
-
-
 def cmd_analyze(args) -> int:
     started = time.perf_counter()
     settings = QuadratureSettings()
@@ -373,7 +242,7 @@ def cmd_analyze(args) -> int:
         except TypeError as exc:
             raise SchemaError(f"bad model entry: {exc}") from None
         models = [fit(data, spec) for spec in specs]
-        report = _build_report(
+        report = infer(
             models,
             f"Simultaneous inference: {os.path.basename(args.data)}",
             args.alpha,
@@ -416,19 +285,20 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def _cell_tolerance(published: float, reps: int) -> float:
-    spread = max(published * (1.0 - published), 0.03)
-    return max(4.0 * math.sqrt(spread * (1.0 / reps + 1e-4)), 0.008)
-
-
 def cmd_tables(args) -> int:
     if args.which == "power":
         return _power_report(args)
-    design = dict(_TABLE_DESIGNS[args.which])
+    design = dict(TABLE_DESIGNS[args.which])
     published = design.pop("published")
+    level_only = design.pop("level_only", False)
     rows = published_rows(published)
     if args.reps < 2000:
         print(f"note: {args.reps} replications per cell; low precision", flush=True)
+    if level_only:
+        print(
+            f"note: {published} repeats another family's rates; checking "
+            f"level control only ({', '.join(LEVEL_METHODS)})"
+        )
     print(
         f"{args.which}: published vs simulated FWER "
         f"({args.reps} replications per cell, seed {args.seed})"
@@ -448,20 +318,24 @@ def cmd_tables(args) -> int:
         for row in rows
     ]
     good = total = 0
-    results = _run_all(scenarios, [None] * len(scenarios), 0.05)
+    methods = LEVEL_METHODS if level_only else None
+    results = _run_all(scenarios, [methods] * len(scenarios), 0.05)
     for row, result in zip(rows, results):
         for method in result.methods:
-            column = _PUBLISHED_NAMES.get(method, method)
-            target = float(row[column])
+            if level_only:
+                target = 0.05
+            else:
+                target = float(row[PUBLISHED_COLUMN.get(method, method)])
+            shown = f"{'<=' if level_only else ''}{target:.4f}"
             simulated = result.proportion(method)
             diff = simulated - target
-            tol = _cell_tolerance(target, args.reps)
-            ok = abs(diff) <= tol
+            tol = cell_tolerance(target, args.reps)
+            ok = diff <= tol if level_only else abs(diff) <= tol
             good += ok
             total += 1
             print(
                 f"{row['N']:>5.0f} {row['prop_targ']:>5.2f} {method:<12} "
-                f"{target:>9.4f} {simulated:>9.4f} {diff:>+8.4f} {tol:>7.4f} "
+                f"{shown:>9} {simulated:>9.4f} {diff:>+8.4f} {tol:>7.4f} "
                 f"{'yes' if ok else 'NO'}"
             )
     print(f"{good}/{total} cells within tolerance")
@@ -475,11 +349,11 @@ def _power_report(args) -> int:
         f"power gains: published vs simulated "
         f"({args.reps} replications per cell, seed {args.seed})"
     )
-    width = max(len(c["label"]) for c in _POWER_CLAIMS)
+    width = max(len(c["label"]) for c in POWER_CLAIMS)
     print(f"{'claim':<{width}} {'published':>10} {'simulated':>10} {'diff':>9} ok")
     # every claim's cells go to one _run_all call, each running its pair
     claims, scenarios, methods = [], [], []
-    for claim in _POWER_CLAIMS:
+    for claim in POWER_CLAIMS:
         claim = dict(claim)
         label = claim.pop("label")
         target = claim.pop("published")
@@ -493,7 +367,7 @@ def _power_report(args) -> int:
     good = 0
     for label, target, at_least, pair, n_cells in claims:
         gain = paired_gain(itertools.islice(results, n_cells), *pair)
-        tol = _cell_tolerance(0.1, args.reps)
+        tol = cell_tolerance(0.1, args.reps)
         shown = f"{'>=' if at_least else ''}{100 * target:.2f}pp"
         if at_least:
             ok = gain >= target - tol
@@ -504,7 +378,7 @@ def _power_report(args) -> int:
             f"{label:<{width}} {shown:>10} {100 * gain:>8.2f}pp "
             f"{100 * (gain - target):>+7.2f}pp {'yes' if ok else 'NO'}"
         )
-    print(f"{good}/{len(_POWER_CLAIMS)} gains within tolerance (pp = percentage points)")
+    print(f"{good}/{len(POWER_CLAIMS)} gains within tolerance (pp = percentage points)")
     return 0
 
 
@@ -554,7 +428,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     tab.add_argument(
         "--which",
-        choices=tuple(_TABLE_DESIGNS) + ("power",),
+        choices=tuple(TABLE_DESIGNS) + ("power",),
         required=True,
     )
     tab.add_argument("--reps", type=int, default=10_000)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import EmptyCell, SchemaError, ZeroVariance
 from .linmodels import Dataset
-from .mmm import max_type_p
+from .mmm import _interval, max_type_p
 from .mvdist import CorrelationMatrix, QuadratureSettings, equicoordinate_quantile
 from .report import HypothesisRow, InferenceReport, MethodCell
 
@@ -245,12 +245,7 @@ def cell_means_test(
     crit = equicoordinate_quantile(
         corr, alpha, tail=tail, df=model.residual_df, settings=settings
     )
-    if alternative == "two-sided":
-        lower, upper = estimates - crit * ses, estimates + crit * ses
-    elif alternative == "greater":
-        lower, upper = estimates - crit * ses, np.full(stats.size, np.inf)
-    else:
-        lower, upper = np.full(stats.size, -np.inf), estimates + crit * ses
+    lower, upper = _interval(estimates, crit * ses, alternative)
 
     rows = []
     for k, label in enumerate(contrasts.labels):

@@ -38,7 +38,7 @@ what it leaves open.
 
 The unadjusted and Bonferroni baselines live here too; each marginal model
 is tested against its own reference (Student t for gaussian models, normal
-for logit models).
+for logit models).  ``infer`` reports all three methods side by side.
 """
 
 from __future__ import annotations
@@ -59,6 +59,7 @@ from .mvdist import (
     pair_exceedance,
     equicoordinate_quantile,
 )
+from .report import HypothesisRow, InferenceReport, MethodCell
 
 __all__ = [
     "DF_MODES",
@@ -75,6 +76,7 @@ __all__ = [
     "bonferroni_p",
     "unadjusted_ci",
     "bonferroni_ci",
+    "infer",
 ]
 
 DF_MODES = ("normal", "dfmin", "dfmax", "dfind")
@@ -112,6 +114,16 @@ def _check_alternative(alternative):
         raise ValueError(
             f"alternative must be one of {ALTERNATIVES}, got {alternative!r}"
         )
+
+
+def _interval(estimate, half_width, alternative):
+    """``(lower, upper)`` = estimate -/+ half_width, elementwise; the unused
+    side of a one-sided interval is infinite."""
+    if alternative == "two-sided":
+        return estimate - half_width, estimate + half_width
+    if alternative == "greater":
+        return estimate - half_width, np.full(estimate.shape, np.inf)
+    return np.full(estimate.shape, -np.inf), estimate + half_width
 
 
 def score_correlation(psi, labels):
@@ -409,11 +421,7 @@ def simultaneous_ci(
     crit = critical_values(fit, alpha, alternative, settings)
     est = np.array([m.coefficient for m in fit.models])
     se = np.array([m.standard_error for m in fit.models])
-    if alternative == "two-sided":
-        return est - crit * se, est + crit * se
-    if alternative == "greater":
-        return est - crit * se, np.full(fit.dim, np.inf)
-    return np.full(fit.dim, -np.inf), est + crit * se
+    return _interval(est, crit * se, alternative)
 
 
 # ---------------------------------------------------------------------------
@@ -461,11 +469,7 @@ def _baseline_ci(models, alpha, alternative):
     se = np.array([m.standard_error for m in models])
     level = 1.0 - (alpha / 2.0 if alternative == "two-sided" else alpha)
     crit = np.array([_marginal_quantile(m, level) for m in models])
-    if alternative == "two-sided":
-        return est - crit * se, est + crit * se
-    if alternative == "greater":
-        return est - crit * se, np.full(len(models), np.inf)
-    return np.full(len(models), -np.inf), est + crit * se
+    return _interval(est, crit * se, alternative)
 
 
 def unadjusted_ci(models, alpha: float = 0.05, alternative: str = "two-sided"):
@@ -483,3 +487,75 @@ def bonferroni_ci(models, alpha: float = 0.05, alternative: str = "two-sided"):
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     models = tuple(models)
     return _baseline_ci(models, alpha / len(models), alternative)
+
+
+# ---------------------------------------------------------------------------
+# the side-by-side report
+
+def _df_label(df_mode, models):
+    if df_mode == "normal":
+        return "normal"
+    dfs = [m.residual_df for m in models]
+    if df_mode == "dfmin":
+        return f"t({min(dfs)})"
+    if df_mode == "dfmax":
+        return f"t({max(dfs)})"
+    return "dfind(" + ", ".join(str(d) for d in dfs) + ")"
+
+
+def infer(
+    models,
+    title: str,
+    alpha: float,
+    alternative: str,
+    df_mode: str,
+    settings: QuadratureSettings,
+    group_labels=None,
+) -> InferenceReport:
+    """Unadjusted, Bonferroni and mmm inference for fitted marginal models.
+
+    One report row per model, in order; logit models are shown on the
+    odds-ratio scale.  ``group_labels`` maps a model's subset to the group
+    name the report shows (default: the subset itself).
+    """
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+    models = tuple(models)
+    fit = stack(models, df_mode=df_mode)
+    blocks = (
+        ("noadjust", unadjusted_p(models, alternative), unadjusted_ci(models, alpha, alternative)),
+        ("bonferroni", bonferroni_p(models, alternative), bonferroni_ci(models, alpha, alternative)),
+        ("mmm", adjusted_p(fit, alternative, settings), simultaneous_ci(fit, alpha, alternative, settings)),
+    )
+    labels = group_labels or {}
+    rows = []
+    for k, model in enumerate(models):
+        cells = {
+            name: MethodCell(
+                p=float(p[k]),
+                ci_lower=float(ci[0][k]),
+                ci_upper=float(ci[1][k]),
+                rejected=bool(p[k] <= alpha),
+            )
+            for name, p, ci in blocks
+        }
+        rows.append(
+            HypothesisRow(
+                label=model.spec.label,
+                group=labels.get(model.spec.subset, model.spec.subset),
+                endpoint=model.spec.endpoint,
+                estimate=model.coefficient,
+                or_scale=model.spec.family == "binomial-logit",
+                methods=cells,
+            )
+        )
+    return InferenceReport(
+        title=title,
+        alpha=alpha,
+        alternative=alternative,
+        df_mode=_df_label(df_mode, models),
+        seed=settings.seed,
+        quadrature_error=settings.target_abs_error,
+        method_names=("noadjust", "bonferroni", "mmm"),
+        rows=tuple(rows),
+    )

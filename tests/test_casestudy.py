@@ -3,10 +3,13 @@
 import io
 import json
 import math
+import runpy
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from mmminfer import casestudy, mmm
 from mmminfer.casestudy import CountRow, CountTable, analyze, expand, load_averroes
 from mmminfer.errors import InconsistentTotals, SchemaError
 from mmminfer.tables import published_rows
@@ -221,3 +224,39 @@ class TestAnalyze:
     def test_rejects_bad_alpha(self):
         with pytest.raises(ValueError, match="alpha"):
             analyze(load_averroes(), alpha=0.0)
+
+    def test_report_comes_from_infer(self, monkeypatch):
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append((args, kwargs))
+            return "report"
+
+        assert casestudy.infer is mmm.infer
+        monkeypatch.setattr(casestudy, "infer", spy)
+        assert analyze(load_averroes(), alpha=0.1) == "report"
+        assert len(calls) == 1
+        (models, title, alpha, alternative, df_mode, _), kwargs = calls[0]
+        assert len(models) == 9
+        assert (title, alpha, alternative, df_mode) == (
+            "Simultaneous inference",
+            0.1,
+            "greater",
+            "normal",
+        )
+        assert kwargs == {"group_labels": casestudy.AVERROES_GROUP_LABELS}
+
+
+class TestReproduceScript:
+    SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "reproduce_case_study.py"
+
+    def test_prints_table_and_writes_artifacts(self, report, monkeypatch, tmp_path, capsys):
+        main = runpy.run_path(str(self.SCRIPT))["main"]
+        monkeypatch.setitem(main.__globals__, "analyze", lambda table, alpha: report)
+        assert main(["--out", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith(report.to_text() + "\n")
+        assert sum(line.count("Inf)") == 3 for line in out.splitlines()) == 9
+        assert "max deviation from the bundled reference table" in out
+        for ext in ("txt", "json", "svg"):
+            assert (tmp_path / f"case_study.{ext}").stat().st_size > 0

@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import argparse
 import csv
 import io
 import json
@@ -9,7 +10,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from mmminfer import cli, simulate
+from mmminfer import cli, mmm, simulate, tables
 from mmminfer.cli import main
 from mmminfer.simulate import Scenario, load_scenarios
 from mmminfer.tables import published_rows
@@ -234,6 +235,29 @@ class TestAnalyze:
         assert run_cli(["analyze", data, specs, "--forest"]) == 1
         assert "--out" in capsys.readouterr().err
 
+    def test_dataset_report_comes_from_infer(self, tmp_path, capsys, monkeypatch):
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return infer(*args, **kwargs)
+
+        infer = mmm.infer
+        assert cli.infer is infer
+        monkeypatch.setattr(cli, "infer", spy)
+        data, specs = write_trial(tmp_path)
+        assert run_cli(["analyze", data, specs, "--df-mode", "dfmin"]) == 0
+        assert len(calls) == 1
+        models, title, alpha, alternative, df_mode, _ = calls[0]
+        assert [m.spec.label for m in models] == ["all:y", "S1:y"]
+        assert (title, alpha, alternative, df_mode) == (
+            "Simultaneous inference: trial.csv",
+            0.05,
+            "two-sided",
+            "dfmin",
+        )
+        assert "t(18)" in capsys.readouterr().out
+
 
 @pytest.mark.slow
 class TestCaseStudyCli:
@@ -280,7 +304,7 @@ class TestTablesRows:
         scenarios, methods = calls[0]
         expected = [
             (claim["total_n"], float(delta), prop, [claim["baseline"], claim["method"]])
-            for claim in cli._POWER_CLAIMS
+            for claim in tables.POWER_CLAIMS
             for delta, prop in claim["cells"]
         ]
         assert [
@@ -290,11 +314,22 @@ class TestTablesRows:
         verdicts = [
             l for l in capsys.readouterr().out.splitlines() if l.endswith((" yes", " NO"))
         ]
-        assert len(verdicts) == len(cli._POWER_CLAIMS)
-        for line, claim in zip(verdicts, cli._POWER_CLAIMS):
+        assert len(verdicts) == len(tables.POWER_CLAIMS)
+        for line, claim in zip(verdicts, tables.POWER_CLAIMS):
             claim = {k: v for k, v in claim.items() if k not in ("label", "published", "at_least")}
             gain = simulate.power_gain(replications=20, **claim)
             assert f" {100 * gain:>8.2f}pp " in line
+
+    def test_a6_any_checks_level_control_only(self, capsys):
+        # a6_fwer_any repeats the targeted-or-total rates, so only the
+        # level-controlling methods are checked, against alpha
+        assert run_cli(["tables", "--which", "a6-any", "--reps", "20"]) == 0
+        out = capsys.readouterr().out
+        verdicts = [l for l in out.splitlines() if l.endswith((" yes", " NO"))]
+        assert len(verdicts) == 20 * 3
+        assert {l.split()[2] for l in verdicts} == set(tables.LEVEL_METHODS)
+        assert all(l.split()[3] == "<=0.0500" for l in verdicts)
+        assert "noadjust" not in out
 
     def test_rows_print_as_they_finish(self, capsys, monkeypatch):
         # a failing last row still leaves every finished row printed
@@ -334,6 +369,33 @@ class TestTables:
 
     def test_unknown_table(self, capsys):
         assert run_cli(["tables", "--which", "a9"]) == 1
+
+
+class TestRegistry:
+    def test_designs_name_published_tables(self):
+        names = tables.published_names()
+        for design in tables.TABLE_DESIGNS.values():
+            assert design["published"] in names
+
+    def test_which_choices_follow_the_registry(self):
+        parser = cli._build_parser()
+        (commands,) = [
+            a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+        ]
+        (which,) = [a for a in commands.choices["tables"]._actions if a.dest == "which"]
+        assert tuple(which.choices) == tuple(tables.TABLE_DESIGNS) + ("power",)
+
+    def test_power_claims_build_scenarios(self):
+        for claim in tables.POWER_CLAIMS:
+            fields = {
+                k: v
+                for k, v in claim.items()
+                if k not in ("label", "published", "at_least", "baseline", "method")
+            }
+            cells = simulate.power_cells(replications=10, seed=1, **fields)
+            assert len(cells) == len(claim["cells"])
+            for scenario in cells:
+                simulate._applicable_methods(scenario, [claim["baseline"], claim["method"]])
 
 
 class TestTopLevel:

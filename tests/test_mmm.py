@@ -476,6 +476,9 @@ class TestBaselines:
         m = f.models[0]
         crit = stdtrit(m.residual_df, 0.95)
         assert lo[0] == pytest.approx(m.coefficient - crit * m.standard_error, abs=1e-9)
+        lo, hi = unadjusted_ci(f.models, 0.05, "less")
+        assert np.all(np.isneginf(lo))
+        assert hi[0] == pytest.approx(m.coefficient + crit * m.standard_error, abs=1e-9)
 
 
 @hsettings(max_examples=30, deadline=None)
