@@ -78,6 +78,14 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _replications(text) -> int:
+    """A ``--reps`` value: a positive integer."""
+    value = int(text)  # argparse reports a ValueError as an invalid value
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
+
+
 def _jobs() -> int:
     raw = os.environ.get("MMMINFER_JOBS", "1")
     try:
@@ -286,14 +294,14 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_tables(args) -> int:
+    if args.reps < 2000:
+        print(f"note: {args.reps} replications per cell; low precision", flush=True)
     if args.which == "power":
         return _power_report(args)
     design = dict(TABLE_DESIGNS[args.which])
     published = design.pop("published")
     level_only = design.pop("level_only", False)
     rows = published_rows(published)
-    if args.reps < 2000:
-        print(f"note: {args.reps} replications per cell; low precision", flush=True)
     if level_only:
         print(
             f"note: {published} repeats another family's rates; checking "
@@ -343,8 +351,6 @@ def cmd_tables(args) -> int:
 
 
 def _power_report(args) -> int:
-    if args.reps < 2000:
-        print(f"note: {args.reps} replications per cell; low precision", flush=True)
     print(
         f"power gains: published vs simulated "
         f"({args.reps} replications per cell, seed {args.seed})"
@@ -392,7 +398,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sim = commands.add_parser("simulate", help="run a JSON grid of scenarios")
     sim.add_argument("config", help="scenario JSON (a list or {'scenarios': [...]})")
-    sim.add_argument("--reps", type=int, default=None, help="override replications")
+    sim.add_argument(
+        "--reps", type=_replications, default=None, help="override replications"
+    )
     sim.add_argument("--seed", type=int, default=None, help="override every seed")
     sim.add_argument(
         "--methods",
@@ -431,7 +439,7 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=tuple(TABLE_DESIGNS) + ("power",),
         required=True,
     )
-    tab.add_argument("--reps", type=int, default=10_000)
+    tab.add_argument("--reps", type=_replications, default=10_000)
     tab.add_argument("--seed", type=int, default=20150436)
     tab.set_defaults(handler=cmd_tables)
     return parser

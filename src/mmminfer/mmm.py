@@ -25,11 +25,11 @@ of three rungs and stops at the first that settles the decision:
 
 1. first-order bounds: with p1 the closed-form tail of one coordinate,
    p1 <= p_mmm <= dim * p1 holds exactly;
-2. pairwise bounds, from dimension 4 on (where the rectangle would need
-   QMC): the Hunter-Worsley upper bound and the larger of the
-   Dawson-Sankoff and best-pair lower bounds, built from the bivariate
-   probabilities of ``mvdist.pair_exceedance``; a bound settles only where
-   it clears alpha by more than the bivariate error accumulated into it;
+2. pairwise bounds, from dimension 2 on, exact at dimension 2: the
+   Hunter-Worsley upper bound and the larger of the Dawson-Sankoff and
+   best-pair lower bounds, built from the bivariate probabilities of
+   ``mvdist.pair_exceedance``; a bound settles only where it clears alpha
+   by more than the bivariate error accumulated into it;
 3. the integrated rectangle probability.
 
 ``max_type_bounds`` runs the first two rungs on whole arrays of statistics
@@ -51,7 +51,6 @@ from scipy.special import ndtr, ndtri, stdtr, stdtrit
 from .errors import DegenerateVariance, MismatchedSubjectAxis
 from .linmodels import MarginalModel
 from .mvdist import (
-    _GL_MAX_DIM,
     _PAIR_LEVELS,
     CorrelationMatrix,
     QuadratureSettings,
@@ -291,9 +290,9 @@ def max_type_bounds(b, df, c_hat, alpha: float):
     and ``c_hat`` one (m, m) correlation matrix or a matching stack
     (..., m, m).  With A_r = {|X_r| > b} and p1 = P(A_r) in closed form, the
     two-sided max-type p-value p = P(A_1 or ... or A_m) satisfies
-    p1 <= p <= m * p1.  From dimension 4 on, decisions these first-order
-    bounds leave open get the pairwise bounds, from P(A_i and A_j) of every
-    pair (``mvdist.pair_exceedance``):
+    p1 <= p <= m * p1.  From dimension 2 on, exact at dimension 2,
+    decisions these first-order bounds leave open get the pairwise bounds,
+    from P(A_i and A_j) of every pair (``mvdist.pair_exceedance``):
 
     * Hunter-Worsley: p <= m * p1 - sum of P(A_i and A_j) over a maximum
       spanning tree of the pairs (Prim's algorithm);
@@ -302,7 +301,8 @@ def max_type_bounds(b, df, c_hat, alpha: float):
     * best pair: p >= max P(A_i or A_j) = 2 p1 - min P(A_i and A_j).
 
     Each settles a decision only where it clears alpha after the
-    bivariate errors it accumulates are added against it.
+    bivariate errors it accumulates are added against it; at m = 2 all
+    three are p = 2 p1 - P(A_1 and A_2) itself.
 
     Returns ``(rejects, accepts, paired)``, elementwise over the edges:
     p <= alpha, p > alpha, and whether the pairwise bounds made the
@@ -315,7 +315,7 @@ def max_type_bounds(b, df, c_hat, alpha: float):
     p1 = 2.0 * (ndtr(-b) if df is None else stdtr(df, -b))
     rejects, accepts = m * p1 <= alpha, p1 > alpha
     paired = np.zeros_like(rejects)
-    if m <= _GL_MAX_DIM or (rejects | accepts).all():
+    if (rejects | accepts).all():
         return rejects, accepts, paired
     shape = rejects.shape
     rejects, accepts, paired = (a.reshape(-1) for a in (rejects, accepts, paired))

@@ -47,6 +47,7 @@ closed form for normal and t alike, evaluated with Gauss-Legendre rules.
 from __future__ import annotations
 
 import math
+import numbers
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
@@ -102,14 +103,13 @@ class QuadratureSettings:
     first_round_samples: int = 256
 
     def __post_init__(self):
-        if self.target_abs_error <= 0:
-            raise ValueError("target_abs_error must be positive")
-        if self.shifts < 2:
-            raise ValueError("need at least 2 shifts for an error estimate")
-        if self.max_samples < 1:
-            raise ValueError("max_samples must be at least 1")
-        if self.first_round_samples < 1:
-            raise ValueError("first_round_samples must be at least 1")
+        if not 0.0 < self.target_abs_error < math.inf:
+            raise ValueError("target_abs_error must be positive and finite")
+        # two shifts at least, for an error estimate
+        for name, least in (("shifts", 2), ("max_samples", 1), ("first_round_samples", 1)):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or value < least:
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 @dataclass(frozen=True)

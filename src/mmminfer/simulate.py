@@ -29,12 +29,12 @@ decisions, and the exact bounds of every mmm variant (``mmm.max_type_bounds``
 on the block's edges and C_hat stack), then take one vectorized call each.
 The bounds are the first-order p1 <= p_mmm <= m * p1 (p1 the closed-form
 tail of the largest relevant statistic, m the stacked dimension) and, from
-dimension 4 on, the pairwise Hunter-Worsley and Dawson-Sankoff bounds for
-the decisions the first-order ones leave open.  The block size follows from
-the number of models and subjects so that no (block, models, subjects)
-array exceeds 2**17 floats (1 MiB), whatever the replicate count; the fit
-holds about eight such arrays at once, so a block adds under 10 MB to peak
-memory.
+dimension 2 on, exact at dimension 2, the pairwise Hunter-Worsley and
+Dawson-Sankoff bounds for the decisions the first-order ones leave open.
+The block size follows from the number of models and subjects so that no
+(block, models, subjects) array exceeds 2**17 floats (1 MiB), whatever the
+replicate count; the fit holds about eight such arrays at once, so a block
+adds under 10 MB to peak memory.
 
 Only replicates between the mmm bounds build a ``CorrelationMatrix`` (from
 the already validated C_hat, without checking it again) and go through
@@ -51,7 +51,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from types import MappingProxyType
 
 import numpy as np
@@ -201,18 +201,7 @@ class Scenario:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "total_n": self.total_n,
-            "sd": self.sd,
-            "prop_target": self.prop_target,
-            "delta": self.delta,
-            "endpoints": self.endpoints,
-            "rho": self.rho,
-            "overlap": self.overlap,
-            "family": self.family,
-            "replications": self.replications,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "Scenario":

@@ -408,3 +408,15 @@ class TestTopLevel:
 
     def test_unknown_flag(self, capsys):
         assert run_cli(["simulate", "x.json", "--frobnicate"]) == 1
+
+    @pytest.mark.parametrize("reps", ["0", "-5", "many"])
+    @pytest.mark.parametrize(
+        "argv", [["tables", "--which", "a3"], ["tables", "--which", "power"], ["simulate"]]
+    )
+    def test_nonpositive_reps_rejected_before_any_output(self, tmp_path, capsys, argv, reps):
+        if argv == ["simulate"]:
+            argv = ["simulate", write_scenarios(tmp_path, [{"total_n": 20, "replications": 40}])]
+        assert run_cli([*argv, "--reps", reps]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--reps" in captured.err

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings as hsettings, strategies as st
+from scipy import integrate, stats
 from scipy.special import ndtr, ndtri, stdtr, stdtrit
 
-from mmminfer import mmm
+from mmminfer import mmm, mvdist
 from mmminfer.errors import DegenerateVariance, MismatchedSubjectAxis
 from mmminfer.linmodels import Dataset, ModelSpec, fit_ols
 from mmminfer.mmm import (
@@ -229,11 +230,27 @@ class TestMaxTypeRejects:
         assert not max_type_rejects(corr, unadjusted_edge - 1e-6, df, 0.05, FAST)
         assert not max_type_rejects(corr, 0.0, df, 0.05, FAST)
         assert calls == []
-        # at the critical value no exact bound settles: the rectangle is
-        # integrated
         critical = equicoordinate_quantile(corr, 0.05, df=df)
         max_type_rejects(corr, critical, df, 0.05, FAST)
-        assert calls
+        if dim == 2:
+            # the pairwise bound is the p-value itself: nothing is integrated
+            assert calls == []
+        else:
+            # at the critical value no exact bound settles: the rectangle is
+            # integrated
+            assert calls
+
+    def test_p_value_near_alpha_is_decided_by_the_exact_pair_bound(self):
+        # replicate 837 of the a3 design (N=50, prop 0.6, seed 20150436)
+        # under mmm.dfmin: p exceeds alpha by 8.5e-6, closer than the
+        # Gauss-Legendre rectangle resolves (it gives 0.0499893)
+        b, df, rho = 2.2599322780680025, 28, 0.7997303270649917
+        reference = 0.05000845166236  # scipy dblquad of the bivariate t density
+        corr = CorrelationMatrix(np.array([[1.0, rho], [rho, 1.0]]))
+        assert mmm.max_type_bounds(b, df, corr.entries, 0.05) == (False, True, True)
+        lower, upper = pairwise_bound_values(corr.entries, b, df)
+        assert lower <= reference <= upper
+        assert not max_type_rejects(corr, b, df, 0.05, SIM_SETTINGS)
 
     @pytest.mark.parametrize("mode", ["normal", "dfmin", "dfmax", "dfind"])
     def test_stacks_match_single_calls(self, mode):
@@ -337,46 +354,88 @@ class TestPairwiseBounds:
         assert calls == []
 
 
-def pairwise_bound_values(corr, b, df):
-    """(lower - error, upper + error) of the pairwise bounds at edge ``b``."""
+def pairwise_bound_values(corr, b, df, with_error=True):
+    """(lower - error, upper + error) of the pairwise bounds at edge ``b``;
+    (lower, upper) with ``with_error=False``."""
     m = corr.shape[0]
     i, j = np.triu_indices(m, 1)
     p1 = np.atleast_1d(2.0 * (ndtr(-b) if df is None else stdtr(df, -b)))
     pair, err = pair_exceedance(b, corr[i, j][None], df)
+    err = err if with_error else np.zeros_like(err)
     lower = mmm._pair_lower(p1, pair, err, m)[0]
     upper = mmm._hunter_worsley(p1, pair, err, i, j, m)[0]
     return lower, upper
 
 
+def tight_p_value(corr, b, df):
+    """Two-sided max-type p-value at edge ``b`` and its error, from a rule
+    that is not the one ``max_type_p`` uses below dimension 4: there the
+    Gauss-Legendre t path's fixed radial rule errs by up to 1e-3 at df 3,
+    far beyond the error it reports.
+
+    * dimension 2: P(|X_2| <= b | X_1 = x) integrated over |x| <= b by
+      ``scipy.integrate.quad``; given X_1 = x, X_2 is normal, or Student t
+      with df + 1 and scale sqrt((1 - rho^2)(df + x^2) / (df + 1));
+    * dimension 3: the randomized rule at a fixed 2**14 points per scramble,
+      with no early stop on its error estimate;
+    * from dimension 4: ``mv_rect_prob`` at target 1e-5.
+    """
+    dim = corr.dim
+    lower, upper = np.full(dim, -b), np.full(dim, b)
+    settings = QuadratureSettings(target_abs_error=1e-5)
+    if dim >= 4:
+        rect = mv_rect_prob(corr, lower, upper, df, settings)
+        return 1.0 - rect.value, rect.error
+    if dim == 3:
+        sampler = mvdist._SobolSampler(corr.cholesky(), df, settings)
+        value, error = sampler.estimate_fixed(lower, upper, 2**14)
+        return 1.0 - value, error
+    p1 = 2.0 * (ndtr(-b) if df is None else stdtr(df, -b))
+    rho = corr.entries[0, 1]
+    if rho * rho >= 1.0:
+        return p1, 0.0
+    if df is None:
+        density, cdf, scale = stats.norm.pdf, ndtr, lambda x: np.sqrt(1.0 - rho * rho)
+    else:
+        density, cdf = stats.t(df).pdf, lambda z: stdtr(df + 1, z)
+        scale = lambda x: np.sqrt((1.0 - rho * rho) * (df + x * x) / (df + 1))
+
+    def given_x1(x):
+        return density(x) * (cdf((b - rho * x) / scale(x)) - cdf((-b - rho * x) / scale(x)))
+
+    inside, error = integrate.quad(given_x1, -b, b, epsabs=1e-14, limit=200)
+    return 1.0 - inside, error + 1e-13
+
+
 @hsettings(max_examples=12, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
-    dim=st.integers(4, 6),
+    dim=st.integers(2, 6),
     t_path=st.booleans(),
     position=st.floats(0.0, 1.0),
 )
 def test_pairwise_bounds_enclose_the_tight_p_value(seed, dim, t_path, position):
     """On random PSD correlations, lower - err <= p <= upper + err for the
-    max-type p-value integrated at target 1e-5, within its reported error."""
+    max-type p-value of ``tight_p_value``, within its error; at dimension 2
+    both bounds are that p-value."""
     rng = np.random.default_rng(seed)
     corr = random_psd_correlation(rng, dim)
     df = int(rng.integers(3, 80)) if t_path else None
     lo = marginal_quantile(1.0 - 0.05 / 2.0, df)
     hi = marginal_quantile(1.0 - 0.05 / (2 * dim), df)
     b = float(lo + position * (hi - lo))
-    rect = mv_rect_prob(
-        corr,
-        np.full(dim, -b),
-        np.full(dim, b),
-        df=df,
-        settings=QuadratureSettings(target_abs_error=1e-5),
-    )
-    p = 1.0 - rect.value
+    p, error = tight_p_value(corr, b, df)
     lower, upper = pairwise_bound_values(corr.entries, b, df)
     p1 = 2.0 * (ndtr(-b) if df is None else stdtr(df, -b))
     # never looser than the first-order bounds p1 <= p <= dim * p1
-    assert p1 - 1e-9 <= lower <= p + rect.error
-    assert p - rect.error <= upper <= dim * p1 + 1e-9
+    assert p1 - 1e-9 <= lower <= p + error
+    assert p - error <= upper <= dim * p1 + 1e-9
+    if dim == 2:
+        # exact: without their error terms both bounds are p = 2 p1 - P(A_1
+        # and A_2)
+        exact_lower, exact_upper = pairwise_bound_values(corr.entries, b, df, False)
+        assert exact_upper - exact_lower <= 1e-10
+        assert abs(exact_lower - p) <= 1e-10
 
 
 class TestSimultaneousCi:

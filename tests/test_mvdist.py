@@ -691,9 +691,32 @@ class TestSettingsValidation:
         with pytest.raises(ValueError, match="target_abs_error"):
             QuadratureSettings(target_abs_error=0.0)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_rejects_non_finite_target(self, value):
+        # a NaN target would run every QMC call to the sample cap
+        with pytest.raises(ValueError, match="target_abs_error"):
+            QuadratureSettings(target_abs_error=value)
+
     def test_rejects_single_shift(self):
         with pytest.raises(ValueError, match="shifts"):
             QuadratureSettings(shifts=1)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("shifts", 2.5),
+            ("shifts", 8.0),
+            ("max_samples", 1.5e6),
+            ("first_round_samples", 64.5),
+        ],
+    )
+    def test_rejects_non_integer_counts(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            QuadratureSettings(**{field: value})
+
+    def test_accepts_numpy_integer_counts(self):
+        s = QuadratureSettings(shifts=np.int64(4), max_samples=np.int32(4096))
+        assert (s.shifts, s.max_samples) == (4, 4096)
 
     def test_frozen(self):
         s = QuadratureSettings()

@@ -573,8 +573,8 @@ class TestBlockEngine:
         for counts in result.mmm_decisions.values():
             assert tuple(counts) == DECISION_STAGES
             assert sum(counts.values()) == scenario.replications
-            # the pairwise rung exists only where the rectangle needs QMC
-            assert (counts["pairwise"] > 0) == (len(scenario.model_specs) >= 4)
+            # the pairwise rung runs from dimension 2 on
+            assert counts["pairwise"] > 0
 
     def test_only_integrated_decisions_reach_quadrature(self, monkeypatch):
         integrated, rects = [], []
@@ -599,7 +599,7 @@ class TestBlockEngine:
         assert len(integrated) == open_
         assert open_ <= len(rects) <= 2 * open_
 
-    def test_dimension_three_never_enters_the_pairwise_stage(self, monkeypatch):
+    def test_dimensions_two_and_three_enter_the_pairwise_stage(self, monkeypatch):
         calls = []
         pairs = mmm.pair_exceedance
 
@@ -609,10 +609,12 @@ class TestBlockEngine:
 
         monkeypatch.setattr(mmm, "pair_exceedance", spy)
         for row in ("a3", "a4"):
-            run(Scenario(seed=20150436, **dict(ORACLE_ROWS)[row]))
-        assert calls == []
-        run(Scenario(seed=20150436, **dict(ORACLE_ROWS)["a5-any"]))
-        assert calls
+            calls.clear()
+            result = run(Scenario(seed=20150436, **dict(ORACLE_ROWS)[row]))
+            assert calls
+            if row == "a3":
+                # at dimension 2 the pairwise bound is the p-value itself
+                assert all(c["integrated"] == 0 for c in result.mmm_decisions.values())
 
     def test_each_c_hat_is_validated_once(self, monkeypatch):
         # one batch check per block; undecided replicates reuse its result
@@ -632,8 +634,10 @@ class TestBlockEngine:
             undecided.append(entries)
             return checked(entries)
 
-        scenario = Scenario(total_n=50, prop_target=0.6, replications=200, seed=5)
+        scenario = Scenario(
+            total_n=50, prop_target=0.6, family="any", overlap=True, replications=200, seed=5
+        )
         monkeypatch.setattr(mvdist.CorrelationMatrix, "_checked", counting)
         run(scenario, methods=["mmm"])
         assert undecided
-        assert calls == [(200, 2, 2)]
+        assert calls == [(200, 5, 5)]
