@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from xml.sax.saxutils import escape
 
-from .report import InferenceReport
+from .report import InferenceReport, _format_bound
 
 __all__ = ["forest_svg", "write_forest"]
 
@@ -27,16 +27,10 @@ REFERENCE_COLOR = "#b34040"
 _LOG_TICKS = (0.1, 0.2, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0)
 
 
-def _format_value(x: float) -> str:
-    if math.isinf(x):
-        return "Inf" if x > 0 else "-Inf"
-    return f"{x:.2f}"
-
-
 def _interval_text(lower: float, upper: float) -> str:
     left = "(" if math.isinf(lower) else "["
     right = ")" if math.isinf(upper) else "]"
-    return f"{left}{_format_value(lower)}, {_format_value(upper)}{right}"
+    return f"{left}{_format_bound(lower)}, {_format_bound(upper)}{right}"
 
 
 def _linear_ticks(lo: float, hi: float, target: int = 6) -> list:
@@ -131,7 +125,7 @@ def forest_svg(
     scale = _Scale(rows, method)
     effect_name = "Odds ratio" if scale.log else "Effect"
     value_texts = [
-        f"{_format_value(r.display_estimate())} "
+        f"{_format_bound(r.display_estimate())} "
         + _interval_text(
             r.display_bound(r.methods[method].ci_lower),
             r.display_bound(r.methods[method].ci_upper),

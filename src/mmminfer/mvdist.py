@@ -5,11 +5,11 @@ This is the numerical kernel behind every adjusted p-value and simultaneous
 confidence bound in the package.  All probabilities go through the
 separation-of-variables transform of Genz, which turns the rectangle
 probability into an integral of a smooth function over the unit cube of
-dimension ``dim - 1`` (one more for multivariate t, whose radial variable is
-integrated with a generalized Gauss-Laguerre rule matched to the chi-square
-density).  An infinite limit enters the integrand as its exact conditional
-probability, 0 or 1, with no normal CDF evaluated for it, so one-sided
-rectangles cost markedly less than two-sided ones.
+dimension ``dim - 1`` (one more for multivariate t, whose chi scale factor
+is the chi quantile of one more uniform coordinate, integrated by the same
+rule as the others).  An infinite limit enters the integrand as its exact
+conditional probability, 0 or 1, with no normal CDF evaluated for it, so
+one-sided rectangles cost markedly less than two-sided ones.
 
 Two evaluation strategies share that integrand:
 
@@ -53,7 +53,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 from scipy.optimize import brentq
 from scipy.special import gammaincinv, ndtr, ndtri, roots_legendre, stdtr, stdtrit
 from scipy.stats import qmc
@@ -72,10 +71,10 @@ __all__ = [
 
 _TINY = 1e-15
 _EIG_FLOOR = 1e-10
-# Gauss-Legendre node ladder for the low-dimensional deterministic path and
-# the fixed size of the radial rule for multivariate t.
+# Gauss-Legendre node ladder for the low-dimensional deterministic path; at
+# level n every coordinate, the radial one of multivariate t included, gets
+# the same n nodes.
 _GL_LADDER = (12, 16, 24, 32, 48)
-_RADIAL_NODES = 16
 # Highest dimension evaluated by the tensor Gauss-Legendre rules; QMC above.
 _GL_MAX_DIM = 3
 # Gauss-Legendre levels of ``pair_exceedance`` and the floor of its error
@@ -103,12 +102,15 @@ class QuadratureSettings:
     first_round_samples: int = 256
 
     def __post_init__(self):
-        if not 0.0 < self.target_abs_error < math.inf:
+        # bool is an Integral, but True is no accuracy or count
+        target = self.target_abs_error
+        if isinstance(target, bool) or not 0.0 < target < math.inf:
             raise ValueError("target_abs_error must be positive and finite")
         # two shifts at least, for an error estimate
         for name, least in (("shifts", 2), ("max_samples", 1), ("first_round_samples", 1)):
             value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or value < least:
+            integral = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+            if not integral or value < least:
                 raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
@@ -288,39 +290,36 @@ def _tensor_rule(n: int, q: int):
 
 
 @lru_cache(maxsize=256)
-def _radial_rule(df: int, n: int):
-    """Gauss rule for the chi scale factor of a multivariate t.
-
-    If T = Z / s with s^2 ~ chi2_df / df, then u = df * s^2 / 2 has a
-    Gamma(df/2) density, so a generalized Gauss-Laguerre rule with exponent
-    a = df/2 - 1 integrates E[g(s)] exactly for polynomial g(u).  The rule
-    is built by Golub-Welsch on the Jacobi matrix of the *normalized*
-    measure, which keeps the weights finite for large df (the classical
-    weights carry a gamma-function factor that overflows beyond df ~ 350).
-    Nodes are returned on the s scale; weights sum to one.
-    """
-    a = 0.5 * df - 1.0
-    k = np.arange(n)
-    diag = 2.0 * k + a + 1.0
-    off = np.sqrt((k[1:]) * (k[1:] + a))
-    u, vec = eigh_tridiagonal(diag, off)
-    s = np.sqrt(2.0 * u / df)
-    return s, vec[0] ** 2
+def _radial_nodes(n: int, df: int):
+    """Chi scale factors at the ``n`` Gauss-Legendre nodes on (0, 1), and
+    the nodes' weights."""
+    x, wt = _tensor_rule(n, 1)
+    return _radial_factors(x[:, 0], df), wt
 
 
 def _gl_value(chol, lower, upper, df, n):
-    """One evaluation of the tensor rule at ladder level ``n``."""
+    """One evaluation of the tensor rule at ladder level ``n``.
+
+    For multivariate t the level's own nodes, mapped through the chi
+    quantile, are the radial rule, so its error shrinks with the ladder and
+    enters the ladder's error estimate.  The radial nodes are grouped so that
+    no ``_genz_weights`` call sees more than ``_BLOCK_POINTS`` points.
+    """
     q = chol.shape[0] - 1
     pts, ww = _tensor_rule(n, q)
     if df is None:
         return float(_genz_weights(chol, lower, upper, pts) @ ww), len(ww)
-    s, ws = _radial_rule(df, _RADIAL_NODES)
+    s, ws = _radial_nodes(n, df)
     npts = len(ww)
-    w_all = np.tile(pts, (_RADIAL_NODES, 1))
-    radial = np.repeat(s, npts)
-    vals = _genz_weights(chol, lower, upper, w_all, radial)
-    est = float((vals.reshape(_RADIAL_NODES, npts) @ ww) @ ws)
-    return est, len(radial)
+    rows = max(_BLOCK_POINTS // npts, 1)  # radial nodes per call
+    w = np.tile(pts, (min(rows, n), 1))
+    est = 0.0
+    for a in range(0, n, rows):
+        b = min(a + rows, n)
+        radial = np.repeat(s[a:b], npts)
+        vals = _genz_weights(chol, lower, upper, w[: len(radial)], radial)
+        est += ws[a:b] @ (vals.reshape(b - a, npts) @ ww)
+    return float(est), n * npts
 
 
 def _gl_estimate(chol, lower, upper, df, target):
@@ -397,9 +396,10 @@ def pair_exceedance(b, rho, df=None):
 # the points drawn so far, shaped (shifts, n, qdim).
 _SOBOL_CACHE: dict = {}
 
-# Most points the QMC integrand sees in one call: a dimension-9 block then
-# keeps its working arrays (about 1 MB) in cache.  On AVERROES, 2**11 to
-# 2**13 ran alike and 2**14 or more lost most of the gain (BENCH_5.json).
+# Most points the integrand sees in one call, on the QMC path and on the
+# Gauss-Legendre t path: a dimension-9 block then keeps its working arrays
+# (about 1 MB) in cache.  On AVERROES, 2**11 to 2**13 ran alike and 2**14
+# or more lost most of the gain (BENCH_5.json).
 _BLOCK_POINTS = 1 << 13
 
 

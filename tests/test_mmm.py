@@ -369,9 +369,9 @@ def pairwise_bound_values(corr, b, df, with_error=True):
 
 def tight_p_value(corr, b, df):
     """Two-sided max-type p-value at edge ``b`` and its error, from a rule
-    that is not the one ``max_type_p`` uses below dimension 4: there the
-    Gauss-Legendre t path's fixed radial rule errs by up to 1e-3 at df 3,
-    far beyond the error it reports.
+    that is not the one ``max_type_p`` uses below dimension 4, so the bounds
+    there are checked against a reference independent of the Gauss-Legendre
+    ladder, whose own error at low df is close to its 5e-5 target.
 
     * dimension 2: P(|X_2| <= b | X_1 = x) integrated over |x| <= b by
       ``scipy.integrate.quad``; given X_1 = x, X_2 is normal, or Student t

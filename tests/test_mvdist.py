@@ -644,6 +644,57 @@ def quad_pair_exceedance(b, rho, df):
     return 2.0 * integrate.quad(integrand, b, np.inf, epsabs=1e-14, epsrel=1e-12)[0]
 
 
+TARGET = QuadratureSettings().target_abs_error
+
+
+class TestGaussLegendreT:
+    """The t path below dimension 4 meets its target against a reference
+    independent of the package, or flags that it does not."""
+
+    @staticmethod
+    def assert_within_target(r, reference, slack=0.0):
+        if r.converged:
+            assert abs(r.value - reference) <= TARGET + slack, (r, reference)
+        # an unconverged result is flagged, whatever its value
+
+    @pytest.mark.parametrize("df", [2, 3, 5, 10])
+    def test_rank_one_matches_the_closed_form(self, df):
+        # both coordinates are one t variable: the rectangle is univariate
+        b = student_t.ppf(0.975, df)
+        r = mv_rect_prob(CorrelationMatrix(np.ones((2, 2))), [-b, -b], [b, b], df)
+        self.assert_within_target(r, 1.0 - 2.0 * stdtr(df, -b))
+
+    def test_correlated_pair_matches_the_conditional_law(self):
+        df, rho = 3, 0.8
+        b = student_t.ppf(0.98, df)
+        corr = CorrelationMatrix(np.array([[1.0, rho], [rho, 1.0]]))
+        r = mv_rect_prob(corr, [-b, -b], [b, b], df)
+        # P(|X| <= b, |Y| <= b) = 1 - 2 P(|X| > b) + P(|X| > b, |Y| > b)
+        inside = 1.0 - 4.0 * stdtr(df, -b) + quad_pair_exceedance(b, rho, df)
+        self.assert_within_target(r, inside)
+
+    def test_trivariate_low_df_matches_mc_oracle(self):
+        corr = random_correlation(np.random.default_rng(43), 3)
+        lower, upper = np.full(3, -2.3), np.full(3, 2.3)
+        oracle, se = mc_rect_prob(corr, lower, upper, 2, 10_000_000, seed=11)
+        r = mv_rect_prob(CorrelationMatrix(corr), lower, upper, df=2)
+        self.assert_within_target(r, oracle, slack=3.0 * se)
+
+    def test_transient_memory_stays_small(self):
+        # the top ladder level at dimension 3: 48 radial nodes times 48**2
+        # points; the rules are cached first, so only the evaluation is traced
+        corr = CorrelationMatrix(random_correlation(np.random.default_rng(72), 3))
+        args = corr.cholesky(), np.full(3, -2.3), np.full(3, 2.3), 12, 48
+        mvdist._gl_value(*args)
+        tracemalloc.start()
+        try:
+            mvdist._gl_value(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 << 20
+
+
 PAIR_RHOS = (-0.95, -0.6, -0.2, 0.0, 0.3, 0.77, 0.95)
 
 
@@ -708,11 +759,18 @@ class TestSettingsValidation:
             ("shifts", 8.0),
             ("max_samples", 1.5e6),
             ("first_round_samples", 64.5),
+            # bool is an Integral
+            ("max_samples", True),
+            ("first_round_samples", True),
         ],
     )
     def test_rejects_non_integer_counts(self, field, value):
         with pytest.raises(ValueError, match=field):
             QuadratureSettings(**{field: value})
+
+    def test_rejects_bool_target(self):
+        with pytest.raises(ValueError, match="target_abs_error"):
+            QuadratureSettings(target_abs_error=True)
 
     def test_accepts_numpy_integer_counts(self):
         s = QuadratureSettings(shifts=np.int64(4), max_samples=np.int32(4096))
