@@ -34,8 +34,13 @@ Two evaluation strategies share that integrand:
   holds more than 2**21 factors (16 MiB).
 
 The univariate case is evaluated in closed form.  Equicoordinate quantiles
-freeze one of these rules (ladder level or sample size) and solve for the
-critical value with Brent's method.
+freeze one of these rules and solve for the critical value with Brent's
+method.  The Gauss-Legendre ladder level is the one that meets the target
+at the bracket midpoint.  The QMC sample size is the one that meets it at
+c0, the root of the first-round rule (one round of points, 1/256 of a full
+pass at the default settings); secant steps from c0 then bracket the root
+tightly, so the AVERROES (dimension-9) quantile takes four to six
+full-size passes where a search over the whole bracket took nine.
 
 ``pair_exceedance`` gives the bivariate probabilities P(|X_i| > b, |X_j| > b)
 that the pairwise bounds of ``mmm.max_type_bounds`` need, for whole arrays
@@ -91,8 +96,9 @@ class QuadratureSettings:
 
     ``max_samples`` caps the total number of integrand evaluations per call
     (points times scrambles, summed over doubling rounds) on the randomized
-    path.  ``seed``, ``shifts`` and ``first_round_samples`` only affect that
-    path; the low-dimensional rules are deterministic.
+    path, and must cover the first round.  ``seed``, ``shifts`` and
+    ``first_round_samples`` only affect that path; the low-dimensional rules
+    are deterministic.
     """
 
     target_abs_error: float = 5e-5
@@ -112,6 +118,14 @@ class QuadratureSettings:
             integral = isinstance(value, numbers.Integral) and not isinstance(value, bool)
             if not integral or value < least:
                 raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+        # a cap below one first round would cap nothing
+        first = self.shifts * _round_points(self.first_round_samples)
+        if self.max_samples < first:
+            raise ValueError(
+                f"max_samples must cover one first round of shifts x "
+                f"first_round_samples (rounded up to a power of two) = {first}, "
+                f"got {self.max_samples}"
+            )
 
 
 @dataclass(frozen=True)
@@ -438,6 +452,13 @@ _RADIAL_VALUES = 1 << 21
 _RADIAL_CACHE: OrderedDict = OrderedDict()
 
 
+def _round_points(first_round_samples):
+    """Points per scramble of the first QMC round: ``first_round_samples``
+    rounded up to a power of two (2 at least), which keeps the Sobol point
+    sets balanced."""
+    return 1 << max(math.ceil(math.log2(first_round_samples)), 1)
+
+
 def _radial_factors(u, df):
     """Chi scale factors s = sqrt(2 * Gamma(df/2)^-1(u) / df) of uniforms."""
     return np.sqrt(2.0 * gammaincinv(0.5 * df, u) / df)
@@ -467,11 +488,14 @@ def _cached_radial(pts, settings, df, end):
 class _SobolSampler:
     """Randomized QMC evaluator bound to one Cholesky factor.
 
-    ``estimate`` integrates a given rectangle adaptively; ``estimate_fixed``
-    uses a caller-chosen sample size on the same points, so at that size it
-    is a fixed deterministic function of the limits.  It need not be
-    monotone in them: with off-diagonal Cholesky entries, moving one limit
-    shifts the later coordinates' conditional limits at every fixed point.
+    ``estimate`` integrates a given rectangle adaptively, doubling the
+    sample; ``estimate_fixed`` stops at a caller-chosen size on the same
+    points and rounds, so at that size it is a fixed deterministic function
+    of the limits, equal bit for bit to ``estimate`` where that stopped.
+    ``equicoordinate_quantile`` freezes it at the size ``estimate`` chooses
+    at the root of the first-round rule.  It need not be monotone in the
+    limits: with off-diagonal Cholesky entries, moving one limit shifts the
+    later coordinates' conditional limits at every fixed point.
 
     Points come from the cache of ``_sobol_points``, keyed by integrand
     dimension, seed and number of shifts.  The integrand streams through
@@ -521,29 +545,46 @@ class _SobolSampler:
                 vals[j : j + rows, a - start : b - start] = block.reshape(-1, b - a)
         return vals.sum(axis=1)
 
-    def estimate_fixed(self, lower, upper, n_per_shift):
-        sums = self._sums(lower, upper, 0, n_per_shift)
-        means = sums / n_per_shift
+    def _rounds(self, lower, upper):
+        """Integrand sums per scramble after each doubling round, as (sums,
+        points per scramble): the first round has ``_round_points`` points,
+        each later one as many as all before it.  ``estimate`` and
+        ``estimate_fixed`` both accumulate these rounds, so at equal sizes
+        their values are bit for bit equal."""
+        count = _round_points(self.settings.first_round_samples)
+        sums = self._sums(lower, upper, 0, count)
+        while True:
+            yield sums, count
+            sums = sums + self._sums(lower, upper, count, count)
+            count *= 2
+
+    def _value(self, sums, count):
+        """Estimate and error (three standard errors over the scrambles)."""
+        means = sums / count
         est = float(means.mean())
         err = 3.0 * float(means.std(ddof=1)) / np.sqrt(self.settings.shifts)
         return est, err
 
+    def estimate_fixed(self, lower, upper, n_per_shift):
+        """Estimate and error at ``n_per_shift`` points per scramble, a size
+        ``estimate`` can stop at: the first round times a power of two."""
+        ratio, rest = divmod(n_per_shift, _round_points(self.settings.first_round_samples))
+        if rest or ratio < 1 or ratio & (ratio - 1):
+            raise ValueError(f"no doubling round ends at {n_per_shift} points")
+        for sums, count in self._rounds(lower, upper):
+            if count == n_per_shift:
+                return self._value(sums, count)
+
     def estimate(self, lower, upper):
+        """Double the sample until the error meets the target or the next
+        round would pass ``max_samples``; returns (estimate, error, samples,
+        points per scramble)."""
         s = self.settings
-        # powers of two keep the Sobol point sets balanced
-        n_round = 1 << max(int(np.ceil(np.log2(s.first_round_samples))), 1)
-        start = 0
-        sums = np.zeros(s.shifts)
-        while True:
-            sums += self._sums(lower, upper, start, n_round)
-            count = start + n_round
-            means = sums / count
-            est = float(means.mean())
-            err = 3.0 * float(means.std(ddof=1)) / np.sqrt(s.shifts)
+        for sums, count in self._rounds(lower, upper):
+            est, err = self._value(sums, count)
             total = count * s.shifts
             if err <= s.target_abs_error or total * 2 > s.max_samples:
                 return est, err, total, count
-            start, n_round = count, count  # doubles the cumulative sample
 
 
 def _exact_1d(lower, upper, df):
@@ -603,6 +644,58 @@ def _quantile_bracket(alpha, tail, dim, df):
     return float(stdtrit(df, p_lo)), float(stdtrit(df, p_hi))
 
 
+def _root(excess, a, b, at_a, at_b):
+    """Brent's root of ``excess`` on [a, b] to 1e-5, given its values at both
+    ends, which must differ in sign; the ends cost no evaluation."""
+    known = {a: at_a, b: at_b}
+
+    def f(c):
+        # brentq starts at the endpoints, whose values are already known
+        return known.pop(c) if c in known else excess(c)
+
+    return float(brentq(f, a, b, xtol=1e-5))
+
+
+def _edge_or_root(excess, lo, hi):
+    """Root of ``excess`` on [lo, hi], or the edge where it already has the
+    root's side: ``lo`` when excess(lo) >= 0, else ``hi`` when
+    excess(hi) <= 0.  Also returns every value it computed, by point."""
+    seen = {}
+
+    def f(c):
+        seen[c] = excess(c)
+        return seen[c]
+
+    if f(lo) >= 0.0:
+        return lo, seen
+    if f(hi) <= 0.0:
+        return hi, seen
+    return _root(f, lo, hi, seen[lo], seen[hi]), seen
+
+
+def _qmc_sizing(sampler, limits, lo, hi, target):
+    """Size the frozen QMC rule at the root of the first-round rule.
+
+    The first-round rule (one round of ``_round_points`` points per scramble)
+    is solved on [lo, hi] for its root c0, which fixes the frozen sample size:
+    the one ``sampler.estimate`` stops at, at c0.  Returns (points per
+    scramble, c0, the frozen rule's excess over ``target`` at c0, the
+    first-round slope at c0).  The slope is the secant through c0 and the
+    nearest other first-round evaluation, which is within 1e-5 of c0 after a
+    root-find and the other edge otherwise.
+    """
+    first = _round_points(sampler.settings.first_round_samples)
+    c0, seen = _edge_or_root(
+        lambda c: sampler.estimate_fixed(*limits(c), first)[0] - target, lo, hi
+    )
+    if len(seen) == 1:  # the edge rule at lo settled it
+        seen[hi] = sampler.estimate_fixed(*limits(hi), first)[0] - target
+    near = min((c for c in seen if c != c0), key=lambda c: abs(c - c0))
+    slope = (seen[c0] - seen[near]) / (c0 - near)
+    est, _, _, n_per_shift = sampler.estimate(*limits(c0))
+    return n_per_shift, c0, est - target, slope
+
+
 def equicoordinate_quantile(
     corr: CorrelationMatrix,
     alpha: float,
@@ -616,12 +709,22 @@ def equicoordinate_quantile(
     ``tail="one-sided"`` solves P(X_r <= c for all r) = 1 - alpha.  The
     answer always lies between the unadjusted and the Bonferroni quantile.
     The rectangle probability is evaluated by one frozen rule, a fixed
-    deterministic function of c: the Gauss-Legendre ladder level (dimension
-    3 and below) or the QMC sample size that meets the accuracy target at
-    the bracket midpoint.  Brent's method locates its crossing of 1 - alpha
-    to 1e-5, well inside the 1e-4 quantile contract, and needs only a sign
-    change over the bracket, not monotonicity point by point; residual
-    error is dominated by the quadrature.
+    deterministic function of c, whose crossing of 1 - alpha Brent's method
+    locates to 1e-5, well inside the 1e-4 quantile contract; it needs only a
+    sign change over a bracket, not monotonicity point by point, and the
+    residual error is dominated by the quadrature.  An edge of the bracket
+    where the frozen rule already lies on the root's side is the answer.
+
+    * Dimension 3 and below freeze the Gauss-Legendre ladder level that meets
+      the accuracy target at the bracket midpoint, and Brent's method runs
+      on the whole bracket.
+    * Higher dimensions first solve the cheap first-round QMC rule (1/256 of
+      a full pass at the default settings) for c0, and freeze the sample
+      size that meets the target at c0.  That sizing estimate is also the
+      frozen rule's value at c0.  A secant step from c0 with the first-round
+      slope, and if it falls short, secant steps with the frozen rule's own
+      slope widened 2, 4, ... times, bracket the root tightly, so Brent's
+      method needs few full-size evaluations.  No step leaves the bracket.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
@@ -639,30 +742,32 @@ def equicoordinate_quantile(
         return np.full(corr.dim, -np.inf), np.full(corr.dim, c)
 
     chol = corr.cholesky()
-    mid = 0.5 * (lo + hi)
     if corr.dim <= _GL_MAX_DIM:
+        mid = 0.5 * (lo + hi)
         level = _gl_estimate(chol, *limits(mid), df, settings.target_abs_error)[4]
+        return _edge_or_root(
+            lambda c: _gl_value(chol, *limits(c), df, level)[0] - target, lo, hi
+        )[0]
 
-        def prob(c):
-            return _gl_value(chol, *limits(c), df, level)[0]
-
-    else:
-        sampler = _SobolSampler(chol, df, settings)
-        n_per_shift = sampler.estimate(*limits(mid))[3]
-
-        def prob(c):
-            return sampler.estimate_fixed(*limits(c), n_per_shift)[0]
-
-    at_lo = prob(lo) - target
-    if at_lo >= 0.0:
-        return lo
-    at_hi = prob(hi) - target
-    if at_hi <= 0.0:
-        return hi
-    known = {lo: at_lo, hi: at_hi}
+    sampler = _SobolSampler(chol, df, settings)
+    n_per_shift, a, at_a, slope = _qmc_sizing(sampler, limits, lo, hi, target)
 
     def excess(c):
-        # brentq starts at the endpoints, whose values are already known
-        return known.pop(c) if c in known else prob(c) - target
+        return sampler.estimate_fixed(*limits(c), n_per_shift)[0] - target
 
-    return float(brentq(excess, lo, hi, xtol=1e-5))
+    # Secant steps, widened 1, 2, 4, ... times until the sign changes; after
+    # the first, the slope is the frozen rule's own, through its last two
+    # points.  The root lies below a point of positive excess and above one
+    # of negative, so a flat or falling slope steps across the bracket.
+    widen = 1.0
+    while at_a != 0.0:
+        step = widen * -at_a / slope if slope > 0.0 else math.copysign(hi - lo, -at_a)
+        b = min(max(a + step, lo), hi)
+        if b == a:  # a is the edge beyond which the root lies
+            return a
+        at_b = excess(b)
+        if (at_b > 0.0) != (at_a > 0.0):  # brentq returns b if at_b is 0
+            return _root(excess, a, b, at_a, at_b)
+        slope = (at_b - at_a) / (b - a)
+        a, at_a, widen = b, at_b, 2.0 * widen
+    return a

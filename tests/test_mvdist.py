@@ -305,24 +305,50 @@ class TestEquicoordinateQuantile:
         assert equicoordinate_quantile(corr, 0.05) == equicoordinate_quantile(corr, 0.05)
 
 
+def quantile_limits(dim, tail):
+    lower = (lambda c: -c) if tail == "two-sided" else (lambda c: -np.inf)
+    return lambda c: (np.full(dim, lower(c)), np.full(dim, c))
+
+
 def frozen_prob(corr, alpha, tail, df, settings):
     """The quantile's frozen evaluator and bracket, rebuilt from its parts:
-    the ladder level (dim <= 3) or the QMC sample size (higher dims) that
-    meets the target at the bracket midpoint."""
+    the ladder level that meets the target at the bracket midpoint (dim <=
+    3), or the QMC sample size that ``_qmc_sizing`` picks at the first-round
+    root (higher dims)."""
     lo, hi = mvdist._quantile_bracket(alpha, tail, corr.dim, df)
-    lower = (lambda c: -c) if tail == "two-sided" else (lambda c: -np.inf)
-
-    def limits(c):
-        return np.full(corr.dim, lower(c)), np.full(corr.dim, c)
-
+    limits = quantile_limits(corr.dim, tail)
     chol = corr.cholesky()
-    mid = 0.5 * (lo + hi)
     if corr.dim <= 3:
+        mid = 0.5 * (lo + hi)
         level = mvdist._gl_estimate(chol, *limits(mid), df, settings.target_abs_error)[4]
         return (lambda c: mvdist._gl_value(chol, *limits(c), df, level)[0]), lo, hi
     sampler = mvdist._SobolSampler(chol, df, settings)
-    n = sampler.estimate(*limits(mid))[3]
+    n = mvdist._qmc_sizing(sampler, limits, lo, hi, 1.0 - alpha)[0]
     return (lambda c: sampler.estimate_fixed(*limits(c), n)[0]), lo, hi
+
+
+def bisect_frozen(prob, a, b, target):
+    assert prob(a) < target < prob(b)  # an interior root
+    while b - a > 1e-9:
+        c = 0.5 * (a + b)
+        if prob(c) < target:
+            a = c
+        else:
+            b = c
+    return 0.5 * (a + b)
+
+
+def spy_evaluated_c(monkeypatch):
+    """Record the upper limit and points per scramble of every QMC pass."""
+    seen = []
+    sums = mvdist._SobolSampler._sums
+
+    def spy(self, lower, upper, start, count):
+        seen.append((float(upper[0]), start + count))
+        return sums(self, lower, upper, start, count)
+
+    monkeypatch.setattr(mvdist._SobolSampler, "_sums", spy)
+    return seen
 
 
 LOOSE = QuadratureSettings(target_abs_error=1e-3, shifts=8)
@@ -330,18 +356,31 @@ LOOSE = QuadratureSettings(target_abs_error=1e-3, shifts=8)
 
 class TestQuantileRootFind:
     def test_qmc_path_makes_few_frozen_evaluations(self, monkeypatch):
-        calls = []
-        fixed = mvdist._SobolSampler.estimate_fixed
+        events = []
+        fixed, estimate = mvdist._SobolSampler.estimate_fixed, mvdist._SobolSampler.estimate
 
-        def spy(self, lower, upper, n_per_shift):
-            calls.append(n_per_shift)
+        def spy_fixed(self, lower, upper, n_per_shift):
+            events.append(n_per_shift)
             return fixed(self, lower, upper, n_per_shift)
 
-        monkeypatch.setattr(mvdist._SobolSampler, "estimate_fixed", spy)
+        def spy_estimate(self, lower, upper):
+            out = estimate(self, lower, upper)
+            events.append(("sized", out[3]))
+            return out
+
+        monkeypatch.setattr(mvdist._SobolSampler, "estimate_fixed", spy_fixed)
+        monkeypatch.setattr(mvdist._SobolSampler, "estimate", spy_estimate)
         corr = CorrelationMatrix(random_correlation(np.random.default_rng(70), 5))
         equicoordinate_quantile(corr, 0.05)
-        assert 3 <= len(calls) <= 10
-        assert len(set(calls)) == 1  # one frozen sample size
+        marks = [i for i, ev in enumerate(events) if isinstance(ev, tuple)]
+        assert len(marks) == 1  # sized once, at the first-round root
+        n = events[marks[0]][1]
+        coarse, frozen = events[: marks[0]], events[marks[0] + 1 :]
+        first = mvdist._round_points(QuadratureSettings().first_round_samples)
+        assert n > first
+        assert coarse and set(coarse) == {first}
+        assert 1 <= len(frozen) <= 4
+        assert set(frozen) == {n}
 
     def test_gl_path_makes_few_frozen_evaluations(self, monkeypatch):
         events = []
@@ -376,14 +415,73 @@ class TestQuantileRootFind:
         alpha = 0.05
         q = equicoordinate_quantile(corr, alpha, tail=tail, df=df, settings=LOOSE)
         prob, a, b = frozen_prob(corr, alpha, tail, df, LOOSE)
-        assert prob(a) < 1.0 - alpha < prob(b)  # an interior root
-        while b - a > 1e-9:
-            c = 0.5 * (a + b)
-            if prob(c) < 1.0 - alpha:
-                a = c
-            else:
-                b = c
-        assert abs(q - 0.5 * (a + b)) <= 1e-5
+        assert abs(q - bisect_frozen(prob, a, b, 1.0 - alpha)) <= 1e-5
+
+    @pytest.mark.parametrize("tail", ["two-sided", "one-sided"])
+    @pytest.mark.parametrize("df", [None, 7])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_qmc_walk_stays_in_the_bracket(self, seed, df, tail, monkeypatch):
+        seen = spy_evaluated_c(monkeypatch)
+        rng = np.random.default_rng(300 + seed)
+        dim = int(rng.integers(4, 8))
+        corr = CorrelationMatrix(random_correlation(rng, dim))
+        lo, hi = mvdist._quantile_bracket(0.05, tail, dim, df)
+        q = equicoordinate_quantile(corr, 0.05, tail=tail, df=df)
+        assert lo <= q <= hi
+        assert all(lo <= c <= hi for c, _ in seen)
+
+    @staticmethod
+    def walk_with_slope(monkeypatch, slope_of):
+        """The quantile's QMC passes and its distance from a bisection of its
+        frozen rule, with the first-round slope replaced by
+        ``slope_of(slope)``.  At df 11 the frozen rule has two rounds, so it
+        is not the first-round rule."""
+        sizing = mvdist._qmc_sizing
+
+        def spy_sizing(*args):
+            out = sizing(*args)
+            return out[:3] + (slope_of(out[3]),)
+
+        monkeypatch.setattr(mvdist, "_qmc_sizing", spy_sizing)
+        seen = spy_evaluated_c(monkeypatch)
+        corr = CorrelationMatrix(random_correlation(np.random.default_rng(105), 5))
+        q = equicoordinate_quantile(corr, 0.05, df=11, settings=LOOSE)
+        walk = list(seen)  # the reference below evaluates more
+        prob, lo, hi = frozen_prob(corr, 0.05, "two-sided", 11, LOOSE)
+        assert max(n for _, n in walk) > mvdist._round_points(LOOSE.first_round_samples)
+        assert all(lo <= c <= hi for c, _ in walk)
+        return walk, lo, hi, abs(q - bisect_frozen(prob, lo, hi, 0.95))
+
+    @pytest.mark.parametrize("slope", [1e-9, 0.0, -1.0])
+    def test_a_useless_slope_walks_to_the_edge_and_still_finds_the_root(
+        self, slope, monkeypatch
+    ):
+        # a step past the bracket is cut at its edge, and a flat or falling
+        # first-round slope steps across the whole bracket
+        walk, lo, hi, miss = self.walk_with_slope(monkeypatch, lambda _: slope)
+        top = max(n for _, n in walk)
+        assert {c for c, n in walk if n == top} & {lo, hi}
+        assert miss <= 1e-5
+
+    @pytest.mark.parametrize("factor", [4.0, 0.25])
+    def test_a_wrong_first_step_still_finds_the_root(self, factor, monkeypatch):
+        # too steep a slope falls short, and the walk widens the frozen
+        # rule's own secant step; too flat a slope overshoots
+        walk, lo, hi, miss = self.walk_with_slope(monkeypatch, lambda s: factor * s)
+        top = max(n for _, n in walk)
+        assert not {c for c, n in walk if n == top} & {lo, hi}
+        assert miss <= 1e-5
+
+    @pytest.mark.parametrize("tail", ["two-sided", "one-sided"])
+    def test_rank_one_returns_the_unadjusted_quantile(self, tail, monkeypatch):
+        # all five statistics are one, so the probability at lo is 1 - alpha
+        # up to round-off (3e-16 below it): Brent's method settles on lo
+        # from its first steps, and no walk runs
+        seen = spy_evaluated_c(monkeypatch)
+        corr = CorrelationMatrix(np.ones((5, 5)))
+        lo, hi = mvdist._quantile_bracket(0.05, tail, 5, None)
+        assert equicoordinate_quantile(corr, 0.05, tail=tail) == lo
+        assert all(c - lo <= 1e-5 or c == hi for c, _ in seen)
 
 
 def full_formula_weights(chol, lower, upper, w, radial=None):
@@ -623,6 +721,32 @@ class TestStreamedSums:
         assert peak < 16 << 20
 
 
+class TestDoublingRounds:
+    CORR = random_correlation(np.random.default_rng(92), 6)
+    LOWER = np.array([-2.2, -np.inf, -1.9, -2.5, -np.inf, -2.0])
+    UPPER = np.array([2.2, 2.0, np.inf, 2.5, 2.3, 2.1])
+    SETTINGS = dict(max_samples=8 << 12, shifts=8, first_round_samples=64)
+
+    def sampler(self, df, target=1e-3):
+        s = QuadratureSettings(target_abs_error=target, **self.SETTINGS)
+        return mvdist._SobolSampler(CorrelationMatrix(self.CORR).cholesky(), df, s)
+
+    # stops after the first round, after a few doublings, at the sample cap
+    @pytest.mark.parametrize("target, stop", [(1e-2, 64), (2e-4, None), (1e-12, 4096)])
+    @pytest.mark.parametrize("df", [None, 7], ids=["normal", "t"])
+    def test_fixed_equals_adaptive_where_it_stopped(self, df, target, stop):
+        sampler = self.sampler(df, target)
+        est, err, total, n = sampler.estimate(self.LOWER, self.UPPER)
+        assert n == stop or stop is None and 64 < n < 4096
+        assert total == 8 * n
+        assert sampler.estimate_fixed(self.LOWER, self.UPPER, n) == (est, err)
+
+    @pytest.mark.parametrize("n", [0, 32, 96, 192])
+    def test_fixed_rejects_a_size_no_round_ends_at(self, n):
+        with pytest.raises(ValueError, match="round"):
+            self.sampler(None).estimate_fixed(self.LOWER, self.UPPER, n)
+
+
 def quad_pair_exceedance(b, rho, df):
     """P(|X| > b, |Y| > b) by adaptive quadrature over the tail of X of the
     conditional tail probability of Y: N(rho x, 1 - rho^2) given X = x for
@@ -785,6 +909,17 @@ class TestSettingsValidation:
     def test_rejects_nonpositive_first_round(self, value):
         with pytest.raises(ValueError, match="first_round_samples"):
             QuadratureSettings(first_round_samples=value)
+
+    def test_rejects_a_budget_below_one_first_round(self):
+        # one first round of 12 shifts x 256 points is 3072 samples, which
+        # a smaller cap would not cap
+        with pytest.raises(ValueError, match="max_samples"):
+            QuadratureSettings(max_samples=1000)
+        # 200 points round up to 256
+        with pytest.raises(ValueError, match="max_samples"):
+            QuadratureSettings(max_samples=3071, first_round_samples=200)
+        assert QuadratureSettings(max_samples=3072, first_round_samples=200).max_samples == 3072
+        assert QuadratureSettings(max_samples=24, shifts=12, first_round_samples=1).shifts == 12
 
     @pytest.mark.parametrize("value", [0, -1])
     def test_rejects_nonpositive_budget(self, value):
