@@ -30,7 +30,8 @@ of three rungs and stops at the first that settles the decision:
    best-pair lower bounds, built from the bivariate probabilities of
    ``mvdist.pair_exceedance``; a bound settles only where it clears alpha
    by more than the bivariate error accumulated into it;
-3. the integrated rectangle probability.
+3. the rectangle probability, integrated once, with ``decide_at`` = 1 - alpha
+   (``mv_rect_prob``): it stops as soon as the estimate settles the decision.
 
 ``max_type_bounds`` runs the first two rungs on whole arrays of statistics
 and correlation matrices; ``max_type_rejects`` calls it and integrates only
@@ -43,7 +44,7 @@ for logit models).  ``infer`` reports all three methods side by side.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import ndtr, ndtri, stdtr, stdtrit
@@ -263,10 +264,9 @@ def max_type_rejects(
     The p-value is 1 - P(-b <= X_r <= b for all r) under the joint law of
     ``max_type_p``.  Every coordinate shares one marginal law, so the exact
     bounds of :func:`max_type_bounds` settle most decisions without
-    integrating the rectangle.  In between, the rectangle is screened at
-    five times the settings' target error, and a screened p-value within its
-    reported error (or twice the target) of alpha is evaluated again at
-    ``settings``.
+    integrating the rectangle.  In between, it is integrated once, at
+    ``settings`` with ``decide_at = 1 - alpha``: the rounds stop at the first
+    estimate farther from 1 - alpha than its error and twice the target.
     """
     rejects, accepts, _ = max_type_bounds(b, df, corr.entries, alpha)
     if rejects:
@@ -274,13 +274,8 @@ def max_type_rejects(
     if accepts:
         return False
     lower, upper = np.full(corr.dim, -b), np.full(corr.dim, b)
-    screen = replace(settings, target_abs_error=5.0 * settings.target_abs_error)
-    rect = mv_rect_prob(corr, lower, upper, df=df, settings=screen)
-    p = 1.0 - rect.value
-    if abs(p - alpha) <= max(rect.error, 2.0 * settings.target_abs_error):
-        rect = mv_rect_prob(corr, lower, upper, df=df, settings=settings)
-        p = 1.0 - rect.value
-    return bool(p <= alpha)
+    rect = mv_rect_prob(corr, lower, upper, df=df, settings=settings, decide_at=1.0 - alpha)
+    return bool(1.0 - rect.value <= alpha)
 
 
 def max_type_bounds(b, df, c_hat, alpha: float):

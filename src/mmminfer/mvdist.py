@@ -132,8 +132,8 @@ class QuadratureSettings:
 class RectProb:
     """Probability estimate with its accuracy diagnostics.
 
-    ``converged`` is False when the sample budget was exhausted before the
-    error estimate met the target (the best estimate is still returned).
+    ``converged`` is False when the error estimate missed the target: the
+    budget ran out, or a ``decide_at`` call stopped once its side was clear.
     ``samples`` counts integrand evaluations (0 for the closed-form case).
     """
 
@@ -336,23 +336,29 @@ def _gl_value(chol, lower, upper, df, n):
     return float(est), n * npts
 
 
-def _gl_estimate(chol, lower, upper, df, target):
-    """Escalate the node ladder until two levels agree within ``target``.
+def _decided(est, err, decide_at, target):
+    """The stop rule of a ``decide_at`` call (None: never stops): ``est``
+    lies farther from ``decide_at`` than its error and twice ``target``."""
+    return decide_at is not None and abs(est - decide_at) > max(err, 2.0 * target)
 
-    Returns (estimate, error, converged, samples, level), where ``level`` is
-    the ladder level of the estimate (the top level when not converged).
+
+def _gl_estimate(chol, lower, upper, df, target, decide_at=None):
+    """Escalate the node ladder until two levels agree within ``target``, or
+    their estimate is ``_decided`` against ``decide_at``.
+
+    Returns (estimate, error, samples, level), where ``level`` is the ladder
+    level of the estimate (the top level when no stop was met).
     """
-    total = 0
-    prev = None
+    total, prev = 0, None
     for n in _GL_LADDER:
         est, used = _gl_value(chol, lower, upper, df, n)
         total += used
         if prev is not None:
             err = abs(est - prev)
-            if err <= target:
-                return est, err, True, total, n
+            if err <= target or _decided(est, err, decide_at, target):
+                break
         prev = est
-    return est, err, False, total, n
+    return est, err, total, n
 
 
 def pair_exceedance(b, rho, df=None):
@@ -575,15 +581,17 @@ class _SobolSampler:
             if count == n_per_shift:
                 return self._value(sums, count)
 
-    def estimate(self, lower, upper):
-        """Double the sample until the error meets the target or the next
-        round would pass ``max_samples``; returns (estimate, error, samples,
-        points per scramble)."""
+    def estimate(self, lower, upper, decide_at=None):
+        """Double the sample until the error meets the target, the next
+        round would pass ``max_samples`` or the estimate is ``_decided``
+        against ``decide_at``; returns (estimate, error, samples, points per
+        scramble)."""
         s = self.settings
         for sums, count in self._rounds(lower, upper):
             est, err = self._value(sums, count)
             total = count * s.shifts
-            if err <= s.target_abs_error or total * 2 > s.max_samples:
+            done = err <= s.target_abs_error or total * 2 > s.max_samples
+            if done or _decided(est, err, decide_at, s.target_abs_error):
                 return est, err, total, count
 
 
@@ -600,14 +608,22 @@ def mv_rect_prob(
     upper,
     df: int | None = None,
     settings: QuadratureSettings = QuadratureSettings(),
+    *,
+    decide_at: float | None = None,
 ) -> RectProb:
     """P(lower <= X <= upper) for X ~ N(0, corr) or t_df(corr).
 
     Open limits are expressed with ``-inf`` / ``+inf``.  The result is
     deterministic for a fixed ``settings.seed`` (and unconditionally in
     dimension three and below, where deterministic quadrature is used).
+    With ``decide_at``, a probability, the doubling rounds (or the node
+    ladder) also stop at the first estimate farther from it than both its
+    error and twice the target; such a call reports ``converged=False``
+    with its achieved error.
     """
     df = _check_df(df)
+    if decide_at is not None and not 0.0 <= decide_at <= 1.0:
+        raise ValueError(f"decide_at must be a probability in [0, 1], got {decide_at!r}")
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
     if lower.shape != (corr.dim,) or upper.shape != (corr.dim,):
@@ -618,20 +634,12 @@ def mv_rect_prob(
         raise ValueError("lower limits must be strictly below upper limits")
     if corr.dim == 1:
         return RectProb(_exact_1d(lower[0], upper[0], df), 0.0, True, 0)
+    chol, target = corr.cholesky(), settings.target_abs_error
     if corr.dim <= _GL_MAX_DIM:
-        est, err, ok, used, _ = _gl_estimate(
-            corr.cholesky(), lower, upper, df, settings.target_abs_error
-        )
+        est, err, used, _ = _gl_estimate(chol, lower, upper, df, target, decide_at)
     else:
-        sampler = _SobolSampler(corr.cholesky(), df, settings)
-        est, err, used, _ = sampler.estimate(lower, upper)
-        ok = err <= settings.target_abs_error
-    return RectProb(
-        value=float(min(max(est, 0.0), 1.0)),
-        error=float(err),
-        converged=bool(ok),
-        samples=used,
-    )
+        est, err, used, _ = _SobolSampler(chol, df, settings).estimate(lower, upper, decide_at)
+    return RectProb(float(min(max(est, 0.0), 1.0)), float(err), bool(err <= target), used)
 
 
 def _quantile_bracket(alpha, tail, dim, df):
@@ -744,7 +752,7 @@ def equicoordinate_quantile(
     chol = corr.cholesky()
     if corr.dim <= _GL_MAX_DIM:
         mid = 0.5 * (lo + hi)
-        level = _gl_estimate(chol, *limits(mid), df, settings.target_abs_error)[4]
+        level = _gl_estimate(chol, *limits(mid), df, settings.target_abs_error)[3]
         return _edge_or_root(
             lambda c: _gl_value(chol, *limits(c), df, level)[0] - target, lo, hi
         )[0]

@@ -38,8 +38,8 @@ adds under 10 MB to peak memory.
 
 Only replicates between the mmm bounds build a ``CorrelationMatrix`` (from
 the already validated C_hat, without checking it again) and go through
-``mmm.max_type_rejects``, which integrates at five times the caller's target
-error and again at the caller's settings when that screen lands near alpha.
+``mmm.max_type_rejects``, which integrates the rectangle once at the
+caller's settings, stopping as soon as its estimate settles the decision.
 ``SimResult.mmm_decisions`` counts, per mmm variant, the decisions settled
 at each rung of this ladder (``DECISION_STAGES``).  Under ``dfind`` the
 first-order upper bound is the Bonferroni test of the largest statistic, so
@@ -111,8 +111,8 @@ _MMM_MODES = {
 # Quadrature noise well below Monte Carlo noise at 10,000 replicates; the
 # noise is zero-mean in the rectangle value, so its effect on a rejection
 # proportion is second order.  It touches only the replicates that the exact
-# bounds of ``max_type_rejects`` leave open, whose loose screen runs at
-# 2.5e-3 with these same shifts and seed.
+# bounds of ``max_type_rejects`` leave open, which stop integrating once the
+# estimate lies farther from 1 - alpha than both its error and 1e-3.
 SIM_SETTINGS = QuadratureSettings(
     target_abs_error=5e-4, shifts=8, first_round_samples=64
 )
@@ -422,9 +422,9 @@ def run(
     r always comes from the stream ``(scenario.seed, r)``, so the counts do
     not depend on the block size.  Exact bounds settle most mmm decisions
     for a whole block at once; the rest go one by one through
-    ``mmm.max_type_rejects``, which integrates at a screen five times looser
-    than ``settings`` and, near alpha, at ``settings`` itself, so the seed
-    and shifts given here govern every rectangle evaluated.  The result
+    ``mmm.max_type_rejects``, which integrates each once at ``settings``,
+    stopping as soon as the estimate settles the decision, so the seed and
+    shifts given here govern every rectangle evaluated.  The result
     counts each mmm method's decisions per rung (``mmm_decisions``).
     """
     if not 0.0 < alpha < 1.0:
@@ -485,13 +485,9 @@ def run(
                 stage["pairwise"] += int(paired.sum())
                 stage["integrated"] += int(undecided.sum())
                 for i in np.flatnonzero(undecided):
-                    rejects[i] = max_type_rejects(
-                        CorrelationMatrix._checked(c_hat[i]),
-                        b[i],
-                        None if df is None else int(df[i]),
-                        alpha,
-                        settings,
-                    )
+                    corr = CorrelationMatrix._checked(c_hat[i])
+                    df_i = None if df is None else int(df[i])
+                    rejects[i] = max_type_rejects(corr, b[i], df_i, alpha, settings)
                 counts[name] += int(rejects.sum())
 
     return SimResult(

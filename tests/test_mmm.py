@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings as hsettings, strategies as st
 from scipy import integrate, stats
 from scipy.special import ndtr, ndtri, stdtr, stdtrit
 
-from mmminfer import mmm, mvdist
+from mmminfer import mmm, mvdist, simulate
 from mmminfer.errors import DegenerateVariance, MismatchedSubjectAxis
 from mmminfer.linmodels import Dataset, ModelSpec, fit_ols
 from mmminfer.mmm import (
@@ -436,6 +436,39 @@ def test_pairwise_bounds_enclose_the_tight_p_value(seed, dim, t_path, position):
         exact_lower, exact_upper = pairwise_bound_values(corr.entries, b, df, False)
         assert exact_upper - exact_lower <= 1e-10
         assert abs(exact_lower - p) <= 1e-10
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        dict(family="any", overlap=True),
+        dict(family="any", endpoints=2, rho=0.8),
+    ],
+    ids=["a5-any", "a6-any"],
+)
+def test_integrated_decisions_match_the_tight_p_value(monkeypatch, fields):
+    """Every decision the simulation integrates, stopped early by its
+    decision or not, is that of ``tight_p_value`` wherever that p-value lies
+    more than three times its error from alpha."""
+    decisions = []
+
+    def spy(corr, b, df, alpha, settings):
+        rejects = max_type_rejects(corr, b, df, alpha, settings)
+        decisions.append((corr, b, df, rejects))
+        return rejects
+
+    monkeypatch.setattr(simulate, "max_type_rejects", spy)
+    scenario = Scenario(total_n=50, prop_target=0.6, seed=20150436, replications=200, **fields)
+    simulate.run(scenario)
+    assert decisions
+    checked = 0
+    for corr, b, df, rejects in decisions:
+        p, error = tight_p_value(corr, b, df)
+        if abs(p - 0.05) > 3.0 * error:
+            assert rejects == (p <= 0.05), (b, df, p, error)
+            checked += 1
+    # the reference resolves most decisions, so the test checks something
+    assert checked >= 0.8 * len(decisions)
 
 
 class TestSimultaneousCi:

@@ -320,7 +320,7 @@ def frozen_prob(corr, alpha, tail, df, settings):
     chol = corr.cholesky()
     if corr.dim <= 3:
         mid = 0.5 * (lo + hi)
-        level = mvdist._gl_estimate(chol, *limits(mid), df, settings.target_abs_error)[4]
+        level = mvdist._gl_estimate(chol, *limits(mid), df, settings.target_abs_error)[3]
         return (lambda c: mvdist._gl_value(chol, *limits(c), df, level)[0]), lo, hi
     sampler = mvdist._SobolSampler(chol, df, settings)
     n = mvdist._qmc_sizing(sampler, limits, lo, hi, 1.0 - alpha)[0]
@@ -392,7 +392,7 @@ class TestQuantileRootFind:
 
         def spy_estimate(*args):
             out = estimate(*args)
-            events.append(("sized", out[4]))
+            events.append(("sized", out[3]))
             return out
 
         monkeypatch.setattr(mvdist, "_gl_value", spy_value)
@@ -745,6 +745,89 @@ class TestDoublingRounds:
     def test_fixed_rejects_a_size_no_round_ends_at(self, n):
         with pytest.raises(ValueError, match="round"):
             self.sampler(None).estimate_fixed(self.LOWER, self.UPPER, n)
+
+
+class TestDecisionStop:
+    """``decide_at`` adds one stop to the doubling rounds and the node ladder:
+    an estimate farther from it than its error, or twice the target."""
+
+    QMC = QuadratureSettings(
+        target_abs_error=1e-4, max_samples=8 << 14, shifts=8, first_round_samples=64
+    )
+    # at 1e-6 the ladder climbs to its fourth level on this case
+    GL = QuadratureSettings(target_abs_error=1e-6)
+    CASES = {"normal-5": (5, None, 11, QMC), "t-6": (6, 9, 12, QMC), "gl-3": (3, None, 13, GL)}
+
+    def case(self, name):
+        dim, df, seed, settings = self.CASES[name]
+        corr = CorrelationMatrix(random_correlation(np.random.default_rng(seed), dim))
+        return corr, np.full(dim, -2.3), np.full(dim, 2.3), df, settings
+
+    @staticmethod
+    def rounds(corr, lower, upper, df, settings):
+        """(value, error, samples, last) at every round a call can stop at,
+        rebuilt from ``estimate_fixed`` or the ladder's own levels; ``last``
+        marks the round after which the cap or the ladder's end stops it."""
+        chol = corr.cholesky()
+        if corr.dim <= mvdist._GL_MAX_DIM:
+            total, prev = 0, None
+            for n in mvdist._GL_LADDER:
+                value, used = mvdist._gl_value(chol, lower, upper, df, n)
+                total += used
+                err = np.inf if prev is None else abs(value - prev)
+                yield value, err, total, n == mvdist._GL_LADDER[-1]
+                prev = value
+            return
+        sampler = mvdist._SobolSampler(chol, df, settings)
+        n = mvdist._round_points(settings.first_round_samples)
+        while True:
+            value, err = sampler.estimate_fixed(lower, upper, n)
+            total = n * settings.shifts
+            yield value, err, total, 2 * total > settings.max_samples
+            n *= 2
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_none_changes_nothing(self, name):
+        corr, lower, upper, df, s = self.case(name)
+        plain = mv_rect_prob(corr, lower, upper, df, s)
+        assert mv_rect_prob(corr, lower, upper, df, s, decide_at=None) == plain
+
+    @pytest.mark.parametrize("offset", [0.0, 1e-5, 1e-4, -1e-3, 1e-2])
+    @pytest.mark.parametrize("name", CASES)
+    def test_stops_at_the_first_round_that_meets_a_stop(self, name, offset):
+        corr, lower, upper, df, s = self.case(name)
+        plain = mv_rect_prob(corr, lower, upper, df, s)
+        decide_at = plain.value + offset
+        r = mv_rect_prob(corr, lower, upper, df, s, decide_at=decide_at)
+        assert r.samples <= plain.samples
+        if abs(offset) >= 1e-3:
+            assert r.samples < plain.samples
+        target = s.target_abs_error
+        for value, err, samples, last in self.rounds(corr, lower, upper, df, s):
+            met = err <= target or last or abs(value - decide_at) > max(err, 2.0 * target)
+            if samples < r.samples:
+                assert not met, samples
+                continue
+            # the value is that of the rule at the returned size
+            assert samples == r.samples
+            assert (r.value, r.error) == (min(max(value, 0.0), 1.0), err)
+            assert met
+            assert r.converged == (err <= target)
+            break
+        else:
+            pytest.fail("no round ends at the returned size")
+
+    def test_is_keyword_only(self):
+        corr, lower, upper, df, s = self.case("normal-5")
+        with pytest.raises(TypeError):
+            mv_rect_prob(corr, lower, upper, df, s, 0.95)
+
+    @pytest.mark.parametrize("decide_at", [np.nan, np.inf, -np.inf, -1e-9, 1.0 + 1e-9, 5.0])
+    @pytest.mark.parametrize("dim", [1, 3, 5])
+    def test_rejects_a_decide_at_that_is_no_probability(self, dim, decide_at):
+        corr = CorrelationMatrix.identity(dim)
+        with pytest.raises(ValueError, match="decide_at"):
+            mv_rect_prob(corr, np.full(dim, -1.0), np.full(dim, 1.0), decide_at=decide_at)
 
 
 def quad_pair_exceedance(b, rho, df):
