@@ -1,52 +1,34 @@
 """Rectangle probabilities and equicoordinate quantiles of multivariate
-normal and multivariate t distributions.
+normal and multivariate t distributions, the numerical kernel behind every
+adjusted p-value and simultaneous confidence bound in the package.
 
-This is the numerical kernel behind every adjusted p-value and simultaneous
-confidence bound in the package.  All probabilities go through the
-separation-of-variables transform of Genz, which turns the rectangle
-probability into an integral of a smooth function over the unit cube of
-dimension ``dim - 1`` (one more for multivariate t, whose chi scale factor
-is the chi quantile of one more uniform coordinate, integrated by the same
-rule as the others).  An infinite limit enters the integrand as its exact
-conditional probability, 0 or 1, with no normal CDF evaluated for it, so
-one-sided rectangles cost markedly less than two-sided ones.
+* Dimension 1 is closed form.
+* Dimensions 2 and 3 are exact at a fixed cost.  A rectangle of a rank-2
+  law is a convex polygon in its two factor coordinates, and a spherical
+  bivariate law puts 1 - (1/2 pi) int S(r(theta)) dtheta on a polygon around
+  the origin, r(theta) being the distance to the edge in direction theta and
+  S(r) the probability beyond r.  Each edge adds a one-dimensional integral,
+  Owen's T for the normal (Owen 1956, Ann. Math. Statist. 27) and
+  Gauss-Legendre rules for the t; a rectangle that excludes the origin is a
+  signed sum of ones that contain it.  This is the polygon form of
+  Plackett's reduction (Genz 2004, Statistics and Computing 14).  A
+  full-rank dimension-3 law takes Gauss-Legendre rules over one coordinate,
+  the others being such a polygon.  The error is the gap between two node
+  counts plus a floor above round-off.
+* Higher dimensions integrate the separation-of-variables transform of Genz
+  over the unit cube of dimension ``dim - 1`` (one more for multivariate t,
+  whose chi scale is the chi quantile of one more uniform coordinate) by
+  randomized quasi-Monte Carlo: scrambled Sobol points, one independent
+  scramble per "shift", the error three standard errors over the scrambles,
+  the sample doubling until it meets the target or the budget runs out.
+  Point sets, and on the t path radial factors, are cached (see
+  ``_sobol_points`` and ``_cached_radial``); the integrand streams through
+  them in blocks of at most ``_BLOCK_POINTS``.
 
-Two evaluation strategies share that integrand:
-
-* dimensions 2 and 3 use tensor Gauss-Legendre quadrature with an escalating
-  node ladder; the error estimate is the difference between successive
-  ladder levels, and the result is fully deterministic;
-* higher dimensions use randomized quasi-Monte Carlo with scrambled Sobol
-  points, one independent scramble per "shift".  The error estimate is three
-  standard errors over the scrambles and the sample size doubles until the
-  estimate meets the requested accuracy or the budget runs out.  Point sets
-  are cached per dimension, seed and number of shifts, so repeated calls
-  only pay for integrand evaluations.  The integrand streams through the
-  cached points in blocks of at most 2**13 points (whole scrambles grouped
-  while they fit, otherwise views into one scramble), so besides the
-  caches one evaluation holds a few block-sized arrays and one value per
-  sample, about 7 MB at dimension 9 with 12 shifts of 2**16 points, where
-  whole-range arrays took over 100 MB.  The sums per scramble do not
-  depend on the blocking.  On the multivariate-t path the radial factor of
-  each point (its leading Sobol coordinate mapped through the chi quantile)
-  is cached as well, per point set and df, for the first 2**14 points of
-  each scramble; least recently used entries are dropped so the cache never
-  holds more than 2**21 factors (16 MiB).
-
-The univariate case is evaluated in closed form.  Equicoordinate quantiles
-freeze one of these rules and solve for the critical value with Brent's
-method.  The Gauss-Legendre ladder level is the one that meets the target
-at the bracket midpoint.  The QMC sample size is the one that meets it at
-c0, the root of the first-round rule (one round of points, 1/256 of a full
-pass at the default settings); secant steps from c0 then bracket the root
-tightly, so the AVERROES (dimension-9) quantile takes four to six
-full-size passes where a search over the whole bracket took nine.
-
-``pair_exceedance`` gives the bivariate probabilities P(|X_i| > b, |X_j| > b)
-that the pairwise bounds of ``mmm.max_type_bounds`` need, for whole arrays
-of edges and correlations at once.  By Plackett's identity each is a
-one-dimensional integral of the bivariate density over the correlation,
-closed form for normal and t alike, evaluated with Gauss-Legendre rules.
+Equicoordinate quantiles solve the exact probability with Brent's method at
+dimensions 2 and 3, and above it one frozen QMC rule (see
+``equicoordinate_quantile``).  ``pair_exceedance`` gives the bivariate
+exceedances that the pairwise bounds of ``mmm.max_type_bounds`` need.
 """
 
 from __future__ import annotations
@@ -59,8 +41,8 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.optimize import brentq
-from scipy.special import gammaincinv, ndtr, ndtri, roots_legendre, stdtr, stdtrit
-from scipy.stats import qmc
+from scipy.special import betainc, gammaincinv, gammaln, ndtr, ndtri, owens_t
+from scipy.special import roots_legendre, stdtr, stdtrit
 
 from .errors import NotPSD
 
@@ -76,18 +58,31 @@ __all__ = [
 
 _TINY = 1e-15
 _EIG_FLOOR = 1e-10
-# Gauss-Legendre node ladder for the low-dimensional deterministic path; at
-# level n every coordinate, the radial one of multivariate t included, gets
-# the same n nodes.
-_GL_LADDER = (12, 16, 24, 32, 48)
-# Highest dimension evaluated by the tensor Gauss-Legendre rules; QMC above.
-_GL_MAX_DIM = 3
-# Gauss-Legendre levels of ``pair_exceedance`` and the floor of its error
-# estimate, well above round-off.  Against adaptive quadrature (b 1.9 to 3.2,
-# |rho| <= 0.999, df 3 to normal) 12 nodes are within 5e-10 and 24 within
-# 1e-15.
+# Highest dimension evaluated exactly; QMC above.
+_EXACT_MAX_DIM = 3
+# Floor of every exact rule's error estimate, well above round-off.
+_ERROR_FLOOR = 1e-12
+# Gauss-Legendre levels of ``pair_exceedance``.  Against adaptive quadrature
+# (b 1.9 to 3.2, |rho| <= 0.999, df 3 to normal) 12 nodes are within 5e-10
+# and 24 within 1e-15.
 _PAIR_LEVELS = (12, 24)
-_PAIR_ERROR_FLOOR = 1e-12
+# Gauss-Legendre rules (error, value) per panel of the t wedge, its longest
+# panel, and the clearance of its direct form: within 3e-15 of adaptive
+# quadrature (h 1e-12 to 8, df 1 to 1000; a clearance of 0.15 lost 1e-12).
+# Below distance _FLAT the wedge is taken as that of distance 0.
+_WEDGE_NODES, _WEDGE_PANEL, _CLEAR, _FLAT = (12, 24), 3.0, 0.35, 1e-13
+# A dimension-3 law with an eigenvalue at most this is taken as rank 2.
+_RANK_TOL = 1e-12
+# Outer rules (error, value) of the full-rank dimension-3 path, the tail it
+# leaves out, and the cuts of its range, in units of the width, around a spot
+# narrower than _SHARP where the inner probability turns.  On the a4
+# decisions of the simulation the error stays below 3e-7, inside the
+# reported one; a _SHARP of 0.5 took ten of them from 3e-11 to 1e-14 at five
+# times the cost.
+_OUTER_NODES, _OUTER_TAIL = (24, 48), 1e-20
+_SHARP, _SHARP_CUTS = 0.05, (-8.0, -2.0, -0.5, 0.0, 0.5, 2.0, 8.0)
+# Brent tolerance in c of the exact quantiles.
+_EXACT_XTOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -97,8 +92,8 @@ class QuadratureSettings:
     ``max_samples`` caps the total number of integrand evaluations per call
     (points times scrambles, summed over doubling rounds) on the randomized
     path, and must cover the first round.  ``seed``, ``shifts`` and
-    ``first_round_samples`` only affect that path; the low-dimensional rules
-    are deterministic.
+    ``first_round_samples`` only affect that path.  Dimensions 2 and 3 are
+    exact at a fixed cost; there ``target_abs_error`` only sets ``converged``.
     """
 
     target_abs_error: float = 5e-5
@@ -133,14 +128,18 @@ class RectProb:
     """Probability estimate with its accuracy diagnostics.
 
     ``converged`` is False when the error estimate missed the target: the
-    budget ran out, or a ``decide_at`` call stopped once its side was clear.
-    ``samples`` counts integrand evaluations (0 for the closed-form case).
+    budget ran out, or a ``decide_at`` call stopped once its side was clear,
+    which ``decided`` records.  ``samples`` counts integrand evaluations on
+    the QMC path (points times scrambles), the polygons whose probability the
+    exact rule summed at dimensions 2 and 3 (one per outer node and polygon
+    when it conditions), and 0 at dimension 1.
     """
 
     value: float
     error: float
     converged: bool
     samples: int
+    decided: bool = False
 
 
 def validate_correlation(entries) -> np.ndarray:
@@ -284,81 +283,221 @@ def _genz_weights(chol, lower, upper, w, radial=None):
 
 
 # ---------------------------------------------------------------------------
-# deterministic low-dimensional rules
+# exact rules of dimensions 2 and 3
 
 
-@lru_cache(maxsize=32)
-def _tensor_rule(n: int, q: int):
-    """Tensor product Gauss-Legendre rule on the unit cube (0, 1)^q."""
+@lru_cache(maxsize=8)
+def _gl_rule(n: int):
+    """Gauss-Legendre nodes and weights of ``n`` points on (0, 1)."""
     x, wt = roots_legendre(n)
-    x = 0.5 * (x + 1.0)
-    wt = 0.5 * wt
-    if q == 1:
-        return x[:, None], wt
-    grids = np.meshgrid(*([x] * q), indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=1)
-    ww = wt
-    for _ in range(q - 1):
-        ww = np.multiply.outer(ww, wt).ravel()
-    return pts, ww
+    return 0.5 * (x + 1.0), 0.5 * wt
 
 
-@lru_cache(maxsize=256)
-def _radial_nodes(n: int, df: int):
-    """Chi scale factors at the ``n`` Gauss-Legendre nodes on (0, 1), and
-    the nodes' weights."""
-    x, wt = _tensor_rule(n, 1)
-    return _radial_factors(x[:, 0], df), wt
+@lru_cache(maxsize=1)
+def _wedge_rule():
+    """The nodes of both ``_WEDGE_NODES`` rules, and a weight column each."""
+    (x0, w0), (x1, w1) = (_gl_rule(n) for n in _WEDGE_NODES)
+    wt = np.zeros((len(x0) + len(x1), 2))
+    wt[: len(x0), 0], wt[len(x0) :, 1] = w0, w1
+    return np.concatenate([x0, x1]), wt
 
 
-def _gl_value(chol, lower, upper, df, n):
-    """One evaluation of the tensor rule at ladder level ``n``.
+def _wedge(h, psi, df):
+    """W(h, psi) = (1/2 pi) int_0^psi S(h / cos t) dt elementwise, for h > 0
+    and |psi| <= pi/2, and its error.
 
-    For multivariate t the level's own nodes, mapped through the chi
-    quantile, are the radial rule, so its error shrinks with the ladder and
-    enters the ladder's error estimate.  The radial nodes are grouped so that
-    no ``_genz_weights`` call sees more than ``_BLOCK_POINTS`` points.
+    The normal W is Owen's T(h, tan psi).  The t W takes both rules of
+    ``_WEDGE_NODES`` (the value is the finer, the error their gap): over (0,
+    psi) up to |psi| = pi/4 or while the integrand's singularity stays
+    ``_CLEAR`` |psi| away, otherwise as half of P(T > h) less the rest over
+    (|psi|, pi/2).  In y = asinh(cot(t) / beta), beta = h / sqrt(df + h^2),
+    the rest is (1 + h^2/df)^(-df/2) / (2 pi) int tanh(y)^df beta cosh(y) /
+    (1 + (beta sinh y)^2) dy, analytic in a strip of fixed width for every h
+    and df; it runs in panels of at most ``_WEDGE_PANEL`` from where
+    tanh(y)^df = e^-60.  Below h = ``_FLAT``, W is psi / (2 pi) within h.
     """
-    q = chol.shape[0] - 1
-    pts, ww = _tensor_rule(n, q)
     if df is None:
-        return float(_genz_weights(chol, lower, upper, pts) @ ww), len(ww)
-    s, ws = _radial_nodes(n, df)
-    npts = len(ww)
-    rows = max(_BLOCK_POINTS // npts, 1)  # radial nodes per call
-    w = np.tile(pts, (min(rows, n), 1))
-    est = 0.0
-    for a in range(0, n, rows):
-        b = min(a + rows, n)
-        radial = np.repeat(s[a:b], npts)
-        vals = _genz_weights(chol, lower, upper, w[: len(radial)], radial)
-        est += ws[a:b] @ (vals.reshape(b - a, npts) @ ww)
-    return float(est), n * npts
+        return owens_t(h, np.tan(psi)), np.zeros_like(h)
+    x, wt = _wedge_rule()
+    a = np.abs(psi)
+    # the integrand is singular at pi/2 +- i asinh(h / sqrt(df))
+    clear = (0.5 * np.pi - a) ** 2 + np.arcsinh(h / math.sqrt(df)) ** 2 >= (_CLEAR * a) ** 2
+    near = (a <= 0.25 * np.pi) | clear
+    flat = ~near & (h < _FLAT)
+    far = ~(near | flat)
+    w = np.empty(h.shape + (2,))
+    w[flat] = a[flat, None] / (2.0 * np.pi)
+    hn, an = h[near, None], a[near, None]
+    s = np.exp(-0.5 * df * np.log1p((hn / np.cos(an * x)) ** 2 / df))
+    w[near] = an * (s @ wt) / (2.0 * np.pi)
+    if far.any():
+        hf = h[far]
+        beta = hf / np.sqrt(df + hf * hf)
+        top = np.arcsinh(1.0 / (np.tan(a[far]) * beta))
+        low = np.minimum(np.arctanh(math.exp(-60.0 / df)), top)
+        panels = max(math.ceil(np.max(top - low) / _WEDGE_PANEL), 1)
+        width = ((top - low) / panels)[:, None]
+        y = (low[:, None] + width * np.arange(panels))[..., None] + width[..., None] * x
+        beta = beta[:, None, None]
+        f = np.tanh(y) ** df * beta * np.cosh(y) / (1.0 + (beta * np.sinh(y)) ** 2)
+        # stdtr(df, -h) is off by up to 2e-9 for small h at df 1
+        tail = 0.25 - 0.25 * betainc(0.5, 0.5 * df, hf * hf / (df + hf * hf))
+        scale = np.exp(-0.5 * df * np.log1p(hf * hf / df)) / (2.0 * np.pi)
+        w[far] = tail[:, None] - (scale[:, None] * width) * (f @ wt).sum(axis=1)
+    w = np.copysign(w, psi[:, None])
+    return w[:, 1], np.abs(w[:, 1] - w[:, 0]) + np.where(flat, h, 0.0)
 
 
-def _decided(est, err, decide_at, target):
-    """The stop rule of a ``decide_at`` call (None: never stops): ``est``
-    lies farther from ``decide_at`` than its error and twice ``target``."""
-    return decide_at is not None and abs(est - decide_at) > max(err, 2.0 * target)
+@lru_cache(maxsize=8)
+def _arcs(k: int):
+    """Pairs (i, j) of ``k`` edges, and each of the k (k + 1) breakpoints'
+    predecessor and successor in cyclic order."""
+    i, j = np.triu_indices(k, 1)
+    b = np.arange(k * (k + 1))
+    return i, j, np.roll(b, 1), np.roll(b, -1)
 
 
-def _gl_estimate(chol, lower, upper, df, target, decide_at=None):
-    """Escalate the node ladder until two levels agree within ``target``, or
-    their estimate is ``_decided`` against ``decide_at``.
+def _outside(phi, h, df):
+    """P(Z outside {z : n_k . z <= h_k for every k}) and its error per row,
+    for spherical bivariate Z, unit normals n_k in directions ``phi`` and
+    distances ``h`` > 0 (inf: no edge), both (P, K).  The arc of directions
+    whose nearest edge is k adds W(h_k, end - phi_k) - W(h_k, start - phi_k);
+    the nearest edge maximizes n_k . e_theta / h_k > 0, so it changes only
+    where two of these are equal or one is 0, and W is evaluated there."""
+    npoly, k = phi.shape
+    i, j, before, after = _arcs(k)
+    px, py = np.cos(phi) / h, np.sin(phi) / h
+    even = np.arctan2(py[:, i] - py[:, j], px[:, i] - px[:, j]) + 0.5 * np.pi
+    theta = np.concatenate([even, even + np.pi, phi + 0.5 * np.pi, phi - 0.5 * np.pi], axis=1)
+    theta = np.sort(theta % (2.0 * np.pi), axis=1)
+    mid = 0.5 * (theta + theta[:, after])
+    mid[:, -1] += np.pi  # the arc that wraps around
+    reach = np.cos(mid)[..., None] * px[:, None] + np.sin(mid)[..., None] * py[:, None]
+    edge, met = reach.argmax(axis=-1), reach.max(axis=-1) > 0.0
+    edge_before, met_before = edge[:, before], met[:, before]
+    change = (edge_before != edge) | (met_before != met)
+    # at each change the arc that ends adds +W, the arc that starts -W
+    ends, starts = np.nonzero(change & met_before), np.nonzero(change & met)
+    r, c = (np.concatenate(v) for v in zip(ends, starts))
+    e = np.concatenate([edge_before[ends], edge[starts]])
+    psi = (theta[r, c] - phi[r, e] + np.pi) % (2.0 * np.pi) - np.pi
+    value, error = _wedge(h[r, e], np.clip(psi, -0.5 * np.pi, 0.5 * np.pi), df)
+    value[len(ends[0]) :] *= -1.0
+    return np.bincount(r, value, npoly), np.bincount(r, error, npoly)
 
-    Returns (estimate, error, samples, level), where ``level`` is the ladder
-    level of the estimate (the top level when no stop was met).
+
+def _slab_prob(rows, lower, upper, df):
+    """P(lower_j <= rows_j . Z <= upper_j for every j) per row of the (P, m)
+    limits, for spherical bivariate Z and m unit ``rows``: (value, error,
+    polygons).  A slab that excludes the origin is a difference of two that
+    contain it, (-inf, u] - (-inf, l) for l >= 0 and [l, inf) - (u, inf) for
+    u <= 0, so the rectangle is a signed sum of polygons around the origin.
     """
-    total, prev = 0, None
-    for n in _GL_LADDER:
-        est, used = _gl_value(chol, lower, upper, df, n)
-        total += used
-        if prev is not None:
-            err = abs(est - prev)
-            if err <= target or _decided(est, err, decide_at, target):
-                break
-        prev = est
-    return est, err, total, n
+    npoly, m = lower.shape
+    inside, above = (lower < 0.0) & (upper > 0.0), lower >= 0.0
+    if inside.all():
+        row, sign, lo, hi = np.arange(npoly), np.ones(npoly), lower, upper
+    else:
+        # each slab's two terms (lo, hi, sign); the second has sign 0 if unused
+        lo = np.stack([np.where(above, -np.inf, lower), np.where(above, -np.inf, upper)], -1)
+        hi = np.stack([np.where(inside | above, upper, np.inf), np.where(above, lower, np.inf)], -1)
+        sign = np.stack([np.ones_like(lower), np.where(inside, 0.0, -1.0)], -1)
+        terms, slab = _terms(m)
+        sign = np.prod(sign[:, slab, terms], axis=-1)
+        row, term = np.nonzero(sign)
+        pick, sign = (row[:, None], slab, terms[term]), sign[row, term]
+        lo, hi = lo[pick], hi[pick]
+    angle = np.arctan2(rows[:, 1], rows[:, 0])
+    phi = np.broadcast_to(np.concatenate([angle, angle + np.pi]), (len(row), 2 * m))
+    # a limit at 0 puts the origin on an edge, a vanishing distance away
+    out, err = _outside(phi, np.maximum(np.concatenate([hi, -lo], axis=1), 1e-200), df)
+    value = np.bincount(row, sign * (1.0 - out), npoly)
+    return value, np.bincount(row, err, npoly) + _ERROR_FLOOR, len(row)
+
+
+@lru_cache(maxsize=4)
+def _terms(m: int):
+    """Every choice of one of two terms for each of ``m`` slabs, and the
+    slab indices."""
+    return np.indices((2,) * m).reshape(m, -1).T, np.arange(m)
+
+
+def _exact(corr, lower, upper, df):
+    """(value, error, polygons) of a rectangle of dimension 2 or 3: a
+    ``_slab_prob`` in the rows of a rank-2 factor of a law of rank 2 or less
+    (at dimension 3, an eigenvalue at most ``_RANK_TOL``), else
+    ``_conditioned``."""
+    entries = corr.entries
+    if corr.dim == 2:
+        rho = entries[0, 1]
+        rows = np.array([[1.0, 0.0], [rho, math.sqrt((1.0 - rho) * (1.0 + rho))]])
+    else:
+        w, v = np.linalg.eigh(entries)
+        if w[0] > _RANK_TOL:
+            return _conditioned(entries, lower, upper, df)
+        rows = v[:, 1:] * np.sqrt(np.maximum(w[1:], 0.0))
+        rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+    value, err, polygons = _slab_prob(rows, lower[None], upper[None], df)
+    return float(value[0]), float(err[0]), polygons
+
+
+def _conditioned(entries, lower, upper, df):
+    """(value, error, polygons) of a full-rank dimension-3 rectangle.
+
+    Given X_k = x, for the coordinate least correlated with the others, they
+    are normal (means r x, the residual covariance) or t (df + 1, that
+    covariance times (df + x^2) / (df + 1)): a ``_slab_prob``.  Both rules of
+    ``_OUTER_NODES`` integrate x per panel over the limits of X_k, short of
+    tails of ``_OUTER_TAIL``; the t in theta = atan(x / sqrt(df)), where the
+    density is proportional to cos(theta)^(df - 1).
+    """
+    k = int(np.argmin(np.abs(entries - np.eye(3)).max(axis=1)))
+    other = [j for j in range(3) if j != k]
+    r = entries[other, k]
+    resid = entries[np.ix_(other, other)] - np.outer(r, r)
+    sd = np.sqrt(np.diag(resid))
+    rho = min(max(resid[0, 1] / (sd[0] * sd[1]), -1.0), 1.0)
+    rows = np.array([[1.0, 0.0], [rho, math.sqrt((1.0 - rho) * (1.0 + rho))]])
+    edge = -(ndtri(_OUTER_TAIL) if df is None else stdtrit(df, _OUTER_TAIL))
+    cuts = [max(lower[k], -edge), min(upper[k], edge)]
+    if not cuts[0] < cuts[1]:
+        return 0.0, _ERROR_FLOOR, 0
+    # An inner edge at (lim - r x) / sd crosses the origin at x = lim / r
+    # over a width sd / |r|.  Nearly parallel inner edges (rho near +-1) trade
+    # places where their distances meet, over their angle divided by the
+    # rate at which the distances part.
+    low, high = lower[other], upper[other]
+    lim, slope = np.array([low, high]) / sd, -r / sd
+    side = math.copysign(1.0, rho)
+    gap = slope[0] - side * slope[1]
+    partner = lim[:, 1] if side > 0 else lim[::-1, 1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        centres = np.append(-lim / slope, (side * partner - lim[:, 0]) / gap)
+        widths = np.append(np.tile(np.abs(1.0 / slope), 2), [rows[1, 1] / abs(gap)] * 2)
+    for centre, width in zip(centres, widths):
+        if math.isfinite(centre) and width < _SHARP:
+            cuts += [centre + m * width for m in _SHARP_CUTS]
+    cuts = np.unique(np.clip(cuts, cuts[0], cuts[1]))
+    if df is not None:
+        cuts = np.arctan(cuts / math.sqrt(df))
+    a, span = cuts[:-1, None], np.diff(cuts)[:, None]
+    t = np.concatenate([(a + span * _gl_rule(n)[0]).ravel() for n in _OUTER_NODES])[:, None]
+    if df is None:
+        density = np.exp(-0.5 * t[:, 0] ** 2) / math.sqrt(2.0 * np.pi)
+        value, err, polygons = _slab_prob(rows, (low - r * t) / sd, (high - r * t) / sd, None)
+    else:
+        density = np.cos(t[:, 0]) ** (df - 1) * math.exp(
+            gammaln(0.5 * (df + 1)) - gammaln(0.5 * df) - 0.5 * math.log(np.pi)
+        )
+        f, cos, shift = math.sqrt((df + 1) / df) / sd, np.cos(t), r * math.sqrt(df) * np.sin(t)
+        value, err, polygons = _slab_prob(
+            rows, f * (low * cos - shift), f * (high * cos - shift), df + 1
+        )
+    n = len(a) * _OUTER_NODES[0]
+    coarse, fine = ((span * _gl_rule(m)[1]).ravel() for m in _OUTER_NODES)
+    value, err = density * value, density * err
+    error = abs(fine @ value[n:] - coarse @ value[:n]) + fine @ err[n:] + _ERROR_FLOOR
+    return float(fine @ value[n:]), float(error), polygons
 
 
 def pair_exceedance(b, rho, df=None):
@@ -397,14 +536,14 @@ def pair_exceedance(b, rho, df=None):
 
     est = []
     for n in _PAIR_LEVELS:
-        x, wt = _tensor_rule(n, 1)
-        psi = half[..., None] * x[:, 0]
+        x, wt = _gl_rule(n)
+        psi = half[..., None] * x
         # 2 sin^2 psi vanishes only at |rho| = 1, where the interval is empty
         low = np.maximum(2.0 * np.sin(psi) ** 2, np.finfo(float).tiny)
         with np.errstate(over="ignore"):
             est.append(half * ((g(2.0 * np.cos(psi) ** 2) - g(low)) @ wt))
     value = p1 - (2.0 / np.pi) * est[-1]
-    error = (2.0 / np.pi) * np.abs(est[-1] - est[0]) + _PAIR_ERROR_FLOOR
+    error = (2.0 / np.pi) * np.abs(est[-1] - est[0]) + _ERROR_FLOOR
     return value, error
 
 
@@ -416,10 +555,9 @@ def pair_exceedance(b, rho, df=None):
 # the points drawn so far, shaped (shifts, n, qdim).
 _SOBOL_CACHE: dict = {}
 
-# Most points the integrand sees in one call, on the QMC path and on the
-# Gauss-Legendre t path: a dimension-9 block then keeps its working arrays
-# (about 1 MB) in cache.  On AVERROES, 2**11 to 2**13 ran alike and 2**14
-# or more lost most of the gain (BENCH_5.json).
+# Most points the QMC integrand sees in one call: a dimension-9 block then
+# keeps its working arrays (about 1 MB) in cache.  On AVERROES, 2**11 to
+# 2**13 ran alike and 2**14 or more lost most of the gain (BENCH_5.json).
 _BLOCK_POINTS = 1 << 13
 
 
@@ -428,6 +566,10 @@ def _sobol_points(qdim, settings, n):
     key = (qdim, settings.seed, settings.shifts)
     entry = _SOBOL_CACHE.get(key)
     if entry is None:
+        # scipy.stats costs about a second to import, so only a process that
+        # integrates above dimension 3 pays for it
+        from scipy.stats import qmc
+
         seeds = np.random.SeedSequence(settings.seed).spawn(settings.shifts)
         engines = [
             qmc.Sobol(qdim, scramble=True, seed=np.random.default_rng(s))
@@ -595,6 +737,12 @@ class _SobolSampler:
                 return est, err, total, count
 
 
+def _decided(est, err, decide_at, target):
+    """The stop rule of a ``decide_at`` call (None: never stops): ``est``
+    lies farther from ``decide_at`` than its error and twice ``target``."""
+    return decide_at is not None and abs(est - decide_at) > max(err, 2.0 * target)
+
+
 def _exact_1d(lower, upper, df):
     if df is None:
         return float(ndtr(upper) - ndtr(lower))
@@ -614,12 +762,13 @@ def mv_rect_prob(
     """P(lower <= X <= upper) for X ~ N(0, corr) or t_df(corr).
 
     Open limits are expressed with ``-inf`` / ``+inf``.  The result is
-    deterministic for a fixed ``settings.seed`` (and unconditionally in
-    dimension three and below, where deterministic quadrature is used).
-    With ``decide_at``, a probability, the doubling rounds (or the node
-    ladder) also stop at the first estimate farther from it than both its
-    error and twice the target; such a call reports ``converged=False``
-    with its achieved error.
+    deterministic for a fixed ``settings.seed``, and unconditionally in
+    dimension three and below, where it is exact at a fixed cost.  With
+    ``decide_at``, a probability, the QMC doubling rounds also stop at the
+    first estimate farther from it than both its error and twice the target;
+    such a call reports ``converged=False`` and ``decided=True`` with its
+    achieved error.  ``decide_at`` is checked at every dimension and changes
+    nothing up to dimension 3.
     """
     df = _check_df(df)
     if decide_at is not None and not 0.0 <= decide_at <= 1.0:
@@ -634,12 +783,15 @@ def mv_rect_prob(
         raise ValueError("lower limits must be strictly below upper limits")
     if corr.dim == 1:
         return RectProb(_exact_1d(lower[0], upper[0], df), 0.0, True, 0)
-    chol, target = corr.cholesky(), settings.target_abs_error
-    if corr.dim <= _GL_MAX_DIM:
-        est, err, used, _ = _gl_estimate(chol, lower, upper, df, target, decide_at)
+    target = settings.target_abs_error
+    if corr.dim <= _EXACT_MAX_DIM:
+        est, err, used = _exact(corr, lower, upper, df)
     else:
-        est, err, used, _ = _SobolSampler(chol, df, settings).estimate(lower, upper, decide_at)
-    return RectProb(float(min(max(est, 0.0), 1.0)), float(err), bool(err <= target), used)
+        sampler = _SobolSampler(corr.cholesky(), df, settings)
+        est, err, used, _ = sampler.estimate(lower, upper, decide_at)
+    converged = bool(err <= target)
+    decided = not converged and _decided(est, err, decide_at, target)
+    return RectProb(float(min(max(est, 0.0), 1.0)), float(err), converged, used, decided)
 
 
 def _quantile_bracket(alpha, tail, dim, df):
@@ -652,22 +804,22 @@ def _quantile_bracket(alpha, tail, dim, df):
     return float(stdtrit(df, p_lo)), float(stdtrit(df, p_hi))
 
 
-def _root(excess, a, b, at_a, at_b):
-    """Brent's root of ``excess`` on [a, b] to 1e-5, given its values at both
-    ends, which must differ in sign; the ends cost no evaluation."""
+def _root(excess, a, b, at_a, at_b, xtol=1e-5):
+    """Brent's root of ``excess`` on [a, b] to ``xtol``, given its values at
+    both ends, which must differ in sign; the ends cost no evaluation."""
     known = {a: at_a, b: at_b}
 
     def f(c):
         # brentq starts at the endpoints, whose values are already known
         return known.pop(c) if c in known else excess(c)
 
-    return float(brentq(f, a, b, xtol=1e-5))
+    return float(brentq(f, a, b, xtol=xtol))
 
 
-def _edge_or_root(excess, lo, hi):
-    """Root of ``excess`` on [lo, hi], or the edge where it already has the
-    root's side: ``lo`` when excess(lo) >= 0, else ``hi`` when
-    excess(hi) <= 0.  Also returns every value it computed, by point."""
+def _edge_or_root(excess, lo, hi, xtol=1e-5):
+    """Root of ``excess`` on [lo, hi] to ``xtol``, or the edge where it
+    already has the root's side: ``lo`` when excess(lo) >= 0, else ``hi``
+    when excess(hi) <= 0.  Also returns every value it computed, by point."""
     seen = {}
 
     def f(c):
@@ -678,7 +830,7 @@ def _edge_or_root(excess, lo, hi):
         return lo, seen
     if f(hi) <= 0.0:
         return hi, seen
-    return _root(f, lo, hi, seen[lo], seen[hi]), seen
+    return _root(f, lo, hi, seen[lo], seen[hi], xtol), seen
 
 
 def _qmc_sizing(sampler, limits, lo, hi, target):
@@ -716,23 +868,16 @@ def equicoordinate_quantile(
     ``tail="two-sided"`` solves P(-c <= X_r <= c for all r) = 1 - alpha;
     ``tail="one-sided"`` solves P(X_r <= c for all r) = 1 - alpha.  The
     answer always lies between the unadjusted and the Bonferroni quantile.
-    The rectangle probability is evaluated by one frozen rule, a fixed
-    deterministic function of c, whose crossing of 1 - alpha Brent's method
-    locates to 1e-5, well inside the 1e-4 quantile contract; it needs only a
-    sign change over a bracket, not monotonicity point by point, and the
-    residual error is dominated by the quadrature.  An edge of the bracket
-    where the frozen rule already lies on the root's side is the answer.
-
-    * Dimension 3 and below freeze the Gauss-Legendre ladder level that meets
-      the accuracy target at the bracket midpoint, and Brent's method runs
-      on the whole bracket.
-    * Higher dimensions first solve the cheap first-round QMC rule (1/256 of
-      a full pass at the default settings) for c0, and freeze the sample
-      size that meets the target at c0.  That sizing estimate is also the
-      frozen rule's value at c0.  A secant step from c0 with the first-round
-      slope, and if it falls short, secant steps with the frozen rule's own
-      slope widened 2, 4, ... times, bracket the root tightly, so Brent's
-      method needs few full-size evaluations.  No step leaves the bracket.
+    Brent's method locates the crossing of 1 - alpha by a deterministic
+    function of c, needing only a sign change over the bracket; an edge where
+    the function already lies on the root's side is the answer.  Dimensions
+    2 and 3 solve the exact probability to 1e-7 in c.  Higher dimensions
+    solve one frozen QMC rule to 1e-5, inside the 1e-4 quantile contract:
+    the sample size that meets the target at c0, the root of the cheap
+    first-round rule (1/256 of a full pass at the default settings), whose
+    sizing estimate is also the frozen value at c0.  Secant steps from c0,
+    first with the first-round slope, then with the frozen rule's own slope
+    widened 2, 4, ... times, bracket the root tightly within the bracket.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
@@ -749,15 +894,12 @@ def equicoordinate_quantile(
             return np.full(corr.dim, -c), np.full(corr.dim, c)
         return np.full(corr.dim, -np.inf), np.full(corr.dim, c)
 
-    chol = corr.cholesky()
-    if corr.dim <= _GL_MAX_DIM:
-        mid = 0.5 * (lo + hi)
-        level = _gl_estimate(chol, *limits(mid), df, settings.target_abs_error)[3]
+    if corr.dim <= _EXACT_MAX_DIM:
         return _edge_or_root(
-            lambda c: _gl_value(chol, *limits(c), df, level)[0] - target, lo, hi
+            lambda c: _exact(corr, *limits(c), df)[0] - target, lo, hi, _EXACT_XTOL
         )[0]
 
-    sampler = _SobolSampler(chol, df, settings)
+    sampler = _SobolSampler(corr.cholesky(), df, settings)
     n_per_shift, a, at_a, slope = _qmc_sizing(sampler, limits, lo, hi, target)
 
     def excess(c):

@@ -311,18 +311,14 @@ def quantile_limits(dim, tail):
 
 
 def frozen_prob(corr, alpha, tail, df, settings):
-    """The quantile's frozen evaluator and bracket, rebuilt from its parts:
-    the ladder level that meets the target at the bracket midpoint (dim <=
-    3), or the QMC sample size that ``_qmc_sizing`` picks at the first-round
-    root (higher dims)."""
+    """The quantile's evaluator and bracket, rebuilt from its parts: the
+    exact probability (dim <= 3), or the QMC rule frozen at the sample size
+    that ``_qmc_sizing`` picks at the first-round root (higher dims)."""
     lo, hi = mvdist._quantile_bracket(alpha, tail, corr.dim, df)
     limits = quantile_limits(corr.dim, tail)
-    chol = corr.cholesky()
     if corr.dim <= 3:
-        mid = 0.5 * (lo + hi)
-        level = mvdist._gl_estimate(chol, *limits(mid), df, settings.target_abs_error)[3]
-        return (lambda c: mvdist._gl_value(chol, *limits(c), df, level)[0]), lo, hi
-    sampler = mvdist._SobolSampler(chol, df, settings)
+        return (lambda c: mvdist._exact(corr, *limits(c), df)[0]), lo, hi
+    sampler = mvdist._SobolSampler(corr.cholesky(), df, settings)
     n = mvdist._qmc_sizing(sampler, limits, lo, hi, 1.0 - alpha)[0]
     return (lambda c: sampler.estimate_fixed(*limits(c), n)[0]), lo, hi
 
@@ -383,28 +379,23 @@ class TestQuantileRootFind:
         assert set(frozen) == {n}
 
     def test_gl_path_makes_few_frozen_evaluations(self, monkeypatch):
+        # full rank at dimension 3: the exact rule integrates its outer
+        # coordinate with Gauss-Legendre rules; no QMC rule is built
         events = []
-        value, estimate = mvdist._gl_value, mvdist._gl_estimate
+        exact = mvdist._exact
 
-        def spy_value(chol, lower, upper, df, n):
-            events.append(n)
-            return value(chol, lower, upper, df, n)
+        def spy(corr, lower, upper, df):
+            events.append(float(upper[0]))
+            return exact(corr, lower, upper, df)
 
-        def spy_estimate(*args):
-            out = estimate(*args)
-            events.append(("sized", out[3]))
-            return out
-
-        monkeypatch.setattr(mvdist, "_gl_value", spy_value)
-        monkeypatch.setattr(mvdist, "_gl_estimate", spy_estimate)
+        monkeypatch.setattr(mvdist, "_exact", spy)
+        monkeypatch.setattr(mvdist, "_SobolSampler", None)
         corr = CorrelationMatrix(random_correlation(np.random.default_rng(71), 3))
-        equicoordinate_quantile(corr, 0.05, df=12)
-        marks = [i for i, ev in enumerate(events) if isinstance(ev, tuple)]
-        assert len(marks) == 1  # the level is sized once, by the ladder itself
-        level = events[marks[0]][1]
-        frozen = events[marks[0] + 1 :]
-        assert 3 <= len(frozen) <= 10
-        assert set(frozen) == {level}
+        q = equicoordinate_quantile(corr, 0.05, df=12)
+        lo, hi = mvdist._quantile_bracket(0.05, "two-sided", 3, 12)
+        assert 3 <= len(events) <= 12
+        assert all(lo <= c <= hi for c in events)
+        assert exact(corr, np.full(3, -q), np.full(3, q), 12)[0] == pytest.approx(0.95, abs=1e-7)
 
     @pytest.mark.parametrize("tail", ["two-sided", "one-sided"])
     @pytest.mark.parametrize("df", [None, 11])
@@ -561,6 +552,28 @@ def t_path_values(calls=T_CALLS):
 def empty_point_caches(monkeypatch):
     monkeypatch.setattr(mvdist, "_SOBOL_CACHE", {})
     monkeypatch.setattr(mvdist, "_RADIAL_CACHE", OrderedDict())
+
+
+def test_low_dimensions_leave_scipy_stats_unimported():
+    # scipy.stats, which the QMC path imports, costs about a second
+    script = (
+        "import sys\n"
+        "import mmminfer.cli\n"
+        "from mmminfer.mvdist import CorrelationMatrix, equicoordinate_quantile\n"
+        "corr = CorrelationMatrix([[1, 0.3, 0.5], [0.3, 1, 0.2], [0.5, 0.2, 1]])\n"
+        "equicoordinate_quantile(corr, 0.05, df=20)\n"
+        "print('scipy.stats' in sys.modules)\n"
+    )
+    src = str(Path(mvdist.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=120,
+    )
+    assert out.stdout.strip() == "False"
 
 
 class TestRadialCache:
@@ -748,13 +761,13 @@ class TestDoublingRounds:
 
 
 class TestDecisionStop:
-    """``decide_at`` adds one stop to the doubling rounds and the node ladder:
-    an estimate farther from it than its error, or twice the target."""
+    """``decide_at`` adds one stop to the doubling rounds: an estimate farther
+    from it than its error, or twice the target.  The exact rule of
+    dimension 3 (a Gauss-Legendre outer rule, "gl-3") has one round only."""
 
     QMC = QuadratureSettings(
         target_abs_error=1e-4, max_samples=8 << 14, shifts=8, first_round_samples=64
     )
-    # at 1e-6 the ladder climbs to its fourth level on this case
     GL = QuadratureSettings(target_abs_error=1e-6)
     CASES = {"normal-5": (5, None, 11, QMC), "t-6": (6, 9, 12, QMC), "gl-3": (3, None, 13, GL)}
 
@@ -766,19 +779,12 @@ class TestDecisionStop:
     @staticmethod
     def rounds(corr, lower, upper, df, settings):
         """(value, error, samples, last) at every round a call can stop at,
-        rebuilt from ``estimate_fixed`` or the ladder's own levels; ``last``
-        marks the round after which the cap or the ladder's end stops it."""
-        chol = corr.cholesky()
-        if corr.dim <= mvdist._GL_MAX_DIM:
-            total, prev = 0, None
-            for n in mvdist._GL_LADDER:
-                value, used = mvdist._gl_value(chol, lower, upper, df, n)
-                total += used
-                err = np.inf if prev is None else abs(value - prev)
-                yield value, err, total, n == mvdist._GL_LADDER[-1]
-                prev = value
+        rebuilt from ``estimate_fixed`` or the exact rule; ``last`` marks the
+        round after which the cap stops it, or the exact rule's only one."""
+        if corr.dim <= mvdist._EXACT_MAX_DIM:
+            yield *mvdist._exact(corr, lower, upper, df), True
             return
-        sampler = mvdist._SobolSampler(chol, df, settings)
+        sampler = mvdist._SobolSampler(corr.cholesky(), df, settings)
         n = mvdist._round_points(settings.first_round_samples)
         while True:
             value, err = sampler.estimate_fixed(lower, upper, n)
@@ -800,7 +806,7 @@ class TestDecisionStop:
         decide_at = plain.value + offset
         r = mv_rect_prob(corr, lower, upper, df, s, decide_at=decide_at)
         assert r.samples <= plain.samples
-        if abs(offset) >= 1e-3:
+        if abs(offset) >= 1e-3 and corr.dim > mvdist._EXACT_MAX_DIM:
             assert r.samples < plain.samples
         target = s.target_abs_error
         for value, err, samples, last in self.rounds(corr, lower, upper, df, s):
@@ -813,9 +819,31 @@ class TestDecisionStop:
             assert (r.value, r.error) == (min(max(value, 0.0), 1.0), err)
             assert met
             assert r.converged == (err <= target)
+            assert r.decided == (not r.converged and abs(value - decide_at) > max(err, 2 * target))
             break
         else:
             pytest.fail("no round ends at the returned size")
+
+    def test_a_decision_stop_is_recorded(self):
+        corr, lower, upper, df, s = self.case("normal-5")
+        plain = mv_rect_prob(corr, lower, upper, df, s)
+        r = mv_rect_prob(corr, lower, upper, df, s, decide_at=plain.value + 1e-2)
+        assert not plain.decided
+        assert r.decided and not r.converged
+        assert r.samples < plain.samples
+
+    def test_a_budget_stop_is_not_a_decision(self):
+        # the cap stops this call short of its target, with decide_at on its
+        # own value: it is unconverged, but no decision stopped it
+        tight = QuadratureSettings(
+            target_abs_error=1e-9, max_samples=4096, shifts=8, first_round_samples=64
+        )
+        corr, lower, upper, df, _ = self.case("normal-5")
+        plain = mv_rect_prob(corr, lower, upper, df, tight)
+        r = mv_rect_prob(corr, lower, upper, df, tight, decide_at=plain.value)
+        assert r == plain
+        assert r.samples * 2 > tight.max_samples
+        assert not r.converged and not r.decided
 
     def test_is_keyword_only(self):
         corr, lower, upper, df, s = self.case("normal-5")
@@ -888,14 +916,15 @@ class TestGaussLegendreT:
         self.assert_within_target(r, oracle, slack=3.0 * se)
 
     def test_transient_memory_stays_small(self):
-        # the top ladder level at dimension 3: 48 radial nodes times 48**2
-        # points; the rules are cached first, so only the evaluation is traced
+        # a full-rank dimension-3 t rectangle, the costliest exact rule; the
+        # Gauss-Legendre rules are cached first, so only the evaluation is
+        # traced
         corr = CorrelationMatrix(random_correlation(np.random.default_rng(72), 3))
-        args = corr.cholesky(), np.full(3, -2.3), np.full(3, 2.3), 12, 48
-        mvdist._gl_value(*args)
+        args = corr, np.full(3, -2.3), np.full(3, 2.3), 12
+        mv_rect_prob(*args)
         tracemalloc.start()
         try:
-            mvdist._gl_value(*args)
+            mv_rect_prob(*args)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
