@@ -6,10 +6,13 @@ target proportion per arm), an additive effect delta for treated subjects
 of the targeted subgroup, and optionally a second, independently drawn
 subgroup definition (overlap, Bernoulli membership at the same target
 proportion) or a second correlated endpoint.  Replicate r draws from its
-own stream ``np.random.default_rng((seed, r))``, overlap flags first, then
-the response noise, so results are reproducible, replicates are
-independent, and ``generate(scenario, r)`` rebuilds any single replicate
-as a ``Dataset``.
+own stream, the stream of ``np.random.default_rng((seed, r))`` bit for bit,
+overlap flags first, then the response noise, so results are reproducible,
+replicates are independent, and ``generate(scenario, r)`` rebuilds any
+single replicate as a ``Dataset``.  The streams are seeded a block of
+replicates at a time (``_streams``): numpy's ``SeedSequence`` hashing runs
+vectorized over the block, and one reused generator takes each replicate's
+PCG64 state in turn.
 
 ``run`` evaluates one hypothesis family per scenario: "targeted-or-total"
 tests the total population and the targeted subgroup, "any" adds the
@@ -19,14 +22,18 @@ is relevant (familywise error), under delta > 0 only hypotheses whose
 treated subjects include affected ones are (power).  All tests are
 two-sided at alpha = 0.05 by default.
 
-``run`` works through the replicates in blocks.  For a block it fills one
-(block, endpoints, n) response array from the replicates' own streams,
-fits every marginal OLS model of every replicate at once
-(``linmodels.fit_ols_batch``), forms all score correlations C_hat with one
-``einsum`` (``mmm.score_correlation``) and validates them together
-(``mvdist.validate_correlation``).  The noadjust, Bonferroni and cell-means
-decisions, and the exact bounds of every mmm variant (``mmm.max_type_bounds``
-on the block's edges and C_hat stack), then take one vectorized call each.
+``run`` works through the replicates in blocks.  For a block it seeds the
+replicates' streams together, fills one (block, endpoints, n) array with
+their noise, correlates the second endpoint, scales and shifts the whole
+block in place, fits every marginal OLS model of every
+replicate at once (``linmodels.fit_ols_batch``), forms all score
+correlations C_hat with one ``einsum`` (``mmm.score_correlation``) and
+validates them together (``mvdist.validate_correlation``).  The cell-means
+critical value depends only on the design, so it is computed once per
+design and reused by every run of it, under another seed or effect size.
+The noadjust, Bonferroni and cell-means decisions, and the exact bounds of
+every mmm variant (``mmm.max_type_bounds`` on the block's edges and C_hat
+stack), then take one vectorized call each.
 The bounds are the first-order p1 <= p_mmm <= m * p1 (p1 the closed-form
 tail of the largest relevant statistic, m the stacked dimension) and, from
 dimension 2 on, exact at dimension 2, the pairwise Hunter-Worsley and
@@ -48,6 +55,7 @@ a Bonferroni rejection is an ``mmm.dfind`` rejection by construction.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import time
@@ -128,6 +136,11 @@ def _half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 
 
+def _is_integer(x) -> bool:
+    # bool is an int, but True is no count or seed
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class Scenario:
     """One simulation setting; fully determines every replicate."""
@@ -158,8 +171,14 @@ class Scenario:
             raise SchemaError(f"rho must be in (-1, 1), got {self.rho}")
         if self.family not in FAMILIES:
             raise SchemaError(f"family must be one of {FAMILIES}, got {self.family!r}")
-        if self.replications < 1:
-            raise SchemaError(f"replications must be positive, got {self.replications}")
+        # one uint32 entropy word per replicate index (see ``_streams``)
+        reps, seed = self.replications, self.seed
+        if not _is_integer(reps) or not 1 <= reps <= 2**32:
+            raise SchemaError(f"replications must be an integer in 1..2**32, got {reps!r}")
+        if not _is_integer(seed) or seed < 0:
+            raise SchemaError(f"seed must be a nonnegative integer, got {seed!r}")
+        object.__setattr__(self, "replications", int(reps))
+        object.__setattr__(self, "seed", int(seed))
         per_arm = self.arm_size
         k = self.target_per_arm
         if k < 2 or per_arm - k < 2:
@@ -277,47 +296,154 @@ def _layout(scenario: Scenario):
     return treatment, s1, (treatment == 1) & (s1 == 1.0)
 
 
-def _draw(scenario: Scenario, replicate_index: int, shift):
-    """Overlap flags (None without overlap) and (endpoints, n) responses of
-    one replicate, from its own stream; ``shift`` is the per-subject mean."""
-    rng = np.random.default_rng((scenario.seed, replicate_index))
+# numpy's SeedSequence, whose pool holds 4 uint32 words, and PCG64's
+# seeding step.
+_MASK32 = 0xFFFFFFFF
+_POOL_WORDS = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+
+
+def _words(n: int) -> list:
+    """The uint32 entropy words of a nonnegative integer, least significant
+    first, as ``SeedSequence`` splits it (0 is one word)."""
+    words = [n & _MASK32]
+    while n := n >> 32:
+        words.append(n & _MASK32)
+    return words
+
+
+def _hasher(const: int, mult: int, calls: int):
+    """``SeedSequence``'s hashmix over uint32 arrays.  Its hash constant
+    advances with every word hashed, independently of the data, so
+    ``hashmix(values, k)`` hashes the next k words at once: row j of the
+    (k, block) result takes the j-th constant from here."""
+    consts = [const]
+    for _ in range(calls):
+        consts.append(consts[-1] * mult & _MASK32)
+    consts = np.array(consts, dtype=np.uint32)[:, None]
+    used = 0
+
+    def hashmix(values, k: int):
+        nonlocal used
+        values = (values ^ consts[used : used + k]) * consts[used + 1 : used + k + 1]
+        used += k
+        return values ^ values >> 16
+
+    return hashmix
+
+
+def _mix(x, y):
+    """``SeedSequence``'s mix of two uint32 words."""
+    result = np.uint32(_MIX_L) * x - np.uint32(_MIX_R) * y
+    return result ^ result >> 16
+
+
+def _streams(seed: int, start: int, stop: int):
+    """Yield, for each replicate r in start..stop-1, a generator whose stream
+    is that of ``np.random.default_rng((seed, r))``, bit for bit.
+
+    The ``SeedSequence((seed, r))`` entropy pools and their
+    ``generate_state(4, np.uint64)`` words are hashed for the whole block in
+    one vectorized uint32 pass; PCG64's set-seed step turns each into a
+    state, and one ``Generator`` is reseeded in turn, so each yielded
+    generator is valid until the next.  Every r must fit in one uint32 word.
+    """
+    seed_words = _words(int(seed))
+    entropy = np.zeros((max(len(seed_words) + 1, _POOL_WORDS), stop - start), np.uint32)
+    entropy[: len(seed_words)] = np.array(seed_words, dtype=np.uint32)[:, None]
+    entropy[len(seed_words)] = np.arange(start, stop)
+    extra = entropy[_POOL_WORDS:]
+    # mix_entropy: hash the first 4 words into the pool, mix each pool word
+    # into the 3 others, then each remaining word into all 4.
+    hashmix = _hasher(_INIT_A, _MULT_A, _POOL_WORDS**2 + _POOL_WORDS * len(extra))
+    pool = hashmix(entropy[:_POOL_WORDS], _POOL_WORDS)
+    for src in range(_POOL_WORDS):
+        dst = [i for i in range(_POOL_WORDS) if i != src]
+        pool[dst] = _mix(pool[dst], hashmix(pool[src], len(dst)))
+    for word in extra:
+        pool = _mix(pool, hashmix(word, _POOL_WORDS))
+    # generate_state: 8 uint32 words cycling through the pool, read as 4
+    # little-endian uint64 words.
+    state32 = _hasher(_INIT_B, _MULT_B, 8)(np.tile(pool, (2, 1)), 8).astype(np.uint64)
+    seeds = (state32[0::2] | state32[1::2] << np.uint64(32)).T.tolist()
+
+    rng = np.random.Generator(np.random.PCG64(0))
+    state = rng.bit_generator.state
+    for hi, lo, seq_hi, seq_lo in seeds:
+        inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & _MASK128
+        state["state"] = {
+            "state": ((inc + (hi << 64 | lo)) * _PCG_MULT + inc) & _MASK128,
+            "inc": inc,
+        }
+        rng.bit_generator.state = state
+        yield rng
+
+
+def _draw(scenario: Scenario, rng, z):
+    """Draw one replicate from ``rng``: its overlap flags, which it returns
+    (None without overlap), then its standard normal noise into ``z``
+    (endpoints, n)."""
     per_arm = scenario.arm_size
-    n = scenario.total_n
     s1b = None
     if scenario.overlap:
         while True:
-            s1b = (rng.random(n) < scenario.prop_target).astype(float)
+            s1b = (rng.random(scenario.total_n) < scenario.prop_target).astype(float)
             by_arm = s1b.reshape(2, per_arm).sum(axis=1)
             if (by_arm >= 2).all() and (by_arm <= per_arm - 2).all():
                 break
-    z = rng.standard_normal((scenario.endpoints, n))
+    rng.standard_normal(out=z)
+    return s1b
+
+
+def _draw_block(scenario: Scenario, start: int, stop: int, shift):
+    """Overlap flags (block, n), or None without overlap, and responses
+    (block, endpoints, n) of replicates start..stop-1; ``shift`` is the
+    per-subject mean."""
+    y = np.empty((stop - start, scenario.endpoints, scenario.total_n))
+    flags = np.empty((stop - start, scenario.total_n)) if scenario.overlap else None
+    for i, rng in enumerate(_streams(scenario.seed, start, stop)):
+        s1b = _draw(scenario, rng, y[i])
+        if flags is not None:
+            flags[i] = s1b
     if scenario.endpoints == 2:
-        z[1] = scenario.rho * z[0] + math.sqrt(1.0 - scenario.rho**2) * z[1]
-    return s1b, scenario.sd * z + shift
+        rho = scenario.rho
+        y[:, 1] = rho * y[:, 0] + math.sqrt(1.0 - rho**2) * y[:, 1]
+    y *= scenario.sd
+    y += shift
+    return flags, y
 
 
 def generate(scenario: Scenario, replicate_index: int) -> Dataset:
     """One replicate dataset, fully determined by (seed, replicate_index).
 
-    Subjects are laid out reference arm first.  The primary subgroup S1
-    fills the leading ``target_per_arm`` slots of each arm; the overlap
-    subgroup S1b is an independent Bernoulli membership draw with the
-    same target proportion, redrawn until S1b and its complement both
-    keep at least two subjects per arm (so every subset model stays
-    estimable; the redraw probability is negligible beyond tiny designs).
+    Replicate r draws from the stream of ``np.random.default_rng((seed,
+    r))``, seeded as ``run`` seeds it, so the dataset holds exactly the
+    responses and flags that ``run`` sees for r.  Subjects are laid out
+    reference arm first.  The primary subgroup S1 fills the leading
+    ``target_per_arm`` slots of each arm; the overlap subgroup S1b is an
+    independent Bernoulli membership draw with the same target proportion,
+    redrawn until S1b and its complement both keep at least two subjects
+    per arm (so every subset model stays estimable; the redraw probability
+    is negligible beyond tiny designs).
     Draw order is fixed: overlap flags first, then response noise.
     """
     treatment, s1, affected = _layout(scenario)
-    s1b, y = _draw(scenario, replicate_index, scenario.delta * affected)
+    flags, y = _draw_block(
+        scenario, replicate_index, replicate_index + 1, scenario.delta * affected
+    )
     subgroups = {"S1": s1, "S2": 1.0 - s1}
-    if s1b is not None:
-        subgroups["S1b"] = s1b
-        subgroups["S2b"] = 1.0 - s1b
+    if flags is not None:
+        subgroups["S1b"] = flags[0]
+        subgroups["S2b"] = 1.0 - flags[0]
     return Dataset(
         treatment=treatment,
         treatment_levels=("control", "treatment"),
         subgroups=subgroups,
-        responses=dict(zip(scenario.endpoint_names, y)),
+        responses=dict(zip(scenario.endpoint_names, y[0])),
     )
 
 
@@ -346,13 +472,7 @@ def _fit_block(scenario: Scenario, start: int, stop: int):
     ``fit_ols_batch`` result over those models.
     """
     treatment, s1, affected = _layout(scenario)
-    shift = scenario.delta * affected
-    y = np.empty((stop - start, scenario.endpoints, scenario.total_n))
-    flags = np.empty((stop - start, scenario.total_n)) if scenario.overlap else None
-    for i, r in enumerate(range(start, stop)):
-        s1b, y[i] = _draw(scenario, r, shift)
-        if flags is not None:
-            flags[i] = s1b
+    flags, y = _draw_block(scenario, start, stop, scenario.delta * affected)
     specs = scenario.model_specs
     subset = [scenario.subsets.index(spec.subset) for spec in specs]
     endpoint = [scenario.endpoint_names.index(spec.endpoint) for spec in specs]
@@ -382,22 +502,32 @@ def _applicable_methods(scenario: Scenario, methods) -> tuple:
     return methods
 
 
-def _cellmeans_fixture(scenario: Scenario, alpha: float, settings):
+@functools.lru_cache(maxsize=32)
+def _cellmeans_fixture(
+    target_per_arm: int,
+    arm_size: int,
+    family: str,
+    total_n: int,
+    alpha: float,
+    settings: QuadratureSettings,
+):
     """Contrast rows, fixed critical value and row relevance subsets.
 
     Cell counts are fixed by the design, so the contrast correlation and
-    the equicoordinate critical value are shared by every replicate.
+    the equicoordinate critical value are shared by every replicate, and
+    computed once per design: a design run again, under another seed or
+    effect size, reuses them.
     """
-    k = scenario.target_per_arm
-    counts = np.array([k, k, scenario.arm_size - k, scenario.arm_size - k])
+    k = target_per_arm
+    counts = np.array([k, k, arm_size - k, arm_size - k])
     contrasts = default_contrasts(counts)
-    if scenario.family == "targeted-or-total":
+    if family == "targeted-or-total":
         contrasts = contrasts.restrict((0, 2))
     crit = equicoordinate_quantile(
         contrasts.correlation(counts),
         alpha,
         tail="two-sided",
-        df=scenario.total_n - 4,
+        df=total_n - 4,
         settings=settings,
     )
     subsets = tuple(_CELL_ROW_SUBSET[label] for label in contrasts.labels)
@@ -419,9 +549,9 @@ def run(
     relevant statistic falls at or below alpha.
 
     Replicates are processed in blocks (see the module docstring); replicate
-    r always comes from the stream ``(scenario.seed, r)``, so the counts do
-    not depend on the block size.  Exact bounds settle most mmm decisions
-    for a whole block at once; the rest go one by one through
+    r always comes from the stream of ``default_rng((scenario.seed, r))``,
+    so the counts do not depend on the block size.  Exact bounds settle most
+    mmm decisions for a whole block at once; the rest go one by one through
     ``mmm.max_type_rejects``, which integrates each once at ``settings``,
     stopping as soon as the estimate settles the decision, so the seed and
     shifts given here govern every rectangle evaluated.  The result
@@ -436,7 +566,14 @@ def run(
     mmm_modes = [name for name in methods if name in _MMM_MODES]
     treatment, s1, affected = _layout(scenario)
     if "cellmeans" in methods:
-        contrasts, cm_crit, cm_subsets = _cellmeans_fixture(scenario, alpha, settings)
+        contrasts, cm_crit, cm_subsets = _cellmeans_fixture(
+            scenario.target_per_arm,
+            scenario.arm_size,
+            scenario.family,
+            scenario.total_n,
+            alpha,
+            settings,
+        )
         named = _fixed_masks(s1)
         cells = np.array(
             [named[g] & (treatment == code) for g in ("S1", "S2") for code in (0, 1)]

@@ -286,11 +286,22 @@ A4 = [
 ]
 
 
+def cellmeans_fixture(scenario):
+    return simulate._cellmeans_fixture(
+        scenario.target_per_arm,
+        scenario.arm_size,
+        scenario.family,
+        scenario.total_n,
+        0.05,
+        simulate.SIM_SETTINGS,
+    )
+
+
 def test_every_a4_cellmeans_critical_value_within_1e_6():
     assert len(A4) == 20
     for n, prop in A4:
         scenario = simulate.Scenario(total_n=n, prop_target=prop, sd=5.0, family="any")
-        contrasts, crit, _ = simulate._cellmeans_fixture(scenario, 0.05, simulate.SIM_SETTINGS)
+        contrasts, crit, _ = cellmeans_fixture(scenario)
         k = scenario.target_per_arm
         counts = [k, k, scenario.arm_size - k, scenario.arm_size - k]
         corr = contrasts.correlation(counts).entries
@@ -309,7 +320,7 @@ def test_every_a3_cellmeans_critical_value_within_1e_6():
         scenario = simulate.Scenario(
             total_n=n, prop_target=prop, sd=5.0, family="targeted-or-total"
         )
-        contrasts, crit, _ = simulate._cellmeans_fixture(scenario, 0.05, simulate.SIM_SETTINGS)
+        contrasts, crit, _ = cellmeans_fixture(scenario)
         k = scenario.target_per_arm
         counts = [k, k, scenario.arm_size - k, scenario.arm_size - k]
         rho = contrasts.correlation(counts).entries[0, 1]

@@ -5,6 +5,7 @@ import json
 import math
 import pickle
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -94,11 +95,24 @@ class TestScenario:
             (dict(total_n=20, family="all-of-them"), "family"),
             (dict(total_n=20, replications=0), "replications"),
             (dict(total_n=20, prop_target=0.9), "below"),
+            (dict(total_n=20, replications=2**32 + 1), "replications"),
+            (dict(total_n=20, replications=1.5), "replications"),
         ],
     )
     def test_validation(self, overrides, fragment):
         with pytest.raises(SchemaError, match=fragment):
             Scenario(**overrides)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, None, True, "7"], ids=repr)
+    def test_seed_must_be_a_nonnegative_integer(self, seed):
+        with pytest.raises(SchemaError, match="seed"):
+            Scenario(total_n=20, seed=seed)
+
+    def test_integer_seeds_and_replication_bound_accepted(self):
+        s = Scenario(total_n=20, seed=np.int64(5), replications=np.int64(2**32))
+        assert (s.seed, s.replications) == (5, 2**32)
+        assert type(s.seed) is int and type(s.replications) is int
+        assert Scenario(total_n=20, seed=2**130 + 17).seed == 2**130 + 17
 
     def test_dict_round_trip(self):
         s = Scenario(
@@ -208,6 +222,63 @@ class TestGenerate:
             assert list(s1b.reshape(2, 4).sum(axis=1)) == [2.0, 2.0]
 
 
+def default_rng_draw(scenario, r):
+    """Overlap flags and responses of replicate r, drawn from its own
+    ``np.random.default_rng((seed, r))`` one replicate at a time."""
+    rng = np.random.default_rng((scenario.seed, r))
+    per_arm, n = scenario.arm_size, scenario.total_n
+    s1b = None
+    if scenario.overlap:
+        while True:
+            s1b = (rng.random(n) < scenario.prop_target).astype(float)
+            by_arm = s1b.reshape(2, per_arm).sum(axis=1)
+            if (by_arm >= 2).all() and (by_arm <= per_arm - 2).all():
+                break
+    z = rng.standard_normal((scenario.endpoints, n))
+    if scenario.endpoints == 2:
+        z[1] = scenario.rho * z[0] + math.sqrt(1.0 - scenario.rho**2) * z[1]
+    k = scenario.target_per_arm
+    affected = np.r_[np.zeros(per_arm), np.ones(k), np.zeros(per_arm - k)] == 1.0
+    return s1b, scenario.sd * z + scenario.delta * affected
+
+
+class TestStreams:
+    @pytest.mark.parametrize(
+        "seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**130 + 17, np.int64(5)], ids=repr
+    )
+    def test_streams_match_default_rng(self, seed):
+        seen = []
+        for start, stop in ((0, 2), (2**31, 2**31 + 1), (2**32 - 1, 2**32)):
+            for r, rng in zip(range(start, stop), simulate._streams(seed, start, stop)):
+                ref = np.random.default_rng((seed, r))
+                assert rng.bit_generator.state == ref.bit_generator.state
+                # the overlap order: flags, then noise
+                np.testing.assert_array_equal(rng.random(50), ref.random(50))
+                np.testing.assert_array_equal(
+                    rng.standard_normal((2, 50)), ref.standard_normal((2, 50))
+                )
+                seen.append(r)
+        assert seen == [0, 1, 2**31, 2**32 - 1]
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            dict(total_n=8, overlap=True, family="any"),
+            dict(total_n=50, prop_target=0.6, overlap=True, endpoints=2, rho=0.8, delta=2.0),
+        ],
+        ids=["overlap-redraws", "overlap-two-endpoints"],
+    )
+    def test_generate_matches_default_rng_draws(self, fields):
+        scenario = Scenario(seed=29, **fields)
+        for r in range(12):
+            s1b, y = default_rng_draw(scenario, r)
+            data = generate(scenario, r)
+            np.testing.assert_array_equal(data.subgroups["S1b"], s1b)
+            np.testing.assert_array_equal(
+                [data.responses[e] for e in scenario.endpoint_names], y
+            )
+
+
 class TestRunValidation:
     def test_unknown_method(self):
         with pytest.raises(SchemaError, match="unknown methods"):
@@ -235,6 +306,44 @@ class TestRunValidation:
     def test_bad_alpha(self):
         with pytest.raises(ValueError, match="alpha"):
             run(small(), alpha=0.0)
+
+    def test_cellmeans_critical_value_computed_once_per_design(self, monkeypatch):
+        calls = []
+        quantile = simulate.equicoordinate_quantile
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return quantile(*args, **kwargs)
+
+        monkeypatch.setattr(simulate, "equicoordinate_quantile", spy)
+        base = small(replications=30)
+        other = mvdist.QuadratureSettings(target_abs_error=1e-4, shifts=8)
+        # (scenario, alpha, settings, quantile calls so far): a new seed or
+        # effect size reuses the design's critical value, anything the
+        # critical value reads computes it again
+        runs = [
+            (base, 0.05, SIM_SETTINGS, 1),
+            (replace(base, seed=8), 0.05, SIM_SETTINGS, 1),
+            (replace(base, delta=2.0), 0.05, SIM_SETTINGS, 1),
+            (base, 0.1, SIM_SETTINGS, 2),
+            (base, 0.05, other, 3),
+            (replace(base, total_n=24), 0.05, SIM_SETTINGS, 4),
+            (replace(base, family="any"), 0.05, SIM_SETTINGS, 5),
+        ]
+        simulate._cellmeans_fixture.cache_clear()
+        cached = []
+        for scenario, alpha, settings, total in runs:
+            result = run(scenario, ["cellmeans"], alpha=alpha, settings=settings)
+            cached.append(dict(result.rejections))
+            assert len(calls) == total
+        calls.clear()
+        monkeypatch.setattr(
+            simulate, "_cellmeans_fixture", simulate._cellmeans_fixture.__wrapped__
+        )
+        for (scenario, alpha, settings, _), counts in zip(runs, cached):
+            result = run(scenario, ["cellmeans"], alpha=alpha, settings=settings)
+            assert dict(result.rejections) == counts
+        assert len(calls) == len(runs)
 
     def test_rectangles_use_the_callers_seed_and_shifts(self, monkeypatch):
         rect = mvdist.mv_rect_prob
@@ -314,6 +423,11 @@ class TestLoadScenarios:
     def test_rejects_malformed_payloads(self, payload):
         with pytest.raises(SchemaError):
             load_scenarios(io.StringIO(payload))
+
+    @pytest.mark.parametrize("seed", ["-1", "1.5", "null", "true", '"7"'])
+    def test_rejects_bad_seeds(self, seed):
+        with pytest.raises(SchemaError, match="seed"):
+            load_scenarios(io.StringIO(f'[{{"total_n": 20, "seed": {seed}}}]'))
 
 
 @pytest.fixture(scope="module")
@@ -551,12 +665,17 @@ class TestBlockEngine:
     )
     def test_batched_fits_match_fit_ols_and_stack(self, fields):
         scenario = Scenario(seed=3, **fields)
-        y, _, (coef, se, dfs, scores) = simulate._fit_block(scenario, 5, 17)
+        y, used, (coef, se, dfs, scores) = simulate._fit_block(scenario, 5, 17)
         c_hat = score_correlation(scores, [s.label for s in scenario.model_specs])[1]
         for i, r in enumerate(range(5, 17)):
+            # generate(scenario, r) is row r of the block, overlap flags too
             data = generate(scenario, r)
             np.testing.assert_array_equal(
                 y[i], [data.responses[e] for e in scenario.endpoint_names]
+            )
+            np.testing.assert_array_equal(
+                used[i if len(used) > 1 else 0],
+                [data.subset_mask(spec.subset) for spec in scenario.model_specs],
             )
             fit = stack([fit_ols(data, spec) for spec in scenario.model_specs])
             np.testing.assert_allclose(coef[i] / se[i], fit.statistics, rtol=0, atol=1e-12)
