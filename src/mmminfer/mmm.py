@@ -35,7 +35,8 @@ of three rungs and stops at the first that settles the decision:
 
 ``max_type_bounds`` runs the first two rungs on whole arrays of statistics
 and correlation matrices; ``max_type_rejects`` calls it and integrates only
-what it leaves open.
+what it leaves open, through ``_integrated_rejects``, which the simulation
+calls directly for the decisions its own bounds left open.
 
 The unadjusted and Bonferroni baselines live here too; each marginal model
 is tested against its own reference (Student t for gaussian models, normal
@@ -45,6 +46,7 @@ for logit models).  ``infer`` reports all three methods side by side.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import ndtr, ndtri, stdtr, stdtrit
@@ -273,6 +275,12 @@ def max_type_rejects(
         return True
     if accepts:
         return False
+    return _integrated_rejects(corr, b, df, alpha, settings)
+
+
+def _integrated_rejects(corr, b, df, alpha, settings) -> bool:
+    """The decision of ``max_type_rejects`` that its bounds leave open: the
+    rectangle integrated once with ``decide_at = 1 - alpha``."""
     lower, upper = np.full(corr.dim, -b), np.full(corr.dim, b)
     rect = mv_rect_prob(corr, lower, upper, df=df, settings=settings, decide_at=1.0 - alpha)
     return bool(1.0 - rect.value <= alpha)
@@ -317,7 +325,7 @@ def max_type_bounds(b, df, c_hat, alpha: float):
     b, p1 = b.reshape(-1), p1.reshape(-1)
     df = None if df is None else np.broadcast_to(df, shape).reshape(-1)
     c_hat = np.broadcast_to(c_hat, shape + (m, m)).reshape(-1, m, m)
-    i, j = np.triu_indices(m, 1)
+    i, j = _pairs(m)
     chunk = max(1, _PAIR_BLOCK_FLOATS // (len(i) * max(_PAIR_LEVELS)))
     undecided = np.flatnonzero(~(rejects | accepts))
     for start in range(0, len(undecided), chunk):
@@ -331,6 +339,15 @@ def max_type_bounds(b, df, c_hat, alpha: float):
         accepts[rows] = lower > alpha
         paired[rows] = rejects[rows] | accepts[rows]
     return rejects.reshape(shape), accepts.reshape(shape), paired.reshape(shape)
+
+
+@lru_cache(maxsize=16)
+def _pairs(m: int):
+    """``np.triu_indices(m, 1)``, read-only."""
+    pairs = np.triu_indices(m, 1)
+    for a in pairs:
+        a.flags.writeable = False
+    return pairs
 
 
 def _hunter_worsley(p1, pair, err, i, j, m):

@@ -21,9 +21,11 @@ adjusted p-value and simultaneous confidence bound in the package.
   randomized quasi-Monte Carlo: scrambled Sobol points, one independent
   scramble per "shift", the error three standard errors over the scrambles,
   the sample doubling until it meets the target or the budget runs out.
-  Point sets, and on the t path radial factors, are cached (see
-  ``_sobol_points`` and ``_cached_radial``); the integrand streams through
-  them in blocks of at most ``_BLOCK_POINTS``.
+  Point sets are cached as the exact 30-bit integers of each coordinate,
+  in append-only chunks under a byte bound (see ``_sobol_points``), and on
+  the t path so are radial factors (``_cached_radial``); the integrand
+  streams through them in blocks of at most ``_BLOCK_POINTS``, each scaled
+  to floats as it is read.
 
 Equicoordinate quantiles solve the exact probability with Brent's method at
 dimensions 2 and 3, and above it one frozen QMC rule (see
@@ -35,6 +37,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
@@ -550,10 +553,24 @@ def pair_exceedance(b, rho, df=None):
 # ---------------------------------------------------------------------------
 # randomized high-dimensional rule
 
-# Scrambled Sobol point sets, keyed by (qdim, seed, shifts) and grown on
-# demand; entries hold the engines (whose streams continue across calls) and
-# the points drawn so far, shaped (shifts, n, qdim).
-_SOBOL_CACHE: dict = {}
+# Scrambled Sobol point sets, keyed by (qdim, seed, shifts), least recently
+# used first.  An entry is [engines, chunks]: the engines' streams continue
+# across calls, and each growth appends the points it draws as one more
+# chunk, shaped (shifts, n, qdim), so points already drawn are never copied.
+# scipy's Sobol coordinates are k * 2**-_SOBOL_BITS with k a uint32; the
+# chunks hold k, half the bytes of the floats, which ``_read`` restores
+# exactly.  Once all entries hold more than _SOBOL_BYTES, the least recently
+# used go; a key drawn again starts from fresh engines with the same seeds,
+# so its points are the same from index 0.  The bound is well above what the
+# simulation's a5-any and a6-any rows fill at their sample cap (60 MiB) and
+# what an AVERROES analysis fills (24 MiB).
+_SOBOL_BITS = 30
+_SOBOL_BYTES = 1 << 28
+_SOBOL_CACHE: OrderedDict = OrderedDict()
+# Held for each lookup, growth and eviction of _SOBOL_CACHE and
+# _RADIAL_CACHE, so threads sharing a key never draw from its engines at once
+# or see an entry half filled.
+_CACHE_LOCK = threading.Lock()
 
 # Most points the QMC integrand sees in one call: a dimension-9 block then
 # keeps its working arrays (about 1 MB) in cache.  On AVERROES, 2**11 to
@@ -562,31 +579,51 @@ _BLOCK_POINTS = 1 << 13
 
 
 def _sobol_points(qdim, settings, n):
-    """First ``n`` points of each cached scramble, drawing more if needed."""
+    """Chunks of the cached scrambles' integer points, covering at least
+    the first ``n`` of each, drawing more if needed."""
     key = (qdim, settings.seed, settings.shifts)
-    entry = _SOBOL_CACHE.get(key)
-    if entry is None:
-        # scipy.stats costs about a second to import, so only a process that
-        # integrates above dimension 3 pays for it
-        from scipy.stats import qmc
+    with _CACHE_LOCK:
+        entry = _SOBOL_CACHE.pop(key, None)
+        if entry is None:
+            # scipy.stats costs about a second to import, so only a process
+            # that integrates above dimension 3 pays for it
+            from scipy.stats import qmc
 
-        seeds = np.random.SeedSequence(settings.seed).spawn(settings.shifts)
-        engines = [
-            qmc.Sobol(qdim, scramble=True, seed=np.random.default_rng(s))
-            for s in seeds
-        ]
-        entry = [engines, np.empty((settings.shifts, 0, qdim))]
-        _SOBOL_CACHE[key] = entry
-    engines, pts = entry
-    have = pts.shape[1]
-    if n > have:
-        # grow in place: one new array, the old one dropped before the draws
-        grown = np.empty((settings.shifts, n, qdim))
-        grown[:, :have] = pts
-        entry[1] = pts = grown
-        for eng, block in zip(engines, grown[:, have:]):
-            block[...] = eng.random(n - have)
-    return pts[:, :n, :]
+            seeds = np.random.SeedSequence(settings.seed).spawn(settings.shifts)
+            engines = [
+                qmc.Sobol(qdim, scramble=True, bits=_SOBOL_BITS, seed=np.random.default_rng(s))
+                for s in seeds
+            ]
+            entry = [engines, []]
+        _SOBOL_CACHE[key] = entry  # most recently used last
+        engines, chunks = entry
+        have = sum(chunk.shape[1] for chunk in chunks)
+        if n > have:
+            chunk = np.empty((settings.shifts, n - have, qdim), dtype=np.uint32)
+            for eng, block in zip(engines, chunk):
+                np.multiply(eng.random(n - have), 2.0**_SOBOL_BITS, out=block, casting="unsafe")
+            chunks.append(chunk)
+            # an entry larger than the whole bound is not kept
+            while sum(c.nbytes for _, cs in _SOBOL_CACHE.values() for c in cs) > _SOBOL_BYTES:
+                _SOBOL_CACHE.popitem(last=False)
+        return chunks
+
+
+def _read(chunks, rows, a, b, cols=slice(None)):
+    """Points [a, b) of the scrambles ``rows`` (a slice) and coordinates
+    ``cols`` as floats shaped (scrambles, b - a, ...): the integers of the
+    chunks that hold them times 2**-_SOBOL_BITS, which is exact."""
+    pieces = []
+    first = 0
+    for chunk in chunks:
+        last = first + chunk.shape[1]
+        if a < last:
+            pieces.append(chunk[rows, max(a - first, 0) : b - first, cols])
+            if b <= last:
+                break
+        first = last
+    ints = pieces[0] if len(pieces) == 1 else np.concatenate(pieces, axis=1)
+    return ints * 2.0**-_SOBOL_BITS
 
 
 # Radial factors of the multivariate-t path, keyed by (qdim, seed, shifts,
@@ -612,25 +649,27 @@ def _radial_factors(u, df):
     return np.sqrt(2.0 * gammaincinv(0.5 * df, u) / df)
 
 
-def _cached_radial(pts, settings, df, end):
+def _cached_radial(chunks, settings, df, end):
     """Cached radial factors, shaped (shifts, _RADIAL_POINTS), of which the
-    first ``end`` columns are filled; ``pts`` holds at least ``end`` points
-    per scramble and ``end`` must not exceed ``_RADIAL_POINTS``.
+    first ``end`` columns are filled; ``chunks`` of ``_sobol_points`` cover
+    at least ``end`` points per scramble and ``end`` must not exceed
+    ``_RADIAL_POINTS``.
     """
-    key = (pts.shape[2], settings.seed, settings.shifts, df)
-    entry = _RADIAL_CACHE.pop(key, None)
-    if entry is None:
-        entry = [np.empty((settings.shifts, _RADIAL_POINTS)), 0]
-    factors, filled = entry
-    if filled < end:
-        u = np.clip(pts[:, filled:end, 0], _TINY, 1.0 - _TINY)
-        factors[:, filled:end] = _radial_factors(u, df)
-        entry[1] = end
-    _RADIAL_CACHE[key] = entry  # most recently used last
-    # an entry larger than the whole budget (over 128 shifts) is not kept
-    while sum(e[0].size for e in _RADIAL_CACHE.values()) > _RADIAL_VALUES:
-        _RADIAL_CACHE.popitem(last=False)
-    return factors
+    key = (chunks[0].shape[2], settings.seed, settings.shifts, df)
+    with _CACHE_LOCK:
+        entry = _RADIAL_CACHE.pop(key, None)
+        if entry is None:
+            entry = [np.empty((settings.shifts, _RADIAL_POINTS)), 0]
+        factors, filled = entry
+        if filled < end:
+            u = np.clip(_read(chunks, slice(None), filled, end, 0), _TINY, 1.0 - _TINY)
+            factors[:, filled:end] = _radial_factors(u, df)
+            entry[1] = end
+        _RADIAL_CACHE[key] = entry  # most recently used last
+        # an entry larger than the whole budget (over 128 shifts) is not kept
+        while sum(e[0].size for e in _RADIAL_CACHE.values()) > _RADIAL_VALUES:
+            _RADIAL_CACHE.popitem(last=False)
+        return factors
 
 
 class _SobolSampler:
@@ -646,8 +685,10 @@ class _SobolSampler:
     later coordinates' conditional limits at every fixed point.
 
     Points come from the cache of ``_sobol_points``, keyed by integrand
-    dimension, seed and number of shifts.  The integrand streams through
-    them in blocks of at most ``_BLOCK_POINTS`` points, so the transient
+    dimension, seed and number of shifts: 4 bytes per coordinate, in one
+    chunk per growth, least recently used keys dropped past
+    ``_SOBOL_BYTES``.  The integrand streams through them in blocks of at
+    most ``_BLOCK_POINTS`` points, each read as floats, so the transient
     memory of one evaluation is a few arrays of that many points (a few
     MB at dimension 9) plus one float per sample for the values, whatever
     the sample size.
@@ -664,23 +705,23 @@ class _SobolSampler:
 
         The integrand is evaluated one block of at most ``_BLOCK_POINTS``
         points at a time: whole scrambles grouped while they fit in a block,
-        else consecutive runs of one scramble's points read as views.  The
-        values land in one (shifts, count) array, summed as a whole, so the
-        sums do not depend on the blocking.
+        else consecutive runs of one scramble's points, read from the chunks
+        that hold them.  The values land in one (shifts, count) array,
+        summed as a whole, so the sums do not depend on the blocking.
         """
         shifts = self.settings.shifts
         end = start + count
-        pts = _sobol_points(self.qdim, self.settings, end)
+        chunks = _sobol_points(self.qdim, self.settings, end)
         radial = None
         if self.df is not None and end <= _RADIAL_POINTS:
-            radial = _cached_radial(pts, self.settings, self.df, end)
+            radial = _cached_radial(chunks, self.settings, self.df, end)
         rows = max(_BLOCK_POINTS // count, 1)  # scrambles per block
         width = min(count, _BLOCK_POINTS)  # points per scramble per block
         vals = np.empty((shifts, count))
         for j in range(0, shifts, rows):
             for a in range(start, end, width):
                 b = min(a + width, end)
-                w = pts[j : j + rows, a:b].reshape(-1, self.qdim)
+                w = _read(chunks, slice(j, j + rows), a, b).reshape(-1, self.qdim)
                 if self.df is None:
                     block = _genz_weights(self.chol, lower, upper, w)
                 else:

@@ -44,9 +44,10 @@ replicate count; the fit holds about eight such arrays at once, so a block
 adds under 10 MB to peak memory.
 
 Only replicates between the mmm bounds build a ``CorrelationMatrix`` (from
-the already validated C_hat, without checking it again) and go through
-``mmm.max_type_rejects``, which integrates the rectangle once at the
-caller's settings, stopping as soon as its estimate settles the decision.
+the already validated C_hat, without checking it again) and go through the
+integration step of ``mmm.max_type_rejects`` (its bounds already ran on the
+block), which integrates the rectangle once at the caller's settings,
+stopping as soon as its estimate settles the decision.
 ``SimResult.mmm_decisions`` counts, per mmm variant, the decisions settled
 at each rung of this ladder (``DECISION_STAGES``).  Under ``dfind`` the
 first-order upper bound is the Bonferroni test of the largest statistic, so
@@ -58,6 +59,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import numbers
 import time
 from dataclasses import asdict, dataclass, field
 from types import MappingProxyType
@@ -68,7 +70,7 @@ from scipy.special import stdtr
 from .contrasts import cell_moments, default_contrasts
 from .errors import IncompatibleMethod, SchemaError
 from .linmodels import Dataset, ModelSpec, fit_ols_batch
-from .mmm import joint_scale, max_type_bounds, max_type_rejects, score_correlation
+from .mmm import _integrated_rejects, joint_scale, max_type_bounds, score_correlation
 # mv_rect_prob stays bound here: perfbench/test_harness.py checks that the
 # benchmark's tracer patches and restores this binding.
 from .mvdist import (  # noqa: F401
@@ -157,6 +159,17 @@ class Scenario:
     seed: int = 20150436
 
     def __post_init__(self):
+        # a wrong type fails here, not deep in numpy at ``run``, and never
+        # runs as another value ("false" is truthy, True is 1)
+        if not isinstance(self.overlap, (bool, np.bool_)):
+            raise SchemaError(f"overlap must be a bool, got {self.overlap!r}")
+        for name in ("total_n", "endpoints"):
+            if not _is_integer(getattr(self, name)):
+                raise SchemaError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        for name in ("sd", "prop_target", "delta", "rho"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Real) or isinstance(value, bool):
+                raise SchemaError(f"{name} must be a real number, got {value!r}")
         if self.total_n < 8 or self.total_n % 2:
             raise SchemaError(f"total_n must be even and at least 8, got {self.total_n}")
         if not 0.0 < self.prop_target < 1.0:
@@ -552,10 +565,11 @@ def run(
     r always comes from the stream of ``default_rng((scenario.seed, r))``,
     so the counts do not depend on the block size.  Exact bounds settle most
     mmm decisions for a whole block at once; the rest go one by one through
-    ``mmm.max_type_rejects``, which integrates each once at ``settings``,
-    stopping as soon as the estimate settles the decision, so the seed and
-    shifts given here govern every rectangle evaluated.  The result
-    counts each mmm method's decisions per rung (``mmm_decisions``).
+    the integration step of ``mmm.max_type_rejects``, which integrates each
+    once at ``settings``, stopping as soon as the estimate settles the
+    decision, so the seed and shifts given here govern every rectangle
+    evaluated.  The result counts each mmm method's decisions per rung
+    (``mmm_decisions``).
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
@@ -624,7 +638,7 @@ def run(
                 for i in np.flatnonzero(undecided):
                     corr = CorrelationMatrix._checked(c_hat[i])
                     df_i = None if df is None else int(df[i])
-                    rejects[i] = max_type_rejects(corr, b[i], df_i, alpha, settings)
+                    rejects[i] = _integrated_rejects(corr, b[i], df_i, alpha, settings)
                 counts[name] += int(rejects.sum())
 
     return SimResult(

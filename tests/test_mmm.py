@@ -452,12 +452,14 @@ def test_integrated_decisions_match_the_tight_p_value(monkeypatch, fields):
     more than three times its error from alpha."""
     decisions = []
 
+    integrated = mmm._integrated_rejects
+
     def spy(corr, b, df, alpha, settings):
-        rejects = max_type_rejects(corr, b, df, alpha, settings)
+        rejects = integrated(corr, b, df, alpha, settings)
         decisions.append((corr, b, df, rejects))
         return rejects
 
-    monkeypatch.setattr(simulate, "max_type_rejects", spy)
+    monkeypatch.setattr(simulate, "_integrated_rejects", spy)
     scenario = Scenario(total_n=50, prop_target=0.6, seed=20150436, replications=200, **fields)
     simulate.run(scenario)
     assert decisions

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from collections import OrderedDict
 from pathlib import Path
@@ -550,7 +551,7 @@ def t_path_values(calls=T_CALLS):
 
 @pytest.fixture
 def empty_point_caches(monkeypatch):
-    monkeypatch.setattr(mvdist, "_SOBOL_CACHE", {})
+    monkeypatch.setattr(mvdist, "_SOBOL_CACHE", OrderedDict())
     monkeypatch.setattr(mvdist, "_RADIAL_CACHE", OrderedDict())
 
 
@@ -629,21 +630,31 @@ class TestRadialCache:
         assert nbytes <= 8 * mvdist._RADIAL_VALUES
 
 
+def scipy_points(qdim, settings, n):
+    """First ``n`` points of each scramble drawn afresh from scipy as floats,
+    shaped (shifts, n, qdim): the reference the point store must match."""
+    from scipy.stats import qmc
+
+    seeds = np.random.SeedSequence(settings.seed).spawn(settings.shifts)
+    draw = 1 << max(n - 1, 1).bit_length()  # a power of two keeps scipy quiet
+    return np.stack(
+        [qmc.Sobol(qdim, scramble=True, seed=np.random.default_rng(s)).random(draw)[:n] for s in seeds]
+    )
+
+
 def whole_range_sums(sampler, lower, upper, start, count):
     """Integrand sums per scramble from one integrand call over all points
-    of the range, reshaped into one array (no blocks)."""
+    of the range, reshaped into one array (no blocks), on points and radial
+    factors computed here rather than read from the caches."""
     s, df = sampler.settings, sampler.df
     end = start + count
-    pts = mvdist._sobol_points(sampler.qdim, s, end)
+    pts = scipy_points(sampler.qdim, s, end)
     w = pts[:, start:end, :].reshape(-1, sampler.qdim)
     if df is None:
         vals = mvdist._genz_weights(sampler.chol, lower, upper, w)
     else:
-        if end <= mvdist._RADIAL_POINTS:
-            radial = mvdist._cached_radial(pts, s, df, end)[:, start:end].reshape(-1)
-        else:
-            u = np.clip(w[:, 0], mvdist._TINY, 1.0 - mvdist._TINY)
-            radial = mvdist._radial_factors(u, df)
+        u = np.clip(w[:, 0], mvdist._TINY, 1.0 - mvdist._TINY)
+        radial = mvdist._radial_factors(u, df)
         vals = mvdist._genz_weights(sampler.chol, lower, upper, w[:, 1:], radial)
     return vals.reshape(s.shifts, count).sum(axis=1)
 
@@ -732,6 +743,127 @@ class TestStreamedSums:
         finally:
             tracemalloc.stop()
         assert peak < 16 << 20
+
+
+def cache_bytes():
+    return sum(c.nbytes for _, chunks in mvdist._SOBOL_CACHE.values() for c in chunks)
+
+
+class TestPointStore:
+    @pytest.mark.parametrize("qdim, shifts", [(4, 8), (6, 12), (9, 8)])
+    def test_integers_equal_scipy_points(self, qdim, shifts, empty_point_caches):
+        dim = qdim + 1  # the normal path integrates dim - 1 coordinates
+        corr = CorrelationMatrix(np.full((dim, dim), 0.3) + 0.7 * np.eye(dim))
+        limits = np.full(dim, -2.0), np.full(dim, 2.0)
+        # growths of 64, 64, 128 points, then 256 and 512 under a first round
+        # of 100 (rounded up to 128)
+        for first, n in ((64, 256), (100, 1024)):
+            s = QuadratureSettings(shifts=shifts, first_round_samples=first)
+            mvdist._SobolSampler(corr.cholesky(), None, s).estimate_fixed(*limits, n)
+        ((_, chunks),) = mvdist._SOBOL_CACHE.values()
+        assert [c.shape[1] for c in chunks] == [64, 64, 128, 256, 512]
+        assert all(c.dtype == np.uint32 and c.shape[::2] == (shifts, qdim) for c in chunks)
+        want = scipy_points(qdim, s, 1024)
+        stored = np.concatenate(chunks, axis=1) * 2.0**-30
+        np.testing.assert_array_equal(stored, want)
+        # a range across four chunks, part of the scrambles, as read for a block
+        got = mvdist._read(chunks, slice(1, 3), 100, 700)
+        np.testing.assert_array_equal(got, want[1:3, 100:700])
+        np.testing.assert_array_equal(mvdist._read(chunks, slice(None), 5, 600, 0), want[:, 5:600, 0])
+
+    def test_fill_stores_four_bytes_per_coordinate_without_copies(self, empty_point_caches):
+        dim, shifts = 6, 8
+        corr = CorrelationMatrix(np.full((dim, dim), 0.5) + 0.5 * np.eye(dim))
+        s = QuadratureSettings(
+            target_abs_error=1e-12, max_samples=shifts << 15, shifts=shifts, first_round_samples=64
+        )
+        tracemalloc.start()
+        try:
+            r = mv_rect_prob(corr, np.full(dim, -np.inf), np.full(dim, 2.0), settings=s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        n = r.samples // shifts
+        assert n == 1 << 15  # ran to the sample cap
+        assert cache_bytes() == 4 * shifts * n * (dim - 1)
+        # the last round draws n / 2 points per scramble, as float64
+        last_round = 8 * shifts * (n // 2) * (dim - 1)
+        assert peak < cache_bytes() + last_round
+        # growing further appends a chunk and leaves the others in place
+        ((_, chunks),) = mvdist._SOBOL_CACHE.values()
+        held = list(chunks)
+        mvdist._sobol_points(dim - 1, s, 2 * n)
+        assert len(chunks) == len(held) + 1
+        assert all(a is b for a, b in zip(chunks, held))
+
+    def test_least_recently_used_keys_are_dropped(self, empty_point_caches, monkeypatch):
+        shifts, n = 8, 1 << 12
+        s = QuadratureSettings(
+            target_abs_error=1e-12, max_samples=shifts * n, shifts=shifts, first_round_samples=64
+        )
+        # room for the points of qdims 4 and 6 (10 coordinates), not for qdim 5 too
+        monkeypatch.setattr(mvdist, "_SOBOL_BYTES", 4 * shifts * n * 11)
+
+        def value(dim):
+            corr = CorrelationMatrix(np.full((dim, dim), 0.5) + 0.5 * np.eye(dim))
+            r = mv_rect_prob(corr, np.full(dim, -2.2), np.full(dim, 2.2), df=9, settings=s)
+            return r.value, r.error, r.samples
+
+        first = value(4)  # qdim 4: dimension 4 on the t path
+        value(5)
+        value(4)  # qdim 4 used again, qdim 5 now least recently used
+        value(6)
+        assert [key[0] for key in mvdist._SOBOL_CACHE] == [4, 6]
+        assert cache_bytes() <= mvdist._SOBOL_BYTES
+        value(5)  # drops qdim 4, which then starts again from fresh engines
+        assert [key[0] for key in mvdist._SOBOL_CACHE] == [6, 5]
+        assert value(4) == first
+
+    def test_threads_sharing_a_key_get_the_sequential_values(self, empty_point_caches):
+        dim = 5
+        corr = CorrelationMatrix(random_correlation(np.random.default_rng(93), dim))
+        s = QuadratureSettings(
+            target_abs_error=1e-12, max_samples=8 << 12, shifts=8, first_round_samples=64
+        )
+        edges = [1.9 + 0.1 * k for k in range(6)]  # one thread each, more than cores
+
+        def value(b):
+            r = mv_rect_prob(corr, np.full(dim, -b), np.full(dim, b), df=7, settings=s)
+            return r.value, r.error
+
+        want = [value(b) for b in edges]
+        got = [None] * len(edges)
+
+        def work(k):
+            got[k] = value(edges[k])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):  # each round from empty caches
+                mvdist._SOBOL_CACHE.clear()
+                mvdist._RADIAL_CACHE.clear()
+                got[:] = [None] * len(edges)
+                threads = [threading.Thread(target=work, args=(k,)) for k in range(len(edges))]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=120)
+                assert not any(t.is_alive() for t in threads)
+                assert got == want
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_an_entry_above_the_bound_is_not_kept(self, empty_point_caches, monkeypatch):
+        dim = 5
+        corr = CorrelationMatrix(np.full((dim, dim), 0.5) + 0.5 * np.eye(dim))
+        limits = np.full(dim, -2.2), np.full(dim, 2.2)
+        s = QuadratureSettings(target_abs_error=1e-4, shifts=8, first_round_samples=64)
+        kept = mv_rect_prob(corr, *limits, settings=s)
+        mvdist._SOBOL_CACHE.clear()
+        monkeypatch.setattr(mvdist, "_SOBOL_BYTES", 1)
+        assert mv_rect_prob(corr, *limits, settings=s) == kept
+        assert not mvdist._SOBOL_CACHE
 
 
 class TestDoublingRounds:

@@ -108,6 +108,27 @@ class TestScenario:
         with pytest.raises(SchemaError, match="seed"):
             Scenario(total_n=20, seed=seed)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("overlap", "false"),
+            ("overlap", 1),
+            ("endpoints", 1.0),
+            ("total_n", 20.0),
+            ("total_n", "20"),
+            ("delta", True),
+            ("sd", "5"),
+            ("prop_target", None),
+            ("rho", False),
+        ],
+        ids=repr,
+    )
+    def test_fields_of_the_wrong_type_are_rejected(self, field, value):
+        fields = dict(total_n=20)
+        fields[field] = value
+        with pytest.raises(SchemaError, match=field):
+            Scenario(**fields)
+
     def test_integer_seeds_and_replication_bound_accepted(self):
         s = Scenario(total_n=20, seed=np.int64(5), replications=np.int64(2**32))
         assert (s.seed, s.replications) == (5, 2**32)
@@ -424,6 +445,10 @@ class TestLoadScenarios:
         with pytest.raises(SchemaError):
             load_scenarios(io.StringIO(payload))
 
+    def test_rejects_a_string_for_a_bool(self):
+        with pytest.raises(SchemaError, match="overlap"):
+            load_scenarios(io.StringIO('[{"total_n": 20, "overlap": "false"}]'))
+
     @pytest.mark.parametrize("seed", ["-1", "1.5", "null", "true", '"7"'])
     def test_rejects_bad_seeds(self, seed):
         with pytest.raises(SchemaError, match="seed"):
@@ -697,7 +722,7 @@ class TestBlockEngine:
 
     def test_only_integrated_decisions_reach_quadrature(self, monkeypatch):
         integrated, rects = [], []
-        rejects, rect = mmm.max_type_rejects, mmm.mv_rect_prob
+        rejects, rect = mmm._integrated_rejects, mmm.mv_rect_prob
 
         def spy_rejects(*args, **kwargs):
             integrated.append(args)
@@ -707,7 +732,7 @@ class TestBlockEngine:
             rects.append(args)
             return rect(*args, **kwargs)
 
-        monkeypatch.setattr(simulate, "max_type_rejects", spy_rejects)
+        monkeypatch.setattr(simulate, "_integrated_rejects", spy_rejects)
         monkeypatch.setattr(mmm, "mv_rect_prob", spy_rect)
         fields = dict(ORACLE_ROWS)["a5-any"]
         result = run(Scenario(seed=20150436, **dict(fields, replications=200)))
