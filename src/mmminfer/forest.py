@@ -11,7 +11,7 @@ with no external references, so it renders anywhere.
 from __future__ import annotations
 
 import math
-from xml.sax.saxutils import escape
+from html import escape
 
 from .report import InferenceReport, _format_bound
 
@@ -101,7 +101,7 @@ def _text(x, y, content, anchor="start", weight=None, size=FONT_SIZE, color="#00
     style = f' font-weight="{weight}"' if weight else ""
     return (
         f'<text x="{x:.1f}" y="{y:.1f}" font-family="{FONT}" font-size="{size}"'
-        f' fill="{color}" text-anchor="{anchor}"{style}>{escape(content)}</text>'
+        f' fill="{color}" text-anchor="{anchor}"{style}>{escape(content, quote=False)}</text>'
     )
 
 

@@ -21,7 +21,10 @@ adjusted p-value and simultaneous confidence bound in the package.
   randomized quasi-Monte Carlo: scrambled Sobol points, one independent
   scramble per "shift", the error three standard errors over the scrambles,
   the sample doubling until it meets the target or the budget runs out.
-  Point sets are cached as the exact 30-bit integers of each coordinate,
+  The points are scipy's scrambled Sobol points bit for bit, computed here
+  by index from each scramble's shift and direction numbers
+  (``_sobol_range``), so neither scipy.stats nor an engine's state is
+  needed.  They are cached as the exact 30-bit integers of each coordinate,
   in append-only chunks under a byte bound (see ``_sobol_points``), and on
   the t path so are radial factors (``_cached_radial``); the integrand
   streams through them in blocks of at most ``_BLOCK_POINTS``, each scaled
@@ -29,21 +32,24 @@ adjusted p-value and simultaneous confidence bound in the package.
 
 Equicoordinate quantiles solve the exact probability with Brent's method at
 dimensions 2 and 3, and above it one frozen QMC rule (see
-``equicoordinate_quantile``).  ``pair_exceedance`` gives the bivariate
-exceedances that the pairwise bounds of ``mmm.max_type_bounds`` need.
+``equicoordinate_quantile``); ``_brent`` is scipy's ``brentq`` step for
+step, so scipy.optimize is not needed either.  ``pair_exceedance`` gives
+the bivariate exceedances that the pairwise bounds of
+``mmm.max_type_bounds`` need.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+import os
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import brentq
+import scipy
 from scipy.special import betainc, gammaincinv, gammaln, ndtr, ndtri, owens_t
 from scipy.special import roots_legendre, stdtr, stdtrit
 
@@ -84,8 +90,10 @@ _RANK_TOL = 1e-12
 # times the cost.
 _OUTER_NODES, _OUTER_TAIL = (24, 48), 1e-20
 _SHARP, _SHARP_CUTS = 0.05, (-8.0, -2.0, -0.5, 0.0, 0.5, 2.0, 8.0)
-# Brent tolerance in c of the exact quantiles.
+# Brent tolerance in c of the exact quantiles, and the relative tolerance of
+# every Brent root (scipy's, a Python float so the iterates stay floats).
 _EXACT_XTOL = 1e-7
+_BRENT_RTOL = 4.0 * float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -553,23 +561,30 @@ def pair_exceedance(b, rho, df=None):
 # ---------------------------------------------------------------------------
 # randomized high-dimensional rule
 
-# Scrambled Sobol point sets, keyed by (qdim, seed, shifts), least recently
-# used first.  An entry is [engines, chunks]: the engines' streams continue
-# across calls, and each growth appends the points it draws as one more
-# chunk, shaped (shifts, n, qdim), so points already drawn are never copied.
-# scipy's Sobol coordinates are k * 2**-_SOBOL_BITS with k a uint32; the
-# chunks hold k, half the bytes of the floats, which ``_read`` restores
-# exactly.  Once all entries hold more than _SOBOL_BYTES, the least recently
-# used go; a key drawn again starts from fresh engines with the same seeds,
-# so its points are the same from index 0.  The bound is well above what the
-# simulation's a5-any and a6-any rows fill at their sample cap (60 MiB) and
-# what an AVERROES analysis fills (24 MiB).
+# Scrambled Sobol points, built here as scipy's ``qmc.Sobol(qdim,
+# scramble=True, bits=_SOBOL_BITS, rng=default_rng(s))`` builds them, bit for
+# bit, for each s of ``SeedSequence(seed).spawn(shifts)``: Joe-Kuo direction
+# numbers (Joe & Kuo 2008, SIAM J. Sci. Comput. 30, the table scipy ships),
+# a linear matrix scramble and a digital shift per scramble.  Coordinates are
+# k * 2**-_SOBOL_BITS with k an integer below 2**30; point k of a scramble is
+# its shift XOR the direction numbers of the set bits of k's Gray code, so
+# any range of points is computed directly (``_sobol_range``).
 _SOBOL_BITS = 30
+# Points of each (qdim, seed, shifts), least recently used first.  An entry
+# is (first, chunks): the points from index ``first`` on, in chunks shaped
+# (shifts, n, qdim) of int32 k, half the bytes of the floats, which ``_read``
+# restores exactly.  Each growth appends the points it computes as one more
+# chunk, so points already held are never copied.  Once all entries hold
+# more than _SOBOL_BYTES, the least recently used go; an entry larger than
+# the whole bound goes at once, and the next round of its call computes only
+# the points it reads.  The bound is well above what the simulation's a5-any
+# and a6-any rows fill at their sample cap (60 MiB) and what an AVERROES
+# analysis fills (24 MiB).
 _SOBOL_BYTES = 1 << 28
 _SOBOL_CACHE: OrderedDict = OrderedDict()
 # Held for each lookup, growth and eviction of _SOBOL_CACHE and
-# _RADIAL_CACHE, so threads sharing a key never draw from its engines at once
-# or see an entry half filled.
+# _RADIAL_CACHE, so threads sharing a key never compute its points twice or
+# see an entry half filled.
 _CACHE_LOCK = threading.Lock()
 
 # Most points the QMC integrand sees in one call: a dimension-9 block then
@@ -578,47 +593,103 @@ _CACHE_LOCK = threading.Lock()
 _BLOCK_POINTS = 1 << 13
 
 
-def _sobol_points(qdim, settings, n):
-    """Chunks of the cached scrambles' integer points, covering at least
-    the first ``n`` of each, drawing more if needed."""
+@lru_cache(maxsize=8)
+def _direction_numbers(qdim):
+    """Unscrambled direction numbers, shaped (qdim, _SOBOL_BITS): column j of
+    coordinate d is its j-th direction integer m_j times 2**(29 - j), from the
+    primitive polynomials and initial numbers of the Joe-Kuo table by the
+    recurrence of Bratley & Fox (1988, ACM TOMS 14)."""
+    path = os.path.join(os.path.dirname(scipy.__file__), "stats", "_sobol_direction_numbers.npz")
+    with np.load(path) as table:
+        polys, inits = table["poly"][:qdim].tolist(), table["vinit"][:qdim].tolist()
+    rows = [[1] * _SOBOL_BITS]
+    for poly, init in zip(polys[1:], inits[1:]):
+        degree = poly.bit_length() - 1
+        row = init[:degree]
+        for j in range(degree, _SOBOL_BITS):
+            new = row[j - degree]
+            for k in range(degree):
+                if poly >> (degree - 1 - k) & 1:
+                    new ^= row[j - k - 1] << (k + 1)
+            row.append(new)
+        rows.append(row)
+    return np.array(rows, dtype=np.int64) << np.arange(_SOBOL_BITS - 1, -1, -1)
+
+
+@lru_cache(maxsize=32)
+def _scrambles(qdim, seed, shifts):
+    """Digital shifts, shaped (shifts, qdim), and scrambled direction numbers,
+    shaped (shifts, _SOBOL_BITS, qdim), both int32.
+
+    Scramble i draws from one generator spawned from the i-th child of
+    ``SeedSequence(seed)``, as scipy spawns it from ``default_rng`` of that
+    child: the shift's bits, then lower-triangular bit matrices, whose
+    diagonal is set to 1.  Bit 29 - p of a scrambled number is the parity of
+    row p of its coordinate's matrix, read with column c as bit 29 - c,
+    against the unscrambled number (Matousek 1998, J. Complexity 14).
+    """
+    bits = np.arange(_SOBOL_BITS)
+    # [d, c, j]: bit 29 - c of direction number j of coordinate d
+    direction_bits = np.swapaxes(_direction_numbers(qdim)[..., None] >> bits[::-1] & 1, 1, 2)
+    shift = np.empty((shifts, qdim), dtype=np.int32)
+    directions = np.empty((shifts, _SOBOL_BITS, qdim), dtype=np.int32)
+    for i, child in enumerate(np.random.SeedSequence(seed).spawn(shifts)):
+        rng = np.random.Generator(np.random.PCG64(child.spawn(1)[0]))
+        shift[i] = rng.integers(0, 2, (qdim, _SOBOL_BITS), dtype=np.uint32) @ (1 << bits)
+        lower = np.tril(rng.integers(0, 2, (qdim, _SOBOL_BITS, _SOBOL_BITS), dtype=np.uint32))
+        lower[:, bits, bits] = 1
+        parity = (lower.astype(np.int64) @ direction_bits) & 1  # [d, p, j]
+        directions[i] = (parity << (_SOBOL_BITS - 1 - bits)[:, None]).sum(axis=1).T
+    shift.flags.writeable = directions.flags.writeable = False
+    return shift, directions
+
+
+def _sobol_range(scrambles, a, b, cols=slice(None)):
+    """Points [a, b) of every scramble of ``_scrambles``, coordinates ``cols``,
+    as int32 shaped (shifts, b - a, ...): point a from the Gray code of a,
+    then one XOR per point of the direction number of its index's lowest set
+    bit, as ``qmc.Sobol`` steps."""
+    if b > 1 << _SOBOL_BITS:
+        raise ValueError(f"at most 2**{_SOBOL_BITS} Sobol points per scramble")
+    shift, directions = scrambles
+    index = np.arange(a, b)
+    # the lowest set bit of each index (frexp is exact); point a's is unused
+    lowest = np.frexp(index & -index)[1] - 1
+    out = np.take(directions[..., cols], lowest, axis=1)  # C order, unlike [:, lowest]
+    gray = np.flatnonzero((a ^ (a >> 1)) >> np.arange(_SOBOL_BITS) & 1)
+    out[:, 0] = shift[:, cols] ^ np.bitwise_xor.reduce(directions[:, gray, cols], axis=1)
+    return np.bitwise_xor.accumulate(out, axis=1, out=out)
+
+
+def _sobol_points(qdim, settings, start, end):
+    """(first, chunks) of the cached points of every scramble, covering
+    points [start, end) of each: the entry, grown to ``end`` if needed, or a
+    new one from ``start`` when the entry is missing or does not reach it."""
     key = (qdim, settings.seed, settings.shifts)
     with _CACHE_LOCK:
-        entry = _SOBOL_CACHE.pop(key, None)
-        if entry is None:
-            # scipy.stats costs about a second to import, so only a process
-            # that integrates above dimension 3 pays for it
-            from scipy.stats import qmc
-
-            seeds = np.random.SeedSequence(settings.seed).spawn(settings.shifts)
-            engines = [
-                qmc.Sobol(qdim, scramble=True, bits=_SOBOL_BITS, seed=np.random.default_rng(s))
-                for s in seeds
-            ]
-            entry = [engines, []]
-        _SOBOL_CACHE[key] = entry  # most recently used last
-        engines, chunks = entry
-        have = sum(chunk.shape[1] for chunk in chunks)
-        if n > have:
-            chunk = np.empty((settings.shifts, n - have, qdim), dtype=np.uint32)
-            for eng, block in zip(engines, chunk):
-                np.multiply(eng.random(n - have), 2.0**_SOBOL_BITS, out=block, casting="unsafe")
-            chunks.append(chunk)
-            # an entry larger than the whole bound is not kept
-            while sum(c.nbytes for _, cs in _SOBOL_CACHE.values() for c in cs) > _SOBOL_BYTES:
-                _SOBOL_CACHE.popitem(last=False)
-        return chunks
+        first, chunks = _SOBOL_CACHE.pop(key, (start, ()))
+        have = first + sum(chunk.shape[1] for chunk in chunks)
+        if not first <= start <= have:
+            first, chunks, have = start, (), start
+        if end > have:
+            chunks += (_sobol_range(_scrambles(*key), have, end),)
+        _SOBOL_CACHE[key] = first, chunks  # most recently used last
+        while sum(c.nbytes for _, cs in _SOBOL_CACHE.values() for c in cs) > _SOBOL_BYTES:
+            _SOBOL_CACHE.popitem(last=False)
+        return first, chunks
 
 
-def _read(chunks, rows, a, b, cols=slice(None)):
-    """Points [a, b) of the scrambles ``rows`` (a slice) and coordinates
-    ``cols`` as floats shaped (scrambles, b - a, ...): the integers of the
-    chunks that hold them times 2**-_SOBOL_BITS, which is exact."""
+def _read(points, rows, a, b):
+    """Points [a, b) of the scrambles ``rows`` (a slice) as floats shaped
+    (scrambles, b - a, qdim), from ``_sobol_points``' (first, chunks): the
+    integers of the chunks that hold them times 2**-_SOBOL_BITS, which is
+    exact."""
+    first, chunks = points
     pieces = []
-    first = 0
     for chunk in chunks:
         last = first + chunk.shape[1]
         if a < last:
-            pieces.append(chunk[rows, max(a - first, 0) : b - first, cols])
+            pieces.append(chunk[rows, max(a - first, 0) : b - first])
             if b <= last:
                 break
         first = last
@@ -649,20 +720,20 @@ def _radial_factors(u, df):
     return np.sqrt(2.0 * gammaincinv(0.5 * df, u) / df)
 
 
-def _cached_radial(chunks, settings, df, end):
+def _cached_radial(qdim, settings, df, end):
     """Cached radial factors, shaped (shifts, _RADIAL_POINTS), of which the
-    first ``end`` columns are filled; ``chunks`` of ``_sobol_points`` cover
-    at least ``end`` points per scramble and ``end`` must not exceed
-    ``_RADIAL_POINTS``.
+    first ``end`` columns are filled, from the leading coordinate of the
+    points; ``end`` must not exceed ``_RADIAL_POINTS``.
     """
-    key = (chunks[0].shape[2], settings.seed, settings.shifts, df)
+    key = (qdim, settings.seed, settings.shifts, df)
     with _CACHE_LOCK:
         entry = _RADIAL_CACHE.pop(key, None)
         if entry is None:
             entry = [np.empty((settings.shifts, _RADIAL_POINTS)), 0]
         factors, filled = entry
         if filled < end:
-            u = np.clip(_read(chunks, slice(None), filled, end, 0), _TINY, 1.0 - _TINY)
+            ints = _sobol_range(_scrambles(qdim, settings.seed, settings.shifts), filled, end, 0)
+            u = np.clip(ints * 2.0**-_SOBOL_BITS, _TINY, 1.0 - _TINY)
             factors[:, filled:end] = _radial_factors(u, df)
             entry[1] = end
         _RADIAL_CACHE[key] = entry  # most recently used last
@@ -687,7 +758,8 @@ class _SobolSampler:
     Points come from the cache of ``_sobol_points``, keyed by integrand
     dimension, seed and number of shifts: 4 bytes per coordinate, in one
     chunk per growth, least recently used keys dropped past
-    ``_SOBOL_BYTES``.  The integrand streams through them in blocks of at
+    ``_SOBOL_BYTES``; a round whose points are not held computes only its
+    own range.  The integrand streams through them in blocks of at
     most ``_BLOCK_POINTS`` points, each read as floats, so the transient
     memory of one evaluation is a few arrays of that many points (a few
     MB at dimension 9) plus one float per sample for the values, whatever
@@ -711,17 +783,17 @@ class _SobolSampler:
         """
         shifts = self.settings.shifts
         end = start + count
-        chunks = _sobol_points(self.qdim, self.settings, end)
+        points = _sobol_points(self.qdim, self.settings, start, end)
         radial = None
         if self.df is not None and end <= _RADIAL_POINTS:
-            radial = _cached_radial(chunks, self.settings, self.df, end)
+            radial = _cached_radial(self.qdim, self.settings, self.df, end)
         rows = max(_BLOCK_POINTS // count, 1)  # scrambles per block
         width = min(count, _BLOCK_POINTS)  # points per scramble per block
         vals = np.empty((shifts, count))
         for j in range(0, shifts, rows):
             for a in range(start, end, width):
                 b = min(a + width, end)
-                w = _read(chunks, slice(j, j + rows), a, b).reshape(-1, self.qdim)
+                w = _read(points, slice(j, j + rows), a, b).reshape(-1, self.qdim)
                 if self.df is None:
                     block = _genz_weights(self.chol, lower, upper, w)
                 else:
@@ -845,16 +917,72 @@ def _quantile_bracket(alpha, tail, dim, df):
     return float(stdtrit(df, p_lo)), float(stdtrit(df, p_hi))
 
 
+def _brent(f, a, b, xtol):
+    """Root of ``f`` on [a, b] by Brent's method (Brent 1973, Algorithms for
+    Minimization without Derivatives, ch. 4), line for line scipy's
+    ``brentq`` (its C ``brentq``, relative tolerance 4 eps and limit of 100
+    iterations), so it evaluates the same points in the same order and
+    returns the same root.
+
+    Raises ValueError when f(a) and f(b) have the same sign or f is NaN, and
+    RuntimeError when 100 iterations do not converge.
+    """
+
+    def value(x):
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"the function value at x={x:.20g} is NaN")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(100):
+        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0.0 else -delta)
+        fcur = value(xcur)
+    raise RuntimeError("Failed to converge after 100 iterations.")
+
+
 def _root(excess, a, b, at_a, at_b, xtol=1e-5):
     """Brent's root of ``excess`` on [a, b] to ``xtol``, given its values at
     both ends, which must differ in sign; the ends cost no evaluation."""
     known = {a: at_a, b: at_b}
 
     def f(c):
-        # brentq starts at the endpoints, whose values are already known
+        # Brent's method starts at the endpoints, whose values are known
         return known.pop(c) if c in known else excess(c)
 
-    return float(brentq(f, a, b, xtol=xtol))
+    return _brent(f, a, b, xtol)
 
 
 def _edge_or_root(excess, lo, hi, xtol=1e-5):
@@ -957,7 +1085,7 @@ def equicoordinate_quantile(
         if b == a:  # a is the edge beyond which the root lies
             return a
         at_b = excess(b)
-        if (at_b > 0.0) != (at_a > 0.0):  # brentq returns b if at_b is 0
+        if (at_b > 0.0) != (at_a > 0.0):  # _brent returns b if at_b is 0
             return _root(excess, a, b, at_a, at_b)
         slope = (at_b - at_a) / (b - a)
         a, at_a, widen = b, at_b, 2.0 * widen

@@ -556,7 +556,7 @@ def empty_point_caches(monkeypatch):
 
 
 def test_low_dimensions_leave_scipy_stats_unimported():
-    # scipy.stats, which the QMC path imports, costs about a second
+    # scipy.stats costs about a second to import
     script = (
         "import sys\n"
         "import mmminfer.cli\n"
@@ -701,7 +701,7 @@ class TestStreamedSums:
             CorrelationMatrix(self.CORR).cholesky(), df, QuadratureSettings(shifts=shifts)
         )
         # draw a power-of-two point set first; the ranges then only read it
-        mvdist._sobol_points(sampler.qdim, sampler.settings, 2 * RADIAL)
+        mvdist._sobol_points(sampler.qdim, sampler.settings, 0, 2 * RADIAL)
         got = sampler._sums(self.LOWER, self.UPPER, start, count)
         want = whole_range_sums(sampler, self.LOWER, self.UPPER, start, count)
         assert got.shape == (shifts,)
@@ -762,14 +762,14 @@ class TestPointStore:
             mvdist._SobolSampler(corr.cholesky(), None, s).estimate_fixed(*limits, n)
         ((_, chunks),) = mvdist._SOBOL_CACHE.values()
         assert [c.shape[1] for c in chunks] == [64, 64, 128, 256, 512]
-        assert all(c.dtype == np.uint32 and c.shape[::2] == (shifts, qdim) for c in chunks)
+        assert all(c.dtype == np.int32 and c.shape[::2] == (shifts, qdim) for c in chunks)
         want = scipy_points(qdim, s, 1024)
         stored = np.concatenate(chunks, axis=1) * 2.0**-30
         np.testing.assert_array_equal(stored, want)
         # a range across four chunks, part of the scrambles, as read for a block
-        got = mvdist._read(chunks, slice(1, 3), 100, 700)
+        got = mvdist._read((0, chunks), slice(1, 3), 100, 700)
         np.testing.assert_array_equal(got, want[1:3, 100:700])
-        np.testing.assert_array_equal(mvdist._read(chunks, slice(None), 5, 600, 0), want[:, 5:600, 0])
+        np.testing.assert_array_equal(mvdist._read((0, chunks), slice(None), 5, 600), want[:, 5:600])
 
     def test_fill_stores_four_bytes_per_coordinate_without_copies(self, empty_point_caches):
         dim, shifts = 6, 8
@@ -786,13 +786,14 @@ class TestPointStore:
         n = r.samples // shifts
         assert n == 1 << 15  # ran to the sample cap
         assert cache_bytes() == 4 * shifts * n * (dim - 1)
-        # the last round draws n / 2 points per scramble, as float64
+        # transients stay below the last round's n / 2 points per scramble
+        # as float64, the size of one float copy of them
         last_round = 8 * shifts * (n // 2) * (dim - 1)
         assert peak < cache_bytes() + last_round
         # growing further appends a chunk and leaves the others in place
+        ((_, held),) = mvdist._SOBOL_CACHE.values()
+        mvdist._sobol_points(dim - 1, s, n, 2 * n)
         ((_, chunks),) = mvdist._SOBOL_CACHE.values()
-        held = list(chunks)
-        mvdist._sobol_points(dim - 1, s, 2 * n)
         assert len(chunks) == len(held) + 1
         assert all(a is b for a, b in zip(chunks, held))
 
@@ -815,7 +816,7 @@ class TestPointStore:
         value(6)
         assert [key[0] for key in mvdist._SOBOL_CACHE] == [4, 6]
         assert cache_bytes() <= mvdist._SOBOL_BYTES
-        value(5)  # drops qdim 4, which then starts again from fresh engines
+        value(5)  # drops qdim 4, whose points are then computed again
         assert [key[0] for key in mvdist._SOBOL_CACHE] == [6, 5]
         assert value(4) == first
 
