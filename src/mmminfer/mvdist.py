@@ -24,11 +24,10 @@ adjusted p-value and simultaneous confidence bound in the package.
   The points are scipy's scrambled Sobol points bit for bit, computed here
   by index from each scramble's shift and direction numbers
   (``_sobol_range``), so neither scipy.stats nor an engine's state is
-  needed.  They are cached as the exact 30-bit integers of each coordinate,
-  in append-only chunks under a byte bound (see ``_sobol_points``), and on
-  the t path so are radial factors (``_cached_radial``); the integrand
-  streams through them in blocks of at most ``_BLOCK_POINTS``, each scaled
-  to floats as it is read.
+  needed.  The integrand streams through blocks of at most
+  ``_BLOCK_POINTS`` points, each computed from its index range when it is
+  evaluated and scaled to floats, so no points are kept; on the t path the
+  radial factors of the leading points are cached (``_cached_radial``).
 
 Equicoordinate quantiles solve the exact probability with Brent's method at
 dimensions 2 and 3, and above it one frozen QMC rule (see
@@ -570,21 +569,12 @@ def pair_exceedance(b, rho, df=None):
 # its shift XOR the direction numbers of the set bits of k's Gray code, so
 # any range of points is computed directly (``_sobol_range``).
 _SOBOL_BITS = 30
-# Points of each (qdim, seed, shifts), least recently used first.  An entry
-# is (first, chunks): the points from index ``first`` on, in chunks shaped
-# (shifts, n, qdim) of int32 k, half the bytes of the floats, which ``_read``
-# restores exactly.  Each growth appends the points it computes as one more
-# chunk, so points already held are never copied.  Once all entries hold
-# more than _SOBOL_BYTES, the least recently used go; an entry larger than
-# the whole bound goes at once, and the next round of its call computes only
-# the points it reads.  The bound is well above what the simulation's a5-any
-# and a6-any rows fill at their sample cap (60 MiB) and what an AVERROES
-# analysis fills (24 MiB).
-_SOBOL_BYTES = 1 << 28
-_SOBOL_CACHE: OrderedDict = OrderedDict()
-# Held for each lookup, growth and eviction of _SOBOL_CACHE and
-# _RADIAL_CACHE, so threads sharing a key never compute its points twice or
-# see an entry half filled.
+# The Joe-Kuo table, read from a private scipy file that scipy may move.
+_DIRECTION_TABLE = os.path.join(
+    os.path.dirname(scipy.__file__), "stats", "_sobol_direction_numbers.npz"
+)
+# Held for each lookup, growth and eviction of _RADIAL_CACHE, so threads
+# sharing a key never compute its factors twice or see an entry half filled.
 _CACHE_LOCK = threading.Lock()
 
 # Most points the QMC integrand sees in one call: a dimension-9 block then
@@ -599,8 +589,13 @@ def _direction_numbers(qdim):
     coordinate d is its j-th direction integer m_j times 2**(29 - j), from the
     primitive polynomials and initial numbers of the Joe-Kuo table by the
     recurrence of Bratley & Fox (1988, ACM TOMS 14)."""
-    path = os.path.join(os.path.dirname(scipy.__file__), "stats", "_sobol_direction_numbers.npz")
-    with np.load(path) as table:
+    try:
+        table = np.load(_DIRECTION_TABLE)
+    except FileNotFoundError:
+        raise RuntimeError(
+            f"scipy {scipy.__version__} has no Sobol direction-number table at {_DIRECTION_TABLE}"
+        ) from None
+    with table:
         polys, inits = table["poly"][:qdim].tolist(), table["vinit"][:qdim].tolist()
     rows = [[1] * _SOBOL_BITS]
     for poly, init in zip(polys[1:], inits[1:]):
@@ -661,42 +656,6 @@ def _sobol_range(scrambles, a, b, cols=slice(None)):
     return np.bitwise_xor.accumulate(out, axis=1, out=out)
 
 
-def _sobol_points(qdim, settings, start, end):
-    """(first, chunks) of the cached points of every scramble, covering
-    points [start, end) of each: the entry, grown to ``end`` if needed, or a
-    new one from ``start`` when the entry is missing or does not reach it."""
-    key = (qdim, settings.seed, settings.shifts)
-    with _CACHE_LOCK:
-        first, chunks = _SOBOL_CACHE.pop(key, (start, ()))
-        have = first + sum(chunk.shape[1] for chunk in chunks)
-        if not first <= start <= have:
-            first, chunks, have = start, (), start
-        if end > have:
-            chunks += (_sobol_range(_scrambles(*key), have, end),)
-        _SOBOL_CACHE[key] = first, chunks  # most recently used last
-        while sum(c.nbytes for _, cs in _SOBOL_CACHE.values() for c in cs) > _SOBOL_BYTES:
-            _SOBOL_CACHE.popitem(last=False)
-        return first, chunks
-
-
-def _read(points, rows, a, b):
-    """Points [a, b) of the scrambles ``rows`` (a slice) as floats shaped
-    (scrambles, b - a, qdim), from ``_sobol_points``' (first, chunks): the
-    integers of the chunks that hold them times 2**-_SOBOL_BITS, which is
-    exact."""
-    first, chunks = points
-    pieces = []
-    for chunk in chunks:
-        last = first + chunk.shape[1]
-        if a < last:
-            pieces.append(chunk[rows, max(a - first, 0) : b - first])
-            if b <= last:
-                break
-        first = last
-    ints = pieces[0] if len(pieces) == 1 else np.concatenate(pieces, axis=1)
-    return ints * 2.0**-_SOBOL_BITS
-
-
 # Radial factors of the multivariate-t path, keyed by (qdim, seed, shifts,
 # df): the leading Sobol column of each scramble mapped through the chi
 # quantile.  An entry is [factors, filled]: factors is allocated once,
@@ -755,15 +714,12 @@ class _SobolSampler:
     limits: with off-diagonal Cholesky entries, moving one limit shifts the
     later coordinates' conditional limits at every fixed point.
 
-    Points come from the cache of ``_sobol_points``, keyed by integrand
-    dimension, seed and number of shifts: 4 bytes per coordinate, in one
-    chunk per growth, least recently used keys dropped past
-    ``_SOBOL_BYTES``; a round whose points are not held computes only its
-    own range.  The integrand streams through them in blocks of at
-    most ``_BLOCK_POINTS`` points, each read as floats, so the transient
-    memory of one evaluation is a few arrays of that many points (a few
-    MB at dimension 9) plus one float per sample for the values, whatever
-    the sample size.
+    No points are kept between calls: the integrand streams through blocks
+    of at most ``_BLOCK_POINTS`` points, each computed from its index range
+    by ``_sobol_range`` and scaled to floats, so the transient memory of
+    one evaluation is a few arrays of that many points (a few MB at
+    dimension 9) plus one float per sample for the values, whatever the
+    sample size.
     """
 
     def __init__(self, chol, df, settings: QuadratureSettings):
@@ -777,13 +733,14 @@ class _SobolSampler:
 
         The integrand is evaluated one block of at most ``_BLOCK_POINTS``
         points at a time: whole scrambles grouped while they fit in a block,
-        else consecutive runs of one scramble's points, read from the chunks
-        that hold them.  The values land in one (shifts, count) array,
-        summed as a whole, so the sums do not depend on the blocking.
+        else consecutive runs of one scramble's points, each computed once,
+        from the scramble rows and index range of its block.  The values land
+        in one (shifts, count) array, summed as a whole, so the sums do not
+        depend on the blocking.
         """
         shifts = self.settings.shifts
         end = start + count
-        points = _sobol_points(self.qdim, self.settings, start, end)
+        scrambles = _scrambles(self.qdim, self.settings.seed, shifts)
         radial = None
         if self.df is not None and end <= _RADIAL_POINTS:
             radial = _cached_radial(self.qdim, self.settings, self.df, end)
@@ -791,9 +748,11 @@ class _SobolSampler:
         width = min(count, _BLOCK_POINTS)  # points per scramble per block
         vals = np.empty((shifts, count))
         for j in range(0, shifts, rows):
+            block_scrambles = [x[j : j + rows] for x in scrambles]
             for a in range(start, end, width):
                 b = min(a + width, end)
-                w = _read(points, slice(j, j + rows), a, b).reshape(-1, self.qdim)
+                w = _sobol_range(block_scrambles, a, b) * 2.0**-_SOBOL_BITS
+                w = w.reshape(-1, self.qdim)
                 if self.df is None:
                     block = _genz_weights(self.chol, lower, upper, w)
                 else:
@@ -823,7 +782,7 @@ class _SobolSampler:
         """Estimate and error (three standard errors over the scrambles)."""
         means = sums / count
         est = float(means.mean())
-        err = 3.0 * float(means.std(ddof=1)) / np.sqrt(self.settings.shifts)
+        err = 3.0 * float(means.std(ddof=1)) / math.sqrt(self.settings.shifts)
         return est, err
 
     def estimate_fixed(self, lower, upper, n_per_shift):
@@ -903,7 +862,7 @@ def mv_rect_prob(
         sampler = _SobolSampler(corr.cholesky(), df, settings)
         est, err, used, _ = sampler.estimate(lower, upper, decide_at)
     converged = bool(err <= target)
-    decided = not converged and _decided(est, err, decide_at, target)
+    decided = bool(not converged and _decided(est, err, decide_at, target))
     return RectProb(float(min(max(est, 0.0), 1.0)), float(err), converged, used, decided)
 
 

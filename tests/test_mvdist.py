@@ -1,5 +1,6 @@
 """Tests for the multivariate normal/t rectangle probability kernel."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -550,8 +551,7 @@ def t_path_values(calls=T_CALLS):
 
 
 @pytest.fixture
-def empty_point_caches(monkeypatch):
-    monkeypatch.setattr(mvdist, "_SOBOL_CACHE", OrderedDict())
+def empty_radial_cache(monkeypatch):
     monkeypatch.setattr(mvdist, "_RADIAL_CACHE", OrderedDict())
 
 
@@ -597,13 +597,12 @@ class TestRadialCache:
         )
         assert warm == t_path_values() == json.loads(fresh.stdout)
 
-    def test_call_order_does_not_matter(self, empty_point_caches):
+    def test_call_order_does_not_matter(self, empty_radial_cache):
         forward = t_path_values()
-        mvdist._SOBOL_CACHE.clear()
         mvdist._RADIAL_CACHE.clear()
         assert t_path_values(T_CALLS[::-1]) == forward
 
-    def test_bytes_stay_under_the_bound(self, empty_point_caches):
+    def test_bytes_stay_under_the_bound(self, empty_radial_cache):
         corr = CorrelationMatrix(np.full((5, 5), 0.5) + 0.5 * np.eye(5))
         lower, upper = np.full(5, -np.inf), np.full(5, 2.0)
         s = QuadratureSettings(target_abs_error=1e-12, shifts=8, first_round_samples=64)
@@ -615,7 +614,7 @@ class TestRadialCache:
         assert 8 * mvdist._RADIAL_VALUES == 16 << 20  # the documented 16 MiB
         assert factors.nbytes <= 8 * mvdist._RADIAL_VALUES
 
-    def test_least_recently_used_entries_are_dropped(self, empty_point_caches, monkeypatch):
+    def test_least_recently_used_entries_are_dropped(self, empty_radial_cache, monkeypatch):
         # room for two full entries of 8 shifts
         monkeypatch.setattr(mvdist, "_RADIAL_VALUES", 2 * 8 * mvdist._RADIAL_POINTS)
         corr = CorrelationMatrix(np.full((5, 5), 0.5) + 0.5 * np.eye(5))
@@ -629,10 +628,44 @@ class TestRadialCache:
         nbytes = sum(factors.nbytes for factors, _ in mvdist._RADIAL_CACHE.values())
         assert nbytes <= 8 * mvdist._RADIAL_VALUES
 
+    def test_threads_sharing_a_key_get_the_sequential_values(self, empty_radial_cache):
+        dim = 5
+        corr = CorrelationMatrix(random_correlation(np.random.default_rng(93), dim))
+        s = QuadratureSettings(
+            target_abs_error=1e-12, max_samples=8 << 12, shifts=8, first_round_samples=64
+        )
+        edges = [1.9 + 0.1 * k for k in range(6)]  # one thread each, more than cores
+
+        def value(b):
+            r = mv_rect_prob(corr, np.full(dim, -b), np.full(dim, b), df=7, settings=s)
+            return r.value, r.error
+
+        want = [value(b) for b in edges]
+        got = [None] * len(edges)
+
+        def work(k):
+            got[k] = value(edges[k])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):  # each round from an empty cache
+                mvdist._RADIAL_CACHE.clear()
+                got[:] = [None] * len(edges)
+                threads = [threading.Thread(target=work, args=(k,)) for k in range(len(edges))]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=120)
+                assert not any(t.is_alive() for t in threads)
+                assert got == want
+        finally:
+            sys.setswitchinterval(interval)
+
 
 def scipy_points(qdim, settings, n):
     """First ``n`` points of each scramble drawn afresh from scipy as floats,
-    shaped (shifts, n, qdim): the reference the point store must match."""
+    shaped (shifts, n, qdim): the reference the computed points must match."""
     from scipy.stats import qmc
 
     seeds = np.random.SeedSequence(settings.seed).spawn(settings.shifts)
@@ -695,13 +728,11 @@ class TestStreamedSums:
 
     @pytest.mark.parametrize("df", [None, 7], ids=["normal", "t"])
     @pytest.mark.parametrize("case", sorted(SUMS_CASES))
-    def test_equals_the_whole_range_formula(self, case, df, empty_point_caches):
+    def test_equals_the_whole_range_formula(self, case, df, empty_radial_cache):
         start, count, shifts = SUMS_CASES[case]
         sampler = mvdist._SobolSampler(
             CorrelationMatrix(self.CORR).cholesky(), df, QuadratureSettings(shifts=shifts)
         )
-        # draw a power-of-two point set first; the ranges then only read it
-        mvdist._sobol_points(sampler.qdim, sampler.settings, 0, 2 * RADIAL)
         got = sampler._sums(self.LOWER, self.UPPER, start, count)
         want = whole_range_sums(sampler, self.LOWER, self.UPPER, start, count)
         assert got.shape == (shifts,)
@@ -717,7 +748,7 @@ class TestStreamedSums:
         assert sizes == [12 * 256]
 
     @pytest.mark.parametrize("df", [None, 12], ids=["normal", "t"])
-    def test_no_call_exceeds_the_block(self, df, monkeypatch, empty_point_caches):
+    def test_no_call_exceeds_the_block(self, df, monkeypatch, empty_radial_cache):
         sizes = spy_block_sizes(monkeypatch)
         dim = 9
         corr = CorrelationMatrix(np.full((dim, dim), 0.4) + 0.6 * np.eye(dim))
@@ -728,14 +759,14 @@ class TestStreamedSums:
         assert sum(sizes) == r.samples  # every point evaluated once
 
     @pytest.mark.parametrize("df", [None, 12], ids=["normal", "t"])
-    def test_transient_memory_stays_small(self, df, empty_point_caches):
-        # one two-sided evaluation of 12 x 2**16 samples at dimension 9; the
-        # point caches are grown first, so only the evaluation is traced
+    def test_transient_memory_stays_small(self, df, empty_radial_cache):
+        # one cold two-sided evaluation of 12 x 2**16 samples at dimension 9:
+        # its points (24 or 27 MiB as int32) are computed block by block, and on
+        # the t path its radial factors are cached within the trace
         dim = 9
         corr = CorrelationMatrix(np.full((dim, dim), 0.4) + 0.6 * np.eye(dim))
         sampler = mvdist._SobolSampler(corr.cholesky(), df, QuadratureSettings())
         limits = np.full(dim, -2.5), np.full(dim, 2.5)
-        sampler.estimate_fixed(*limits, 1 << 16)
         tracemalloc.start()
         try:
             sampler.estimate_fixed(*limits, 1 << 16)
@@ -743,128 +774,6 @@ class TestStreamedSums:
         finally:
             tracemalloc.stop()
         assert peak < 16 << 20
-
-
-def cache_bytes():
-    return sum(c.nbytes for _, chunks in mvdist._SOBOL_CACHE.values() for c in chunks)
-
-
-class TestPointStore:
-    @pytest.mark.parametrize("qdim, shifts", [(4, 8), (6, 12), (9, 8)])
-    def test_integers_equal_scipy_points(self, qdim, shifts, empty_point_caches):
-        dim = qdim + 1  # the normal path integrates dim - 1 coordinates
-        corr = CorrelationMatrix(np.full((dim, dim), 0.3) + 0.7 * np.eye(dim))
-        limits = np.full(dim, -2.0), np.full(dim, 2.0)
-        # growths of 64, 64, 128 points, then 256 and 512 under a first round
-        # of 100 (rounded up to 128)
-        for first, n in ((64, 256), (100, 1024)):
-            s = QuadratureSettings(shifts=shifts, first_round_samples=first)
-            mvdist._SobolSampler(corr.cholesky(), None, s).estimate_fixed(*limits, n)
-        ((_, chunks),) = mvdist._SOBOL_CACHE.values()
-        assert [c.shape[1] for c in chunks] == [64, 64, 128, 256, 512]
-        assert all(c.dtype == np.int32 and c.shape[::2] == (shifts, qdim) for c in chunks)
-        want = scipy_points(qdim, s, 1024)
-        stored = np.concatenate(chunks, axis=1) * 2.0**-30
-        np.testing.assert_array_equal(stored, want)
-        # a range across four chunks, part of the scrambles, as read for a block
-        got = mvdist._read((0, chunks), slice(1, 3), 100, 700)
-        np.testing.assert_array_equal(got, want[1:3, 100:700])
-        np.testing.assert_array_equal(mvdist._read((0, chunks), slice(None), 5, 600), want[:, 5:600])
-
-    def test_fill_stores_four_bytes_per_coordinate_without_copies(self, empty_point_caches):
-        dim, shifts = 6, 8
-        corr = CorrelationMatrix(np.full((dim, dim), 0.5) + 0.5 * np.eye(dim))
-        s = QuadratureSettings(
-            target_abs_error=1e-12, max_samples=shifts << 15, shifts=shifts, first_round_samples=64
-        )
-        tracemalloc.start()
-        try:
-            r = mv_rect_prob(corr, np.full(dim, -np.inf), np.full(dim, 2.0), settings=s)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        n = r.samples // shifts
-        assert n == 1 << 15  # ran to the sample cap
-        assert cache_bytes() == 4 * shifts * n * (dim - 1)
-        # transients stay below the last round's n / 2 points per scramble
-        # as float64, the size of one float copy of them
-        last_round = 8 * shifts * (n // 2) * (dim - 1)
-        assert peak < cache_bytes() + last_round
-        # growing further appends a chunk and leaves the others in place
-        ((_, held),) = mvdist._SOBOL_CACHE.values()
-        mvdist._sobol_points(dim - 1, s, n, 2 * n)
-        ((_, chunks),) = mvdist._SOBOL_CACHE.values()
-        assert len(chunks) == len(held) + 1
-        assert all(a is b for a, b in zip(chunks, held))
-
-    def test_least_recently_used_keys_are_dropped(self, empty_point_caches, monkeypatch):
-        shifts, n = 8, 1 << 12
-        s = QuadratureSettings(
-            target_abs_error=1e-12, max_samples=shifts * n, shifts=shifts, first_round_samples=64
-        )
-        # room for the points of qdims 4 and 6 (10 coordinates), not for qdim 5 too
-        monkeypatch.setattr(mvdist, "_SOBOL_BYTES", 4 * shifts * n * 11)
-
-        def value(dim):
-            corr = CorrelationMatrix(np.full((dim, dim), 0.5) + 0.5 * np.eye(dim))
-            r = mv_rect_prob(corr, np.full(dim, -2.2), np.full(dim, 2.2), df=9, settings=s)
-            return r.value, r.error, r.samples
-
-        first = value(4)  # qdim 4: dimension 4 on the t path
-        value(5)
-        value(4)  # qdim 4 used again, qdim 5 now least recently used
-        value(6)
-        assert [key[0] for key in mvdist._SOBOL_CACHE] == [4, 6]
-        assert cache_bytes() <= mvdist._SOBOL_BYTES
-        value(5)  # drops qdim 4, whose points are then computed again
-        assert [key[0] for key in mvdist._SOBOL_CACHE] == [6, 5]
-        assert value(4) == first
-
-    def test_threads_sharing_a_key_get_the_sequential_values(self, empty_point_caches):
-        dim = 5
-        corr = CorrelationMatrix(random_correlation(np.random.default_rng(93), dim))
-        s = QuadratureSettings(
-            target_abs_error=1e-12, max_samples=8 << 12, shifts=8, first_round_samples=64
-        )
-        edges = [1.9 + 0.1 * k for k in range(6)]  # one thread each, more than cores
-
-        def value(b):
-            r = mv_rect_prob(corr, np.full(dim, -b), np.full(dim, b), df=7, settings=s)
-            return r.value, r.error
-
-        want = [value(b) for b in edges]
-        got = [None] * len(edges)
-
-        def work(k):
-            got[k] = value(edges[k])
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for _ in range(3):  # each round from empty caches
-                mvdist._SOBOL_CACHE.clear()
-                mvdist._RADIAL_CACHE.clear()
-                got[:] = [None] * len(edges)
-                threads = [threading.Thread(target=work, args=(k,)) for k in range(len(edges))]
-                for t in threads:
-                    t.start()
-                for t in threads:
-                    t.join(timeout=120)
-                assert not any(t.is_alive() for t in threads)
-                assert got == want
-        finally:
-            sys.setswitchinterval(interval)
-
-    def test_an_entry_above_the_bound_is_not_kept(self, empty_point_caches, monkeypatch):
-        dim = 5
-        corr = CorrelationMatrix(np.full((dim, dim), 0.5) + 0.5 * np.eye(dim))
-        limits = np.full(dim, -2.2), np.full(dim, 2.2)
-        s = QuadratureSettings(target_abs_error=1e-4, shifts=8, first_round_samples=64)
-        kept = mv_rect_prob(corr, *limits, settings=s)
-        mvdist._SOBOL_CACHE.clear()
-        monkeypatch.setattr(mvdist, "_SOBOL_BYTES", 1)
-        assert mv_rect_prob(corr, *limits, settings=s) == kept
-        assert not mvdist._SOBOL_CACHE
 
 
 class TestDoublingRounds:
@@ -977,6 +886,16 @@ class TestDecisionStop:
         assert r == plain
         assert r.samples * 2 > tight.max_samples
         assert not r.converged and not r.decided
+
+    @pytest.mark.parametrize("decide_at", [None, 0.5])
+    @pytest.mark.parametrize("dim", [1, 3, 5])
+    def test_result_is_plain_python_and_json_ready(self, dim, decide_at):
+        corr = CorrelationMatrix(np.full((dim, dim), 0.4) + 0.6 * np.eye(dim))
+        r = mv_rect_prob(corr, np.full(dim, -2.0), np.full(dim, 2.0), decide_at=decide_at)
+        assert [type(v) for v in dataclasses.astuple(r)] == [float, float, bool, int, bool]
+        assert json.loads(json.dumps(dataclasses.asdict(r))) == dataclasses.asdict(r)
+        # dimension 5 with decide_at 0.5 stops on its decision
+        assert r.decided == (dim == 5 and decide_at is not None)
 
     def test_is_keyword_only(self):
         corr, lower, upper, df, s = self.case("normal-5")

@@ -6,16 +6,17 @@ import math
 import os
 import subprocess
 import sys
-from collections import OrderedDict
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 from scipy.optimize import brentq
 from scipy.stats import qmc
 
 from mmminfer import mvdist
-from mmminfer.mvdist import CorrelationMatrix, QuadratureSettings
+from mmminfer.mvdist import CorrelationMatrix, QuadratureSettings, mv_rect_prob
 
 SEEDS = (1, 20150436, 2**40 + 3)
 
@@ -61,7 +62,16 @@ class TestSobolPoints:
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize(
         "qdim, shifts, n",
-        [(1, 12, 1 << 12), (2, 12, 1 << 12), (8, 12, 1 << 11), (9, 5, 1 << 11), (20, 3, 1 << 10), (40, 2, 1 << 9)],
+        [
+            (1, 12, 1 << 12),
+            (2, 12, 1 << 12),
+            (4, 8, 1 << 11),
+            (6, 12, 1 << 10),
+            (8, 12, 1 << 11),
+            (9, 5, 1 << 11),
+            (20, 3, 1 << 10),
+            (40, 2, 1 << 9),
+        ],
     )
     def test_equal_scipy_drawn_whole_in_chunks_and_mid_sequence(self, qdim, shifts, n, seed):
         want = np.stack([eng.random(n) for eng in scipy_engines(qdim, seed, shifts)])
@@ -81,21 +91,37 @@ class TestSobolPoints:
         for a, b in [(3, 5), (100, n - 12), (n // 2 - 1, n), (n - 1, n)]:
             np.testing.assert_array_equal(mvdist._sobol_range(scrambles, a, b) * 2.0**-30, want[:, a:b])
             np.testing.assert_array_equal(mvdist._sobol_range(scrambles, a, b, 0) * 2.0**-30, want[:, a:b, 0])
+        # some scrambles' rows only, as the integrand's blocks slice them
+        rows = [x[1:3] for x in scrambles]
+        np.testing.assert_array_equal(mvdist._sobol_range(rows, 100, n - 12) * 2.0**-30, want[1:3, 100 : n - 12])
 
     def test_range_past_the_last_point_is_refused(self):
         with pytest.raises(ValueError, match="2\\*\\*30"):
             mvdist._sobol_range(mvdist._scrambles(2, 1, 2), (1 << 30) - 1, (1 << 30) + 1)
 
+    def test_a_missing_direction_table_is_named(self, monkeypatch, tmp_path):
+        missing = str(tmp_path / "_sobol_direction_numbers.npz")
+        monkeypatch.setattr(mvdist, "_DIRECTION_TABLE", missing)
+        mvdist._direction_numbers.cache_clear()
+        mvdist._scrambles.cache_clear()
+        corr = CorrelationMatrix(np.full((5, 5), 0.4) + 0.6 * np.eye(5))
+        try:
+            with pytest.raises(RuntimeError) as raised:
+                mv_rect_prob(corr, np.full(5, -2.0), np.full(5, 2.0))
+        finally:
+            mvdist._direction_numbers.cache_clear()
+            mvdist._scrambles.cache_clear()
+        assert missing in str(raised.value)
+        assert f"scipy {scipy.__version__} " in str(raised.value)
+
 
 def test_each_round_computes_only_the_points_it_reads(monkeypatch):
-    # with the cache bound at 1 byte no entry is kept past its growth
-    monkeypatch.setattr(mvdist, "_SOBOL_CACHE", OrderedDict())
-    monkeypatch.setattr(mvdist, "_SOBOL_BYTES", 1)
-    computed = []
+    computed = Counter()  # points computed per scramble, keyed by its shift
     sobol_range = mvdist._sobol_range
 
     def spy(scrambles, a, b, cols=slice(None)):
-        computed.append(b - a)
+        for shift in scrambles[0]:
+            computed[shift.tobytes()] += b - a
         return sobol_range(scrambles, a, b, cols)
 
     monkeypatch.setattr(mvdist, "_sobol_range", spy)
@@ -104,26 +130,14 @@ def test_each_round_computes_only_the_points_it_reads(monkeypatch):
     s = QuadratureSettings(shifts=8, first_round_samples=64)
     sampler = mvdist._SobolSampler(corr.cholesky(), None, s)
     limits = np.full(dim, -2.2), np.full(dim, 2.2)
-    for rounds in range(1, 8):
+    # up to rounds of 2**13 points, whose blocks hold one scramble each
+    for rounds in range(1, 10):
         computed.clear()
         n = 64 << (rounds - 1)
         sampler.estimate_fixed(*limits, n)
-        # one range per round, summing to the points read: linear in them
-        assert computed == [64] + [64 << k for k in range(rounds - 1)]
-        assert sum(computed) == n
-    assert not mvdist._SOBOL_CACHE
-
-
-def test_points_before_or_after_the_held_ones_are_computed_afresh(monkeypatch):
-    # an entry that starts mid-sequence (a round whose entry was dropped)
-    # serves no range before it, and no range after a gap
-    monkeypatch.setattr(mvdist, "_SOBOL_CACHE", OrderedDict())
-    qdim, s = 5, QuadratureSettings(shifts=4)
-    want = np.stack([eng.random(2048) for eng in scipy_engines(qdim, s.seed, s.shifts)])
-    for start, end, first in ((512, 1024, 512), (0, 256, 0), (512, 1024, 512), (1024, 2048, 512)):
-        points = mvdist._sobol_points(qdim, s, start, end)
-        assert points[0] == first
-        np.testing.assert_array_equal(mvdist._read(points, slice(None), start, end), want[:, start:end])
+        # every scramble's points once each, however the blocks group them
+        assert len(computed) == s.shifts
+        assert set(computed.values()) == {n}
 
 
 def recorded(f, calls):
