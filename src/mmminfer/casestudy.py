@@ -230,15 +230,7 @@ def analyze(
     """
     data = expand(table)
     models = [
-        fit_logit(
-            data,
-            ModelSpec(
-                endpoint=e,
-                subset=s,
-                family="binomial-logit",
-                effect_direction="greater",
-            ),
-        )
+        fit_logit(data, ModelSpec(endpoint=e, subset=s, family="binomial-logit"))
         for s in ("all",) + table.subgroups
         for e in table.all_endpoints
     ]

@@ -9,8 +9,9 @@ regenerate the reference tables.
     arguments, the packaged AVERROES count table) and write the
     ``mmm.infer`` report as text, JSON and an optional forest SVG.
 ``tables``
-    Re-simulate a table or the power claims registered in ``tables`` and
-    print published-vs-simulated values with a tolerance verdict.
+    Re-simulate a table or the power claims registered in ``tables``, or
+    recompute the case study, and print published-vs-computed values with
+    a tolerance verdict.
 
 File-writing runs leave a ``<output>.manifest.json`` next to the primary
 output recording the resolved configuration, seed, package version, output
@@ -40,7 +41,7 @@ from .errors import (
 )
 from .forest import write_forest
 from .linmodels import ModelSpec, fit, read_dataset
-from .mmm import infer
+from .mmm import ALTERNATIVES, DF_MODES, infer
 from .mvdist import QuadratureSettings
 from .simulate import (
     METHODS,
@@ -51,6 +52,7 @@ from .simulate import (
     run,
 )
 from .tables import (
+    CASE_STUDY_TOLERANCES,
     LEVEL_METHODS,
     POWER_CLAIMS,
     PUBLISHED_COLUMN,
@@ -243,10 +245,7 @@ def cmd_analyze(args) -> int:
             reference_level=config.get("reference_level"),
         )
         try:
-            specs = [
-                ModelSpec(**{**entry, "effect_direction": alternative})
-                for entry in config["models"]
-            ]
+            specs = [ModelSpec(**entry) for entry in config["models"]]
         except TypeError as exc:
             raise SchemaError(f"bad model entry: {exc}") from None
         models = [fit(data, spec) for spec in specs]
@@ -294,6 +293,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_tables(args) -> int:
+    if args.which == "a2":
+        return _case_study_report(args)
     if args.reps < 2000:
         print(f"note: {args.reps} replications per cell; low precision", flush=True)
     if args.which == "power":
@@ -346,6 +347,47 @@ def cmd_tables(args) -> int:
                 f"{shown:>9} {simulated:>9.4f} {diff:>+8.4f} {tol:>7.4f} "
                 f"{'yes' if ok else 'NO'}"
             )
+    print(f"{good}/{total} cells within tolerance")
+    return 0
+
+
+def _case_study_report(args) -> int:
+    report = analyze_averroes(load_averroes(), settings=QuadratureSettings(seed=args.seed))
+    published = {
+        (row["group"], row["endpoint"]): row for row in published_rows("a2_inference")
+    }
+    print(
+        f"a2: published vs computed case-study inference "
+        f"(seed {args.seed}; --reps does not apply)"
+    )
+    line = "{:<6} {:<9} {:<17} {:>9} {:>9} {:>8} {:>7} {}"
+    print(line.format("group", "endpoint", "cell", "published", "computed", "diff", "tol", "ok"))
+    good = total = 0
+    for row in report.rows:
+        group = row.group.split(" ")[0]  # "S1 (TIA)" is "S1" in the table
+        expected = published[(group, row.endpoint)]
+        computed = {"odds_ratio": row.display_estimate()}
+        for method, cell in row.methods.items():
+            computed[f"{method}_lower"] = row.display_bound(cell.ci_lower)
+            computed[f"{method}_p"] = min(cell.p, 1.0)
+        cells = []
+        for column, tol in CASE_STUDY_TOLERANCES.items():
+            want, got = expected[column], computed[column]
+            cells.append(
+                (column, f"{want:.4f}", f"{got:.4f}", f"{got - want:+.4f}", f"{tol:.4f}",
+                 abs(got - want) <= tol)
+            )
+        # the published decisions are the published p-values at alpha
+        for method, cell in row.methods.items():
+            want = expected[f"{method}_p"] <= report.alpha
+            cells.append(
+                (f"{method}_reject", ("accept", "reject")[want],
+                 ("accept", "reject")[cell.rejected], "", "", want == cell.rejected)
+            )
+        for *fields, ok in cells:
+            good += ok
+            total += 1
+            print(line.format(group, row.endpoint, *fields, "yes" if ok else "NO"))
     print(f"{good}/{total} cells within tolerance")
     return 0
 
@@ -419,12 +461,8 @@ def _build_parser() -> argparse.ArgumentParser:
     ana.add_argument("data", nargs="?", default=None, help="subject-level CSV")
     ana.add_argument("specs", nargs="?", default=None, help="model config JSON")
     ana.add_argument("--alpha", type=float, default=0.05)
-    ana.add_argument(
-        "--alternative", choices=("two-sided", "greater", "less"), default=None
-    )
-    ana.add_argument(
-        "--df-mode", choices=("normal", "dfmin", "dfmax", "dfind"), default=None
-    )
+    ana.add_argument("--alternative", choices=ALTERNATIVES, default=None)
+    ana.add_argument("--df-mode", choices=DF_MODES, default=None)
     ana.add_argument("--out", default=None, help="output prefix for .txt/.json")
     ana.add_argument(
         "--forest", action="store_true", help="also write <out>.svg forest plot"
@@ -436,10 +474,16 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     tab.add_argument(
         "--which",
-        choices=tuple(TABLE_DESIGNS) + ("power",),
+        choices=("a2",) + tuple(TABLE_DESIGNS) + ("power",),
         required=True,
+        help="a2 recomputes the case study; the others re-simulate",
     )
-    tab.add_argument("--reps", type=_replications, default=10_000)
+    tab.add_argument(
+        "--reps",
+        type=_replications,
+        default=10_000,
+        help="replications per simulated cell (does not apply to a2)",
+    )
     tab.add_argument("--seed", type=int, default=20150436)
     tab.set_defaults(handler=cmd_tables)
     return parser

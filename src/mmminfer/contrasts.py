@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import EmptyCell, SchemaError, ZeroVariance
 from .linmodels import Dataset
-from .mmm import _interval, max_type_p
+from .mmm import _check_alternative, _interval, max_type_p
 from .mvdist import CorrelationMatrix, QuadratureSettings, equicoordinate_quantile
 from .report import HypothesisRow, InferenceReport, MethodCell
 
@@ -36,7 +36,6 @@ __all__ = [
 ]
 
 CONTRAST_LABELS = ("target", "complement", "total")
-ALTERNATIVES = ("two-sided", "greater", "less")
 
 _MIN_CELL = 2
 
@@ -226,8 +225,7 @@ def cell_means_test(
     reference law is restricted to those rows, so the error rate is
     controlled over exactly the hypotheses being tested.
     """
-    if alternative not in ALTERNATIVES:
-        raise ValueError(f"alternative must be one of {ALTERNATIVES}, got {alternative!r}")
+    _check_alternative(alternative)
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     if contrasts is None:

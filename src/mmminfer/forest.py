@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from html import escape
 
-from .report import InferenceReport, _format_bound
+from .report import InferenceReport, _format_bound, _interval_text
 
 __all__ = ["forest_svg", "write_forest"]
 
@@ -25,12 +25,6 @@ CI_COLOR = "#1f3b66"
 REFERENCE_COLOR = "#b34040"
 
 _LOG_TICKS = (0.1, 0.2, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0)
-
-
-def _interval_text(lower: float, upper: float) -> str:
-    left = "(" if math.isinf(lower) else "["
-    right = ")" if math.isinf(upper) else "]"
-    return f"{left}{_format_bound(lower)}, {_format_bound(upper)}{right}"
 
 
 def _linear_ticks(lo: float, hi: float, target: int = 6) -> list:
@@ -69,7 +63,9 @@ class _Scale:
             ]
         self.log = all(row.or_scale for row in rows)
         reference = 1.0 if self.log else 0.0
-        finite = [b for b in bounds if math.isfinite(b)] + [reference]
+        # an odds ratio's unbounded lower side shows as 0, off the log axis
+        finite = [b for b in bounds if math.isfinite(b) and (b > 0 or not self.log)]
+        finite.append(reference)
         if self.log:
             lo, hi = min(finite), max(finite)
             pad = (hi / lo) ** 0.08 if hi > lo else 1.25

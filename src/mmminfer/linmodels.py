@@ -43,7 +43,6 @@ __all__ = [
 ]
 
 FAMILIES = ("gaussian-identity", "binomial-logit")
-DIRECTIONS = ("two-sided", "greater", "less")
 
 _IRLS_MAX_ITER = 25
 _IRLS_DEVIANCE_TOL = 1e-8
@@ -123,20 +122,15 @@ class Dataset:
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """One marginal model: endpoint, subset, family and test direction."""
+    """One marginal model: endpoint, subset and family."""
 
     endpoint: str
     subset: str = "all"
     family: str = "gaussian-identity"
-    effect_direction: str = "two-sided"
 
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise SchemaError(f"family must be one of {FAMILIES}, got {self.family!r}")
-        if self.effect_direction not in DIRECTIONS:
-            raise SchemaError(
-                f"effect_direction must be one of {DIRECTIONS}, got {self.effect_direction!r}"
-            )
 
     @property
     def label(self) -> str:

@@ -67,6 +67,13 @@ def _format_bound(x):
     return f"{x:.2f}"
 
 
+def _interval_text(lower: float, upper: float) -> str:
+    """``[lower, upper]`` to two decimals, an infinite side open."""
+    left = "(" if math.isinf(lower) else "["
+    right = ")" if math.isinf(upper) else "]"
+    return f"{left}{_format_bound(lower)}, {_format_bound(upper)}{right}"
+
+
 @dataclass(frozen=True)
 class InferenceReport:
     """Joint inference table for one family of hypotheses."""
@@ -126,14 +133,9 @@ class InferenceReport:
             line = [group, r.endpoint, f"{r.display_estimate():.2f}"]
             for name in self.method_names:
                 cell = r.methods[name]
-                lo = _format_bound(r.display_bound(cell.ci_lower))
-                hi = _format_bound(r.display_bound(cell.ci_upper))
-                if math.isinf(cell.ci_upper):
-                    ci = f"[{lo}, Inf)"
-                elif math.isinf(cell.ci_lower):
-                    ci = f"(-Inf, {hi}]"
-                else:
-                    ci = f"[{lo}, {hi}]"
+                ci = _interval_text(
+                    r.display_bound(cell.ci_lower), r.display_bound(cell.ci_upper)
+                )
                 line += [ci, f"{cell.p:.4f}"]
             table.append(line)
         widths = [max(len(row[k]) for row in table) for k in range(len(header))]

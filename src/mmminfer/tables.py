@@ -4,14 +4,16 @@ them.
 The CSV fixtures under ``data/published/`` hold the reported results: the
 case-study inference table and the familywise-error-rate tables of the
 simulation study, with values stored exactly as printed.  The registry
-below says how ``mmminfer tables`` re-simulates each of them:
+below says how ``mmminfer tables`` checks each of them:
 
 * ``TABLE_DESIGNS`` maps each null familywise-error table to its published
   fixture and the :class:`~mmminfer.simulate.Scenario` fields of its design;
 * ``POWER_CLAIMS`` lists the headline power gains over Bonferroni, which
   have no fixture of their own;
 * ``cell_tolerance`` is the accepted distance between a published and a
-  simulated rate.
+  simulated rate;
+* ``CASE_STUDY_TOLERANCES`` is the accepted distance between each column
+  of the case-study table and the recomputed analysis.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ __all__ = [
     "POWER_CLAIMS",
     "PUBLISHED_COLUMN",
     "cell_tolerance",
+    "CASE_STUDY_TOLERANCES",
 ]
 
 # Published tables use "ttest" for the Bonferroni-adjusted t tests.
@@ -119,6 +122,21 @@ def cell_tolerance(published: float, reps: int) -> float:
     """Accepted |simulated - published| for one rate at ``reps`` replicates."""
     spread = max(published * (1.0 - published), 0.03)
     return max(4.0 * math.sqrt(spread * (1.0 / reps + 1e-4)), 0.008)
+
+
+# Accepted |computed - published| per numeric column of a2_inference, the
+# case-study table printed to two (odds ratio, bounds) and four (p) decimals;
+# the p columns hold min(p, 1), and the mmm columns also carry the
+# quadrature error budget.
+CASE_STUDY_TOLERANCES = {
+    "odds_ratio": 0.005,
+    "noadjust_lower": 0.010,
+    "noadjust_p": 0.001,
+    "bonferroni_lower": 0.010,
+    "bonferroni_p": 0.001,
+    "mmm_lower": 0.015,
+    "mmm_p": 0.003,
+}
 
 
 def _coerce(cell: str):

@@ -362,10 +362,7 @@ class TestProperties:
         for subset in ("all",) + table.subgroups:
             for endpoint in table.all_endpoints:
                 spec = ModelSpec(
-                    endpoint=endpoint,
-                    subset=subset,
-                    family="binomial-logit",
-                    effect_direction="greater",
+                    endpoint=endpoint, subset=subset, family="binomial-logit"
                 )
                 scores = fit_logit(data, spec).score_contributions
                 assert abs(float(scores.sum())) < 1e-8

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import xml.etree.ElementTree as ET
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -217,9 +218,12 @@ class TestAnalyze:
     def test_unknown_model_field(self, tmp_path, capsys):
         data, specs = write_trial(tmp_path)
         bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps({"models": [{"endpoint": "y", "side": "left"}]}))
-        assert run_cli(["analyze", data, str(bad)]) == 1
-        assert "side" in capsys.readouterr().err
+        # the test direction is --alternative, never a model field
+        for field in ("side", "effect_direction"):
+            bad.write_text(json.dumps({"models": [{"endpoint": "y", field: "greater"}]}))
+            assert run_cli(["analyze", data, str(bad)]) == 1
+            err = capsys.readouterr().err
+            assert "bad model entry" in err and field in err
 
     def test_dataset_needs_specs(self, tmp_path, capsys):
         data, _ = write_trial(tmp_path)
@@ -267,6 +271,49 @@ class TestCaseStudyCli:
         assert "greater" in text
         for fragment in ("Global", "S1 (TIA)", "S2 (noTIA)", "2.32", "Hemorrhag"):
             assert fragment in text
+
+
+class TestCaseStudyTable:
+    """``tables --which a2`` grades the case study against a2_inference."""
+
+    def run_a2(self, report, monkeypatch, capsys, *flags):
+        seeds = []
+
+        def spy(table, settings):
+            seeds.append(settings.seed)
+            return report
+
+        monkeypatch.setattr(cli, "analyze_averroes", spy)
+        assert run_cli(["tables", "--which", "a2", *flags]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        return seeds, lines, [l for l in lines if l.endswith((" yes", " NO"))]
+
+    def test_grades_every_cell(self, report, monkeypatch, capsys):
+        seeds, lines, verdicts = self.run_a2(report, monkeypatch, capsys, "--reps", "200")
+        assert seeds == [20150436]  # what `mmminfer analyze` runs
+        assert "--reps does not apply" in lines[0]
+        assert not any("low precision" in l for l in lines)
+        # odds ratio, then each method's bound, p and decision, per row
+        assert len(verdicts) == 9 * (1 + 3 * 3)
+        assert lines[-1] == "90/90 cells within tolerance"
+        assert verdicts[0].split()[:3] == ["Global", "Ischemic", "odds_ratio"]
+        first = report.rows[0]
+        lower = f"{first.display_bound(first.methods['noadjust'].ci_lower):.4f}"
+        assert verdicts[1].split()[:5] == ["Global", "Ischemic", "noadjust_lower", "1.7100", lower]
+        hemorrhag_mmm = [l.split() for l in verdicts if l.startswith("Global Hemorrhag mmm_reject")]
+        assert hemorrhag_mmm == [["Global", "Hemorrhag", "mmm_reject", "accept", "accept", "yes"]]
+
+    def test_cell_past_its_tolerance_prints_no(self, report, monkeypatch, capsys):
+        # noadjust p of Global Ischemic moves 0.002 past the published 0.0000
+        first = report.rows[0]
+        moved = replace(first.methods["noadjust"], p=first.methods["noadjust"].p + 0.002)
+        first = replace(first, methods={**first.methods, "noadjust": moved})
+        report = replace(report, rows=(first,) + report.rows[1:])
+        seeds, lines, verdicts = self.run_a2(report, monkeypatch, capsys, "--seed", "7")
+        assert seeds == [7]
+        failed = [l.split() for l in verdicts if l.endswith(" NO")]
+        assert [f[:3] for f in failed] == [["Global", "Ischemic", "noadjust_p"]]
+        assert lines[-1] == "89/90 cells within tolerance"
 
 
 class TestTablesRows:
@@ -383,7 +430,7 @@ class TestRegistry:
             a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
         ]
         (which,) = [a for a in commands.choices["tables"]._actions if a.dest == "which"]
-        assert tuple(which.choices) == tuple(tables.TABLE_DESIGNS) + ("power",)
+        assert tuple(which.choices) == ("a2",) + tuple(tables.TABLE_DESIGNS) + ("power",)
 
     def test_power_claims_build_scenarios(self):
         for claim in tables.POWER_CLAIMS:

@@ -2,6 +2,7 @@
 
 import math
 import xml.etree.ElementTree as ET
+from dataclasses import replace
 
 import pytest
 
@@ -118,6 +119,20 @@ class TestForestSvg:
         for fragment in ("Global", "S1 (TIA)", "Ischemic", "bonferroni",
                          "Simultaneous inference", "2.32 [1.06, Inf)"):
             assert fragment in svg
+
+    def test_table_and_plot_print_the_same_intervals(self):
+        # an odds ratio's unbounded lower side is 0 on the display scale
+        report = or_report()
+        cell = MethodCell(p=0.9, ci_lower=-math.inf, ci_upper=math.log(3.5), rejected=False)
+        rows = [replace(r, methods={"mmm": cell, "bonferroni": cell}) for r in report.rows]
+        less = replace(report, alternative="less", rows=tuple(rows))
+        for interval, shown in (
+            ("[1.06, Inf)", or_report()),
+            ("[0.00, 3.50]", less),
+            ("[-1.40, 0.60]", diff_report()),
+        ):
+            assert interval in shown.to_text()
+            assert interval in forest_svg(shown)
 
     def test_linear_axis_for_difference_rows(self):
         svg = forest_svg(diff_report())

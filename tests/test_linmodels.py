@@ -255,10 +255,6 @@ class TestModelSpec:
         with pytest.raises(SchemaError, match="family"):
             ModelSpec(endpoint="y", family="poisson")
 
-    def test_rejects_unknown_direction(self):
-        with pytest.raises(SchemaError, match="effect_direction"):
-            ModelSpec(endpoint="y", effect_direction="up")
-
     def test_label(self):
         assert ModelSpec(endpoint="y", subset="s").label == "s:y"
 

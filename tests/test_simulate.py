@@ -517,6 +517,22 @@ class TestNullOrderings:
         assert dict(first.rejections) == dict(second.rejections)
 
 
+class TestPowerCurves:
+    def test_curve_is_the_mean_over_props(self):
+        deltas, props = (0, 3), (0.5, 0.6)
+        curves = simulate.power_curves(
+            total_n=20, sd=5.0, deltas=deltas, props=props, replications=50, seed=7
+        )
+        results = [
+            [run(small(sd=5.0, delta=float(d), prop_target=p)) for p in props]
+            for d in deltas
+        ]
+        assert set(curves) == set(results[0][0].methods)
+        for method, curve in curves.items():
+            expected = [np.mean([r.proportion(method) for r in row]) for row in results]
+            assert curve.tolist() == pytest.approx(expected, abs=1e-12)
+
+
 @pytest.mark.slow
 class TestPower:
     def test_power_increases_with_delta(self):
