@@ -291,8 +291,11 @@ def max_type_bounds(b, df, c_hat, alpha: float):
 
     ``b`` holds box edges, ``df`` None (normal) or matching dfs (Student t)
     and ``c_hat`` one (m, m) correlation matrix or a matching stack
-    (..., m, m).  With A_r = {|X_r| > b} and p1 = P(A_r) in closed form, the
-    two-sided max-type p-value p = P(A_1 or ... or A_m) satisfies
+    (..., m, m).  A stack may mix laws: a row whose df is ``inf`` is normal
+    (the t law with infinite df), so one call can hold every mmm variant of
+    a simulation block, and each row gets exactly the values of a call on
+    that row alone.  With A_r = {|X_r| > b} and p1 = P(A_r) in closed form,
+    the two-sided max-type p-value p = P(A_1 or ... or A_m) satisfies
     p1 <= p <= m * p1.  From dimension 2 on, exact at dimension 2,
     decisions these first-order bounds leave open get the pairwise bounds,
     from P(A_i and A_j) of every pair (``mvdist.pair_exceedance``):
@@ -310,34 +313,45 @@ def max_type_bounds(b, df, c_hat, alpha: float):
     Returns ``(rejects, accepts, paired)``, elementwise over the edges:
     p <= alpha, p > alpha, and whether the pairwise bounds made the
     decision.  Where neither ``rejects`` nor ``accepts`` holds, only
-    quadrature decides.
+    quadrature decides.  Raises ``ValueError`` unless ``df`` is None or
+    every df is >= 1 (``inf`` included).
     """
     c_hat = np.asarray(c_hat)
     m = c_hat.shape[-1]
     b = np.asarray(b, dtype=float)
-    p1 = 2.0 * (ndtr(-b) if df is None else stdtr(df, -b))
+    shape = b.shape
+    b = b.reshape(-1)
+    if df is None:
+        df = np.full(b.shape, np.inf)
+    else:
+        df = np.broadcast_to(np.asarray(df, dtype=float), shape).reshape(-1)
+        if not (df >= 1.0).all():
+            raise ValueError(f"df must be None or >= 1 (inf for normal), got {df.min()}")
+    t_law = np.isfinite(df)
+    p1 = 2.0 * ndtr(-b)
+    p1[t_law] = 2.0 * stdtr(df[t_law], -b[t_law])
     rejects, accepts = m * p1 <= alpha, p1 > alpha
     paired = np.zeros_like(rejects)
-    if (rejects | accepts).all():
-        return rejects, accepts, paired
-    shape = rejects.shape
-    rejects, accepts, paired = (a.reshape(-1) for a in (rejects, accepts, paired))
-    b, p1 = b.reshape(-1), p1.reshape(-1)
-    df = None if df is None else np.broadcast_to(df, shape).reshape(-1)
-    c_hat = np.broadcast_to(c_hat, shape + (m, m)).reshape(-1, m, m)
-    i, j = _pairs(m)
-    chunk = max(1, _PAIR_BLOCK_FLOATS // (len(i) * max(_PAIR_LEVELS)))
     undecided = np.flatnonzero(~(rejects | accepts))
-    for start in range(0, len(undecided), chunk):
-        rows = undecided[start : start + chunk]
-        pair, err = pair_exceedance(
-            b[rows, None], c_hat[rows][:, i, j], None if df is None else df[rows, None]
-        )
-        upper = _hunter_worsley(p1[rows], pair, err, i, j, m)
-        lower = _pair_lower(p1[rows], pair, err, m)
-        rejects[rows] = upper <= alpha
-        accepts[rows] = lower > alpha
-        paired[rows] = rejects[rows] | accepts[rows]
+    if len(undecided):
+        i, j = _pairs(m)
+        rho = np.broadcast_to(c_hat[..., i, j], shape + (len(i),)).reshape(-1, len(i))
+        chunk = max(1, _PAIR_BLOCK_FLOATS // (len(i) * max(_PAIR_LEVELS)))
+        for start in range(0, len(undecided), chunk):
+            rows = undecided[start : start + chunk]
+            # one pair_exceedance call per law present among the rows
+            pair, err = np.empty((2, len(rows), len(i)))
+            for law in (~t_law[rows], t_law[rows]):
+                if law.any():
+                    r = rows[law]
+                    pair[law], err[law] = pair_exceedance(
+                        b[r, None], rho[r], df[r, None] if t_law[r[0]] else None
+                    )
+            upper = _hunter_worsley(p1[rows], pair, err, i, j, m)
+            lower = _pair_lower(p1[rows], pair, err, m)
+            rejects[rows] = upper <= alpha
+            accepts[rows] = lower > alpha
+            paired[rows] = rejects[rows] | accepts[rows]
     return rejects.reshape(shape), accepts.reshape(shape), paired.reshape(shape)
 
 

@@ -31,9 +31,11 @@ correlations C_hat with one ``einsum`` (``mmm.score_correlation``) and
 validates them together (``mvdist.validate_correlation``).  The cell-means
 critical value depends only on the design, so it is computed once per
 design and reused by every run of it, under another seed or effect size.
-The noadjust, Bonferroni and cell-means decisions, and the exact bounds of
-every mmm variant (``mmm.max_type_bounds`` on the block's edges and C_hat
-stack), then take one vectorized call each.
+The noadjust, Bonferroni and cell-means decisions then take one vectorized
+call each, and the exact bounds of all mmm variants take one pass per
+block: one ``mmm.max_type_bounds`` call on a (variants, block) stack of
+edges and laws over the block's C_hat stack, with df ``inf`` for the
+normal-law variants (mmm and dfind).
 The bounds are the first-order p1 <= p_mmm <= m * p1 (p1 the closed-form
 tail of the largest relevant statistic, m the stacked dimension) and, from
 dimension 2 on, exact at dimension 2, the pairwise Hunter-Worsley and
@@ -43,11 +45,12 @@ The block size follows from the number of models and subjects so that no
 replicate count; the fit holds about eight such arrays at once, so a block
 adds under 10 MB to peak memory.
 
-Only replicates between the mmm bounds build a ``CorrelationMatrix`` (from
-the already validated C_hat, without checking it again) and go through the
-integration step of ``mmm.max_type_rejects`` (its bounds already ran on the
-block), which integrates the rectangle once at the caller's settings,
-stopping as soon as its estimate settles the decision.
+Only the (variant, replicate) decisions that pass leaves open build a
+``CorrelationMatrix``, variant by variant (from the already validated
+C_hat, without checking it again) and go through the integration step of
+``mmm.max_type_rejects`` (its bounds already ran on the block), which
+integrates the rectangle once at the caller's settings, stopping as soon
+as its estimate settles the decision.
 ``SimResult.mmm_decisions`` counts, per mmm variant, the decisions settled
 at each rung of this ladder (``DECISION_STAGES``).  Under ``dfind`` the
 first-order upper bound is the Bonferroni test of the largest statistic, so
@@ -564,11 +567,11 @@ def run(
     Replicates are processed in blocks (see the module docstring); replicate
     r always comes from the stream of ``default_rng((scenario.seed, r))``,
     so the counts do not depend on the block size.  Exact bounds settle most
-    mmm decisions for a whole block at once; the rest go one by one through
-    the integration step of ``mmm.max_type_rejects``, which integrates each
-    once at ``settings``, stopping as soon as the estimate settles the
-    decision, so the seed and shifts given here govern every rectangle
-    evaluated.  The result counts each mmm method's decisions per rung
+    mmm decisions, of every variant and a whole block in one pass; the rest
+    go one by one through the integration step of ``mmm.max_type_rejects``,
+    which integrates each once at ``settings``, stopping as soon as the
+    estimate settles the decision, so the seed and shifts given here govern
+    every rectangle evaluated.  The result counts each mmm method's decisions per rung
     (``mmm_decisions``).
     """
     if not 0.0 < alpha < 1.0:
@@ -626,20 +629,26 @@ def run(
 
         if mmm_modes:
             c_hat = validate_correlation(score_correlation(scores, labels)[1])
-            for name in mmm_modes:
-                scaled, df = joint_scale(stats, dfs, _MMM_MODES[name])
-                b = np.where(live, np.abs(scaled), 0.0).max(axis=1)
-                rejects, accepts, paired = max_type_bounds(b, df, c_hat, alpha)
-                undecided = ~(rejects | accepts)
+            # one (variants, block) stack of edges and laws, inf df = normal
+            b = np.empty((len(mmm_modes), len(stats)))
+            df = np.full_like(b, np.inf)
+            for v, name in enumerate(mmm_modes):
+                scaled, law = joint_scale(stats, dfs, _MMM_MODES[name])
+                b[v] = np.where(live, np.abs(scaled), 0.0).max(axis=1)
+                if law is not None:
+                    df[v] = law
+            rejects, accepts, paired = max_type_bounds(b, df, c_hat, alpha)
+            undecided = ~(rejects | accepts)
+            for v, name in enumerate(mmm_modes):
                 stage = stages[name]
-                stage["first_order"] += int((~undecided & ~paired).sum())
-                stage["pairwise"] += int(paired.sum())
-                stage["integrated"] += int(undecided.sum())
-                for i in np.flatnonzero(undecided):
+                stage["first_order"] += int((~undecided[v] & ~paired[v]).sum())
+                stage["pairwise"] += int(paired[v].sum())
+                stage["integrated"] += int(undecided[v].sum())
+                for i in np.flatnonzero(undecided[v]):
                     corr = CorrelationMatrix._checked(c_hat[i])
-                    df_i = None if df is None else int(df[i])
-                    rejects[i] = _integrated_rejects(corr, b[i], df_i, alpha, settings)
-                counts[name] += int(rejects.sum())
+                    df_i = None if np.isinf(df[v, i]) else int(df[v, i])
+                    rejects[v, i] = _integrated_rejects(corr, b[v, i], df_i, alpha, settings)
+                counts[name] += int(rejects[v].sum())
 
     return SimResult(
         scenario=scenario,

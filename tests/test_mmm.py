@@ -252,26 +252,71 @@ class TestMaxTypeRejects:
         assert lower <= reference <= upper
         assert not max_type_rejects(corr, b, df, 0.05, SIM_SETTINGS)
 
-    @pytest.mark.parametrize("mode", ["normal", "dfmin", "dfmax", "dfind"])
-    def test_stacks_match_single_calls(self, mode):
-        # one row per replicate: joint_scale and max_type_bounds on whole
-        # blocks give exactly the values of one call per replicate
+    @pytest.mark.parametrize(
+        "modes, pair_floats",
+        [((mode,), None) for mode in mmm.DF_MODES]
+        + [(mmm.DF_MODES, None), (mmm.DF_MODES, 3 * max(mvdist._PAIR_LEVELS) * 8)],
+        ids=[*mmm.DF_MODES, "all-modes", "all-modes-chunked"],
+    )
+    def test_stacks_match_single_calls(self, monkeypatch, modes, pair_floats):
+        # one row per (mode, replicate): joint_scale and max_type_bounds on a
+        # whole stack give exactly the values of one call per row, with df
+        # inf marking the normal-law rows of a stack that mixes laws
         rng = np.random.default_rng(5)
         stats = rng.normal(scale=2.0, size=(40, 3))
         dfs = rng.integers(5, 60, size=(40, 3))
-        scaled, df = joint_scale(stats, dfs, mode)
-        b = np.abs(scaled).max(axis=1)
-        rejects, accepts, paired = mmm.max_type_bounds(b, df, np.eye(3), 0.05)
-        assert rejects.any() and accepts.any() and not (rejects & accepts).any()
-        for i in range(40):
-            row_scaled, row_df = joint_scale(stats[i], dfs[i], mode)
-            np.testing.assert_array_equal(row_scaled, scaled[i])
-            assert row_df == (None if df is None else df[i])
-            assert mmm.max_type_bounds(abs(row_scaled).max(), row_df, np.eye(3), 0.05) == (
-                rejects[i],
-                accepts[i],
-                paired[i],
-            )
+        factors = rng.normal(size=(40, 3, 4))
+        cov = factors @ factors.transpose(0, 2, 1)
+        sd = np.sqrt(np.diagonal(cov, axis1=1, axis2=2))
+        c_hat = cov / (sd[:, :, None] * sd[:, None, :])
+        b, df = np.empty((2, len(modes), 40))
+        for v, mode in enumerate(modes):
+            scaled, law = joint_scale(stats, dfs, mode)
+            b[v] = np.abs(scaled).max(axis=1)
+            df[v] = np.inf if law is None else law
+            for i in range(40):
+                row_scaled, row_df = joint_scale(stats[i], dfs[i], mode)
+                np.testing.assert_array_equal(row_scaled, scaled[i])
+                assert row_df == (None if law is None else law[i])
+        chunks = []
+        if pair_floats is not None:
+            monkeypatch.setattr(mmm, "_PAIR_BLOCK_FLOATS", pair_floats)
+            hunter_worsley = mmm._hunter_worsley
+
+            def spy(p1, *args):
+                chunks.append(len(p1))
+                return hunter_worsley(p1, *args)
+
+            monkeypatch.setattr(mmm, "_hunter_worsley", spy)
+        # a stack of normal-law rows alone passes None, as joint_scale gives
+        stack_df = None if np.isinf(df).all() else df
+        rejects, accepts, paired = mmm.max_type_bounds(b, stack_df, c_hat, 0.05)
+        assert rejects.any() and accepts.any() and paired.any()
+        assert not (rejects & accepts).any()
+        if pair_floats is not None:
+            # the open rows of the stack span at least three chunks of 8
+            assert len(chunks) >= 3 and max(chunks) == 8
+        for v, mode in enumerate(modes):
+            for i in range(40):
+                row_df = None if np.isinf(df[v, i]) else int(df[v, i])
+                assert mmm.max_type_bounds(b[v, i], row_df, c_hat[i], 0.05) == (
+                    rejects[v, i],
+                    accepts[v, i],
+                    paired[v, i],
+                )
+
+    @pytest.mark.parametrize("df", [0, -3, np.nan, -np.inf, 0.5, [30, 0]])
+    def test_df_below_one_is_rejected(self, df):
+        with pytest.raises(ValueError, match="df"):
+            mmm.max_type_bounds(np.array([1.0, 2.5]), df, np.eye(2), 0.05)
+
+    def test_infinite_df_is_the_normal_law(self):
+        b = np.linspace(1.5, 3.0, 31)
+        c_hat = np.array([[1.0, 0.6], [0.6, 1.0]])
+        normal = mmm.max_type_bounds(b, None, c_hat, 0.05)
+        for got, want in zip(mmm.max_type_bounds(b, np.inf, c_hat, 0.05), normal):
+            np.testing.assert_array_equal(got, want)
+        assert normal[2].any()
 
     def test_bonferroni_rejection_implies_dfind_rejection_per_replicate(self):
         # a5-any: five overlapping subgroup models of one gaussian endpoint

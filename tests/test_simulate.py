@@ -600,8 +600,9 @@ class TestVariantScenarios:
 
 
 def reference_counts(scenario, methods, alpha=0.05, settings=SIM_SETTINGS):
-    """Rejection counts from one replicate at a time: generate, fit_ols,
-    stack, joint_scale and max_type_rejects, plus the marginal and
+    """Rejection counts and mmm decisions per rung from one replicate at a
+    time: generate, fit_ols, stack, joint_scale, max_type_bounds and
+    max_type_rejects for each mmm variant on its own, plus the marginal and
     cell-means rules, written out replicate by replicate."""
     specs = scenario.model_specs
     m = len(specs)
@@ -623,6 +624,9 @@ def reference_counts(scenario, methods, alpha=0.05, settings=SIM_SETTINGS):
             for label in contrasts.labels
         ]
     counts = dict.fromkeys(methods, 0)
+    decisions = {
+        name: dict.fromkeys(DECISION_STAGES, 0) for name in MMM_MODES if name in methods
+    }
     for r in range(scenario.replications):
         data = generate(scenario, r)
         models = [fit_ols(data, spec) for spec in specs]
@@ -651,7 +655,14 @@ def reference_counts(scenario, methods, alpha=0.05, settings=SIM_SETTINGS):
                 scaled, df = joint_scale(fit.statistics, fit.per_model_df, mode)
                 b = np.abs(scaled[live]).max()
                 counts[name] += max_type_rejects(fit.c_hat, b, df, alpha, settings)
-    return counts
+                rejects, accepts, paired = mmm.max_type_bounds(b, df, fit.c_hat.entries, alpha)
+                if paired:
+                    decisions[name]["pairwise"] += 1
+                elif rejects or accepts:
+                    decisions[name]["first_order"] += 1
+                else:
+                    decisions[name]["integrated"] += 1
+    return counts, decisions
 
 
 # (id, Scenario fields): the published null designs at N=50, prop 0.6, one
@@ -688,7 +699,26 @@ class TestBlockEngine:
     def test_counts_match_replicate_by_replicate_reference(self, fields):
         scenario = Scenario(seed=20150436, **fields)
         result = run(scenario)
-        assert dict(result.rejections) == reference_counts(scenario, result.methods)
+        counts, decisions = reference_counts(scenario, result.methods)
+        assert dict(result.rejections) == counts
+        assert {name: dict(c) for name, c in result.mmm_decisions.items()} == decisions
+
+    def test_one_bounds_pass_per_block(self, monkeypatch):
+        # every mmm variant's exact bounds for a block come from one call
+        calls = []
+        bounds = simulate.max_type_bounds
+
+        def spy(b, df, c_hat, alpha):
+            calls.append(np.shape(b))
+            return bounds(b, df, c_hat, alpha)
+
+        monkeypatch.setattr(simulate, "max_type_bounds", spy)
+        scenario = Scenario(seed=20150436, **dict(ORACLE_ROWS)["a3-blocks"])
+        result = run(scenario)
+        assert result.methods[-4:] == MMM_METHODS
+        block = simulate._BLOCK_FLOATS // (len(scenario.model_specs) * scenario.total_n)
+        assert len(calls) == -(-scenario.replications // block)
+        assert calls[0] == (4, block)
 
     def test_block_boundary_is_crossed(self):
         fields = dict(ORACLE_ROWS)["a3-blocks"]
