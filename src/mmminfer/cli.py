@@ -99,12 +99,11 @@ def _jobs() -> int:
     return jobs
 
 
-def _run_scenario(scenario, methods, alpha):
-    return run(scenario, methods=methods, alpha=alpha)
-
-
 def _run_task(task):
-    return _run_scenario(*task)
+    """``run`` of one ``(scenario, methods, alpha)`` task; a module-level
+    function, so worker processes can unpickle it."""
+    scenario, methods, alpha = task
+    return run(scenario, methods=methods, alpha=alpha)
 
 
 def _run_all(scenarios, methods, alpha):

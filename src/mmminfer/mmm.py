@@ -20,8 +20,9 @@ statistics:
   joint law on that scale is multivariate normal with correlation C_hat.
 
 ``max_type_rejects`` is the yes/no form of the two-sided max-type test that
-the simulation study asks per replicate and variant.  It climbs a ladder
-of three rungs and stops at the first that settles the decision:
+the simulation study asks per replicate and variant, a whole stack of them
+in one call.  It climbs a ladder of three rungs (``DECISION_STAGES``) and
+stops at the first that settles the decision:
 
 1. first-order bounds: with p1 the closed-form tail of one coordinate,
    p1 <= p_mmm <= dim * p1 holds exactly;
@@ -35,8 +36,9 @@ of three rungs and stops at the first that settles the decision:
 
 ``max_type_bounds`` runs the first two rungs on whole arrays of statistics
 and correlation matrices; ``max_type_rejects`` calls it and integrates only
-what it leaves open, through ``_integrated_rejects``, which the simulation
-calls directly for the decisions its own bounds left open.
+what it leaves open.  Under ``dfind`` the first-order upper bound is the
+Bonferroni test of the largest statistic, so a Bonferroni rejection is a
+``dfind`` rejection by construction.
 
 The unadjusted and Bonferroni baselines live here too; each marginal model
 is tested against its own reference (Student t for gaussian models, normal
@@ -60,11 +62,13 @@ from .mvdist import (
     mv_rect_prob,
     pair_exceedance,
     equicoordinate_quantile,
+    validate_correlation,
 )
 from .report import HypothesisRow, InferenceReport, MethodCell
 
 __all__ = [
     "DF_MODES",
+    "DECISION_STAGES",
     "MmmFit",
     "stack",
     "score_correlation",
@@ -83,6 +87,9 @@ __all__ = [
 
 DF_MODES = ("normal", "dfmin", "dfmax", "dfind")
 ALTERNATIVES = ("two-sided", "greater", "less")
+# Rungs of the ``max_type_rejects`` ladder, in the order they are tried: the
+# first-order bounds, the pairwise bounds and the integrated rectangle.
+DECISION_STAGES = ("first_order", "pairwise", "integrated")
 
 _PCLIP = 1e-16
 
@@ -255,35 +262,41 @@ def max_type_p(
 
 
 def max_type_rejects(
-    corr: CorrelationMatrix,
-    b: float,
-    df: int | None = None,
+    b,
+    df,
+    c_hat,
     alpha: float = 0.05,
     settings: QuadratureSettings = QuadratureSettings(),
-) -> bool:
+):
     """Whether the two-sided max-type p-value at box edge ``b`` is <= alpha.
 
     The p-value is 1 - P(-b <= X_r <= b for all r) under the joint law of
-    ``max_type_p``.  Every coordinate shares one marginal law, so the exact
-    bounds of :func:`max_type_bounds` settle most decisions without
-    integrating the rectangle.  In between, it is integrated once, at
-    ``settings`` with ``decide_at = 1 - alpha``: the rounds stop at the first
-    estimate farther from 1 - alpha than its error and twice the target.
+    ``max_type_p``.  ``b``, ``df`` and ``c_hat`` are stacks as for
+    :func:`max_type_bounds`, whose exact bounds settle most decisions;
+    ``c_hat`` is checked once with ``validate_correlation``.  Each decision
+    they leave open is integrated once, at ``settings`` with ``decide_at =
+    1 - alpha``: the rounds stop at the first estimate farther from
+    1 - alpha than its error and twice the target.
+
+    Returns ``(rejects, stage)``, elementwise over the edges: p <= alpha,
+    and the index into ``DECISION_STAGES`` of the rung that decided.
     """
-    rejects, accepts, _ = max_type_bounds(b, df, corr.entries, alpha)
-    if rejects:
-        return True
-    if accepts:
-        return False
-    return _integrated_rejects(corr, b, df, alpha, settings)
-
-
-def _integrated_rejects(corr, b, df, alpha, settings) -> bool:
-    """The decision of ``max_type_rejects`` that its bounds leave open: the
-    rectangle integrated once with ``decide_at = 1 - alpha``."""
-    lower, upper = np.full(corr.dim, -b), np.full(corr.dim, b)
-    rect = mv_rect_prob(corr, lower, upper, df=df, settings=settings, decide_at=1.0 - alpha)
-    return bool(1.0 - rect.value <= alpha)
+    c_hat = validate_correlation(c_hat)
+    rejects, accepts, paired = max_type_bounds(b, df, c_hat, alpha)
+    stage = paired.astype(np.intp)  # first_order (0) or pairwise (1)
+    open_ = ~(rejects | accepts)
+    stage[open_] = DECISION_STAGES.index("integrated")
+    shape, m = rejects.shape, c_hat.shape[-1]
+    b = np.broadcast_to(np.asarray(b, dtype=float), shape)
+    df = np.broadcast_to(np.inf if df is None else df, shape)
+    c_hat = np.broadcast_to(c_hat, shape + (m, m))
+    for k in map(tuple, np.argwhere(open_)):
+        corr = CorrelationMatrix._checked(c_hat[k])
+        law = None if np.isinf(df[k]) else int(df[k])
+        edge = np.full(m, b[k])
+        rect = mv_rect_prob(corr, -edge, edge, df=law, settings=settings, decide_at=1.0 - alpha)
+        rejects[k] = 1.0 - rect.value <= alpha
+    return rejects, stage
 
 
 def max_type_bounds(b, df, c_hat, alpha: float):

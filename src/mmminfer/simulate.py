@@ -26,35 +26,20 @@ two-sided at alpha = 0.05 by default.
 replicates' streams together, fills one (block, endpoints, n) array with
 their noise, correlates the second endpoint, scales and shifts the whole
 block in place, fits every marginal OLS model of every
-replicate at once (``linmodels.fit_ols_batch``), forms all score
-correlations C_hat with one ``einsum`` (``mmm.score_correlation``) and
-validates them together (``mvdist.validate_correlation``).  The cell-means
-critical value depends only on the design, so it is computed once per
-design and reused by every run of it, under another seed or effect size.
+replicate at once (``linmodels.fit_ols_batch``) and forms all score
+correlations C_hat with one ``einsum`` (``mmm.score_correlation``).  The
+cell-means critical value depends only on the design, so it is computed once
+per design and reused by every run of it, under another seed or effect size.
 The noadjust, Bonferroni and cell-means decisions then take one vectorized
-call each, and the exact bounds of all mmm variants take one pass per
-block: one ``mmm.max_type_bounds`` call on a (variants, block) stack of
-edges and laws over the block's C_hat stack, with df ``inf`` for the
-normal-law variants (mmm and dfind).
-The bounds are the first-order p1 <= p_mmm <= m * p1 (p1 the closed-form
-tail of the largest relevant statistic, m the stacked dimension) and, from
-dimension 2 on, exact at dimension 2, the pairwise Hunter-Worsley and
-Dawson-Sankoff bounds for the decisions the first-order ones leave open.
+call each, and the mmm variants one ``mmm.max_type_rejects`` call on a
+(variants, block) stack of edges and laws over the block's C_hat stack, with
+df ``inf`` for the normal-law variants (mmm and dfind); the ``mmm`` module
+docstring describes its decision ladder, and ``SimResult.mmm_decisions``
+counts each variant's decisions per rung (``DECISION_STAGES``).
 The block size follows from the number of models and subjects so that no
 (block, models, subjects) array exceeds 2**17 floats (1 MiB), whatever the
 replicate count; the fit holds about eight such arrays at once, so a block
 adds under 10 MB to peak memory.
-
-Only the (variant, replicate) decisions that pass leaves open build a
-``CorrelationMatrix``, variant by variant (from the already validated
-C_hat, without checking it again) and go through the integration step of
-``mmm.max_type_rejects`` (its bounds already ran on the block), which
-integrates the rectangle once at the caller's settings, stopping as soon
-as its estimate settles the decision.
-``SimResult.mmm_decisions`` counts, per mmm variant, the decisions settled
-at each rung of this ladder (``DECISION_STAGES``).  Under ``dfind`` the
-first-order upper bound is the Bonferroni test of the largest statistic, so
-a Bonferroni rejection is an ``mmm.dfind`` rejection by construction.
 """
 
 from __future__ import annotations
@@ -73,16 +58,10 @@ from scipy.special import stdtr
 from .contrasts import cell_moments, default_contrasts
 from .errors import IncompatibleMethod, SchemaError
 from .linmodels import Dataset, ModelSpec, fit_ols_batch
-from .mmm import _integrated_rejects, joint_scale, max_type_bounds, score_correlation
+from .mmm import DECISION_STAGES, joint_scale, max_type_rejects, score_correlation
 # mv_rect_prob stays bound here: perfbench/test_harness.py checks that the
 # benchmark's tracer patches and restores this binding.
-from .mvdist import (  # noqa: F401
-    CorrelationMatrix,
-    QuadratureSettings,
-    equicoordinate_quantile,
-    mv_rect_prob,
-    validate_correlation,
-)
+from .mvdist import QuadratureSettings, equicoordinate_quantile, mv_rect_prob  # noqa: F401
 
 __all__ = [
     "METHODS",
@@ -110,9 +89,6 @@ METHODS = (
     "mmm.dfind",
 )
 FAMILIES = ("targeted-or-total", "any")
-# Rungs of the mmm decision ladder, in the order they are tried: the
-# first-order bounds, the pairwise bounds and the integrated rectangle.
-DECISION_STAGES = ("first_order", "pairwise", "integrated")
 
 _MMM_MODES = {
     "mmm": "normal",
@@ -566,13 +542,9 @@ def run(
 
     Replicates are processed in blocks (see the module docstring); replicate
     r always comes from the stream of ``default_rng((scenario.seed, r))``,
-    so the counts do not depend on the block size.  Exact bounds settle most
-    mmm decisions, of every variant and a whole block in one pass; the rest
-    go one by one through the integration step of ``mmm.max_type_rejects``,
-    which integrates each once at ``settings``, stopping as soon as the
-    estimate settles the decision, so the seed and shifts given here govern
-    every rectangle evaluated.  The result counts each mmm method's decisions per rung
-    (``mmm_decisions``).
+    so the counts do not depend on the block size.  Every rectangle that
+    ``mmm.max_type_rejects`` integrates uses ``settings``.  The result
+    counts each mmm method's decisions per rung (``mmm_decisions``).
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
@@ -602,7 +574,7 @@ def run(
 
     started = time.perf_counter()
     counts = dict.fromkeys(methods, 0)
-    stages = {name: dict.fromkeys(DECISION_STAGES, 0) for name in mmm_modes}
+    stages = np.zeros((len(mmm_modes), len(DECISION_STAGES)), dtype=int)
     block = max(1, _BLOCK_FLOATS // (m * scenario.total_n))
     for start in range(0, scenario.replications, block):
         stop = min(start + block, scenario.replications)
@@ -628,7 +600,7 @@ def run(
             counts["cellmeans"] += int((cm_stats.max(axis=1) > cm_crit).sum())
 
         if mmm_modes:
-            c_hat = validate_correlation(score_correlation(scores, labels)[1])
+            c_hat = score_correlation(scores, labels)[1]
             # one (variants, block) stack of edges and laws, inf df = normal
             b = np.empty((len(mmm_modes), len(stats)))
             df = np.full_like(b, np.inf)
@@ -637,24 +609,19 @@ def run(
                 b[v] = np.where(live, np.abs(scaled), 0.0).max(axis=1)
                 if law is not None:
                     df[v] = law
-            rejects, accepts, paired = max_type_bounds(b, df, c_hat, alpha)
-            undecided = ~(rejects | accepts)
+            rejects, stage = max_type_rejects(b, df, c_hat, alpha, settings)
             for v, name in enumerate(mmm_modes):
-                stage = stages[name]
-                stage["first_order"] += int((~undecided[v] & ~paired[v]).sum())
-                stage["pairwise"] += int(paired[v].sum())
-                stage["integrated"] += int(undecided[v].sum())
-                for i in np.flatnonzero(undecided[v]):
-                    corr = CorrelationMatrix._checked(c_hat[i])
-                    df_i = None if np.isinf(df[v, i]) else int(df[v, i])
-                    rejects[v, i] = _integrated_rejects(corr, b[v, i], df_i, alpha, settings)
                 counts[name] += int(rejects[v].sum())
+                stages[v] += np.bincount(stage[v], minlength=len(DECISION_STAGES))
 
     return SimResult(
         scenario=scenario,
         rejections=counts,
         wall_time=time.perf_counter() - started,
-        mmm_decisions=stages,
+        mmm_decisions={
+            name: dict(zip(DECISION_STAGES, map(int, row)))
+            for name, row in zip(mmm_modes, stages)
+        },
     )
 
 
@@ -680,27 +647,18 @@ def power_curves(
     paired comparisons.  Returns ``{method: array over deltas}``; the entry
     at delta = 0 is the familywise error rate.
     """
+    props = tuple(props)
+    cells = [(delta, prop) for delta in deltas for prop in props]
+    scenarios = power_cells(
+        total_n, sd, cells, family, endpoints, rho, overlap, replications, seed
+    )
     sums = {}
-    for delta in deltas:
-        for prop in props:
-            scenario = Scenario(
-                total_n=total_n,
-                sd=sd,
-                prop_target=prop,
-                delta=float(delta),
-                endpoints=endpoints,
-                rho=rho,
-                overlap=overlap,
-                family=family,
-                replications=replications,
-                seed=seed,
-            )
-            result = run(scenario, methods=methods, alpha=alpha, settings=settings)
-            for method, value in result.proportions.items():
-                sums.setdefault(method, []).append(value)
-    n_props = len(tuple(props))
+    for scenario in scenarios:
+        result = run(scenario, methods=methods, alpha=alpha, settings=settings)
+        for method, value in result.proportions.items():
+            sums.setdefault(method, []).append(value)
     return {
-        method: np.asarray(values).reshape(-1, n_props).mean(axis=1)
+        method: np.asarray(values).reshape(-1, len(props)).mean(axis=1)
         for method, values in sums.items()
     }
 
@@ -712,10 +670,11 @@ def power_cells(
     family: str = "targeted-or-total",
     endpoints: int = 1,
     rho: float = 0.0,
+    overlap: bool = False,
     replications: int = 10_000,
     seed: int = 20150436,
 ) -> list:
-    """One scenario per (delta, prop_target) cell of a power-gain scan."""
+    """One scenario per (delta, prop_target) cell of a power scan."""
     return [
         Scenario(
             total_n=total_n,
@@ -724,6 +683,7 @@ def power_cells(
             delta=float(delta),
             endpoints=endpoints,
             rho=rho,
+            overlap=overlap,
             family=family,
             replications=replications,
             seed=seed,
@@ -763,7 +723,7 @@ def power_gain(
     the headline "gain of power" figures.
     """
     scenarios = power_cells(
-        total_n, sd, cells, family, endpoints, rho, replications, seed
+        total_n, sd, cells, family, endpoints, rho, replications=replications, seed=seed
     )
     results = (
         run(s, methods=[baseline, method], alpha=alpha, settings=settings)

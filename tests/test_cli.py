@@ -381,17 +381,18 @@ class TestTablesRows:
     def test_rows_print_as_they_finish(self, capsys, monkeypatch):
         # a failing last row still leaves every finished row printed
         last = published_rows("a4_fwer_any")[-1]
-        run_scenario = cli._run_scenario
+        run_task = cli._run_task
 
-        def fail_last(scenario, methods, alpha):
+        def fail_last(task):
+            scenario = task[0]
             if (scenario.total_n, scenario.prop_target) == (
                 int(last["N"]),
                 float(last["prop_targ"]),
             ):
                 raise RuntimeError("last row")
-            return run_scenario(scenario, methods, alpha)
+            return run_task(task)
 
-        monkeypatch.setattr(cli, "_run_scenario", fail_last)
+        monkeypatch.setattr(cli, "_run_task", fail_last)
         with pytest.raises(RuntimeError, match="last row"):
             run_cli(["tables", "--which", "a4", "--reps", "20"])
         out = capsys.readouterr().out

@@ -328,6 +328,17 @@ class TestReadDataset:
             read_dataset(io.StringIO(bad))
 
 
+def pooled_rss(y0, y1):
+    """Pooled residual sum of squares, formed as ``fit_ols`` forms it: each
+    arm's mean sums the whole subject axis with the other arm zeroed."""
+    y = np.r_[y0, y1]
+    test = np.r_[np.zeros(len(y0), bool), np.ones(len(y1), bool)]
+    mean1 = np.where(test, y, 0.0).sum() / len(y1)
+    mean0 = np.where(test, 0.0, y).sum() / len(y0)
+    resid = y - np.where(test, mean1, mean0)
+    return (resid * resid).sum()
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.data())
 def test_ols_coefficient_matches_oracle_fuzzed(data):
@@ -344,9 +355,22 @@ def test_ols_coefficient_matches_oracle_fuzzed(data):
     y0, y1 = y[:n0], y[n0:]
     if np.ptp(y0) == 0 and np.ptp(y1) == 0:
         return
+    if pooled_rss(y0, y1) == 0.0:
+        # residuals below ~1e-162 square to 0.0: no variance to estimate
+        with pytest.raises(ZeroVariance):
+            fit_ols(gaussian_dataset(y0, y1), GAUSS)
+        return
     m = fit_ols(gaussian_dataset(y0, y1), GAUSS)
     assert m.coefficient == pytest.approx(y1.mean() - y0.mean(), abs=1e-9)
     assert abs(m.score_contributions.sum()) <= 1e-6 * (n0 + n1)
+
+
+def test_ols_residuals_that_underflow_raise_zero_variance():
+    # residuals of +-2e-253 square to 0.0, so the pooled variance is zero
+    y0, y1 = [0.0, 0.0], [0.0, 3.99e-253]
+    assert np.ptp(y1) > 0.0 and pooled_rss(y0, y1) == 0.0
+    with pytest.raises(ZeroVariance):
+        fit_ols(gaussian_dataset(y0, y1), GAUSS)
 
 
 @settings(max_examples=50, deadline=None)

@@ -2,14 +2,15 @@
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings as hsettings, strategies as st
+from hypothesis import assume, example, given, settings as hsettings, strategies as st
 from scipy import integrate, stats
 from scipy.special import ndtr, ndtri, stdtr, stdtrit
 
 from mmminfer import mmm, mvdist, simulate
-from mmminfer.errors import DegenerateVariance, MismatchedSubjectAxis
+from mmminfer.errors import DegenerateVariance, MismatchedSubjectAxis, NotPSD
 from mmminfer.linmodels import Dataset, ModelSpec, fit_ols
 from mmminfer.mmm import (
+    DECISION_STAGES,
     adjusted_p,
     bonferroni_ci,
     bonferroni_p,
@@ -226,19 +227,20 @@ class TestMaxTypeRejects:
         bonferroni_edge = marginal_quantile(1.0 - 0.05 / (2 * dim), df)
         unadjusted_edge = marginal_quantile(1.0 - 0.05 / 2.0, df)
         # dim * p1 <= alpha: reject; p1 > alpha: accept
-        assert max_type_rejects(corr, bonferroni_edge + 1e-6, df, 0.05, FAST)
-        assert not max_type_rejects(corr, unadjusted_edge - 1e-6, df, 0.05, FAST)
-        assert not max_type_rejects(corr, 0.0, df, 0.05, FAST)
+        c_hat = corr.entries
+        assert max_type_rejects(bonferroni_edge + 1e-6, df, c_hat, 0.05, FAST) == (True, 0)
+        assert max_type_rejects(unadjusted_edge - 1e-6, df, c_hat, 0.05, FAST) == (False, 0)
+        assert max_type_rejects(0.0, df, c_hat, 0.05, FAST) == (False, 0)
         assert calls == []
         critical = equicoordinate_quantile(corr, 0.05, df=df)
-        max_type_rejects(corr, critical, df, 0.05, FAST)
+        _, stage = max_type_rejects(critical, df, c_hat, 0.05, FAST)
         if dim == 2:
             # the pairwise bound is the p-value itself: nothing is integrated
-            assert calls == []
+            assert calls == [] and DECISION_STAGES[stage] == "pairwise"
         else:
             # at the critical value no exact bound settles: the rectangle is
             # integrated
-            assert calls
+            assert len(calls) == 1 and DECISION_STAGES[stage] == "integrated"
 
     def test_p_value_near_alpha_is_decided_by_the_exact_pair_bound(self):
         # replicate 837 of the a3 design (N=50, prop 0.6, seed 20150436)
@@ -250,7 +252,7 @@ class TestMaxTypeRejects:
         assert mmm.max_type_bounds(b, df, corr.entries, 0.05) == (False, True, True)
         lower, upper = pairwise_bound_values(corr.entries, b, df)
         assert lower <= reference <= upper
-        assert not max_type_rejects(corr, b, df, 0.05, SIM_SETTINGS)
+        assert max_type_rejects(b, df, corr.entries, 0.05, SIM_SETTINGS) == (False, 1)
 
     @pytest.mark.parametrize(
         "modes, pair_floats",
@@ -259,9 +261,10 @@ class TestMaxTypeRejects:
         ids=[*mmm.DF_MODES, "all-modes", "all-modes-chunked"],
     )
     def test_stacks_match_single_calls(self, monkeypatch, modes, pair_floats):
-        # one row per (mode, replicate): joint_scale and max_type_bounds on a
-        # whole stack give exactly the values of one call per row, with df
-        # inf marking the normal-law rows of a stack that mixes laws
+        # one row per (mode, replicate): joint_scale, max_type_bounds and
+        # max_type_rejects on a whole stack give exactly the values of one
+        # call per row, with df inf marking the normal-law rows of a stack
+        # that mixes laws
         rng = np.random.default_rng(5)
         stats = rng.normal(scale=2.0, size=(40, 3))
         dfs = rng.integers(5, 60, size=(40, 3))
@@ -269,12 +272,21 @@ class TestMaxTypeRejects:
         cov = factors @ factors.transpose(0, 2, 1)
         sd = np.sqrt(np.diagonal(cov, axis1=1, axis2=2))
         c_hat = cov / (sd[:, :, None] * sd[:, None, :])
-        b, df = np.empty((2, len(modes), 40))
+        # 20 replicates at correlation 0.9 whose largest statistic crosses
+        # the band where, in every mode, some decisions reach quadrature
+        edge = np.zeros((20, 3))
+        edge[:, 0] = np.linspace(2.0, 3.0, 20)
+        stats = np.concatenate([stats, edge])
+        dfs = np.concatenate([dfs, rng.integers(5, 60, size=(20, 3))])
+        close = np.full((3, 3), 0.9) + 0.1 * np.eye(3)
+        c_hat = np.concatenate([c_hat, np.broadcast_to(close, (20, 3, 3))])
+        n = len(stats)
+        b, df = np.empty((2, len(modes), n))
         for v, mode in enumerate(modes):
             scaled, law = joint_scale(stats, dfs, mode)
             b[v] = np.abs(scaled).max(axis=1)
             df[v] = np.inf if law is None else law
-            for i in range(40):
+            for i in range(n):
                 row_scaled, row_df = joint_scale(stats[i], dfs[i], mode)
                 np.testing.assert_array_equal(row_scaled, scaled[i])
                 assert row_df == (None if law is None else law[i])
@@ -296,14 +308,37 @@ class TestMaxTypeRejects:
         if pair_floats is not None:
             # the open rows of the stack span at least three chunks of 8
             assert len(chunks) >= 3 and max(chunks) == 8
+        decided, stage = max_type_rejects(b, stack_df, c_hat, 0.05, FAST)
+        settled = rejects | accepts
+        np.testing.assert_array_equal(decided[settled], rejects[settled])
+        np.testing.assert_array_equal(stage, np.where(settled, paired, 2))
+        assert (stage == DECISION_STAGES.index("integrated")).any(axis=1).all()
         for v, mode in enumerate(modes):
-            for i in range(40):
+            for i in range(n):
                 row_df = None if np.isinf(df[v, i]) else int(df[v, i])
                 assert mmm.max_type_bounds(b[v, i], row_df, c_hat[i], 0.05) == (
                     rejects[v, i],
                     accepts[v, i],
                     paired[v, i],
                 )
+                assert max_type_rejects(b[v, i], row_df, c_hat[i], 0.05, FAST) == (
+                    decided[v, i],
+                    stage[v, i],
+                )
+
+    @pytest.mark.parametrize(
+        "c_hat, error",
+        [
+            (np.array([[1.0, 0.5], [0.4, 1.0]]), ValueError),
+            (np.full((3, 3), -0.6) + 1.6 * np.eye(3), NotPSD),
+        ],
+        ids=["asymmetric", "negative-eigenvalue"],
+    )
+    def test_invalid_c_hat_is_rejected(self, c_hat, error):
+        # a stack fails when any of its matrices does
+        stack = np.stack([np.eye(len(c_hat)), c_hat])
+        with pytest.raises(error):
+            max_type_rejects(np.array([2.0, 2.0]), None, stack, 0.05, FAST)
 
     @pytest.mark.parametrize("df", [0, -3, np.nan, -np.inf, 0.5, [30, 0]])
     def test_df_below_one_is_rejected(self, df):
@@ -330,7 +365,8 @@ class TestMaxTypeRejects:
             fit = stack([fit_ols(data, spec) for spec in scenario.model_specs])
             p = 2.0 * stdtr(fit.per_model_df, -np.abs(fit.statistics))
             z, df = joint_scale(fit.statistics, fit.per_model_df, "dfind")
-            rejects = max_type_rejects(fit.c_hat, np.abs(z).max(), df, 0.05, SIM_SETTINGS)
+            b, c_hat = np.abs(z).max(), fit.c_hat.entries
+            rejects, _ = max_type_rejects(b, df, c_hat, 0.05, SIM_SETTINGS)
             if (p <= 0.05 / m).any():
                 bonferroni += 1
                 assert rejects, r
@@ -364,7 +400,8 @@ def test_max_type_rejects_matches_tight_p_value(seed, dim, t_path, position):
     decision_settings = QuadratureSettings(
         target_abs_error=1e-4, shifts=8, first_round_samples=64
     )
-    assert max_type_rejects(corr, b, df, 0.05, decision_settings) == (p <= 0.05)
+    rejects, _ = max_type_rejects(b, df, corr.entries, 0.05, decision_settings)
+    assert rejects == (p <= 0.05)
 
 
 class TestPairwiseBounds:
@@ -395,7 +432,7 @@ class TestPairwiseBounds:
                 not rejects,
                 True,
             )
-            assert max_type_rejects(corr, b, None, 0.05, FAST) == rejects
+            assert max_type_rejects(b, None, corr.entries, 0.05, FAST) == (rejects, 1)
         assert calls == []
 
 
@@ -448,7 +485,8 @@ def tight_p_value(corr, b, df):
     def given_x1(x):
         return density(x) * (cdf((b - rho * x) / scale(x)) - cdf((-b - rho * x) / scale(x)))
 
-    inside, error = integrate.quad(given_x1, -b, b, epsabs=1e-14, limit=200)
+    # quad's default epsrel of 1.5e-8 leaves p off by ~1e-9 at high rho
+    inside, error = integrate.quad(given_x1, -b, b, epsabs=1e-14, epsrel=1e-13, limit=500)
     return 1.0 - inside, error + 1e-13
 
 
@@ -459,6 +497,8 @@ def tight_p_value(corr, b, df):
     t_path=st.booleans(),
     position=st.floats(0.0, 1.0),
 )
+# rho 0.982 at dimension 2, where quad needs a tight epsrel to reach 1e-10
+@example(seed=396353616, dim=2, t_path=False, position=0.0)
 def test_pairwise_bounds_enclose_the_tight_p_value(seed, dim, t_path, position):
     """On random PSD correlations, lower - err <= p <= upper + err for the
     max-type p-value of ``tight_p_value``, within its error; at dimension 2
@@ -496,15 +536,15 @@ def test_integrated_decisions_match_the_tight_p_value(monkeypatch, fields):
     decision or not, is that of ``tight_p_value`` wherever that p-value lies
     more than three times its error from alpha."""
     decisions = []
+    rect = mmm.mv_rect_prob
 
-    integrated = mmm._integrated_rejects
+    def spy(corr, lower, upper, df, settings, *, decide_at):
+        result = rect(corr, lower, upper, df, settings, decide_at=decide_at)
+        assert decide_at == 1.0 - 0.05
+        decisions.append((corr, upper[0], df, 1.0 - result.value <= 0.05))
+        return result
 
-    def spy(corr, b, df, alpha, settings):
-        rejects = integrated(corr, b, df, alpha, settings)
-        decisions.append((corr, b, df, rejects))
-        return rejects
-
-    monkeypatch.setattr(simulate, "_integrated_rejects", spy)
+    monkeypatch.setattr(mmm, "mv_rect_prob", spy)
     scenario = Scenario(total_n=50, prop_target=0.6, seed=20150436, replications=200, **fields)
     simulate.run(scenario)
     assert decisions

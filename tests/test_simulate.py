@@ -520,17 +520,19 @@ class TestNullOrderings:
 class TestPowerCurves:
     def test_curve_is_the_mean_over_props(self):
         deltas, props = (0, 3), (0.5, 0.6)
-        curves = simulate.power_curves(
-            total_n=20, sd=5.0, deltas=deltas, props=props, replications=50, seed=7
-        )
-        results = [
-            [run(small(sd=5.0, delta=float(d), prop_target=p)) for p in props]
-            for d in deltas
-        ]
-        assert set(curves) == set(results[0][0].methods)
-        for method, curve in curves.items():
-            expected = [np.mean([r.proportion(method) for r in row]) for row in results]
-            assert curve.tolist() == pytest.approx(expected, abs=1e-12)
+        for overlap in (False, True):
+            curves = simulate.power_curves(
+                total_n=20, sd=5.0, deltas=deltas, props=props, overlap=overlap,
+                replications=50, seed=7,
+            )
+            results = [
+                [run(small(sd=5.0, delta=float(d), prop_target=p, overlap=overlap)) for p in props]
+                for d in deltas
+            ]
+            assert set(curves) == set(results[0][0].methods)
+            for method, curve in curves.items():
+                expected = [np.mean([r.proportion(method) for r in row]) for row in results]
+                assert curve.tolist() == pytest.approx(expected, abs=1e-12)
 
 
 @pytest.mark.slow
@@ -601,8 +603,8 @@ class TestVariantScenarios:
 
 def reference_counts(scenario, methods, alpha=0.05, settings=SIM_SETTINGS):
     """Rejection counts and mmm decisions per rung from one replicate at a
-    time: generate, fit_ols, stack, joint_scale, max_type_bounds and
-    max_type_rejects for each mmm variant on its own, plus the marginal and
+    time: generate, fit_ols, stack, joint_scale and max_type_rejects for
+    each mmm variant on its own, plus the marginal and
     cell-means rules, written out replicate by replicate."""
     specs = scenario.model_specs
     m = len(specs)
@@ -654,14 +656,9 @@ def reference_counts(scenario, methods, alpha=0.05, settings=SIM_SETTINGS):
             if name in methods:
                 scaled, df = joint_scale(fit.statistics, fit.per_model_df, mode)
                 b = np.abs(scaled[live]).max()
-                counts[name] += max_type_rejects(fit.c_hat, b, df, alpha, settings)
-                rejects, accepts, paired = mmm.max_type_bounds(b, df, fit.c_hat.entries, alpha)
-                if paired:
-                    decisions[name]["pairwise"] += 1
-                elif rejects or accepts:
-                    decisions[name]["first_order"] += 1
-                else:
-                    decisions[name]["integrated"] += 1
+                rejects, stage = max_type_rejects(b, df, fit.c_hat.entries, alpha, settings)
+                counts[name] += bool(rejects)
+                decisions[name][DECISION_STAGES[stage]] += 1
     return counts, decisions
 
 
@@ -706,13 +703,13 @@ class TestBlockEngine:
     def test_one_bounds_pass_per_block(self, monkeypatch):
         # every mmm variant's exact bounds for a block come from one call
         calls = []
-        bounds = simulate.max_type_bounds
+        bounds = mmm.max_type_bounds
 
         def spy(b, df, c_hat, alpha):
             calls.append(np.shape(b))
             return bounds(b, df, c_hat, alpha)
 
-        monkeypatch.setattr(simulate, "max_type_bounds", spy)
+        monkeypatch.setattr(mmm, "max_type_bounds", spy)
         scenario = Scenario(seed=20150436, **dict(ORACLE_ROWS)["a3-blocks"])
         result = run(scenario)
         assert result.methods[-4:] == MMM_METHODS
@@ -767,27 +764,21 @@ class TestBlockEngine:
             assert counts["pairwise"] > 0
 
     def test_only_integrated_decisions_reach_quadrature(self, monkeypatch):
-        integrated, rects = [], []
-        rejects, rect = mmm._integrated_rejects, mmm.mv_rect_prob
-
-        def spy_rejects(*args, **kwargs):
-            integrated.append(args)
-            return rejects(*args, **kwargs)
+        decide_at = []
+        rect = mmm.mv_rect_prob
 
         def spy_rect(*args, **kwargs):
-            rects.append(args)
+            decide_at.append(kwargs.get("decide_at"))
             return rect(*args, **kwargs)
 
-        monkeypatch.setattr(simulate, "_integrated_rejects", spy_rejects)
         monkeypatch.setattr(mmm, "mv_rect_prob", spy_rect)
         fields = dict(ORACLE_ROWS)["a5-any"]
         result = run(Scenario(seed=20150436, **dict(fields, replications=200)))
         open_ = sum(c["integrated"] for c in result.mmm_decisions.values())
         settled = sum(c["pairwise"] for c in result.mmm_decisions.values())
         assert settled > 5 * open_ > 0
-        # one integration per integrated decision
-        assert len(integrated) == open_
-        assert len(rects) == open_
+        # one integration per integrated decision, each stopped at its decision
+        assert decide_at == [1.0 - 0.05] * open_
 
     def test_dimensions_two_and_three_enter_the_pairwise_stage(self, monkeypatch):
         calls = []
@@ -816,7 +807,7 @@ class TestBlockEngine:
             return validate(entries)
 
         monkeypatch.setattr(mvdist, "validate_correlation", spy)
-        monkeypatch.setattr(simulate, "validate_correlation", spy)
+        monkeypatch.setattr(mmm, "validate_correlation", spy)
         checked = mvdist.CorrelationMatrix._checked
         undecided = []
 
