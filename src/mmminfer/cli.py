@@ -214,6 +214,10 @@ def _read_model_config(path):
     entries = raw.get("models")
     if not isinstance(entries, list) or not entries:
         raise SchemaError('model config needs a non-empty "models" list')
+    # a string would split into one-letter column names
+    subgroups = raw.get("subgroups", [])
+    if not isinstance(subgroups, list) or not all(isinstance(s, str) for s in subgroups):
+        raise SchemaError('model config "subgroups" must be a list of column names')
     return raw
 
 
@@ -240,7 +244,7 @@ def cmd_analyze(args) -> int:
         df_mode = args.df_mode or "normal"
         data = read_dataset(
             args.data,
-            subgroup_columns=tuple(config.get("subgroups", ())),
+            subgroup_columns=config.get("subgroups", ()),
             reference_level=config.get("reference_level"),
         )
         try:

@@ -14,11 +14,8 @@ class ZeroVariance(MmmInferError):
 
 
 class Separation(MmmInferError):
-    """A treatment arm has all-zero or all-one responses; the logit MLE is infinite."""
-
-
-class NoConvergence(MmmInferError):
-    """Iteratively reweighted least squares hit the iteration cap."""
+    """A treatment arm has all-zero or all-one responses; the closed-form logit
+    MLE, a log cross-product ratio, is infinite."""
 
 
 class NotPSD(MmmInferError):

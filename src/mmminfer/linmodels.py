@@ -7,8 +7,10 @@ exact-zero row in ``score_contributions``, so every model in a stack shares
 one subject axis; the empirical covariance of those stacked contributions
 is what estimates the joint correlation of the test statistics.
 
-The score contribution of a subject is its influence-function value for the
-treatment coefficient: information-inverse times the per-observation
+Both families fit in closed form, since treatment is the only covariate:
+a difference of arm means, or a log cross-product ratio.  The score
+contribution of a subject is its influence-function value for the treatment
+coefficient: information-inverse times the per-observation
 estimating-function value, evaluated at the fitted estimate.  Contributions
 sum to zero because the estimating equation is solved exactly.
 """
@@ -21,15 +23,8 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 
 import numpy as np
-from scipy.special import expit, xlogy
 
-from .errors import (
-    DegenerateSubset,
-    NoConvergence,
-    SchemaError,
-    Separation,
-    ZeroVariance,
-)
+from .errors import DegenerateSubset, SchemaError, Separation, ZeroVariance
 
 __all__ = [
     "Dataset",
@@ -43,9 +38,6 @@ __all__ = [
 ]
 
 FAMILIES = ("gaussian-identity", "binomial-logit")
-
-_IRLS_MAX_ITER = 25
-_IRLS_DEVIANCE_TOL = 1e-8
 
 
 def _frozen(a):
@@ -229,78 +221,43 @@ def fit_ols(data: Dataset, spec: ModelSpec) -> MarginalModel:
     )
 
 
-def _deviance(y, p):
-    return -2.0 * float(xlogy(y, p).sum() + xlogy(1.0 - y, 1.0 - p).sum())
-
-
 def fit_logit(data: Dataset, spec: ModelSpec) -> MarginalModel:
-    """Binomial-logit fit by iteratively reweighted least squares.
+    """Binomial-logit fit of the saturated two-arm model, in closed form.
 
-    Starts from a zero coefficient vector and Newton-steps on the deviance,
-    halving the step when the deviance increases; convergence is an
-    absolute deviance change below 1e-8 within 25 iterations.  For the
-    saturated 2x2 table this lands on the closed-form log cross-product
-    ratio.
+    With p_k the event proportion of arm k and W_k = n_k p_k (1 - p_k) its
+    Fisher information, the MLE is the log cross-product ratio logit(p_1) -
+    logit(p_0) and its standard error Woolf's sqrt(1/W_0 + 1/W_1).  The
+    score contribution is (y - p_1)/W_1 in the test arm and -(y - p_0)/W_0
+    in the reference arm: the influence form of :func:`fit_ols_batch` with
+    W_k in place of n_k.
     """
     if spec.family != "binomial-logit":
         raise SchemaError(f"fit_logit expects binomial-logit, got {spec.family!r}")
     y, used = _used(data, spec)
     idx = np.flatnonzero(used)
-    x, y = data.treatment[idx].astype(float), y[idx]
+    test, y = data.treatment[idx] == 1, y[idx]
     if not np.isin(y, (0.0, 1.0)).all():
         raise SchemaError(f"endpoint {spec.endpoint!r} is not binary in {spec.label!r}")
-    n = idx.size
-    n1 = int(x.sum())
-    n0 = n - n1
-    if n0 < 1 or n1 < 1:
+    if test.all() or not test.any():
         raise DegenerateSubset(f"model {spec.label!r} has an empty treatment arm")
-    for arm, label in ((y[x == 0.0], "reference"), (y[x == 1.0], "test")):
+    fits = []
+    for arm, label in ((y[~test], "reference"), (y[test], "test")):
         if arm.min() == arm.max():
             raise Separation(
                 f"model {spec.label!r}: {label} arm responses are all "
                 f"{int(arm[0])}, the log odds ratio is infinite"
             )
-
-    design = np.column_stack([np.ones(n), x])
-    beta = np.zeros(2)
-    p = expit(design @ beta)
-    dev = _deviance(y, p)
-    converged = False
-    for _ in range(_IRLS_MAX_ITER):
-        w = p * (1.0 - p)
-        info = design.T @ (design * w[:, None])
-        step = np.linalg.solve(info, design.T @ (y - p))
-        trial = beta + step
-        trial_dev = _deviance(y, expit(design @ trial))
-        for _ in range(20):
-            if np.isfinite(trial_dev) and trial_dev <= dev:
-                break
-            step *= 0.5
-            trial = beta + step
-            trial_dev = _deviance(y, expit(design @ trial))
-        beta = trial
-        p = expit(design @ beta)
-        if abs(dev - trial_dev) < _IRLS_DEVIANCE_TOL:
-            dev = trial_dev
-            converged = True
-            break
-        dev = trial_dev
-    if not converged:
-        raise NoConvergence(
-            f"model {spec.label!r}: IRLS did not converge in {_IRLS_MAX_ITER} iterations"
-        )
-
-    w = p * (1.0 - p)
-    info = design.T @ (design * w[:, None])
-    cov = np.linalg.inv(info)
+        p = arm.mean()
+        fits.append((p, arm.size * p * (1.0 - p)))
+    (p0, w0), (p1, w1) = fits
     scores = np.zeros(data.n)
-    scores[idx] = (cov @ (design.T * (y - p)))[1]
+    scores[idx] = np.where(test, (y - p1) / w1, -(y - p0) / w0)
     return MarginalModel(
         spec=spec,
-        coefficient=float(beta[1]),
-        standard_error=float(math.sqrt(cov[1, 1])),
-        n_used=n,
-        residual_df=n - 2,
+        coefficient=math.log(p1 / (1.0 - p1)) - math.log(p0 / (1.0 - p0)),
+        standard_error=math.sqrt(1.0 / w0 + 1.0 / w1),
+        n_used=idx.size,
+        residual_df=idx.size - 2,
         score_contributions=scores,
     )
 

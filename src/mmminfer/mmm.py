@@ -174,7 +174,7 @@ def stack(models, df_mode: str = "normal") -> MmmFit:
     sigma, c = score_correlation(psi, [m.spec.label for m in models])
     c_hat = CorrelationMatrix(c)
     sigma.flags.writeable = False
-    stats = np.array([m.coefficient / m.standard_error for m in models])
+    stats = np.array([m.statistic for m in models])
     stats.flags.writeable = False
     dfs = np.array([m.residual_df for m in models])
     dfs.flags.writeable = False
@@ -482,7 +482,7 @@ def unadjusted_p(models, alternative: str = "two-sided") -> np.ndarray:
     """Per-model marginal p-values with no multiplicity adjustment."""
     _check_alternative(alternative)
     models = tuple(models)
-    stats = np.array([m.coefficient / m.standard_error for m in models])
+    stats = np.array([m.statistic for m in models])
     if alternative == "two-sided":
         return 2.0 * _marginal_sf(models, np.abs(stats))
     if alternative == "greater":

@@ -117,8 +117,10 @@ class QuadratureSettings:
         target = self.target_abs_error
         if isinstance(target, bool) or not 0.0 < target < math.inf:
             raise ValueError("target_abs_error must be positive and finite")
-        # two shifts at least, for an error estimate
-        for name, least in (("shifts", 2), ("max_samples", 1), ("first_round_samples", 1)):
+        # two shifts at least, for an error estimate; a seed of None would
+        # draw fresh OS entropy, so no two processes would agree
+        least_values = (("shifts", 2), ("max_samples", 1), ("first_round_samples", 1), ("seed", 0))
+        for name, least in least_values:
             value = getattr(self, name)
             integral = isinstance(value, numbers.Integral) and not isinstance(value, bool)
             if not integral or value < least:

@@ -225,6 +225,37 @@ class TestAnalyze:
             err = capsys.readouterr().err
             assert "bad model entry" in err and field in err
 
+    def test_string_subgroups_rejected(self, tmp_path, capsys):
+        data, _ = write_trial(tmp_path)
+        bad = tmp_path / "bad.json"
+        # a string once split into the columns 'S' and '1'
+        bad.write_text(json.dumps({"subgroups": "S1", "models": [{"endpoint": "y"}]}))
+        assert run_cli(["analyze", data, str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert '"subgroups"' in err and "list" in err
+
+    def test_binary_dataset_prints_the_cross_product_odds_ratio(self, tmp_path, capsys):
+        # 9 of 40 events on ctrl, 17 of 40 on active: OR = (17 * 31) / (23 * 9) = 2.546
+        rows = ["id,treatment,y"]
+        for i in range(80):
+            arm, k = ("ctrl", i) if i < 40 else ("active", i - 40)
+            rows.append(f"{i + 1},{arm},{int(k < (9 if arm == 'ctrl' else 17))}")
+        data = tmp_path / "binary.csv"
+        data.write_text("\n".join(rows) + "\n")
+        specs = tmp_path / "logit.json"
+        specs.write_text(
+            json.dumps(
+                {
+                    "reference_level": "ctrl",
+                    "models": [{"endpoint": "y", "family": "binomial-logit"}],
+                }
+            )
+        )
+        assert run_cli(["analyze", str(data), str(specs)]) == 0
+        header, _, row = capsys.readouterr().out.splitlines()[1:4]
+        assert header.split()[2] == "OR"
+        assert row.split()[:3] == ["all", "y", "2.55"]
+
     def test_dataset_needs_specs(self, tmp_path, capsys):
         data, _ = write_trial(tmp_path)
         assert run_cli(["analyze", data]) == 1

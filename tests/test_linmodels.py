@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mmminfer.casestudy import expand, load_averroes
 from mmminfer.errors import (
     DegenerateSubset,
-    NoConvergence,
     SchemaError,
     Separation,
     ZeroVariance,
@@ -208,13 +208,33 @@ class TestFitLogit:
         rng = np.random.default_rng(6)
         a, b, c, d = rng.integers(1, 40, size=4)
         m = fit_logit(table_dataset(a, b, c, d), LOGIT)
-        assert math.exp(m.coefficient) == pytest.approx((a * d) / (b * c), rel=1e-6)
+        assert math.exp(m.coefficient) == pytest.approx((a * d) / (b * c), rel=1e-12)
         want_se = math.sqrt(1 / a + 1 / b + 1 / c + 1 / d)
-        assert m.standard_error == pytest.approx(want_se, abs=1e-4)
+        assert m.standard_error == pytest.approx(want_se, abs=1e-12)
+
+    def test_averroes_models_are_the_exact_closed_form(self):
+        # each model's table: a/b events/non-events on the test arm, c/d on
+        # the reference arm; the MLE is log(ad/bc) with Woolf's SE, and a
+        # subject's influence is 1/a, -1/b, -1/c or 1/d by its cell
+        table = load_averroes()
+        data = expand(table)
+        test = data.treatment == 1
+        for subset in ("all",) + table.subgroups:
+            for endpoint in table.all_endpoints:
+                spec = ModelSpec(endpoint=endpoint, subset=subset, family="binomial-logit")
+                m = fit_logit(data, spec)
+                y, used = data.responses[endpoint], data.subset_mask(subset)
+                cells = [used & (test == t) & (y == e) for t in (1, 0) for e in (1.0, 0.0)]
+                a, b, c, d = (int(cell.sum()) for cell in cells)
+                assert m.coefficient == pytest.approx(math.log(a * d / (b * c)), abs=1e-12)
+                woolf = math.sqrt(1 / a + 1 / b + 1 / c + 1 / d)
+                assert m.standard_error == pytest.approx(woolf, abs=1e-12)
+                want = np.select(cells, [1 / a, -1 / b, -1 / c, 1 / d], 0.0)
+                np.testing.assert_allclose(m.score_contributions, want, rtol=0, atol=1e-12)
 
     def test_scores_sum_to_zero(self):
         m = fit_logit(table_dataset(7, 13, 4, 16), LOGIT)
-        assert abs(m.score_contributions.sum()) <= 1e-6 * 40
+        assert abs(m.score_contributions.sum()) <= 1e-12 * 40
 
     def test_separation_all_events(self):
         with pytest.raises(Separation):
@@ -230,6 +250,11 @@ class TestFitLogit:
         # test arm all-1 is separation, not degenerate subset
         with pytest.raises(Separation):
             fit_logit(d, LOGIT)
+        # an empty arm outranks a separated one: subgroup s holds only the
+        # test subjects, all of them events
+        d = Dataset([0, 0, 1, 1], ("r", "t"), {"s": [0, 0, 1, 1]}, {"y": [0.0, 1.0, 1.0, 1.0]})
+        with pytest.raises(DegenerateSubset, match="empty treatment arm"):
+            fit_logit(d, ModelSpec(endpoint="y", subset="s", family="binomial-logit"))
 
     def test_rejects_non_binary(self):
         d = gaussian_dataset([1.0, 0.5], [0.0, 1.0])
@@ -382,8 +407,8 @@ def test_ols_residuals_that_underflow_raise_zero_variance():
 )
 def test_logit_matches_table_oracle_fuzzed(a, b, c, d):
     m = fit_logit(table_dataset(a, b, c, d), LOGIT)
-    assert m.coefficient == pytest.approx(math.log((a * d) / (b * c)), abs=1e-6)
+    assert m.coefficient == pytest.approx(math.log((a * d) / (b * c)), abs=1e-12)
     assert m.standard_error == pytest.approx(
-        math.sqrt(1 / a + 1 / b + 1 / c + 1 / d), abs=1e-4
+        math.sqrt(1 / a + 1 / b + 1 / c + 1 / d), abs=1e-12
     )
-    assert abs(m.score_contributions.sum()) <= 1e-6 * (a + b + c + d)
+    assert abs(m.score_contributions.sum()) <= 1e-12 * (a + b + c + d)

@@ -1056,6 +1056,17 @@ class TestSettingsValidation:
         with pytest.raises(ValueError, match=field):
             QuadratureSettings(**{field: value})
 
+    @pytest.mark.parametrize("value", [None, True, -1, 1.5, "7"])
+    def test_rejects_a_seed_that_is_no_nonnegative_integer(self, value):
+        # None would draw OS entropy and True would run as seed 1; the rest
+        # failed only at the first QMC rectangle, inside numpy
+        with pytest.raises(ValueError, match="seed"):
+            QuadratureSettings(seed=value)
+
+    def test_accepts_zero_and_numpy_integer_seeds(self):
+        assert QuadratureSettings(seed=0).seed == 0
+        assert QuadratureSettings(seed=np.int64(7)).seed == 7
+
     def test_rejects_bool_target(self):
         with pytest.raises(ValueError, match="target_abs_error"):
             QuadratureSettings(target_abs_error=True)
