@@ -218,6 +218,9 @@ def _read_model_config(path):
     subgroups = raw.get("subgroups", [])
     if not isinstance(subgroups, list) or not all(isinstance(s, str) for s in subgroups):
         raise SchemaError('model config "subgroups" must be a list of column names')
+    # treatment levels are read from the CSV as text, so a number matches none
+    if not isinstance(raw.get("reference_level", ""), str):
+        raise SchemaError('model config "reference_level" must be a string')
     return raw
 
 

@@ -1,16 +1,22 @@
-"""Cell-means multiple contrast test over a two-subgroup partition.
+"""Cell-means contrasts over a two-subgroup partition.
 
 One gaussian endpoint is modelled by the four treatment-by-subgroup cell
-means under a common error variance.  Contrast estimates are linear in
-the cell means, so their joint correlation is a known function of the
-contrast rows and cell counts alone (no score estimation), and the exact
-reference law is a multivariate t with the pooled residual df.
+means under a common error variance.  Cells are ordered by subgroup first
+(target, then complement) and by treatment within subgroup (reference,
+then test).  Contrast estimates are linear in the cell means, so their
+joint correlation is a known function of the contrast rows and cell
+counts alone (no score estimation), and the exact reference law is a
+multivariate t with the pooled residual df.
 
 The default contrast matrix carries three hypotheses: the treatment
 effect inside the target subgroup, inside its complement, and in the
 total population, the last weighting each arm's cell means by that arm's
-subgroup composition.  Testing a subset of hypotheses ("targeted or
-total", say) restricts the reference law to the matching rows.
+subgroup composition.  ``ContrastMatrix.restrict`` keeps a subset of the
+rows ("targeted or total", say), and with it the matching reference law.
+
+``fit_cell_means`` fits a whole block of simulated replicates at once; it
+is the fit behind the ``cellmeans`` comparator of ``simulate.run``.  The
+package has no dataset-level cell-means test.
 """
 
 from __future__ import annotations
@@ -19,58 +25,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptyCell, SchemaError, ZeroVariance
-from .linmodels import Dataset
-from .mmm import _check_alternative, _interval, max_type_p
-from .mvdist import CorrelationMatrix, QuadratureSettings, equicoordinate_quantile
-from .report import HypothesisRow, InferenceReport, MethodCell
+from .errors import SchemaError, ZeroVariance
+from .mvdist import CorrelationMatrix
 
-__all__ = [
-    "CONTRAST_LABELS",
-    "CellMeansModel",
-    "ContrastMatrix",
-    "fit_cell_means",
-    "cell_moments",
-    "default_contrasts",
-    "cell_means_test",
-]
+__all__ = ["CONTRAST_LABELS", "ContrastMatrix", "default_contrasts", "fit_cell_means"]
 
 CONTRAST_LABELS = ("target", "complement", "total")
-
-_MIN_CELL = 2
-
-
-def _frozen(a, dtype=float):
-    a = np.asarray(a, dtype=dtype)
-    a.flags.writeable = False
-    return a
-
-
-@dataclass(frozen=True)
-class CellMeansModel:
-    """Two-way layout fitted as four cell means with a pooled error scale.
-
-    Cells are ordered by subgroup first (target, then complement) and by
-    treatment within subgroup (reference, then test): positions 0..3 hold
-    (reference, target), (test, target), (reference, complement),
-    (test, complement).
-    """
-
-    endpoint: str
-    subgroup: str
-    treatment_levels: tuple
-    cell_means: np.ndarray
-    cell_counts: np.ndarray
-    pooled_sd: float
-    residual_df: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "cell_means", _frozen(self.cell_means))
-        object.__setattr__(self, "cell_counts", _frozen(self.cell_counts, dtype=int))
-        if self.cell_means.shape != (4,) or self.cell_counts.shape != (4,):
-            raise SchemaError("cell means and counts must both have length 4")
-        if self.pooled_sd <= 0.0:
-            raise ZeroVariance(f"pooled sd must be positive, got {self.pooled_sd}")
 
 
 @dataclass(frozen=True)
@@ -81,7 +41,9 @@ class ContrastMatrix:
     labels: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "rows", _frozen(self.rows))
+        rows = np.array(self.rows, dtype=float)
+        rows.flags.writeable = False
+        object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "labels", tuple(str(x) for x in self.labels))
         if self.rows.ndim != 2 or self.rows.shape[1] != 4 or self.rows.shape[0] == 0:
             raise SchemaError(f"contrast rows must be (m, 4), got {self.rows.shape}")
@@ -146,53 +108,7 @@ def default_contrasts(cell_counts) -> ContrastMatrix:
     return ContrastMatrix(rows, CONTRAST_LABELS)
 
 
-def fit_cell_means(data: Dataset, endpoint: str, subgroup: str | None = None) -> CellMeansModel:
-    """Cell averages and the pooled residual scale for one endpoint.
-
-    ``subgroup`` names the target-subgroup flag column and defaults to the
-    dataset's only subgroup; its complement forms the second factor level.
-    Subjects with a missing response or membership flag are excluded.
-    """
-    y = data.responses.get(endpoint)
-    if y is None:
-        raise SchemaError(f"unknown endpoint {endpoint!r}")
-    if subgroup is None:
-        if len(data.subgroups) != 1:
-            raise SchemaError(
-                f"dataset has subgroups {list(data.subgroups)}, name one explicitly"
-            )
-        subgroup = next(iter(data.subgroups))
-    elif subgroup not in data.subgroups:
-        raise SchemaError(f"unknown subgroup {subgroup!r}")
-    flag = data.subgroups[subgroup]
-    used = ~np.isnan(y) & ~np.isnan(flag)
-    cells = np.array(
-        [
-            used & (data.treatment == code) & ((flag == 1.0) == in_target)
-            for code, in_target in ((0, True), (1, True), (0, False), (1, False))
-        ]
-    )
-    counts = cells.sum(axis=1)
-    for k, count in enumerate(counts):
-        if count < _MIN_CELL:
-            arm = data.treatment_levels[k % 2]
-            part = subgroup if k < 2 else f"complement of {subgroup}"
-            raise EmptyCell(
-                f"cell ({arm}, {part}) has {count} subjects, needs {_MIN_CELL}"
-            )
-    means, pooled_sd = cell_moments(y, cells, endpoint)
-    return CellMeansModel(
-        endpoint=endpoint,
-        subgroup=subgroup,
-        treatment_levels=data.treatment_levels,
-        cell_means=means,
-        cell_counts=counts,
-        pooled_sd=float(pooled_sd),
-        residual_df=int(counts.sum()) - 4,
-    )
-
-
-def cell_moments(y, cells, endpoint: str):
+def fit_cell_means(y, cells, endpoint: str):
     """Cell means and pooled residual SD of responses over four cells.
 
     ``y`` (..., n) holds one or more response vectors on a shared subject
@@ -209,67 +125,3 @@ def cell_moments(y, cells, endpoint: str):
     if np.any(rss <= 0.0):
         raise ZeroVariance(f"endpoint {endpoint!r} has zero within-cell variance")
     return means, np.sqrt(rss / (counts.sum() - 4))
-
-
-def cell_means_test(
-    model: CellMeansModel,
-    contrasts: ContrastMatrix | None = None,
-    family=None,
-    alpha: float = 0.05,
-    alternative: str = "two-sided",
-    settings: QuadratureSettings = QuadratureSettings(),
-) -> InferenceReport:
-    """Joint test of a family of contrasts under the exact multivariate t.
-
-    ``family`` selects rows of ``contrasts`` (default: all of them); the
-    reference law is restricted to those rows, so the error rate is
-    controlled over exactly the hypotheses being tested.
-    """
-    _check_alternative(alternative)
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    if contrasts is None:
-        contrasts = default_contrasts(model.cell_counts)
-    if family is not None:
-        contrasts = contrasts.restrict(family)
-
-    estimates = contrasts.rows @ model.cell_means
-    ses = model.pooled_sd * np.sqrt(np.diag(contrasts.gram(model.cell_counts)))
-    stats = estimates / ses
-    corr = contrasts.correlation(model.cell_counts)
-
-    p_adj = max_type_p(corr, stats, alternative, model.residual_df, settings)
-    tail = "two-sided" if alternative == "two-sided" else "one-sided"
-    crit = equicoordinate_quantile(
-        corr, alpha, tail=tail, df=model.residual_df, settings=settings
-    )
-    lower, upper = _interval(estimates, crit * ses, alternative)
-
-    rows = []
-    for k, label in enumerate(contrasts.labels):
-        cell = MethodCell(
-            p=float(p_adj[k]),
-            ci_lower=float(lower[k]),
-            ci_upper=float(upper[k]),
-            rejected=bool(p_adj[k] <= alpha),
-        )
-        rows.append(
-            HypothesisRow(
-                label=f"{label}:{model.endpoint}",
-                group=label,
-                endpoint=model.endpoint,
-                estimate=float(estimates[k]),
-                or_scale=False,
-                methods={"cellmeans": cell},
-            )
-        )
-    return InferenceReport(
-        title=f"Cell-means contrast test: {model.endpoint}",
-        alpha=alpha,
-        alternative=alternative,
-        df_mode=f"t({model.residual_df})",
-        seed=settings.seed,
-        quadrature_error=settings.target_abs_error,
-        method_names=("cellmeans",),
-        rows=tuple(rows),
-    )

@@ -30,10 +30,6 @@ class DegenerateVariance(MmmInferError):
     """A stacked model has zero empirical score variance."""
 
 
-class EmptyCell(MmmInferError):
-    """A treatment-by-subgroup cell has no usable observations."""
-
-
 class InconsistentTotals(MmmInferError):
     """Count-table rows imply different subject totals across endpoints."""
 

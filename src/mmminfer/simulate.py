@@ -31,7 +31,8 @@ correlations C_hat with one ``einsum`` (``mmm.score_correlation``).  The
 cell-means critical value depends only on the design, so it is computed once
 per design and reused by every run of it, under another seed or effect size.
 The noadjust, Bonferroni and cell-means decisions then take one vectorized
-call each, and the mmm variants one ``mmm.max_type_rejects`` call on a
+call each (``contrasts.fit_cell_means`` fits the cell means and pooled SD of
+the whole block), and the mmm variants one ``mmm.max_type_rejects`` call on a
 (variants, block) stack of edges and laws over the block's C_hat stack, with
 df ``inf`` for the normal-law variants (mmm and dfind); the ``mmm`` module
 docstring describes its decision ladder, and ``SimResult.mmm_decisions``
@@ -55,7 +56,7 @@ from types import MappingProxyType
 import numpy as np
 from scipy.special import stdtr
 
-from .contrasts import cell_moments, default_contrasts
+from .contrasts import default_contrasts, fit_cell_means
 from .errors import IncompatibleMethod, SchemaError
 from .linmodels import Dataset, ModelSpec, fit_ols_batch
 from .mmm import DECISION_STAGES, joint_scale, max_type_rejects, score_correlation
@@ -594,7 +595,7 @@ def run(
                     counts[name] += int(((p_marginal <= level) & live).any(axis=1).sum())
 
         if "cellmeans" in methods:
-            means, pooled_sd = cell_moments(y[:, 0], cells, "y1")
+            means, pooled_sd = fit_cell_means(y[:, 0], cells, "y1")
             ses = pooled_sd[:, None] * cm_unit_se
             cm_stats = np.abs((means @ contrasts.rows.T) / ses)[:, cm_live]
             counts["cellmeans"] += int((cm_stats.max(axis=1) > cm_crit).sum())

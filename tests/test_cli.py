@@ -234,6 +234,20 @@ class TestAnalyze:
         err = capsys.readouterr().err
         assert '"subgroups"' in err and "list" in err
 
+    def test_numeric_reference_level_rejected(self, tmp_path, capsys):
+        rows = ["id,treatment,y"] + [f"{i + 1},{1 + i % 2},{i % 5}" for i in range(20)]
+        data = tmp_path / "coded.csv"
+        data.write_text("\n".join(rows) + "\n")
+        bad = tmp_path / "bad.json"
+        # levels are read as the strings '1' and '2', so 1 once matched neither
+        bad.write_text(json.dumps({"reference_level": 1, "models": [{"endpoint": "y"}]}))
+        assert run_cli(["analyze", str(data), str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert '"reference_level"' in err and "string" in err
+        good = tmp_path / "good.json"
+        good.write_text(json.dumps({"reference_level": "1", "models": [{"endpoint": "y"}]}))
+        assert run_cli(["analyze", str(data), str(good)]) == 0
+
     def test_binary_dataset_prints_the_cross_product_odds_ratio(self, tmp_path, capsys):
         # 9 of 40 events on ctrl, 17 of 40 on active: OR = (17 * 31) / (23 * 9) = 2.546
         rows = ["id,treatment,y"]

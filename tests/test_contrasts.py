@@ -1,4 +1,4 @@
-"""Tests for the cell-means multiple contrast test."""
+"""Tests for the cell-means contrasts and the block cell fit."""
 
 import math
 
@@ -7,17 +7,13 @@ import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
 from scipy.special import stdtr
 
-from mmminfer.contrasts import (
-    CellMeansModel,
-    ContrastMatrix,
-    cell_means_test,
-    default_contrasts,
-    fit_cell_means,
-)
-from mmminfer.errors import EmptyCell, SchemaError, ZeroVariance
+import mmminfer
+from mmminfer import contrasts, errors, simulate
+from mmminfer.contrasts import ContrastMatrix, default_contrasts, fit_cell_means
+from mmminfer.errors import SchemaError, ZeroVariance
 from mmminfer.linmodels import Dataset, ModelSpec, fit_ols
-from mmminfer.mmm import stack
-from mmminfer.mvdist import QuadratureSettings
+from mmminfer.mmm import max_type_p, stack
+from mmminfer.mvdist import QuadratureSettings, equicoordinate_quantile
 
 FAST = QuadratureSettings(target_abs_error=5e-4, shifts=8, first_round_samples=64)
 
@@ -36,85 +32,96 @@ def partitioned_dataset(rng, n=80, target_fraction=0.4, delta=0.0, sd=1.0):
     )
 
 
-def cells_dataset(values_by_cell):
-    """Dataset from explicit per-cell value lists, ordered like cell_means."""
-    treatment, flags, y = [], [], []
-    for k, values in enumerate(values_by_cell):
-        treatment += [k % 2] * len(values)
-        flags += [1.0 if k < 2 else 0.0] * len(values)
-        y += list(values)
-    return Dataset(
-        treatment=np.array(treatment),
-        treatment_levels=("control", "active"),
-        subgroups={"S1": np.array(flags)},
-        responses={"y": np.array(y, dtype=float)},
+def cell_masks(data):
+    """The (4, n) cell masks of a dataset split by its "S1" flag, ordered
+    (reference, target), (test, target), (reference, complement),
+    (test, complement)."""
+    in_target = data.subgroups["S1"] == 1.0
+    return np.array(
+        [
+            (data.treatment == code) & (in_target == target)
+            for target in (True, False)
+            for code in (0, 1)
+        ]
     )
+
+
+def explicit_cells(values_by_cell):
+    """Responses and cell masks from explicit per-cell value lists; values
+    listed after the fourth cell belong to no cell."""
+    y = np.concatenate([np.asarray(v, dtype=float) for v in values_by_cell])
+    owner = np.repeat(np.arange(len(values_by_cell)), [len(v) for v in values_by_cell])
+    return y, owner == np.arange(4)[:, None]
+
+
+def comparator(data, family=None):
+    """The cell-means comparator's contrasts, cell counts, estimates, standard
+    errors and residual df on one dataset, formed as ``simulate.run`` forms
+    them for a block."""
+    cells = cell_masks(data)
+    means, pooled_sd = fit_cell_means(data.responses["y"], cells, "y")
+    counts = cells.sum(axis=1)
+    matrix = default_contrasts(counts)
+    if family is not None:
+        matrix = matrix.restrict(family)
+    estimates = matrix.rows @ means
+    ses = pooled_sd * np.sqrt(np.diag(matrix.gram(counts)))
+    return matrix, counts, estimates, ses, int(counts.sum()) - 4
 
 
 class TestFit:
     def test_means_and_counts(self):
-        data = cells_dataset([(1.0, 3.0), (2.0, 4.0), (0.0, 6.0), (5.0, 7.0)])
-        model = fit_cell_means(data, "y")
-        assert model.cell_means == pytest.approx([2.0, 3.0, 3.0, 6.0])
-        assert list(model.cell_counts) == [2, 2, 2, 2]
-        assert model.residual_df == 4
+        y, cells = explicit_cells([(1.0, 3.0), (2.0, 4.0), (0.0, 6.0), (5.0, 7.0)])
+        means, pooled_sd = fit_cell_means(y, cells, "y")
+        assert means == pytest.approx([2.0, 3.0, 3.0, 6.0])
+        assert list(cells.sum(axis=1)) == [2, 2, 2, 2]
         # within-cell squared deviations: 2, 2, 18, 2 on 4 residual df
-        assert model.pooled_sd == pytest.approx(math.sqrt((2.0 + 2.0 + 18.0 + 2.0) / 4))
+        assert pooled_sd == pytest.approx(math.sqrt((2.0 + 2.0 + 18.0 + 2.0) / 4))
 
     def test_means_match_groupwise_averages(self):
         rng = np.random.default_rng(7)
         data = partitioned_dataset(rng, n=120)
-        model = fit_cell_means(data, "y")
+        means, _ = fit_cell_means(data.responses["y"], cell_masks(data), "y")
         flag = data.subgroups["S1"]
         for k, (code, tgt) in enumerate([(0, 1.0), (1, 1.0), (0, 0.0), (1, 0.0)]):
             mask = (data.treatment == code) & (flag == tgt)
-            assert model.cell_means[k] == pytest.approx(
-                data.responses["y"][mask].mean(), abs=1e-12
-            )
+            assert means[k] == pytest.approx(data.responses["y"][mask].mean(), abs=1e-12)
 
     def test_null_means_near_zero(self):
         rng = np.random.default_rng(11)
         data = partitioned_dataset(rng, n=4000, delta=0.0)
-        model = fit_cell_means(data, "y")
-        assert np.abs(model.cell_means).max() < 5.0 / math.sqrt(400)
+        means, _ = fit_cell_means(data.responses["y"], cell_masks(data), "y")
+        assert np.abs(means).max() < 5.0 / math.sqrt(400)
 
     def test_zero_variance(self):
-        data = cells_dataset([(1.0, 1.0), (2.0, 2.0), (3.0, 3.0), (4.0, 4.0)])
+        y, cells = explicit_cells([(1.0, 1.0), (2.0, 2.0), (3.0, 3.0), (4.0, 4.0)])
         with pytest.raises(ZeroVariance):
-            fit_cell_means(data, "y")
-
-    def test_small_cell_raises(self):
-        data = cells_dataset([(1.0, 3.0), (2.0, 4.0), (0.0, 6.0), (5.0,)])
-        with pytest.raises(EmptyCell, match="active, complement of S1"):
-            fit_cell_means(data, "y")
+            fit_cell_means(y, cells, "y")
 
     def test_missing_values_excluded(self):
-        data = cells_dataset(
-            [(1.0, 3.0, np.nan), (2.0, 4.0), (0.0, 6.0), (5.0, 7.0)]
-        )
-        model = fit_cell_means(data, "y")
-        assert list(model.cell_counts) == [2, 2, 2, 2]
-        assert model.cell_means[0] == pytest.approx(2.0)
+        # the caller leaves a missing response out of every cell mask
+        y, cells = explicit_cells([(1.0, 3.0), (2.0, 4.0), (0.0, 6.0), (5.0, 7.0), (np.nan,)])
+        means, pooled_sd = fit_cell_means(y, cells, "y")
+        assert means == pytest.approx([2.0, 3.0, 3.0, 6.0])
+        assert pooled_sd == pytest.approx(math.sqrt(24.0 / 4))
 
-    def test_unknown_names(self):
-        data = cells_dataset([(1.0, 3.0), (2.0, 4.0), (0.0, 6.0), (5.0, 7.0)])
-        with pytest.raises(SchemaError, match="endpoint"):
-            fit_cell_means(data, "zzz")
-        with pytest.raises(SchemaError, match="subgroup"):
-            fit_cell_means(data, "y", subgroup="zzz")
+    def test_block_fit_matches_replicate_fits(self):
+        rng = np.random.default_rng(19)
+        data = partitioned_dataset(rng, n=60)
+        cells = cell_masks(data)
+        block = rng.normal(size=(5, 60))
+        means, pooled_sd = fit_cell_means(block, cells, "y")
+        assert means.shape == (5, 4) and pooled_sd.shape == (5,)
+        for r in range(5):
+            one_means, one_sd = fit_cell_means(block[r], cells, "y")
+            assert means[r] == pytest.approx(one_means, abs=1e-12)
+            assert pooled_sd[r] == pytest.approx(one_sd, abs=1e-12)
 
-    def test_ambiguous_subgroup_needs_name(self):
-        base = cells_dataset([(1.0, 3.0), (2.0, 4.0), (0.0, 6.0), (5.0, 7.0)])
-        data = Dataset(
-            treatment=base.treatment,
-            treatment_levels=base.treatment_levels,
-            subgroups={"S1": base.subgroups["S1"], "other": base.subgroups["S1"]},
-            responses=dict(base.responses),
-        )
-        with pytest.raises(SchemaError, match="name one explicitly"):
-            fit_cell_means(data, "y")
-        model = fit_cell_means(data, "y", subgroup="S1")
-        assert model.subgroup == "S1"
+    def test_zero_variance_in_one_replicate_raises(self):
+        y, cells = explicit_cells([(1.0, 3.0), (2.0, 4.0), (0.0, 6.0), (5.0, 7.0)])
+        block = np.stack([y, np.repeat([1.0, 2.0, 3.0, 4.0], 2), y])
+        with pytest.raises(ZeroVariance, match="'y1'"):
+            fit_cell_means(block, cells, "y1")
 
 
 class TestContrastMatrix:
@@ -167,6 +174,20 @@ class TestContrastMatrix:
         with pytest.raises(SchemaError, match=r"\(m, 4\)"):
             ContrastMatrix(np.eye(3), ("a", "b", "c"))
 
+    def test_rows_are_a_frozen_copy(self):
+        rows = np.eye(4)[:2].copy()
+        c = ContrastMatrix(rows, ("a", "b"))
+        rows[0, 0] = 2.0
+        assert c.rows[0, 0] == 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            c.rows[0, 0] = 3.0
+
+    def test_restricted_correlation_is_the_submatrix(self):
+        counts = np.array([13, 21, 34, 8])
+        full = default_contrasts(counts).correlation(counts).entries
+        pair = default_contrasts(counts).restrict((0, 2)).correlation(counts).entries
+        assert pair == pytest.approx(full[np.ix_([0, 2], [0, 2])], abs=1e-15)
+
     def test_gram_validation(self):
         c = default_contrasts([10, 10, 10, 10])
         with pytest.raises(SchemaError, match="positive"):
@@ -183,34 +204,36 @@ class TestCellMeansTest:
             subgroups={"S2": 1.0 - data.subgroups["S1"]},
             responses=dict(data.responses),
         )
-        model = fit_cell_means(data, "y")
-        report = cell_means_test(model, settings=FAST)
+        cells = cell_masks(data)
+        means, _ = fit_cell_means(data.responses["y"], cells, "y")
+        estimates = default_contrasts(cells.sum(axis=1)).rows @ means
         ols_target = fit_ols(data, ModelSpec("y", subset="S1"))
         ols_compl = fit_ols(complement, ModelSpec("y", subset="S2"))
-        assert report.rows[0].estimate == pytest.approx(ols_target.coefficient, abs=1e-12)
-        assert report.rows[1].estimate == pytest.approx(ols_compl.coefficient, abs=1e-12)
+        assert estimates[0] == pytest.approx(ols_target.coefficient, abs=1e-12)
+        assert estimates[1] == pytest.approx(ols_compl.coefficient, abs=1e-12)
 
     def test_single_row_family_is_marginal_t(self):
         rng = np.random.default_rng(5)
         data = partitioned_dataset(rng, n=60, delta=0.8)
-        model = fit_cell_means(data, "y")
-        report = cell_means_test(model, family=(0,), settings=FAST)
-        row = report.rows[0]
-        stat = row.estimate / (
-            model.pooled_sd * math.sqrt(1.0 / model.cell_counts[0] + 1.0 / model.cell_counts[1])
+        matrix, counts, estimates, ses, df = comparator(data, family=(0,))
+        means, pooled_sd = fit_cell_means(data.responses["y"], cell_masks(data), "y")
+        stat = (means[1] - means[0]) / (
+            pooled_sd * math.sqrt(1.0 / counts[0] + 1.0 / counts[1])
         )
-        want = 2.0 * stdtr(model.residual_df, -abs(stat))
-        assert row.methods["cellmeans"].p == pytest.approx(want, abs=1e-3)
+        assert estimates[0] / ses[0] == pytest.approx(stat, rel=1e-12)
+        p = max_type_p(matrix.correlation(counts), estimates / ses, df=df, settings=FAST)
+        assert p[0] == pytest.approx(2.0 * stdtr(df, -abs(stat)), abs=1e-3)
 
     def test_family_restriction_shrinks_p(self):
         rng = np.random.default_rng(9)
         data = partitioned_dataset(rng, n=100, delta=1.0)
-        model = fit_cell_means(data, "y")
-        full = cell_means_test(model, settings=FAST)
-        pair = cell_means_test(model, family=(0, 2), settings=FAST)
-        assert pair.rows[0].label == full.rows[0].label
-        assert pair.rows[1].label == full.rows[2].label
-        assert pair.rows[0].methods["cellmeans"].p <= full.rows[0].methods["cellmeans"].p + 1e-6
+        full, counts, est_full, se_full, df = comparator(data)
+        pair, _, est_pair, se_pair, _ = comparator(data, family=(0, 2))
+        p_full = max_type_p(full.correlation(counts), est_full / se_full, df=df, settings=FAST)
+        p_pair = max_type_p(pair.correlation(counts), est_pair / se_pair, df=df, settings=FAST)
+        assert pair.labels[0] == full.labels[0]
+        assert pair.labels[1] == full.labels[2]
+        assert p_pair[0] <= p_full[0] + 1e-6
 
     def test_correlation_consistent_with_mmm_stack(self):
         rng = np.random.default_rng(21)
@@ -226,30 +249,22 @@ class TestCellMeansTest:
             fit_ols(both, ModelSpec("y", subset=s)) for s in ("S1", "S2", "all")
         ]
         c_hat = stack(models).c_hat.entries
-        exact = default_contrasts(fit_cell_means(data, "y").cell_counts)
-        want = exact.correlation(fit_cell_means(data, "y").cell_counts).entries
+        counts = cell_masks(data).sum(axis=1)
+        want = default_contrasts(counts).correlation(counts).entries
         assert c_hat == pytest.approx(want, abs=4.0 / math.sqrt(n))
 
     def test_decision_coherence(self):
+        # the critical value the comparator rejects at agrees with its p-value
         rng = np.random.default_rng(13)
         data = partitioned_dataset(rng, n=120, delta=1.4)
-        report = cell_means_test(fit_cell_means(data, "y"), settings=FAST)
-        for row in report.rows:
-            cell = row.methods["cellmeans"]
-            excludes_zero = cell.ci_lower > 0.0 or cell.ci_upper < 0.0
-            if abs(cell.p - report.alpha) > 5e-3:
-                assert cell.rejected == excludes_zero
-
-    def test_one_sided_bounds(self):
-        rng = np.random.default_rng(17)
-        data = partitioned_dataset(rng, n=80, delta=1.0)
-        model = fit_cell_means(data, "y")
-        greater = cell_means_test(model, alternative="greater", settings=FAST)
-        less = cell_means_test(model, alternative="less", settings=FAST)
-        for row in greater.rows:
-            assert math.isinf(row.methods["cellmeans"].ci_upper)
-        for row in less.rows:
-            assert math.isinf(-row.methods["cellmeans"].ci_lower)
+        matrix, counts, estimates, ses, df = comparator(data)
+        corr = matrix.correlation(counts)
+        crit = equicoordinate_quantile(corr, 0.05, df=df, settings=FAST)
+        p = max_type_p(corr, estimates / ses, df=df, settings=FAST)
+        for est, se, p_row in zip(estimates, ses, p):
+            excludes_zero = est - crit * se > 0.0 or est + crit * se < 0.0
+            if abs(p_row - 0.05) > 5e-3:
+                assert (p_row <= 0.05) == excludes_zero
 
     def test_scale_equivariance(self):
         rng = np.random.default_rng(29)
@@ -260,32 +275,39 @@ class TestCellMeansTest:
             subgroups=dict(data.subgroups),
             responses={"y": data.responses["y"] * 7.0},
         )
-        a = cell_means_test(fit_cell_means(data, "y"), settings=FAST)
-        b = cell_means_test(fit_cell_means(scaled, "y"), settings=FAST)
-        for ra, rb in zip(a.rows, b.rows):
-            assert rb.estimate == pytest.approx(7.0 * ra.estimate, rel=1e-10)
-            assert rb.methods["cellmeans"].p == pytest.approx(
-                ra.methods["cellmeans"].p, abs=1e-9
-            )
-            assert rb.methods["cellmeans"].ci_lower == pytest.approx(
-                7.0 * ra.methods["cellmeans"].ci_lower, rel=1e-6
-            )
+        matrix, counts, est_a, se_a, df = comparator(data)
+        _, _, est_b, se_b, _ = comparator(scaled)
+        corr = matrix.correlation(counts)
+        crit = equicoordinate_quantile(corr, 0.05, df=df, settings=FAST)
+        p_a = max_type_p(corr, est_a / se_a, df=df, settings=FAST)
+        p_b = max_type_p(corr, est_b / se_b, df=df, settings=FAST)
+        assert est_b == pytest.approx(7.0 * est_a, rel=1e-10)
+        assert p_b == pytest.approx(p_a, abs=1e-9)
+        assert est_b - crit * se_b == pytest.approx(7.0 * (est_a - crit * se_a), rel=1e-6)
 
     def test_report_metadata(self):
-        rng = np.random.default_rng(31)
-        data = partitioned_dataset(rng, n=60)
-        report = cell_means_test(fit_cell_means(data, "y"), settings=FAST)
-        assert report.method_names == ("cellmeans",)
-        assert report.df_mode == "t(56)"
-        assert [r.group for r in report.rows] == ["target", "complement", "total"]
+        # simulate's comparator: default labels, their subsets, a t(n - 4) law
+        design = simulate.Scenario(total_n=60, prop_target=0.4, family="any")
+        matrix, crit, subsets = simulate._cellmeans_fixture(
+            design.target_per_arm, design.arm_size, "any", 60, 0.05, FAST
+        )
+        k = design.target_per_arm
+        counts = [k, k, design.arm_size - k, design.arm_size - k]
+        assert matrix.labels == ("target", "complement", "total")
+        assert subsets == ("S1", "S2", "all")
+        assert crit == pytest.approx(
+            equicoordinate_quantile(matrix.correlation(counts), 0.05, df=56, settings=FAST),
+            abs=1e-12,
+        )
 
-    def test_validation(self):
-        rng = np.random.default_rng(37)
-        model = fit_cell_means(partitioned_dataset(rng, n=60), "y")
-        with pytest.raises(ValueError, match="alternative"):
-            cell_means_test(model, alternative="bogus")
-        with pytest.raises(ValueError, match="alpha"):
-            cell_means_test(model, alpha=1.5)
+
+def test_no_dataset_level_test_is_exported():
+    for name in ("CellMeansModel", "cell_means_test", "fit_cell_means"):
+        assert name not in mmminfer.__all__ and not hasattr(mmminfer, name)
+    assert not hasattr(contrasts, "CellMeansModel")
+    assert not hasattr(contrasts, "cell_means_test")
+    assert not hasattr(contrasts, "cell_moments")
+    assert not hasattr(errors, "EmptyCell")
 
 
 @hyp_settings(max_examples=25, deadline=None)

@@ -14,7 +14,7 @@ from hypothesis import given, settings as hyp_settings, strategies as st
 from scipy.special import stdtr
 
 from mmminfer import mmm, mvdist, simulate
-from mmminfer.contrasts import default_contrasts, fit_cell_means
+from mmminfer.contrasts import default_contrasts
 from mmminfer.errors import IncompatibleMethod, SchemaError
 from mmminfer.linmodels import fit_ols
 from mmminfer.mmm import joint_scale, max_type_rejects, score_correlation, stack
@@ -646,9 +646,18 @@ def reference_counts(scenario, methods, alpha=0.05, settings=SIM_SETTINGS):
         if "bonferroni" in methods:
             counts["bonferroni"] += bool((p <= alpha / m).any())
         if "cellmeans" in methods:
-            cm = fit_cell_means(data, "y1", "S1")
-            estimates = contrasts.rows @ cm.cell_means
-            ses = cm.pooled_sd * np.sqrt(np.diag(contrasts.gram(cm.cell_counts)))
+            y = data.responses["y1"]
+            in_s1 = data.subgroups["S1"] == 1.0
+            cells = [
+                y[(data.treatment == code) & (in_s1 == target)]
+                for target in (True, False)
+                for code in (0, 1)
+            ]
+            means = np.array([cell.mean() for cell in cells])
+            rss = sum(((cell - cell.mean()) ** 2).sum() for cell in cells)
+            pooled_sd = math.sqrt(rss / (len(y) - 4))
+            estimates = contrasts.rows @ means
+            ses = pooled_sd * np.sqrt(np.diag(contrasts.gram([len(c) for c in cells])))
             row_live = np.array([relevant[s] for s in row_subsets])
             counts["cellmeans"] += bool(np.abs(estimates / ses)[row_live].max() > crit)
         fit = stack(models)
@@ -716,6 +725,23 @@ class TestBlockEngine:
         block = simulate._BLOCK_FLOATS // (len(scenario.model_specs) * scenario.total_n)
         assert len(calls) == -(-scenario.replications // block)
         assert calls[0] == (4, block)
+
+    def test_cell_fit_runs_once_per_block(self, monkeypatch):
+        # the cellmeans comparator fits every replicate of a block in one call
+        shapes = []
+        fit = simulate.fit_cell_means
+
+        def spy(y, cells, endpoint):
+            shapes.append(np.shape(y))
+            return fit(y, cells, endpoint)
+
+        monkeypatch.setattr(simulate, "fit_cell_means", spy)
+        scenario = Scenario(seed=20150436, **dict(ORACLE_ROWS)["a3-blocks"])
+        result = run(scenario)
+        assert "cellmeans" in result.methods
+        block = simulate._BLOCK_FLOATS // (len(scenario.model_specs) * scenario.total_n)
+        assert len(shapes) == -(-scenario.replications // block)
+        assert shapes[0] == (block, scenario.total_n)
 
     def test_block_boundary_is_crossed(self):
         fields = dict(ORACLE_ROWS)["a3-blocks"]
