@@ -28,6 +28,11 @@ adjusted p-value and simultaneous confidence bound in the package.
   ``_BLOCK_POINTS`` points, each computed from its index range when it is
   evaluated and scaled to floats, so no points are kept; on the t path the
   radial factors of the leading points are cached (``_cached_radial``).
+  Where a pivot of the Cholesky factor is tiny, as for a near-singular
+  correlation, the standardized limit of most points lies at or above 9 or
+  below -40, where Phi is exactly 1 or 0 in double precision; a block where
+  most points do writes those values there instead of calling ``ndtr``
+  (``_ndtr_saturating``), which changes no bit of the integrand.
 
 Equicoordinate quantiles solve the exact probability with Brent's method at
 dimensions 2 and 3, and above it one frozen QMC rule (see
@@ -93,6 +98,10 @@ _SHARP, _SHARP_CUTS = 0.05, (-8.0, -2.0, -0.5, 0.0, 0.5, 2.0, 8.0)
 # every Brent root (scipy's, a Python float so the iterates stay floats).
 _EXACT_XTOL = 1e-7
 _BRENT_RTOL = 4.0 * float(np.finfo(float).eps)
+# Phi(x) in double precision is exactly 1.0 from _PHI_ONE up (1 - Phi(9) is
+# 1.1e-19, below half an ulp of 1) and exactly 0.0 below _PHI_ZERO (Phi(-40)
+# is about 4e-350, below the least subnormal, 4.9e-324).
+_PHI_ONE, _PHI_ZERO = 9.0, -40.0
 
 
 @dataclass(frozen=True)
@@ -251,6 +260,28 @@ def _check_df(df):
     return int(df)
 
 
+def _ndtr_saturating(x):
+    """``ndtr`` of a float array, in place, skipping the points where Phi is
+    exactly 0 or 1 whenever they are the majority: those at x >= ``_PHI_ONE``
+    are written 1.0 and those below ``_PHI_ZERO`` 0.0, the values ``ndtr``
+    returns there, and every other point, NaN included, goes through
+    ``ndtr``.  Either way the values are those of one plain ``ndtr`` pass,
+    which a block takes when at most half of it saturates: there the gather
+    and scatter cost more than the ``ndtr`` calls they save.  (A ``where=``
+    mask on a scipy.special ufunc, which would spare the gather, corrupted
+    the heap with numpy 2.4 and scipy 1.17.)
+    """
+    one = x >= _PHI_ONE
+    saturated = x < _PHI_ZERO
+    saturated |= one
+    if 2 * np.count_nonzero(saturated) <= x.size:
+        return ndtr(x, out=x)
+    live = ~saturated
+    x[live] = ndtr(x[live])
+    np.copyto(x, one, where=saturated)
+    return x
+
+
 def _genz_weights(chol, lower, upper, w, radial=None):
     """Genz transform integrand for P(lower <= X <= upper), X ~ N(0, LL').
 
@@ -259,39 +290,52 @@ def _genz_weights(chol, lower, upper, w, radial=None):
     case.  Requires dim >= 2 (the 1-d case is handled in closed form
     upstream).  An infinite limit has conditional probability exactly 0
     (lower) or 1 (upper); it is carried as None, so it costs no ``ndtr`` pass
-    and no arithmetic, and the values are bit for bit those of the full
-    formula.
+    and no arithmetic.  A finite limit's conditional probability goes
+    through ``_ndtr_saturating``, which skips ``ndtr`` where most points of
+    the block have it exactly 0 or 1, as at the tiny pivots of a
+    near-singular correlation.  The other temporaries are written in place
+    into a few buffers of one value per point, and the conditional means
+    keep their one matrix-vector product per coordinate, so the values are
+    bit for bit those of the full formula.
     """
-    nvar = chol.shape[0]
+    n, nvar = w.shape[0], chol.shape[0]
     scale = 1.0 if radial is None else radial  # strictly positive
 
-    def cdf(limit, mu, sd):
-        return None if math.isinf(limit) else ndtr((limit * scale - mu) / sd)
+    def cdf(limit, mu, sd, out):
+        if math.isinf(limit):
+            return None
+        x = np.subtract(limit * scale, mu, out=out)
+        x /= sd
+        return _ndtr_saturating(x) if np.ndim(x) else ndtr(x)
 
-    def width(d, e):
+    def width(d, e, out):
         if d is None:
             return e
-        return 1.0 - d if e is None else e - d
+        return np.subtract(1.0 if e is None else e, d, out=out)
 
-    d = cdf(lower[0], 0.0, chol[0, 0])
-    e = cdf(upper[0], 0.0, chol[0, 0])
-    f = span = width(d, e)
-    y = np.empty((w.shape[0], nvar - 1))
+    d = cdf(lower[0], 0.0, chol[0, 0], None)
+    e = cdf(upper[0], 0.0, chol[0, 0], None)
+    span = width(d, e, None)
+    f = np.full(n, 1.0 if span is None else span)
+    y = np.empty((n, nvar - 1))
+    u, d_out = np.empty(n), np.empty(n)
     for i in range(1, nvar):
-        u = w[:, i - 1] if span is None else w[:, i - 1] * span
+        if span is None:
+            u[:] = w[:, i - 1]
+        else:
+            np.multiply(w[:, i - 1], span, out=u)
         if d is not None:
-            u = d + u
-        y[:, i - 1] = ndtri(np.clip(u, _TINY, 1.0 - _TINY))
+            u += d
+        ndtri(np.clip(u, _TINY, 1.0 - _TINY, out=u), out=y[:, i - 1])
         mu = y[:, :i] @ chol[i, :i]
-        d = cdf(lower[i], mu, chol[i, i])
-        e = cdf(upper[i], mu, chol[i, i])
-        span = width(d, e)
+        # the upper limit's probability and the width overwrite mu, a fresh
+        # array each coordinate, which the next coordinate only reads
+        d = cdf(lower[i], mu, chol[i, i], d_out)
+        e = cdf(upper[i], mu, chol[i, i], mu)
+        span = width(d, e, mu)
         if span is not None:
-            both = d is not None and e is not None
-            factor = np.maximum(span, 0.0) if both else span
-            f = factor if f is None else f * factor
-    # f stays None or a scalar when every factor after the first is open
-    return f if np.ndim(f) else np.full(w.shape[0], 1.0 if f is None else f)
+            f *= np.maximum(span, 0.0, out=u) if d is not None and e is not None else span
+    return f
 
 
 # ---------------------------------------------------------------------------
@@ -662,8 +706,9 @@ def _sobol_range(scrambles, a, b, cols=slice(None)):
 # df): the leading Sobol column of each scramble mapped through the chi
 # quantile.  An entry is [factors, filled]: factors is allocated once,
 # shaped (shifts, _RADIAL_POINTS), and its first ``filled`` columns are
-# computed on demand.  Later points, which only high-accuracy calls reach,
-# are transformed afresh on every call.
+# computed on demand.  Later points are transformed afresh on every call;
+# high-accuracy calls reach them, and now and then so does a loose-target
+# simulation call whose estimate sits near its decision threshold.
 _RADIAL_POINTS = 1 << 14
 _RADIAL_VALUES = 1 << 21
 _RADIAL_CACHE: OrderedDict = OrderedDict()

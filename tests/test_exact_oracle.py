@@ -8,9 +8,17 @@ and the conditional scale.  Where a law is singular the conditional
 rectangle is the interval of the first coordinates that keeps the others
 inside it.  Steep spots of an integrand are passed to ``quad`` as break
 points.
+
+The dimension-3 references take about half a minute, so
+``test_dimension_3_matches_quadrature`` reads them, with quad's own error
+estimates, from ``data/exact_oracle_dim3.json``, which
+``make_exact_oracle_references.py`` writes from ``reference`` below;
+``test_stored_references_match_their_script`` recomputes a few of them.
 """
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -49,13 +57,16 @@ def pdf(x, df):
     return math.exp(log - 0.5 * (df + 1) * math.log1p(x * x / df))
 
 
-def quad(f, lo, hi, points=()):
-    """Adaptive quadrature of f over (lo, hi), split at ``points``."""
+def quad(f, lo, hi, points=(), error=False):
+    """Adaptive quadrature of f over (lo, hi), split at ``points``; with
+    ``error``, (value, quad's error estimate summed over the pieces)."""
     edges = [lo, *sorted({p for p in points if lo < p < hi}), hi]
-    return sum(
-        integrate.quad(f, a, b, epsabs=1e-15, epsrel=1e-13, limit=500)[0]
+    parts = [
+        integrate.quad(f, a, b, epsabs=1e-15, epsrel=1e-13, limit=500)
         for a, b in zip(edges, edges[1:])
-    )
+    ]
+    value = sum(part[0] for part in parts)
+    return (value, sum(part[1] for part in parts)) if error else value
 
 
 def steep(centres, width, decades=6):
@@ -80,21 +91,25 @@ def cond_prob(limits, mean, sd, df):
     return max(cdf((hi - mean) / sd, df) - cdf((lo - mean) / sd, df), 0.0)
 
 
-def reference(corr, lower, upper, df):
+def reference(corr, lower, upper, df, error=False):
     """P(lower <= X <= upper) for X ~ N(0, corr) or t_df(corr), dimension 2
     or 3, full rank or singular: the first coordinate outside, its
-    conditional law inside."""
+    conditional law inside.  With ``error``, (value, the outer quad's error
+    estimate), 0 for a rank-1 law's closed form."""
     corr = np.asarray(corr, dtype=float)
     d = corr.shape[0]
     box = list(zip(lower, upper))
     r = corr[0, 1:]
     resid = corr[1:, 1:] - np.outer(r, r)
 
+    def closed(value):
+        return (value, 0.0) if error else value
+
     def outer(f, lo, hi, points):
         # the normal within +-40; the t in theta = atan(x / sqrt(df)), where
         # its algebraic tails become a finite range
         if df is None:
-            return quad(f, max(lo, -40.0), min(hi, 40.0), points + [-9.0, 9.0])
+            return quad(f, max(lo, -40.0), min(hi, 40.0), points + [-9.0, 9.0], error)
         root = math.sqrt(df)
 
         def g(theta):
@@ -102,7 +117,7 @@ def reference(corr, lower, upper, df):
             return f(x) * root / math.cos(theta) ** 2
 
         cuts = [math.atan(p / root) for p in points]
-        return quad(g, math.atan(lo / root), math.atan(hi / root), cuts)
+        return quad(g, math.atan(lo / root), math.atan(hi / root), cuts, error)
 
     def scale(x):
         # the t scale of the others given X_1 = x
@@ -114,7 +129,7 @@ def reference(corr, lower, upper, df):
         if s < 1e-7:  # rank 1: X_2 = rho X_1
             lo, hi = interval(box[1], r[0], 0.0)
             a, b = max(box[0][0], lo), min(box[0][1], hi)
-            return max(cdf(b, df) - cdf(a, df), 0.0) if a < b else 0.0
+            return closed(max(cdf(b, df) - cdf(a, df), 0.0) if a < b else 0.0)
 
         def f(x):
             return pdf(x, df) * cond_prob(box[1], r[0] * x, s * scale(x), inner_df)
@@ -128,7 +143,7 @@ def reference(corr, lower, upper, df):
         assert resid[1, 1] < 1e-14
         keep = [(box[0][0], box[0][1]), interval(box[1], r[0], 0.0), interval(box[2], r[1], 0.0)]
         a, b = max(k[0] for k in keep), min(k[1] for k in keep)
-        return max(cdf(b, df) - cdf(a, df), 0.0) if a < b else 0.0
+        return closed(max(cdf(b, df) - cdf(a, df), 0.0) if a < b else 0.0)
     beta = resid[1, 0] / resid[0, 0]  # regression of X_3 on X_2 given X_1
     s3 = math.sqrt(max(resid[1, 1] - beta * resid[0, 1], 0.0))
 
@@ -227,6 +242,17 @@ LIMITS_3 = {
 CASES_3 = [(name, df) for name in MATRICES_3 for df in (None, 3)] + [
     (name, 48) for name in ("full", "eigenvalue-1e-8", "rank-2", "rank-1")
 ]
+REFERENCES_3 = Path(__file__).parent / "data" / "exact_oracle_dim3.json"
+
+
+def reference_key(name, df, limits):
+    return f"{name}/{df}/{limits}"
+
+
+def stored_references():
+    """``reference`` of every (matrix, df, limits) of ``CASES_3``, keyed by
+    ``reference_key``, as {"value": ..., "quad_error": ...}."""
+    return json.loads(REFERENCES_3.read_text(encoding="utf-8"))["references"]
 
 
 @pytest.mark.slow
@@ -234,11 +260,35 @@ CASES_3 = [(name, df) for name in MATRICES_3 for df in (None, 3)] + [
 def test_dimension_3_matches_quadrature(name, df):
     entries = MATRICES_3[name]
     corr = CorrelationMatrix(entries)
+    stored = stored_references()
     for limits, (lower, upper) in LIMITS_3.items():
-        ref = reference(entries, lower, upper, df)
+        ref = stored[reference_key(name, df, limits)]["value"]
         r = mv_rect_prob(corr, lower, upper, df)
         assert abs(r.value - ref) <= TOL, (limits, r, ref)
         assert r.error >= abs(r.value - ref), (limits, r, ref)
+
+
+def test_stored_references_cover_every_case():
+    stored = stored_references()
+    keys = {reference_key(name, df, limits) for name, df in CASES_3 for limits in LIMITS_3}
+    assert set(stored) == keys
+    # each well inside the 1e-10 the exact rule is held to
+    assert all(0.0 <= ref["quad_error"] <= TOL / 10 for ref in stored.values())
+
+
+# a few of the stored references, quick to recompute: full rank, rank 2 and
+# rank 1, normal and t
+RECOMPUTED_3 = (("full", None), ("rank-2", 3), ("rank-1", 48))
+
+
+@pytest.mark.parametrize("name, df", RECOMPUTED_3)
+def test_stored_references_match_their_script(name, df):
+    stored = stored_references()
+    for limits, (lower, upper) in LIMITS_3.items():
+        value, err = reference(MATRICES_3[name], lower, upper, df, error=True)
+        ref = stored[reference_key(name, df, limits)]
+        assert abs(value - ref["value"]) <= 1e-13, (limits, value, ref)
+        assert abs(err - ref["quad_error"]) <= 1e-13, (limits, err, ref)
 
 
 # Cases where the tensor Gauss-Legendre rules this module used before were

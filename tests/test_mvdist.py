@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -522,6 +523,93 @@ class TestOpenLimits:
         got = mvdist._genz_weights(chol, lower, upper, w, r)
         assert got.shape == (4096,)
         np.testing.assert_array_equal(got, full_formula_weights(chol, lower, upper, w, r))
+
+
+    # A near-singular correlation shaped like AVERROES: two disjoint
+    # subgroups and their union, by two endpoints and their union, plus a
+    # little independent noise, so five Cholesky pivots are tiny and most
+    # points of those coordinates have Phi exactly 0 or 1.
+    UNION_LIMITS = {
+        "one-sided": ([-np.inf] * 9, [2.4] * 9),
+        "two-sided": ([-2.4] * 9, [2.4] * 9),
+        "mixed": (
+            [-np.inf, -2.1, -np.inf, -1.8, -np.inf, -np.inf, -2.6, -np.inf, -2.2],
+            [2.3, np.inf, 2.0, 2.5, np.inf, 1.9, np.inf, 2.7, 2.2],
+        ),
+    }
+
+    @staticmethod
+    def union_correlation():
+        def union(p):
+            a, b = math.sqrt(p), math.sqrt(1.0 - p)
+            return np.array([[1.0, a, b], [a, 1.0, 0.0], [b, 0.0, 1.0]])
+
+        eps = 1e-5
+        return (1.0 - eps) * np.kron(union(0.45), union(0.8)) + eps * np.eye(9)
+
+    @pytest.mark.parametrize("radial", [False, True], ids=["normal", "t"])
+    @pytest.mark.parametrize("case", sorted(UNION_LIMITS))
+    def test_equals_the_full_formula_near_singular(self, case, radial, monkeypatch):
+        sizes = []
+
+        def spy(x, *args, **kwargs):
+            if np.ndim(x):
+                sizes.append(np.size(x))
+            return ndtr(x, *args, **kwargs)
+
+        monkeypatch.setattr(mvdist, "ndtr", spy)
+        rng = np.random.default_rng(81)
+        chol = CorrelationMatrix(self.union_correlation()).cholesky()
+        assert np.sum(np.diag(chol) < 0.1) == 5
+        w = rng.random((4096, 8))
+        r = np.sqrt(rng.chisquare(7, 4096) / 7) if radial else None
+        lower, upper = (np.array(x, dtype=float) for x in self.UNION_LIMITS[case])
+        got = mvdist._genz_weights(chol, lower, upper, w, r)
+        assert got.shape == (4096,)
+        np.testing.assert_array_equal(got, full_formula_weights(chol, lower, upper, w, r))
+        # the masked branch ran: some pass handed ndtr only the live points
+        assert min(sizes) < 4096
+
+
+class TestSaturation:
+    """Phi is exactly 1.0 from ``_PHI_ONE`` up and exactly 0.0 below
+    ``_PHI_ZERO`` in double precision, so the integrand may write those
+    values without calling ndtr.  A scipy whose ndtr moved off them fails
+    here rather than changing the integrand's bits."""
+
+    def test_ndtr_is_exactly_one_from_the_upper_threshold(self):
+        x = np.concatenate(
+            [
+                np.linspace(mvdist._PHI_ONE, 100.0, 400_001),
+                np.geomspace(100.0, 1e300, 100_001),
+                [np.inf],
+            ]
+        )
+        assert x[0] == mvdist._PHI_ONE
+        assert np.all(ndtr(x) == 1.0)
+
+    def test_ndtr_is_exactly_zero_below_the_lower_threshold(self):
+        below = np.nextafter(mvdist._PHI_ZERO, -np.inf)
+        x = np.concatenate(
+            [
+                np.linspace(below, -100.0, 400_001),
+                -np.geomspace(100.0, 1e300, 100_001),
+                [-np.inf],
+            ]
+        )
+        assert np.all(ndtr(x) == 0.0)
+
+    @pytest.mark.parametrize("share", [0.0, 0.3, 0.5, 0.7, 0.98, 1.0])
+    def test_equals_ndtr_bit_for_bit(self, share):
+        rng = np.random.default_rng(82)
+        x = rng.normal(0.0, 4.0, 4096)
+        saturated = rng.random(4096) < share
+        edges = [mvdist._PHI_ONE, 12.0, 1e300, np.inf, np.nextafter(mvdist._PHI_ZERO, -1), -1e3]
+        x[saturated] = rng.choice(edges, np.count_nonzero(saturated))
+        # live points at the edges, and NaN, which must reach ndtr
+        x[:3] = [np.nextafter(mvdist._PHI_ONE, 0), mvdist._PHI_ZERO, np.nan]
+        got = mvdist._ndtr_saturating(x.copy())
+        np.testing.assert_array_equal(got.view(np.int64), ndtr(x).view(np.int64))
 
 
 # Rectangle calls on the multivariate-t QMC path, small to large sample
