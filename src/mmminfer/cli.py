@@ -39,7 +39,7 @@ from .errors import (
     MmmInferError,
     SchemaError,
 )
-from .forest import write_forest
+from .forest import forest_svg
 from .linmodels import ModelSpec, fit, read_dataset
 from .mmm import ALTERNATIVES, DF_MODES, infer
 from .mvdist import QuadratureSettings
@@ -270,16 +270,18 @@ def cmd_analyze(args) -> int:
         sys.stdout.write(report.to_text() + "\n")
         return 0
 
-    text_path, json_path = f"{args.out}.txt", f"{args.out}.json"
-    with open(text_path, "w", encoding="utf-8") as handle:
-        handle.write(report.to_text() + "\n")
-    with open(json_path, "w", encoding="utf-8") as handle:
-        handle.write(report.to_json() + "\n")
-    outputs = [text_path, json_path]
+    contents = {
+        f"{args.out}.txt": report.to_text() + "\n",
+        f"{args.out}.json": report.to_json() + "\n",
+    }
     if args.forest:
-        svg_path = f"{args.out}.svg"
-        write_forest(report, svg_path, method="mmm")
-        outputs.append(svg_path)
+        # rendered before any file is written, so a report the plot
+        # refuses (mixed odds-ratio and difference rows) leaves nothing
+        contents[f"{args.out}.svg"] = forest_svg(report, method="mmm")
+    for path, content in contents.items():
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(content)
+    outputs = list(contents)
     manifest = _write_manifest(
         args.out,
         "analyze",

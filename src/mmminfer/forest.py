@@ -15,7 +15,7 @@ from html import escape
 
 from .report import InferenceReport, _format_bound, _interval_text
 
-__all__ = ["forest_svg", "write_forest"]
+__all__ = ["forest_svg"]
 
 FONT = "Helvetica, Arial, sans-serif"
 FONT_SIZE = 13
@@ -235,9 +235,3 @@ def forest_svg(
     parts.append("</svg>")
     return "\n".join(parts)
 
-
-def write_forest(report: InferenceReport, path, method: str = "mmm", **kwargs) -> None:
-    """Write :func:`forest_svg` output to ``path``."""
-    svg = forest_svg(report, method=method, **kwargs)
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(svg)

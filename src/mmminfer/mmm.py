@@ -40,9 +40,10 @@ what it leaves open.  Under ``dfind`` the first-order upper bound is the
 Bonferroni test of the largest statistic, so a Bonferroni rejection is a
 ``dfind`` rejection by construction.
 
-The unadjusted and Bonferroni baselines live here too; each marginal model
-is tested against its own reference (Student t for gaussian models, normal
-for logit models).  ``infer`` reports all three methods side by side.
+``marginal_p`` and ``marginal_ci`` are the marginal test, Student t or the
+normal where the df is inf: the unadjusted and Bonferroni baselines, the p1
+above and the simulation's baseline decisions all come from them.
+``infer`` reports the unadjusted, Bonferroni and mmm methods side by side.
 """
 
 from __future__ import annotations
@@ -78,10 +79,8 @@ __all__ = [
     "max_type_bounds",
     "adjusted_p",
     "simultaneous_ci",
-    "unadjusted_p",
-    "bonferroni_p",
-    "unadjusted_ci",
-    "bonferroni_ci",
+    "marginal_p",
+    "marginal_ci",
     "infer",
 ]
 
@@ -133,6 +132,46 @@ def _interval(estimate, half_width, alternative):
     if alternative == "greater":
         return estimate - half_width, np.full(estimate.shape, np.inf)
     return np.full(estimate.shape, -np.inf), estimate + half_width
+
+
+def _by_law(normal, t, df, x):
+    """``normal(x)`` where ``df`` is inf and ``t(df, x)`` elsewhere,
+    elementwise; each law is evaluated on its own entries only."""
+    df, x = np.broadcast_arrays(np.asarray(df, dtype=float), x)
+    out = np.empty(x.shape)
+    t_law = np.isfinite(df)
+    out[~t_law] = normal(x[~t_law])
+    out[t_law] = t(df[t_law], x[t_law])
+    return out
+
+
+def marginal_p(statistics, df, alternative: str = "two-sided") -> np.ndarray:
+    """Each statistic's p-value under its own marginal law, elementwise:
+    Student t with ``df``, or the normal where ``df`` is inf.
+
+    With no multiplicity adjustment this is the unadjusted test; the
+    Bonferroni test compares it with alpha / m.
+    """
+    _check_alternative(alternative)
+    stats = np.asarray(statistics, dtype=float)
+    if alternative == "two-sided":
+        return 2.0 * _by_law(ndtr, stdtr, df, -np.abs(stats))
+    return _by_law(ndtr, stdtr, df, -stats if alternative == "greater" else stats)
+
+
+def marginal_ci(estimate, se, df, alpha: float, alternative: str = "two-sided"):
+    """Marginal confidence bounds, estimate -/+ q x SE, elementwise.
+
+    q is the 1 - alpha/2 (two-sided) or 1 - alpha quantile of the law of
+    :func:`marginal_p`; pass alpha / m for the Bonferroni bounds.  Returns
+    ``(lower, upper)``; the unused side of a one-sided interval is infinite.
+    """
+    _check_alternative(alternative)
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+    level = 1.0 - (alpha / 2.0 if alternative == "two-sided" else alpha)
+    crit = _by_law(ndtri, stdtrit, df, level)
+    return _interval(np.asarray(estimate, dtype=float), crit * se, alternative)
 
 
 def score_correlation(psi, labels):
@@ -341,8 +380,7 @@ def max_type_bounds(b, df, c_hat, alpha: float):
         if not (df >= 1.0).all():
             raise ValueError(f"df must be None or >= 1 (inf for normal), got {df.min()}")
     t_law = np.isfinite(df)
-    p1 = 2.0 * ndtr(-b)
-    p1[t_law] = 2.0 * stdtr(df[t_law], -b[t_law])
+    p1 = marginal_p(b, df)
     rejects, accepts = m * p1 <= alpha, p1 > alpha
     paired = np.zeros_like(rejects)
     undecided = np.flatnonzero(~(rejects | accepts))
@@ -464,71 +502,6 @@ def simultaneous_ci(
 
 
 # ---------------------------------------------------------------------------
-# baseline procedures: no adjustment and Bonferroni
-
-def _marginal_sf(models, stats):
-    """Upper-tail probability of each statistic under its own marginal law:
-    Student t with the residual df for gaussian models, normal for logit."""
-    out = np.empty(len(models))
-    for k, m in enumerate(models):
-        if m.spec.family == "gaussian-identity":
-            out[k] = stdtr(m.residual_df, -stats[k])
-        else:
-            out[k] = ndtr(-stats[k])
-    return out
-
-
-def unadjusted_p(models, alternative: str = "two-sided") -> np.ndarray:
-    """Per-model marginal p-values with no multiplicity adjustment."""
-    _check_alternative(alternative)
-    models = tuple(models)
-    stats = np.array([m.statistic for m in models])
-    if alternative == "two-sided":
-        return 2.0 * _marginal_sf(models, np.abs(stats))
-    if alternative == "greater":
-        return _marginal_sf(models, stats)
-    return _marginal_sf(models, -stats)
-
-
-def bonferroni_p(models, alternative: str = "two-sided") -> np.ndarray:
-    """Bonferroni-adjusted marginal p-values, min(1, R x p)."""
-    models = tuple(models)
-    return np.minimum(1.0, len(models) * unadjusted_p(models, alternative))
-
-
-def _marginal_quantile(model, p):
-    if model.spec.family == "gaussian-identity":
-        return float(stdtrit(model.residual_df, p))
-    return float(ndtri(p))
-
-
-def _baseline_ci(models, alpha, alternative):
-    models = tuple(models)
-    est = np.array([m.coefficient for m in models])
-    se = np.array([m.standard_error for m in models])
-    level = 1.0 - (alpha / 2.0 if alternative == "two-sided" else alpha)
-    crit = np.array([_marginal_quantile(m, level) for m in models])
-    return _interval(est, crit * se, alternative)
-
-
-def unadjusted_ci(models, alpha: float = 0.05, alternative: str = "two-sided"):
-    """Per-model marginal confidence bounds with no adjustment."""
-    _check_alternative(alternative)
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    return _baseline_ci(models, alpha, alternative)
-
-
-def bonferroni_ci(models, alpha: float = 0.05, alternative: str = "two-sided"):
-    """Bonferroni simultaneous bounds: marginal intervals at alpha / R."""
-    _check_alternative(alternative)
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    models = tuple(models)
-    return _baseline_ci(models, alpha / len(models), alternative)
-
-
-# ---------------------------------------------------------------------------
 # the side-by-side report
 
 def _df_label(df_mode, models):
@@ -561,9 +534,14 @@ def infer(
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     models = tuple(models)
     fit = stack(models, df_mode=df_mode)
+    est, se = np.array([(m.coefficient, m.standard_error) for m in models]).T
+    # logit models are tested against the normal, gaussian ones against t
+    ref_df = [np.inf if m.spec.family == "binomial-logit" else m.residual_df for m in models]
+    p = marginal_p(fit.statistics, ref_df, alternative)
+    m = fit.dim
     blocks = (
-        ("noadjust", unadjusted_p(models, alternative), unadjusted_ci(models, alpha, alternative)),
-        ("bonferroni", bonferroni_p(models, alternative), bonferroni_ci(models, alpha, alternative)),
+        ("noadjust", p, marginal_ci(est, se, ref_df, alpha, alternative)),
+        ("bonferroni", np.minimum(1.0, m * p), marginal_ci(est, se, ref_df, alpha / m, alternative)),
         ("mmm", adjusted_p(fit, alternative, settings), simultaneous_ci(fit, alpha, alternative, settings)),
     )
     labels = group_labels or {}

@@ -121,7 +121,8 @@ class InferenceReport:
 
     def to_text(self) -> str:
         """Aligned table: group, endpoint, effect, then CI and p per method."""
-        effect_header = "OR" if any(r.or_scale for r in self.rows) else "effect"
+        # a mixed table also holds mean differences, so only all-logit says OR
+        effect_header = "OR" if {r.or_scale for r in self.rows} == {True} else "effect"
         header = ["Group", "Endpoint", effect_header]
         for name in self.method_names:
             header += [f"{name} {100 * (1 - self.alpha):g}% CI", "p"]

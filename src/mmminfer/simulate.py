@@ -54,12 +54,11 @@ from dataclasses import asdict, dataclass, field
 from types import MappingProxyType
 
 import numpy as np
-from scipy.special import stdtr
 
 from .contrasts import default_contrasts, fit_cell_means
 from .errors import IncompatibleMethod, SchemaError
 from .linmodels import Dataset, ModelSpec, fit_ols_batch
-from .mmm import DECISION_STAGES, joint_scale, max_type_rejects, score_correlation
+from .mmm import DECISION_STAGES, joint_scale, marginal_p, max_type_rejects, score_correlation
 # mv_rect_prob stays bound here: perfbench/test_harness.py checks that the
 # benchmark's tracer patches and restores this binding.
 from .mvdist import QuadratureSettings, equicoordinate_quantile, mv_rect_prob  # noqa: F401
@@ -589,7 +588,7 @@ def run(
             live = np.ones((1, m), dtype=bool)
 
         if "noadjust" in methods or "bonferroni" in methods:
-            p_marginal = 2.0 * stdtr(dfs, -np.abs(stats))
+            p_marginal = marginal_p(stats, dfs)
             for name, level in (("noadjust", alpha), ("bonferroni", alpha / m)):
                 if name in counts:
                     counts[name] += int(((p_marginal <= level) & live).any(axis=1).sum())

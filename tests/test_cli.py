@@ -13,6 +13,7 @@ import pytest
 
 from mmminfer import cli, mmm, simulate, tables
 from mmminfer.cli import main
+from mmminfer.mvdist import QuadratureSettings
 from mmminfer.simulate import Scenario, load_scenarios
 from mmminfer.tables import published_rows
 
@@ -51,6 +52,32 @@ def write_trial(tmp_path, n=40, effect=1.5, seed=5):
                 "models": [
                     {"endpoint": "y", "subset": "all"},
                     {"endpoint": "y", "subset": "S1"},
+                ],
+            }
+        )
+    )
+    return str(data), str(specs)
+
+
+def write_mixed_trial(directory, n=40, seed=6):
+    """Two-arm CSV with a continuous and a binary endpoint, and a config
+    that fits a gaussian and a binomial-logit model to them."""
+    rng = np.random.default_rng(seed)
+    rows = ["id,treatment,y,b"]
+    for i in range(n):
+        arm = "active" if i % 2 else "ctrl"
+        y = rng.normal() + 0.8 * (arm == "active")
+        rows.append(f"{i + 1},{arm},{y:.6f},{int(y > 0.4)}")
+    data = directory / "mixed.csv"
+    data.write_text("\n".join(rows) + "\n")
+    specs = directory / "mixed.json"
+    specs.write_text(
+        json.dumps(
+            {
+                "reference_level": "ctrl",
+                "models": [
+                    {"endpoint": "y"},
+                    {"endpoint": "b", "family": "binomial-logit"},
                 ],
             }
         )
@@ -270,6 +297,20 @@ class TestAnalyze:
         assert header.split()[2] == "OR"
         assert row.split()[:3] == ["all", "y", "2.55"]
 
+    def test_mixed_report_labels_no_difference_as_an_odds_ratio(self, tmp_path, capsys):
+        data, specs = write_mixed_trial(tmp_path)
+        assert run_cli(["analyze", data, specs]) == 0
+        header = capsys.readouterr().out.splitlines()[1]
+        assert header.split()[2] == "effect"
+
+    def test_refused_forest_leaves_no_partial_output(self, tmp_path, tmp_path_factory, capsys):
+        # the forest plot refuses a report mixing odds ratios and differences
+        data, specs = write_mixed_trial(tmp_path_factory.mktemp("inputs"))
+        out = tmp_path / "report"
+        assert run_cli(["analyze", data, specs, "--out", str(out), "--forest"]) == 1
+        assert "mix" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_dataset_needs_specs(self, tmp_path, capsys):
         data, _ = write_trial(tmp_path)
         assert run_cli(["analyze", data]) == 1
@@ -308,11 +349,20 @@ class TestAnalyze:
         assert "t(18)" in capsys.readouterr().out
 
 
-@pytest.mark.slow
 class TestCaseStudyCli:
-    def test_averroes_analysis(self, capsys):
+    def test_averroes_analysis(self, report, monkeypatch, capsys):
+        # the session report stands in for a second full analysis
+        calls = []
+
+        def spy(table, alpha, settings):
+            calls.append((alpha, settings.seed))
+            return report
+
+        monkeypatch.setattr(cli, "analyze_averroes", spy)
         assert run_cli(["analyze"]) == 0
         text = capsys.readouterr().out
+        assert calls == [(0.05, QuadratureSettings().seed)]
+        assert text == report.to_text() + "\n"
         assert "greater" in text
         for fragment in ("Global", "S1 (TIA)", "S2 (noTIA)", "2.32", "Hemorrhag"):
             assert fragment in text

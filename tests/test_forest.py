@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import pytest
 
-from mmminfer.forest import forest_svg, write_forest
+from mmminfer.forest import forest_svg
 from mmminfer.report import HypothesisRow, InferenceReport, MethodCell
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
@@ -180,9 +180,7 @@ class TestForestSvg:
         with pytest.raises(ValueError, match="width"):
             forest_svg(or_report(), width=260)
 
-    def test_write_forest(self, tmp_path):
-        target = tmp_path / "forest.svg"
-        write_forest(or_report(), target, method="mmm", width=900)
-        content = target.read_text(encoding="utf-8")
+    def test_width_sets_the_canvas(self):
+        content = forest_svg(or_report(), method="mmm", width=900)
         assert content.startswith("<svg")
         assert ET.fromstring(content).get("width") == "900"

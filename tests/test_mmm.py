@@ -8,20 +8,19 @@ from scipy.special import ndtr, ndtri, stdtr, stdtrit
 
 from mmminfer import mmm, mvdist, simulate
 from mmminfer.errors import DegenerateVariance, MismatchedSubjectAxis, NotPSD
-from mmminfer.linmodels import Dataset, ModelSpec, fit_ols
+from mmminfer.linmodels import Dataset, ModelSpec, fit_logit, fit_ols
 from mmminfer.mmm import (
     DECISION_STAGES,
     adjusted_p,
-    bonferroni_ci,
-    bonferroni_p,
     critical_values,
+    infer,
     joint_scale,
+    marginal_ci,
+    marginal_p,
     max_type_p,
     max_type_rejects,
     simultaneous_ci,
     stack,
-    unadjusted_ci,
-    unadjusted_p,
 )
 from mmminfer.mvdist import (
     CorrelationMatrix,
@@ -626,36 +625,143 @@ class TestSimultaneousCi:
             simultaneous_ci(f, 1.5)
 
 
+def mixed_models(seed=20):
+    """Gaussian and logit models on one trial: total and subgroup of each."""
+    d = trial_dataset(80, seed, delta=0.6)
+    data = Dataset(
+        d.treatment,
+        d.treatment_levels,
+        dict(d.subgroups),
+        {"y": d.responses["y"], "b": (d.responses["y"] > 0.0).astype(float)},
+    )
+    return [
+        fit_ols(data, ModelSpec("y")),
+        fit_logit(data, ModelSpec("b", family="binomial-logit")),
+        fit_ols(data, ModelSpec("y", subset="s")),
+        fit_logit(data, ModelSpec("b", subset="s", family="binomial-logit")),
+    ]
+
+
+def scalar_p(model, alternative):
+    """One model's marginal p-value, scalar: t at the residual df for a
+    gaussian model, normal for a logit one."""
+    t = model.statistic
+    x = {"two-sided": -abs(t), "greater": -t, "less": t}[alternative]
+    tail = stdtr(model.residual_df, x) if model.spec.family == "gaussian-identity" else ndtr(x)
+    return 2.0 * tail if alternative == "two-sided" else tail
+
+
+def scalar_ci(model, alpha, alternative):
+    """One model's marginal bounds, scalar, with the quantile of its law."""
+    level = 1.0 - (alpha / 2.0 if alternative == "two-sided" else alpha)
+    if model.spec.family == "gaussian-identity":
+        crit = float(stdtrit(model.residual_df, level))
+    else:
+        crit = float(ndtri(level))
+    lower = model.coefficient - crit * model.standard_error
+    upper = model.coefficient + crit * model.standard_error
+    return {
+        "two-sided": (lower, upper),
+        "greater": (lower, np.inf),
+        "less": (-np.inf, upper),
+    }[alternative]
+
+
+def reference_df(models):
+    return [np.inf if m.spec.family == "binomial-logit" else m.residual_df for m in models]
+
+
+def report_cells(models, method, alpha=0.05, alternative="two-sided"):
+    """``(p, lower, upper)`` arrays of one method's cells in ``infer``'s report."""
+    report = infer(models, "cells", alpha, alternative, "normal", FAST)
+    cells = [row.methods[method] for row in report.rows]
+    return tuple(np.array([getattr(c, k) for c in cells]) for k in ("p", "ci_lower", "ci_upper"))
+
+
+class TestMarginal:
+    @pytest.mark.parametrize("alternative", ["two-sided", "greater", "less"])
+    def test_mixed_families_equal_the_scalar_formulas(self, alternative):
+        models = mixed_models()
+        stats = [m.statistic for m in models]
+        est = np.array([m.coefficient for m in models])
+        se = np.array([m.standard_error for m in models])
+        p = marginal_p(stats, reference_df(models), alternative)
+        lo, hi = marginal_ci(est, se, reference_df(models), 0.05, alternative)
+        for k, m in enumerate(models):
+            assert p[k] == scalar_p(m, alternative)
+            assert (lo[k], hi[k]) == scalar_ci(m, 0.05, alternative)
+
+    @pytest.mark.parametrize("alternative", ["two-sided", "greater", "less"])
+    def test_infer_cells_equal_the_scalar_formulas(self, alternative):
+        models = mixed_models()
+        m = len(models)
+        for method, alpha_m, scale in (("noadjust", 0.05, 1), ("bonferroni", 0.05 / m, m)):
+            p, lo, hi = report_cells(models, method, alternative=alternative)
+            for k, model in enumerate(models):
+                assert p[k] == min(1.0, scale * scalar_p(model, alternative))
+                assert (lo[k], hi[k]) == scalar_ci(model, alpha_m, alternative)
+
+    def test_block_df_arrays_equal_the_scalar_formulas(self):
+        rng = np.random.default_rng(21)
+        stats = rng.normal(scale=2.0, size=(5, 3))
+        dfs = rng.integers(1, 60, size=(5, 3)).astype(float)
+        dfs[1, 2] = dfs[3, 0] = np.inf  # a normal entry among the t ones
+        for alternative in ("two-sided", "greater", "less"):
+            p = marginal_p(stats, dfs, alternative)
+            lo, hi = marginal_ci(stats, 0.5, dfs, 0.1, alternative)
+            assert p.shape == lo.shape == hi.shape == (5, 3)
+            for k in np.ndindex(stats.shape):
+                x = {"two-sided": -abs(stats[k]), "greater": -stats[k], "less": stats[k]}
+                tail = ndtr(x[alternative]) if np.isinf(dfs[k]) else stdtr(dfs[k], x[alternative])
+                assert p[k] == (2.0 * tail if alternative == "two-sided" else tail)
+                level = 0.95 if alternative == "two-sided" else 0.9
+                crit = ndtri(level) if np.isinf(dfs[k]) else stdtrit(dfs[k], level)
+                if alternative != "less":
+                    assert lo[k] == stats[k] - crit * 0.5
+                if alternative != "greater":
+                    assert hi[k] == stats[k] + crit * 0.5
+
+    def test_rejects_bad_alternative_and_alpha(self):
+        with pytest.raises(ValueError, match="alternative"):
+            marginal_p([1.0], [10], "both")
+        with pytest.raises(ValueError, match="alternative"):
+            marginal_ci([1.0], [1.0], [10], 0.05, "both")
+        with pytest.raises(ValueError, match="alpha"):
+            marginal_ci([1.0], [1.0], [10], 1.5)
+
+
 class TestBaselines:
     def test_unadjusted_gaussian_uses_t(self):
         d = trial_dataset(20, 16, delta=0.8)
         m = fit_ols(d, ModelSpec("y"))
-        p = unadjusted_p([m])
+        p = marginal_p([m.statistic], [m.residual_df])
         want = 2.0 * stdtr(m.residual_df, -abs(m.coefficient / m.standard_error))
         assert p[0] == pytest.approx(want, abs=1e-12)
 
     def test_bonferroni_p_is_scaled(self):
         f = three_model_stack(seed=17, delta=0.2)
-        p = unadjusted_p(f.models)
+        p = marginal_p(f.statistics, f.per_model_df)
         np.testing.assert_allclose(
-            bonferroni_p(f.models), np.minimum(1.0, 3.0 * p), atol=1e-12
+            report_cells(f.models, "bonferroni")[0], np.minimum(1.0, 3.0 * p), atol=1e-12
         )
 
     def test_bonferroni_ci_narrower_alpha(self):
         f = three_model_stack(seed=18)
-        lo_u, hi_u = unadjusted_ci(f.models, 0.05)
-        lo_b, hi_b = bonferroni_ci(f.models, 0.05)
+        _, lo_u, hi_u = report_cells(f.models, "noadjust")
+        _, lo_b, hi_b = report_cells(f.models, "bonferroni")
         assert np.all(lo_b <= lo_u + 1e-12)
         assert np.all(hi_b >= hi_u - 1e-12)
 
     def test_one_sided_ci(self):
         f = three_model_stack(seed=19)
-        lo, hi = unadjusted_ci(f.models, 0.05, "greater")
+        est = np.array([m.coefficient for m in f.models])
+        se = np.array([m.standard_error for m in f.models])
+        lo, hi = marginal_ci(est, se, f.per_model_df, 0.05, "greater")
         assert np.all(np.isinf(hi))
         m = f.models[0]
         crit = stdtrit(m.residual_df, 0.95)
         assert lo[0] == pytest.approx(m.coefficient - crit * m.standard_error, abs=1e-9)
-        lo, hi = unadjusted_ci(f.models, 0.05, "less")
+        lo, hi = marginal_ci(est, se, f.per_model_df, 0.05, "less")
         assert np.all(np.isneginf(lo))
         assert hi[0] == pytest.approx(m.coefficient + crit * m.standard_error, abs=1e-9)
 
