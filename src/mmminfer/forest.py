@@ -121,11 +121,7 @@ def forest_svg(
     scale = _Scale(rows, method)
     effect_name = "Odds ratio" if scale.log else "Effect"
     value_texts = [
-        f"{_format_bound(r.display_estimate())} "
-        + _interval_text(
-            r.display_bound(r.methods[method].ci_lower),
-            r.display_bound(r.methods[method].ci_upper),
-        )
+        f"{_format_bound(r.display_estimate())} {_interval_text(r, r.methods[method])}"
         for r in rows
     ]
     group_width = CHAR_WIDTH * max(len(r.group) for r in rows) + 16

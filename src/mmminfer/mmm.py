@@ -19,6 +19,10 @@ statistics:
   mapped to the normal scale through it (normal-copula construction); the
   joint law on that scale is multivariate normal with correlation C_hat.
 
+A binomial-logit model's statistic is a Wald z with no residual df: its df
+is inf, the normal, in every mode, so ``dfmax`` of a stack holding one, or
+``dfmin`` of an all-logit stack, is the multivariate normal.
+
 ``max_type_rejects`` is the yes/no form of the two-sided max-type test that
 the simulation study asks per replicate and variant, a whole stack of them
 in one call.  It climbs a ladder of three rungs (``DECISION_STAGES``) and
@@ -197,7 +201,8 @@ def stack(models, df_mode: str = "normal") -> MmmFit:
     """Stack marginal models and estimate their joint correlation.
 
     ``Sigma_hat`` and ``C_hat`` come from :func:`score_correlation` of the
-    models' score contributions.
+    models' score contributions.  ``per_model_df`` is each model's residual
+    df, inf (the normal) for a binomial-logit model.
     """
     models = tuple(models)
     if not models:
@@ -215,7 +220,7 @@ def stack(models, df_mode: str = "normal") -> MmmFit:
     sigma.flags.writeable = False
     stats = np.array([m.statistic for m in models])
     stats.flags.writeable = False
-    dfs = np.array([m.residual_df for m in models])
+    dfs = np.array([np.inf if m.spec.family == "binomial-logit" else m.residual_df for m in models])
     dfs.flags.writeable = False
     return MmmFit(
         models=models,
@@ -245,7 +250,8 @@ def joint_scale(statistics, per_model_df, df_mode: str):
     normal reference; ``dfind`` maps each statistic through its own
     marginal t distribution onto the normal scale.  Statistics and dfs of
     shape (..., m) hold a stack per leading index; ``dfmin`` / ``dfmax``
-    then give one df per stack, an int for a single stack.
+    then give one df per stack (inf: normal), an int for a single stack or
+    None where its df is inf.
     """
     if df_mode not in DF_MODES:
         raise ValueError(f"df_mode must be one of {DF_MODES}, got {df_mode!r}")
@@ -257,7 +263,9 @@ def joint_scale(statistics, per_model_df, df_mode: str):
         return _to_normal_scale(statistics, per_model_df), None
     reduce = np.min if df_mode == "dfmin" else np.max
     df = reduce(per_model_df, axis=-1)
-    return statistics, int(df) if df.ndim == 0 else df
+    if df.ndim:
+        return statistics, df
+    return statistics, None if np.isinf(df) else int(df)
 
 
 def _joint_scale(fit: MmmFit):
@@ -504,15 +512,14 @@ def simultaneous_ci(
 # ---------------------------------------------------------------------------
 # the side-by-side report
 
-def _df_label(df_mode, models):
+def _df_label(df_mode, dfs):
+    """The report's name of the joint law, from the fit's per-model dfs."""
     if df_mode == "normal":
         return "normal"
-    dfs = [m.residual_df for m in models]
-    if df_mode == "dfmin":
-        return f"t({min(dfs)})"
-    if df_mode == "dfmax":
-        return f"t({max(dfs)})"
-    return "dfind(" + ", ".join(str(d) for d in dfs) + ")"
+    if df_mode == "dfind":
+        return "dfind(" + ", ".join("inf" if np.isinf(d) else str(int(d)) for d in dfs) + ")"
+    df = min(dfs) if df_mode == "dfmin" else max(dfs)
+    return "normal" if np.isinf(df) else f"t({int(df)})"
 
 
 def infer(
@@ -535,8 +542,9 @@ def infer(
     models = tuple(models)
     fit = stack(models, df_mode=df_mode)
     est, se = np.array([(m.coefficient, m.standard_error) for m in models]).T
-    # logit models are tested against the normal, gaussian ones against t
-    ref_df = [np.inf if m.spec.family == "binomial-logit" else m.residual_df for m in models]
+    # logit models are tested against the normal (df inf), gaussian ones
+    # against t
+    ref_df = fit.per_model_df
     p = marginal_p(fit.statistics, ref_df, alternative)
     m = fit.dim
     blocks = (
@@ -570,7 +578,7 @@ def infer(
         title=title,
         alpha=alpha,
         alternative=alternative,
-        df_mode=_df_label(df_mode, models),
+        df_mode=_df_label(df_mode, fit.per_model_df),
         seed=settings.seed,
         quadrature_error=settings.target_abs_error,
         method_names=("noadjust", "bonferroni", "mmm"),

@@ -26,8 +26,9 @@ adjusted p-value and simultaneous confidence bound in the package.
   (``_sobol_range``), so neither scipy.stats nor an engine's state is
   needed.  The integrand streams through blocks of at most
   ``_BLOCK_POINTS`` points, each computed from its index range when it is
-  evaluated and scaled to floats, so no points are kept; on the t path the
-  radial factors of the leading points are cached (``_cached_radial``).
+  evaluated, scaled to floats and summed at once, so neither points nor
+  values are kept; on the t path the radial factors of the leading points
+  are cached (``_cached_radial``).
   Where a pivot of the Cholesky factor is tiny, as for a near-singular
   correlation, the standardized limit of most points lies at or above 9 or
   below -40, where Phi is exactly 1 or 0 in double precision; a block where
@@ -48,14 +49,16 @@ import math
 import numbers
 import os
 import threading
+import zipfile
 from collections import OrderedDict
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
+import numpy.lib.format as npy_format
 import scipy
-from scipy.special import betainc, gammaincinv, gammaln, ndtr, ndtri, owens_t
-from scipy.special import roots_legendre, stdtr, stdtrit
+from scipy.special import betainc, eval_legendre, gammaincinv, gammaln, ndtr, ndtri
+from scipy.special import owens_t, stdtr, stdtrit
 
 from .errors import NotPSD
 
@@ -344,8 +347,28 @@ def _genz_weights(chol, lower, upper, w, radial=None):
 
 @lru_cache(maxsize=8)
 def _gl_rule(n: int):
-    """Gauss-Legendre nodes and weights of ``n`` points on (0, 1)."""
-    x, wt = roots_legendre(n)
+    """Gauss-Legendre nodes and weights of ``n`` points on (0, 1).
+
+    Bit for bit scipy's ``roots_legendre`` mapped to (0, 1), by its own
+    recipe (Golub & Welsch 1969, Math. Comp. 23): the eigenvalues of the
+    Jacobi matrix, one Newton step on P_n, weights from P_(n-1) and P_n'
+    scaled in logs, both symmetrized.  Only the eigenvalues come from
+    numpy's ``eigvalsh`` rather than ``scipy.linalg``, which is never
+    imported.
+    """
+    k = np.arange(1.0, n)
+    x = np.linalg.eigvalsh(np.diag(k * np.sqrt(1.0 / (4 * k * k - 1)), -1))
+    y = eval_legendre(n, x)
+    dy = (-n * x * y + n * eval_legendre(n - 1, x)) / (1 - x**2)
+    x -= y / dy
+    fm = eval_legendre(n - 1, x)
+    log_fm, log_dy = np.log(np.abs(fm)), np.log(np.abs(dy))
+    fm /= np.exp((log_fm.max() + log_fm.min()) / 2.0)
+    dy /= np.exp((log_dy.max() + log_dy.min()) / 2.0)
+    wt = 1.0 / (fm * dy)
+    wt = (wt + wt[::-1]) / 2
+    x = (x - x[::-1]) / 2
+    wt *= 2.0 / wt.sum()
     return 0.5 * (x + 1.0), 0.5 * wt
 
 
@@ -619,6 +642,8 @@ _SOBOL_BITS = 30
 _DIRECTION_TABLE = os.path.join(
     os.path.dirname(scipy.__file__), "stats", "_sobol_direction_numbers.npz"
 )
+# Bytes inflated at a time while skipping the table's unused rows.
+_SKIP_BYTES = 1 << 16
 # Held for each lookup, growth and eviction of _RADIAL_CACHE, so threads
 # sharing a key never compute its factors twice or see an entry half filled.
 _CACHE_LOCK = threading.Lock()
@@ -629,20 +654,45 @@ _CACHE_LOCK = threading.Lock()
 _BLOCK_POINTS = 1 << 13
 
 
+def _leading_rows(archive, name, rows):
+    """The first ``rows`` rows of the 1-d or 2-d array ``name`` of an open
+    npz archive, as a list.  Only those rows are kept: a C-order array is
+    read up to them, a Fortran-order one column by column, skipping the rest
+    of each column."""
+    with archive.open(name + ".npy") as f:
+        if npy_format.read_magic(f) == (1, 0):
+            shape, fortran, dtype = npy_format.read_array_header_1_0(f)
+        else:
+            shape, fortran, dtype = npy_format.read_array_header_2_0(f)
+        rows = min(rows, shape[0])
+        if len(shape) == 1 or not fortran:
+            data = f.read(rows * math.prod(shape[1:]) * dtype.itemsize)
+            return np.frombuffer(data, dtype).reshape(rows, *shape[1:]).tolist()
+        columns = []
+        for _ in range(shape[1]):
+            columns.append(np.frombuffer(f.read(rows * dtype.itemsize), dtype))
+            # a forward seek would inflate the whole skip into one buffer
+            skip = (shape[0] - rows) * dtype.itemsize
+            while skip > 0:
+                skip -= len(f.read(min(skip, _SKIP_BYTES)))
+        return np.stack(columns, axis=1).tolist()
+
+
 @lru_cache(maxsize=8)
 def _direction_numbers(qdim):
     """Unscrambled direction numbers, shaped (qdim, _SOBOL_BITS): column j of
     coordinate d is its j-th direction integer m_j times 2**(29 - j), from the
     primitive polynomials and initial numbers of the Joe-Kuo table by the
-    recurrence of Bratley & Fox (1988, ACM TOMS 14)."""
+    recurrence of Bratley & Fox (1988, ACM TOMS 14).  Only the table's first
+    ``qdim`` rows are read (``_leading_rows``)."""
     try:
-        table = np.load(_DIRECTION_TABLE)
+        archive = zipfile.ZipFile(_DIRECTION_TABLE)
     except FileNotFoundError:
         raise RuntimeError(
             f"scipy {scipy.__version__} has no Sobol direction-number table at {_DIRECTION_TABLE}"
         ) from None
-    with table:
-        polys, inits = table["poly"][:qdim].tolist(), table["vinit"][:qdim].tolist()
+    with archive:
+        polys, inits = (_leading_rows(archive, name, qdim) for name in ("poly", "vinit"))
     rows = [[1] * _SOBOL_BITS]
     for poly, init in zip(polys[1:], inits[1:]):
         degree = poly.bit_length() - 1
@@ -761,12 +811,12 @@ class _SobolSampler:
     limits: with off-diagonal Cholesky entries, moving one limit shifts the
     later coordinates' conditional limits at every fixed point.
 
-    No points are kept between calls: the integrand streams through blocks
-    of at most ``_BLOCK_POINTS`` points, each computed from its index range
-    by ``_sobol_range`` and scaled to floats, so the transient memory of
-    one evaluation is a few arrays of that many points (a few MB at
-    dimension 9) plus one float per sample for the values, whatever the
-    sample size.
+    No points are kept between calls and no values at all: the integrand
+    streams through blocks of at most ``_BLOCK_POINTS`` points, each
+    computed from its index range by ``_sobol_range``, scaled to floats and
+    summed as soon as it is evaluated (``_sums``), so the transient memory
+    of one evaluation is a few arrays of that many points (under 3 MB at
+    dimension 9) whatever the sample size.
     """
 
     def __init__(self, chol, df, settings: QuadratureSettings):
@@ -780,10 +830,12 @@ class _SobolSampler:
 
         The integrand is evaluated one block of at most ``_BLOCK_POINTS``
         points at a time: whole scrambles grouped while they fit in a block,
-        else consecutive runs of one scramble's points, each computed once,
-        from the scramble rows and index range of its block.  The values land
-        in one (shifts, count) array, summed as a whole, so the sums do not
-        depend on the blocking.
+        else runs of one scramble's points, each computed once, from the
+        scramble rows and index range of its block, and summed as soon as it
+        is evaluated.  A run longer than a block is halved where numpy's
+        pairwise summation halves it (at a multiple of 8), so the sums equal
+        those of all the values in one row, bit for bit, with no array of
+        the values kept.
         """
         shifts = self.settings.shifts
         end = start + count
@@ -792,25 +844,30 @@ class _SobolSampler:
         if self.df is not None and end <= _RADIAL_POINTS:
             radial = _cached_radial(self.qdim, self.settings, self.df, end)
         rows = max(_BLOCK_POINTS // count, 1)  # scrambles per block
-        width = min(count, _BLOCK_POINTS)  # points per scramble per block
-        vals = np.empty((shifts, count))
-        for j in range(0, shifts, rows):
-            block_scrambles = [x[j : j + rows] for x in scrambles]
-            for a in range(start, end, width):
-                b = min(a + width, end)
-                w = _sobol_range(block_scrambles, a, b) * 2.0**-_SOBOL_BITS
-                w = w.reshape(-1, self.qdim)
-                if self.df is None:
-                    block = _genz_weights(self.chol, lower, upper, w)
+        # Every block's points go into this one buffer.  With a fresh array
+        # per block, malloc handed each block's memory back to the system and
+        # faulted it in again for the next: about 290,000 page faults and 15 %
+        # of the time of one AVERROES analysis.
+        points = np.empty(min(rows * count, _BLOCK_POINTS) * self.qdim)
+
+        def block_sums(j, a, n):
+            ints = _sobol_range([x[j : j + rows] for x in scrambles], a, a + n)
+            w = np.multiply(ints, 2.0**-_SOBOL_BITS, out=points[: ints.size].reshape(ints.shape))
+            w = w.reshape(-1, self.qdim)
+            if self.df is None:
+                block = _genz_weights(self.chol, lower, upper, w)
+            else:
+                if radial is None:
+                    u = np.clip(w[:, 0], _TINY, 1.0 - _TINY)
+                    scale = _radial_factors(u, self.df)
                 else:
-                    if radial is None:
-                        u = np.clip(w[:, 0], _TINY, 1.0 - _TINY)
-                        scale = _radial_factors(u, self.df)
-                    else:
-                        scale = radial[j : j + rows, a:b].reshape(-1)
-                    block = _genz_weights(self.chol, lower, upper, w[:, 1:], scale)
-                vals[j : j + rows, a - start : b - start] = block.reshape(-1, b - a)
-        return vals.sum(axis=1)
+                    scale = radial[j : j + rows, a : a + n].reshape(-1)
+                block = _genz_weights(self.chol, lower, upper, w[:, 1:], scale)
+            return block.reshape(-1, n).sum(axis=1)
+
+        return np.concatenate(
+            [_pairwise(partial(block_sums, j), start, count) for j in range(0, shifts, rows)]
+        )
 
     def _rounds(self, lower, upper):
         """Integrand sums per scramble after each doubling round, as (sums,
@@ -854,6 +911,17 @@ class _SobolSampler:
             done = err <= s.target_abs_error or total * 2 > s.max_samples
             if done or _decided(est, err, decide_at, s.target_abs_error):
                 return est, err, total, count
+
+
+def _pairwise(sums, start, count):
+    """``sums(a, n)``, sums over [a, a + n), added up over [start, start +
+    count) as numpy's pairwise summation adds up one row: a range longer
+    than ``_BLOCK_POINTS`` is halved at a multiple of 8, so the result equals
+    numpy's sum of all the values bit for bit."""
+    if count <= _BLOCK_POINTS:
+        return sums(start, count)
+    half = count // 2 - count // 2 % 8
+    return _pairwise(sums, start, half) + _pairwise(sums, start + half, count - half)
 
 
 def _decided(est, err, decide_at, target):

@@ -67,10 +67,13 @@ def _format_bound(x):
     return f"{x:.2f}"
 
 
-def _interval_text(lower: float, upper: float) -> str:
-    """``[lower, upper]`` to two decimals, an infinite side open."""
-    left = "(" if math.isinf(lower) else "["
-    right = ")" if math.isinf(upper) else "]"
+def _interval_text(row: HypothesisRow, cell: MethodCell) -> str:
+    """``[lower, upper]`` of one cell on its row's display scale, to two
+    decimals.  A side infinite on the model scale is open, also where the
+    display maps it to a finite number (exp(-inf) = 0 for an odds ratio)."""
+    lower, upper = (row.display_bound(b) for b in (cell.ci_lower, cell.ci_upper))
+    left = "(" if math.isinf(cell.ci_lower) else "["
+    right = ")" if math.isinf(cell.ci_upper) else "]"
     return f"{left}{_format_bound(lower)}, {_format_bound(upper)}{right}"
 
 
@@ -134,10 +137,7 @@ class InferenceReport:
             line = [group, r.endpoint, f"{r.display_estimate():.2f}"]
             for name in self.method_names:
                 cell = r.methods[name]
-                ci = _interval_text(
-                    r.display_bound(cell.ci_lower), r.display_bound(cell.ci_upper)
-                )
-                line += [ci, f"{cell.p:.4f}"]
+                line += [_interval_text(r, cell), f"{cell.p:.4f}"]
             table.append(line)
         widths = [max(len(row[k]) for row in table) for k in range(len(header))]
         lines = [

@@ -121,15 +121,21 @@ class TestForestSvg:
             assert fragment in svg
 
     def test_table_and_plot_print_the_same_intervals(self):
-        # an odds ratio's unbounded lower side is 0 on the display scale
+        # an odds ratio's unbounded lower side is 0 on the display scale, and
+        # stays open there as a difference's -Inf does
         report = or_report()
         cell = MethodCell(p=0.9, ci_lower=-math.inf, ci_upper=math.log(3.5), rejected=False)
         rows = [replace(r, methods={"mmm": cell, "bonferroni": cell}) for r in report.rows]
         less = replace(report, alternative="less", rows=tuple(rows))
+        diff = diff_report()
+        cell = MethodCell(p=0.9, ci_lower=-math.inf, ci_upper=0.6, rejected=False)
+        rows = [replace(r, methods={"mmm": cell}) for r in diff.rows]
+        diff_less = replace(diff, alternative="less", rows=tuple(rows))
         for interval, shown in (
             ("[1.06, Inf)", or_report()),
-            ("[0.00, 3.50]", less),
-            ("[-1.40, 0.60]", diff_report()),
+            ("(0.00, 3.50]", less),
+            ("[-1.40, 0.60]", diff),
+            ("(-Inf, 0.60]", diff_less),
         ):
             assert interval in shown.to_text()
             assert interval in forest_svg(shown)

@@ -730,6 +730,38 @@ class TestMarginal:
             marginal_ci([1.0], [1.0], [10], 1.5)
 
 
+class TestLogitDf:
+    """A logit statistic is a Wald z: its df is inf in every df mode."""
+
+    @pytest.mark.parametrize("alternative", ["two-sided", "less"])
+    @pytest.mark.parametrize("df_mode", mmm.DF_MODES)
+    def test_one_logit_model_gets_the_unadjusted_answer(self, df_mode, alternative):
+        report = infer(mixed_models()[1:2], "one", 0.05, alternative, df_mode, FAST)
+        cells = report.rows[0].methods
+        for field in ("p", "ci_lower", "ci_upper"):
+            want = getattr(cells["noadjust"], field)
+            assert getattr(cells["mmm"], field) == pytest.approx(want, rel=1e-12)
+        assert report.df_mode == ("dfind(inf)" if df_mode == "dfind" else "normal")
+
+    def test_mixed_stacks_take_the_gaussian_dfs(self):
+        models = mixed_models()
+        f = stack(models, "dfmin")
+        gaussian = [models[0].residual_df, models[2].residual_df]
+        np.testing.assert_array_equal(f.per_model_df, [gaussian[0], np.inf, gaussian[1], np.inf])
+        assert joint_scale(f.statistics, f.per_model_df, "dfmin")[1] == min(gaussian)
+        assert joint_scale(f.statistics, f.per_model_df, "dfmax")[1] is None
+        labels = {
+            mode: infer(models, "mixed", 0.05, "two-sided", mode, FAST).df_mode
+            for mode in mmm.DF_MODES
+        }
+        assert labels == {
+            "normal": "normal",
+            "dfmin": f"t({min(gaussian)})",
+            "dfmax": "normal",
+            "dfind": f"dfind({gaussian[0]}, inf, {gaussian[1]}, inf)",
+        }
+
+
 class TestBaselines:
     def test_unadjusted_gaussian_uses_t(self):
         d = trial_dataset(20, 16, delta=0.8)

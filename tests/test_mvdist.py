@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate
-from scipy.special import ndtr, ndtri, stdtr
+from scipy.special import ndtr, ndtri, roots_legendre, stdtr
 from scipy.stats import norm, t as student_t
 
 from mmminfer import mvdist
@@ -847,6 +847,41 @@ class TestStreamedSums:
         assert sum(sizes) == r.samples  # every point evaluated once
 
     @pytest.mark.parametrize("df", [None, 12], ids=["normal", "t"])
+    def test_blocks_take_one_point_buffer(self, df, monkeypatch):
+        # a fresh array per block costs page faults on every block
+        points = []
+        genz = mvdist._genz_weights
+
+        def spy(chol, lower, upper, w, radial=None):
+            points.append(w)
+            return genz(chol, lower, upper, w, radial)
+
+        monkeypatch.setattr(mvdist, "_genz_weights", spy)
+        sampler = mvdist._SobolSampler(
+            CorrelationMatrix(self.CORR).cholesky(), df, QuadratureSettings(shifts=2)
+        )
+        sampler._sums(self.LOWER, self.UPPER, 0, 3 * BLOCK)
+        assert len(points) == 8
+        assert all(np.shares_memory(w, points[0]) for w in points)
+
+    @pytest.mark.parametrize("df", [None, 12], ids=["normal", "t"])
+    def test_one_call_keeps_no_value_array(self, df):
+        # 12 x 2**16 points at dimension 9, past the radial cache: the blocks'
+        # working arrays only, not the 6 MiB of one value per point
+        dim = 9
+        corr = CorrelationMatrix(np.full((dim, dim), 0.4) + 0.6 * np.eye(dim))
+        sampler = mvdist._SobolSampler(corr.cholesky(), df, QuadratureSettings())
+        limits = np.full(dim, -2.5), np.full(dim, 2.5)
+        sampler._sums(*limits, 0, 256)  # the scrambles are cached first
+        tracemalloc.start()
+        try:
+            sampler._sums(*limits, 0, 1 << 16)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 << 20
+
+    @pytest.mark.parametrize("df", [None, 12], ids=["normal", "t"])
     def test_transient_memory_stays_small(self, df, empty_radial_cache):
         # one cold two-sided evaluation of 12 x 2**16 samples at dimension 9:
         # its points (24 or 27 MiB as int32) are computed block by block, and on
@@ -1069,6 +1104,16 @@ class TestGaussLegendreT:
         finally:
             tracemalloc.stop()
         assert peak < 2 << 20
+
+
+@pytest.mark.parametrize(
+    "n", sorted(set(mvdist._WEDGE_NODES + mvdist._OUTER_NODES + mvdist._PAIR_LEVELS))
+)
+def test_gauss_legendre_rule_equals_scipy(n):
+    x, wt = roots_legendre(n)
+    nodes, weights = mvdist._gl_rule(n)
+    np.testing.assert_array_equal(nodes, 0.5 * (x + 1.0))
+    np.testing.assert_array_equal(weights, 0.5 * wt)
 
 
 PAIR_RHOS = (-0.95, -0.6, -0.2, 0.0, 0.3, 0.77, 0.95)

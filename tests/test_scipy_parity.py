@@ -6,6 +6,8 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
+import zipfile
 from collections import Counter
 from pathlib import Path
 
@@ -28,7 +30,7 @@ def scipy_engines(qdim, seed, shifts):
     ]
 
 
-def test_no_path_imports_scipy_stats_scipy_optimize_or_urllib():
+def test_no_path_imports_scipy_stats_scipy_optimize_scipy_linalg_or_urllib():
     script = (
         "import sys\n"
         "import numpy as np\n"
@@ -43,7 +45,7 @@ def test_no_path_imports_scipy_stats_scipy_optimize_or_urllib():
         "        mv_rect_prob(corr, np.full(dim, -2.0), np.full(dim, 2.0), df=df, settings=s)\n"
         "report = casestudy.analyze(casestudy.load_averroes(), settings=s)\n"
         "forest.forest_svg(report)\n"
-        "unwanted = ('scipy.stats', 'scipy.optimize', 'urllib.request')\n"
+        "unwanted = ('scipy.stats', 'scipy.optimize', 'scipy.linalg', 'urllib.request')\n"
         "print([m for m in unwanted if m in sys.modules])\n"
     )
     src = str(Path(mvdist.__file__).resolve().parents[1])
@@ -98,6 +100,29 @@ class TestSobolPoints:
     def test_range_past_the_last_point_is_refused(self):
         with pytest.raises(ValueError, match="2\\*\\*30"):
             mvdist._sobol_range(mvdist._scrambles(2, 1, 2), (1 << 30) - 1, (1 << 30) + 1)
+
+    @pytest.mark.parametrize("qdim", [1, 2, 9, 40])
+    def test_direction_numbers_equal_a_full_read_of_the_table(self, qdim, monkeypatch):
+        with np.load(mvdist._DIRECTION_TABLE) as table:
+            full = {name: table[name] for name in ("poly", "vinit")}
+        with zipfile.ZipFile(mvdist._DIRECTION_TABLE) as archive:
+            for name, array in full.items():
+                assert mvdist._leading_rows(archive, name, qdim) == array[:qdim].tolist()
+        streamed = mvdist._direction_numbers.__wrapped__(qdim)
+        monkeypatch.setattr(
+            mvdist, "_leading_rows", lambda archive, name, rows: full[name][:rows].tolist()
+        )
+        np.testing.assert_array_equal(streamed, mvdist._direction_numbers.__wrapped__(qdim))
+
+    def test_reading_the_direction_table_keeps_only_its_leading_rows(self):
+        # the whole table would inflate to about 3 MB
+        tracemalloc.start()
+        try:
+            mvdist._direction_numbers.__wrapped__(9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 512 << 10
 
     def test_a_missing_direction_table_is_named(self, monkeypatch, tmp_path):
         missing = str(tmp_path / "_sobol_direction_numbers.npz")
