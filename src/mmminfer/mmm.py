@@ -25,7 +25,7 @@ is inf, the normal, in every mode, so ``dfmax`` of a stack holding one, or
 
 ``max_type_rejects`` is the yes/no form of the two-sided max-type test that
 the simulation study asks per replicate and variant, a whole stack of them
-in one call.  It climbs a ladder of three rungs (``DECISION_STAGES``) and
+in one call.  It climbs a ladder of four rungs (``DECISION_STAGES``) and
 stops at the first that settles the decision:
 
 1. first-order bounds: with p1 the closed-form tail of one coordinate,
@@ -35,10 +35,14 @@ stops at the first that settles the decision:
    best-pair lower bounds, built from the bivariate probabilities of
    ``mvdist.pair_exceedance``; a bound settles only where it clears alpha
    by more than the bivariate error accumulated into it;
-3. the rectangle probability, integrated once, with ``decide_at`` = 1 - alpha
+3. triplewise bounds, from dimension 4 on: the cherry-tree upper bound and
+   the Boros-Prekopa lower bound, built from the trivariate probabilities
+   of ``mvdist.triple_exceedance`` as well, with their errors counted
+   against them in the same way;
+4. the rectangle probability, integrated once, with ``decide_at`` = 1 - alpha
    (``mv_rect_prob``): it stops as soon as the estimate settles the decision.
 
-``max_type_bounds`` runs the first two rungs on whole arrays of statistics
+``max_type_bounds`` runs the first three rungs on whole arrays of statistics
 and correlation matrices; ``max_type_rejects`` calls it and integrates only
 what it leaves open.  Under ``dfind`` the first-order upper bound is the
 Bonferroni test of the largest statistic, so a Bonferroni rejection is a
@@ -52,6 +56,7 @@ above and the simulation's baseline decisions all come from them.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -62,10 +67,12 @@ from .errors import DegenerateVariance, MismatchedSubjectAxis
 from .linmodels import MarginalModel
 from .mvdist import (
     _PAIR_LEVELS,
+    _TRIPLE_LEVELS,
     CorrelationMatrix,
     QuadratureSettings,
     mv_rect_prob,
     pair_exceedance,
+    triple_exceedance,
     equicoordinate_quantile,
     validate_correlation,
 )
@@ -91,8 +98,8 @@ __all__ = [
 DF_MODES = ("normal", "dfmin", "dfmax", "dfind")
 ALTERNATIVES = ("two-sided", "greater", "less")
 # Rungs of the ``max_type_rejects`` ladder, in the order they are tried: the
-# first-order bounds, the pairwise bounds and the integrated rectangle.
-DECISION_STAGES = ("first_order", "pairwise", "integrated")
+# first-order, pairwise and triplewise bounds and the integrated rectangle.
+DECISION_STAGES = ("first_order", "pairwise", "triplewise", "integrated")
 
 _PCLIP = 1e-16
 
@@ -319,20 +326,19 @@ def max_type_rejects(
 
     The p-value is 1 - P(-b <= X_r <= b for all r) under the joint law of
     ``max_type_p``.  ``b``, ``df`` and ``c_hat`` are stacks as for
-    :func:`max_type_bounds`, whose exact bounds settle most decisions;
-    ``c_hat`` is checked once with ``validate_correlation``.  Each decision
-    they leave open is integrated once, at ``settings`` with ``decide_at =
-    1 - alpha``: the rounds stop at the first estimate farther from
-    1 - alpha than its error and twice the target.
+    :func:`max_type_bounds`, whose exact bounds (first-order, pairwise and,
+    from dimension 4, triplewise) settle most decisions; ``c_hat`` is
+    checked once with ``validate_correlation``.  Each decision they leave
+    open is integrated once, at ``settings`` with ``decide_at = 1 - alpha``:
+    the rounds stop at the first estimate farther from 1 - alpha than its
+    error and twice the target.
 
     Returns ``(rejects, stage)``, elementwise over the edges: p <= alpha,
     and the index into ``DECISION_STAGES`` of the rung that decided.
     """
     c_hat = validate_correlation(c_hat)
-    rejects, accepts, paired = max_type_bounds(b, df, c_hat, alpha)
-    stage = paired.astype(np.intp)  # first_order (0) or pairwise (1)
+    rejects, accepts, stage = max_type_bounds(b, df, c_hat, alpha)
     open_ = ~(rejects | accepts)
-    stage[open_] = DECISION_STAGES.index("integrated")
     shape, m = rejects.shape, c_hat.shape[-1]
     b = np.broadcast_to(np.asarray(b, dtype=float), shape)
     df = np.broadcast_to(np.inf if df is None else df, shape)
@@ -366,15 +372,29 @@ def max_type_bounds(b, df, c_hat, alpha: float):
       S1 = m * p1, S2 the sum over all pairs and k = 1 + floor(2 S2 / S1);
     * best pair: p >= max P(A_i or A_j) = 2 p1 - min P(A_i and A_j).
 
-    Each settles a decision only where it clears alpha after the
-    bivariate errors it accumulates are added against it; at m = 2 all
-    three are p = 2 p1 - P(A_1 and A_2) itself.
+    From dimension 4 on, decisions the pairwise bounds leave open get the
+    triplewise bounds, from P(A_i and A_j and A_k) of every triple as well
+    (``mvdist.triple_exceedance``), all rows and triples of a chunk at once:
 
-    Returns ``(rejects, accepts, paired)``, elementwise over the edges:
-    p <= alpha, p > alpha, and whether the pairwise bounds made the
-    decision.  Where neither ``rejects`` nor ``accepts`` holds, only
-    quadrature decides.  Raises ``ValueError`` unless ``df`` is None or
-    every df is >= 1 (``inf`` included).
+    * cherry tree (Bukszar & Prekopa 2001, Math. Oper. Res. 26): the events
+      join the union one at a time, each adding at most p1 - P(A_k A_a) -
+      P(A_k A_c) + P(A_k A_a A_c) for two events a, c already in it; the
+      event and pair of each step are picked greedily from the most
+      probable pair on (``_cherry_tree``);
+    * Boros-Prekopa (1989, Math. Oper. Res. 14): p >= E f(N), N the number
+      of events that occur, for the cubic f with f(0) = 0 and f = 1 at i,
+      i + 1 and m, which is at most 1 at every other count; in S1, S2 and S3
+      (the sum over all triples) it is linear, and the best i is kept.
+
+    Each bound settles a decision only where it clears alpha after the
+    errors of the probabilities it is built from are added against it; at
+    m = 2 the pairwise bounds are p = 2 p1 - P(A_1 and A_2) itself.
+
+    Returns ``(rejects, accepts, stage)``, elementwise over the edges: p <=
+    alpha, p > alpha, and the index into ``DECISION_STAGES`` of the rung
+    that made the decision, ``integrated`` where neither ``rejects`` nor
+    ``accepts`` holds and only quadrature decides.  Raises ``ValueError``
+    unless ``df`` is None or every df is >= 1 (``inf`` included).
     """
     c_hat = np.asarray(c_hat)
     m = c_hat.shape[-1]
@@ -387,31 +407,66 @@ def max_type_bounds(b, df, c_hat, alpha: float):
         df = np.broadcast_to(np.asarray(df, dtype=float), shape).reshape(-1)
         if not (df >= 1.0).all():
             raise ValueError(f"df must be None or >= 1 (inf for normal), got {df.min()}")
-    t_law = np.isfinite(df)
     p1 = marginal_p(b, df)
     rejects, accepts = m * p1 <= alpha, p1 > alpha
-    paired = np.zeros_like(rejects)
+    stage = np.zeros(b.shape, dtype=np.intp)
     undecided = np.flatnonzero(~(rejects | accepts))
     if len(undecided):
         i, j = _pairs(m)
         rho = np.broadcast_to(c_hat[..., i, j], shape + (len(i),)).reshape(-1, len(i))
+        pair, err = np.empty((2, len(undecided), len(i)))
         chunk = max(1, _PAIR_BLOCK_FLOATS // (len(i) * max(_PAIR_LEVELS)))
         for start in range(0, len(undecided), chunk):
-            rows = undecided[start : start + chunk]
-            # one pair_exceedance call per law present among the rows
-            pair, err = np.empty((2, len(rows), len(i)))
-            for law in (~t_law[rows], t_law[rows]):
-                if law.any():
-                    r = rows[law]
-                    pair[law], err[law] = pair_exceedance(
-                        b[r, None], rho[r], df[r, None] if t_law[r[0]] else None
-                    )
-            upper = _hunter_worsley(p1[rows], pair, err, i, j, m)
-            lower = _pair_lower(p1[rows], pair, err, m)
+            part = slice(start, start + chunk)
+            rows = undecided[part]
+            pair[part], err[part] = _per_law(pair_exceedance, b, df, rows, rho[rows])
+            upper = _hunter_worsley(p1[rows], pair[part], err[part], i, j, m)
+            lower = _pair_lower(p1[rows], pair[part], err[part], m)
             rejects[rows] = upper <= alpha
             accepts[rows] = lower > alpha
-            paired[rows] = rejects[rows] | accepts[rows]
-    return rejects.reshape(shape), accepts.reshape(shape), paired.reshape(shape)
+        stage[undecided] = DECISION_STAGES.index("pairwise")
+        left = ~(rejects[undecided] | accepts[undecided])
+        if m >= 4 and left.any():
+            rows = undecided[left]
+            rejects[rows], accepts[rows] = _triplewise(
+                alpha, p1[rows], b, df, rows, rho[rows], pair[left], err[left], m
+            )
+            stage[rows] = DECISION_STAGES.index("triplewise")
+    stage[~(rejects | accepts)] = DECISION_STAGES.index("integrated")
+    return rejects.reshape(shape), accepts.reshape(shape), stage.reshape(shape)
+
+
+def _per_law(kernel, b, df, rows, *args):
+    """``kernel(b, *args, df)`` on ``rows`` of the edges ``b`` and dfs ``df``
+    (inf: normal), one call per law present among them; each of ``args``
+    holds one row per entry of ``rows``.  Returns ``(value, error)``."""
+    t_law = np.isfinite(df[rows])
+    value, error = np.empty((2,) + np.shape(args[0]))
+    for law, law_df in ((~t_law, None), (t_law, df)):
+        if law.any():
+            r = rows[law]
+            dfs = None if law_df is None else law_df[r, None]
+            value[law], error[law] = kernel(b[r, None], *(a[law] for a in args), df=dfs)
+    return value, error
+
+
+def _triplewise(alpha, p1, b, df, rows, rho, pair, err, m):
+    """``(rejects, accepts)`` of the triplewise bounds for ``rows``, whose
+    pair probabilities ``pair`` and errors ``err`` (one row each, pairs as
+    ``_pairs(m)``) are known, in chunks of rows whose largest array of
+    ``triple_exceedance`` stays near ``_PAIR_BLOCK_FLOATS`` floats."""
+    tri_pairs = _triples(m)[0]
+    rejects, accepts = np.empty((2, len(rows)), dtype=bool)
+    # triple_exceedance's largest arrays hold 8 floats per triple and node
+    chunk = max(1, _PAIR_BLOCK_FLOATS // (tri_pairs.shape[1] * 8 * sum(_TRIPLE_LEVELS)))
+    for start in range(0, len(rows), chunk):
+        part = slice(start, start + chunk)
+        pv, pe = pair[part], err[part]
+        rij, rik, rjk = (rho[part][:, k] for k in tri_pairs)
+        triple, terr = _per_law(triple_exceedance, b, df, rows[part], rij, rik, rjk)
+        rejects[part] = _cherry_tree(p1[part], pv, pe, triple, terr, m) <= alpha
+        accepts[part] = _boros_prekopa_lower(p1[part], pv, pe, triple, terr, m) > alpha
+    return rejects, accepts
 
 
 @lru_cache(maxsize=16)
@@ -421,6 +476,35 @@ def _pairs(m: int):
     for a in pairs:
         a.flags.writeable = False
     return pairs
+
+
+@lru_cache(maxsize=16)
+def _triples(m: int):
+    """Index arrays of the triples i < j < k of ``m`` events, read-only.
+
+    Returns ``(tri_pairs, steps)``: ``tri_pairs`` (3, triples) holds the
+    positions among ``_pairs(m)`` of each triple's pairs (i, j), (i, k) and
+    (j, k); ``steps`` (6, steps) one column per event k and pair a < c
+    without it: k, a, c, the positions of the pairs (k, a) and (k, c), and
+    the position of the triple {k, a, c}.
+    """
+    i, j = _pairs(m)
+    pos = np.zeros((m, m), dtype=np.intp)
+    pos[i, j] = pos[j, i] = np.arange(len(i))
+    triples = list(itertools.combinations(range(m), 3))
+    tri_pos = {frozenset(t): n for n, t in enumerate(triples)}
+    tri_pairs = np.array([[pos[x, y], pos[x, z], pos[y, z]] for x, y, z in triples]).T
+    steps = np.array(
+        [
+            (k, a, c, pos[k, a], pos[k, c], tri_pos[frozenset((k, a, c))])
+            for k in range(m)
+            for a, c in zip(i, j)
+            if k not in (a, c)
+        ]
+    ).T
+    for a in (tri_pairs, steps):
+        a.flags.writeable = False
+    return tri_pairs, steps
 
 
 def _hunter_worsley(p1, pair, err, i, j, m):
@@ -462,6 +546,58 @@ def _pair_lower(p1, pair, err, m):
     worst = pair.argmin(axis=1)
     best_pair = 2.0 * p1 - pair[rows, worst] - err[rows, worst]
     return np.maximum(dawson_sankoff, best_pair)
+
+
+def _cherry_tree(p1, pair, err, triple, terr, m):
+    """Cherry-tree upper bound plus its accumulated error, per row.
+
+    ``pair`` and ``err`` are as for ``_hunter_worsley``; ``triple`` and
+    ``terr`` hold P(A_i and A_j and A_k) and its error for the triples of
+    ``_triples(m)``.  The tree starts from the most probable pair, whose
+    union is 2 p1 - P(A_a A_c); each step adds the event k and the pair {a,
+    c} already in the tree with the largest gain g = P(A_k A_a) + P(A_k A_c)
+    - P(A_k A_a A_c), less its errors, and the union grows by at most p1 - g;
+    every row at once.  (Starting from every pair instead settled no more
+    simulation decisions.)
+    """
+    i, j = _pairs(m)
+    k, a, c, ka, kc, kac = _triples(m)[1]
+    gain = pair[:, ka] + pair[:, kc] - triple[:, kac] - (err[:, ka] + err[:, kc] + terr[:, kac])
+    rows = np.arange(len(p1))
+    first = pair.argmax(axis=1)
+    in_tree = np.zeros((len(p1), m), dtype=bool)
+    in_tree[rows, i[first]] = in_tree[rows, j[first]] = True
+    bound = 2.0 * p1 - pair[rows, first] + err[rows, first]
+    for _ in range(m - 2):
+        fits = in_tree[:, a] & in_tree[:, c] & ~in_tree[:, k]
+        best = np.where(fits, gain, -np.inf).argmax(axis=1)
+        bound += p1 - gain[rows, best]
+        in_tree[rows, k[best]] = True
+    return bound
+
+
+def _boros_prekopa_lower(p1, pair, err, triple, terr, m):
+    """Boros-Prekopa lower bound less its accumulated error, per row
+    (arguments as for ``_cherry_tree``)."""
+    s = np.stack([m * p1, pair.sum(axis=1), triple.sum(axis=1)], axis=1)
+    s_err = np.stack([np.zeros_like(p1), err.sum(axis=1), terr.sum(axis=1)], axis=1)
+    weights = _boros_prekopa(m)
+    return (s @ weights - s_err @ np.abs(weights)).max(axis=1)
+
+
+@lru_cache(maxsize=16)
+def _boros_prekopa(m: int):
+    """Weights (3, m - 1) of S1, S2 and S3 in the Boros-Prekopa lower bounds
+    of the union of ``m`` events, one column per i = 1, ..., m - 1: E f(N)
+    for the cubic f(n) = 1 + (n - i)(n - i - 1)(n - m) / (i (i + 1) m), so
+    f(0) = 0 and f(n) <= 1 for n = 1, ..., m.  A cubic with f(0) = 0 is
+    f(1) C(n, 1) + (f(2) - 2 f(1)) C(n, 2) + (f(3) - 3 f(2) + 3 f(1))
+    C(n, 3), and E C(N, r) = S_r."""
+    i = np.arange(1.0, m)
+    f1, f2, f3 = (1.0 + (n - i) * (n - i - 1.0) * (n - m) / (i * (i + 1.0) * m) for n in (1, 2, 3))
+    weights = np.stack([f1, f2 - 2.0 * f1, f3 - 3.0 * f2 + 3.0 * f1])
+    weights.flags.writeable = False
+    return weights
 
 
 def adjusted_p(

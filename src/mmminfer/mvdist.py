@@ -38,9 +38,9 @@ adjusted p-value and simultaneous confidence bound in the package.
 Equicoordinate quantiles solve the exact probability with Brent's method at
 dimensions 2 and 3, and above it one frozen QMC rule (see
 ``equicoordinate_quantile``); ``_brent`` is scipy's ``brentq`` step for
-step, so scipy.optimize is not needed either.  ``pair_exceedance`` gives
-the bivariate exceedances that the pairwise bounds of
-``mmm.max_type_bounds`` need.
+step, so scipy.optimize is not needed either.  ``pair_exceedance`` and
+``triple_exceedance`` give the bivariate and trivariate exceedances that the
+pairwise and triplewise bounds of ``mmm.max_type_bounds`` need.
 """
 
 from __future__ import annotations
@@ -69,6 +69,7 @@ __all__ = [
     "RectProb",
     "mv_rect_prob",
     "pair_exceedance",
+    "triple_exceedance",
     "equicoordinate_quantile",
 ]
 
@@ -82,6 +83,19 @@ _ERROR_FLOOR = 1e-12
 # (b 1.9 to 3.2, |rho| <= 0.999, df 3 to normal) 12 nodes are within 5e-10
 # and 24 within 1e-15.
 _PAIR_LEVELS = (12, 24)
+# Gauss-Legendre levels of ``triple_exceedance``.  Against inclusion-exclusion
+# over the exact rule of dimensions 2 and 3 (b 1.5 to 3.8, ranks 1 to 3,
+# normal and df 1 to 100), the reported error covered the actual one in 2,000
+# random triples with every |rho| up to 0.999, and was at most 3.5e-6; (4, 8)
+# missed twice.  Above 0.999, rank-2 triples whose three variables nearly
+# coincide were off by up to 2e-9, beyond the reported error.
+_TRIPLE_LEVELS = (8, 16)
+# Integer dfs up to this take the finite series of the t CDF (``_t_cdf``),
+# whose cost grows with df: on the 3,840 values of one dimension-6 row of
+# ``triple_exceedance`` it is 0.13 ms at df 30, 1.1 ms at 500 and overtakes
+# ``stdtr`` (1.6 ms) between 700 and 800.  Every residual df of the paper's
+# designs (N up to 500) takes the series.
+_T_SERIES_MAX_DF = 512
 # Gauss-Legendre rules (error, value) per panel of the t wedge, its longest
 # panel, and the clearance of its direct form: within 3e-15 of adaptive
 # quadrature (h 1e-12 to 8, df 1 to 1000; a clearance of 0.15 lost 1e-12).
@@ -372,10 +386,11 @@ def _gl_rule(n: int):
     return 0.5 * (x + 1.0), 0.5 * wt
 
 
-@lru_cache(maxsize=1)
-def _wedge_rule():
-    """The nodes of both ``_WEDGE_NODES`` rules, and a weight column each."""
-    (x0, w0), (x1, w1) = (_gl_rule(n) for n in _WEDGE_NODES)
+@lru_cache(maxsize=4)
+def _paired_rule(levels):
+    """The nodes of both Gauss-Legendre rules of ``levels``, and a weight
+    column each."""
+    (x0, w0), (x1, w1) = (_gl_rule(n) for n in levels)
     wt = np.zeros((len(x0) + len(x1), 2))
     wt[: len(x0), 0], wt[len(x0) :, 1] = w0, w1
     return np.concatenate([x0, x1]), wt
@@ -397,7 +412,7 @@ def _wedge(h, psi, df):
     """
     if df is None:
         return owens_t(h, np.tan(psi)), np.zeros_like(h)
-    x, wt = _wedge_rule()
+    x, wt = _paired_rule(_WEDGE_NODES)
     a = np.abs(psi)
     # the integrand is singular at pi/2 +- i asinh(h / sqrt(df))
     clear = (0.5 * np.pi - a) ** 2 + np.arcsinh(h / math.sqrt(df)) ** 2 >= (_CLEAR * a) ** 2
@@ -626,6 +641,136 @@ def pair_exceedance(b, rho, df=None):
     return value, error
 
 
+def triple_exceedance(b, rho_ij, rho_ik, rho_jk, df=None):
+    """P(|X_i| > b, |X_j| > b, |X_k| > b) for a standard trivariate normal or
+    t_df with correlations ``rho_ij``, ``rho_ik`` and ``rho_jk``, elementwise
+    over broadcast arrays of edges, correlations and dfs.
+
+    Returns ``(value, error)``.  The coordinates are named so that (j, k) is
+    the most correlated pair, of sign s.  On the straight path R(t), t in
+    [0, 1], from the law where X_k = s X_j (rho_jk = s, rho_ik = s rho_ij),
+    whose probability is ``pair_exceedance(b, rho_ij)``, to the given one,
+    every R(t) is a correlation matrix, and with A_r = {|X_r| > b} Plackett's
+    identity gives
+
+        dP/drho_pq = 2 [w(b, b) P(A_r | b, b) - w(b, -b) P(A_r | b, -b)]:
+
+    w is the density of (X_p, X_q) at a corner of their square and P(A_r |
+    .) the tail of the third coordinate given X_p and X_q there.  For the
+    normal, w = exp(-Q/2) / (2 pi sqrt(1 - rho_pq^2)), Q the corner's
+    quadratic form, and the conditional law is normal.  The t is the normal
+    mixed over its chi scale: exp(-Q/2) becomes (1 + Q/df)^(-df/2) and the
+    conditional tail that of t_df at the standardized limit times sqrt(df /
+    (df + Q)).  In t = sin^2(theta) the rho_jk term's 1 / sqrt(1 - rho_jk^2)
+    and the conditional spreads, which vanish at the singular ends of the
+    path, are smooth in theta.  Both Gauss-Legendre rules of
+    ``_TRIPLE_LEVELS`` take theta over (0, pi/2) in one pass; the value is the
+    pair's plus the finer rule's, the error their gap plus the pair's error
+    and a floor above round-off.  Every conditional variance is a product of
+    factors that vanish on their own, never a difference of near-equal
+    terms, so near-singular triples keep their accuracy.
+    """
+    b, rij, rik, rjk = np.broadcast_arrays(
+        *(np.asarray(v, dtype=float) for v in (b, rho_ij, rho_ik, rho_jk))
+    )
+    # the most correlated pair becomes (j, k) and the start pair (i, j) is
+    # one of the other two: a = rho_ij, r = rho_ik, c = rho_jk
+    big = np.abs(np.stack([rij, rik, rjk])).argmax(axis=0)
+    a = np.where(big == 0, rik, rij)
+    c = np.choose(big, [rij, rik, rjk])
+    r = np.choose(big, [rjk, rjk, rik])
+    start, start_err = pair_exceedance(b, a, df)
+    s = np.where(c >= 0.0, 1.0, -1.0)
+    # 1 - s rho_jk; at |rho_jk| = 1 every term that divides by it vanishes
+    gap = np.maximum(1.0 - s * c, 1e-100)
+    step = r - s * a  # d rho_ik / dt
+    spread = (r - a * c) ** 2 / gap
+    x, wt = _paired_rule(_TRIPLE_LEVELS)
+    sin, cos = np.sin(0.5 * np.pi * x), np.cos(0.5 * np.pi * x)
+    t = sin * sin
+    b, a, s, gap, step, spread = (v[..., None] for v in (b, a, s, gap, step, spread))
+    tg = t * gap  # 1 - s rho_jk(t)
+    near = 2.0 - tg
+    rho_jk = s * (1.0 - tg)
+    rho_ik = s * a + t * step
+    # The third coordinate's conditional mean b num / den at the corners
+    # (b, s b) and (b, -s b) of (X_j, X_k), the third being X_i, and (b, b)
+    # and (b, -b) of (X_i, X_k), the third being X_j; Q = 2 b^2 / den.
+    den = np.stack([near, tg, 1.0 + rho_ik, 1.0 - rho_ik]).reshape((2, 2) + near.shape)
+    np.maximum(den, 1e-150, out=den)
+    plus, minus = den[1]
+    num = np.stack([a + s * rho_ik, -s * t * step, a + rho_jk, a - rho_jk]).reshape(den.shape)
+    mean = b * num / den
+    # var(X_i | X_j, X_k), and var(X_j | X_i, X_k) = det R / (1 - rho_ik^2),
+    # where det R = (1 - rho_jk^2) var(X_i | X_j, X_k)
+    var_i = np.maximum((1.0 - a * a) - t * spread / near, 0.0)
+    sd = np.sqrt(np.stack([var_i, tg * near * var_i / (plus * minus)]))
+    np.maximum(sd, 1e-150, out=sd)
+    limits = np.stack([mean - b, -b - mean])
+    limits /= sd[:, None]
+    if df is None:
+        weight = np.exp(-b * b / den)
+        tails = ndtr(limits)
+    else:
+        nu = np.broadcast_to(np.asarray(df, dtype=float), b.shape[:-1])[..., None]
+        q = 2.0 * b * b / den
+        weight = np.exp(-0.5 * nu * np.log1p(q / nu))
+        limits *= np.sqrt(nu / (nu + q))
+        tails = _t_cdf(nu, limits)
+    f = weight * (tails[0] + tails[1])
+    h = sin * cos * step / np.sqrt(plus * minus) * (f[1, 0] - f[1, 1])
+    h -= cos * np.sqrt(gap / near) * (f[0, 0] - f[0, 1])
+    est = h @ wt
+    value = start + est[..., 1]
+    error = np.abs(est[..., 1] - est[..., 0]) + start_err + _ERROR_FLOOR
+    return value, error
+
+
+def _t_cdf(nu, y):
+    """Student t CDF with ``nu`` df at ``y``, elementwise (``nu`` broadcasts
+    against ``y``): ``stdtr``, but for an integer df up to ``_T_SERIES_MAX_DF``
+    the finite series of Abramowitz & Stegun 26.7.3-4, within 1e-14 of
+    ``stdtr`` (from df 2; at df 1 ``stdtr`` itself is off by up to 2e-9) at
+    a tenth of its cost at df 30 and two thirds at 500.  With theta = atan(y / sqrt(nu)) and c
+    = cos^2(theta), P(|T| <= y) is sin(theta) sum_k c^k prod_j (2j - 1) /
+    (2j) over k < nu / 2 for an even df, and (2 / pi) (theta + sin(theta)
+    cos(theta) sum_k c^k prod_j 2j / (2j + 1)) over k < (nu - 1) / 2 for an
+    odd one."""
+    values = np.unique(nu)
+    if len(values) == 1:
+        return _t_cdf_at(float(values[0]), y)
+    nu, y = np.broadcast_arrays(nu, y)
+    out = np.empty(y.shape)
+    for v in values:
+        pick = nu == v
+        out[pick] = _t_cdf_at(float(v), y[pick])
+    return out
+
+
+def _t_cdf_at(nu, y):
+    """``_t_cdf`` of one df."""
+    if nu != int(nu) or nu > _T_SERIES_MAX_DF:
+        return stdtr(nu, y)
+    nu = int(nu)
+    y = np.clip(y, -1e150, 1e150)  # y^2 stays finite
+    y2 = y * y
+    c = nu / (nu + y2)
+    odd = nu % 2
+    coef = [1.0]
+    for k in range(1, (nu - 2 - odd) // 2 + 1):
+        coef.append(coef[-1] * ((2 * k) / (2 * k + 1) if odd else (2 * k - 1) / (2 * k)))
+    poly = np.full(y.shape, coef[-1])
+    for a in coef[-2::-1]:  # Horner
+        poly *= c
+        poly += a
+    if not odd:
+        return 0.5 + 0.5 * y / np.sqrt(nu + y2) * poly
+    theta = np.arctan(y / math.sqrt(nu))
+    if nu == 1:
+        return 0.5 + theta / np.pi
+    return 0.5 + (theta + y * math.sqrt(nu) / (nu + y2) * poly) / np.pi
+
+
 # ---------------------------------------------------------------------------
 # randomized high-dimensional rule
 
@@ -754,13 +899,22 @@ def _sobol_range(scrambles, a, b, cols=slice(None)):
 
 # Radial factors of the multivariate-t path, keyed by (qdim, seed, shifts,
 # df): the leading Sobol column of each scramble mapped through the chi
-# quantile.  An entry is [factors, filled]: factors is allocated once,
-# shaped (shifts, _RADIAL_POINTS), and its first ``filled`` columns are
-# computed on demand.  Later points are transformed afresh on every call;
-# high-accuracy calls reach them, and now and then so does a loose-target
-# simulation call whose estimate sits near its decision threshold.
+# quantile.  An entry is [factors, filled], factors shaped (shifts, width)
+# with its first ``filled`` columns computed on demand.  A new entry is as
+# wide as its first call needs, which for a simulation call is often one
+# first round; the first call that needs more widens it, once, to
+# _RADIAL_POINTS.  A fresh page of that allocation holds memory only once a
+# value in it is written, so the bound _RADIAL_VALUES counts what each entry
+# holds (``_radial_held``): its own width, or whole pages per row of a wide
+# one, and an entry a call barely used cannot evict a full one.  (Widening by
+# a copy at every doubling held the same values but raised the fwer_highdim
+# benchmark's peak RSS by 0.5-0.9 MB.)  Later points are transformed afresh
+# on every call; high-accuracy calls reach them, and now and then so does a
+# loose-target simulation call whose estimate sits near its decision
+# threshold.
 _RADIAL_POINTS = 1 << 14
 _RADIAL_VALUES = 1 << 21
+_PAGE_VALUES = 512  # float64 values per 4 KiB page
 _RADIAL_CACHE: OrderedDict = OrderedDict()
 
 
@@ -776,17 +930,28 @@ def _radial_factors(u, df):
     return np.sqrt(2.0 * gammaincinv(0.5 * df, u) / df)
 
 
+def _radial_held(factors, filled):
+    """Values a radial cache entry holds in memory: all of a first-call
+    entry, whole pages of each row up to ``filled`` of a widened one."""
+    return len(factors) * min(factors.shape[1], -(-filled // _PAGE_VALUES) * _PAGE_VALUES)
+
+
 def _cached_radial(qdim, settings, df, end):
-    """Cached radial factors, shaped (shifts, _RADIAL_POINTS), of which the
-    first ``end`` columns are filled, from the leading coordinate of the
-    points; ``end`` must not exceed ``_RADIAL_POINTS``.
+    """Cached radial factors, shaped (shifts, width) with width >= ``end``,
+    of which the first ``end`` columns are filled, from the leading
+    coordinate of the points; ``end`` must not exceed ``_RADIAL_POINTS``.
     """
     key = (qdim, settings.seed, settings.shifts, df)
     with _CACHE_LOCK:
         entry = _RADIAL_CACHE.pop(key, None)
         if entry is None:
-            entry = [np.empty((settings.shifts, _RADIAL_POINTS)), 0]
+            entry = [np.empty((settings.shifts, end)), 0]
         factors, filled = entry
+        if factors.shape[1] < end:
+            # a new array: a caller may still read the old one
+            entry[0] = np.empty((settings.shifts, _RADIAL_POINTS))
+            entry[0][:, :filled] = factors[:, :filled]
+            factors = entry[0]
         if filled < end:
             ints = _sobol_range(_scrambles(qdim, settings.seed, settings.shifts), filled, end, 0)
             u = np.clip(ints * 2.0**-_SOBOL_BITS, _TINY, 1.0 - _TINY)
@@ -794,7 +959,7 @@ def _cached_radial(qdim, settings, df, end):
             entry[1] = end
         _RADIAL_CACHE[key] = entry  # most recently used last
         # an entry larger than the whole budget (over 128 shifts) is not kept
-        while sum(e[0].size for e in _RADIAL_CACHE.values()) > _RADIAL_VALUES:
+        while sum(_radial_held(*e) for e in _RADIAL_CACHE.values()) > _RADIAL_VALUES:
             _RADIAL_CACHE.popitem(last=False)
         return factors
 

@@ -100,8 +100,9 @@ _MMM_MODES = {
 # Quadrature noise well below Monte Carlo noise at 10,000 replicates; the
 # noise is zero-mean in the rectangle value, so its effect on a rejection
 # proportion is second order.  It touches only the replicates that the exact
-# bounds of ``max_type_rejects`` leave open, which stop integrating once the
-# estimate lies farther from 1 - alpha than both its error and 1e-3.
+# first-order, pairwise and triplewise bounds of ``max_type_rejects`` leave
+# open, which stop integrating once the estimate lies farther from 1 - alpha
+# than both its error and 1e-3.
 SIM_SETTINGS = QuadratureSettings(
     target_abs_error=5e-4, shifts=8, first_round_samples=64
 )

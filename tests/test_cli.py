@@ -145,7 +145,7 @@ class TestSimulate:
         (decisions,) = manifest["mmm_decisions"]
         assert set(decisions) == {m for m in errors if m.startswith("mmm")}
         for counts in decisions.values():
-            assert list(counts) == ["first_order", "pairwise", "integrated"]
+            assert list(counts) == ["first_order", "pairwise", "triplewise", "integrated"]
             assert sum(counts.values()) == 50
 
     def test_manifest_records_the_method_list(self, tmp_path, capsys):

@@ -28,6 +28,7 @@ from mmminfer.mvdist import (
     equicoordinate_quantile,
     mv_rect_prob,
     pair_exceedance,
+    triple_exceedance,
 )
 from mmminfer.simulate import SIM_SETTINGS, Scenario, generate
 
@@ -248,37 +249,41 @@ class TestMaxTypeRejects:
         b, df, rho = 2.2599322780680025, 28, 0.7997303270649917
         reference = 0.05000845166236  # scipy dblquad of the bivariate t density
         corr = CorrelationMatrix(np.array([[1.0, rho], [rho, 1.0]]))
-        assert mmm.max_type_bounds(b, df, corr.entries, 0.05) == (False, True, True)
+        pairwise = DECISION_STAGES.index("pairwise")
+        assert mmm.max_type_bounds(b, df, corr.entries, 0.05) == (False, True, pairwise)
         lower, upper = pairwise_bound_values(corr.entries, b, df)
         assert lower <= reference <= upper
-        assert max_type_rejects(b, df, corr.entries, 0.05, SIM_SETTINGS) == (False, 1)
+        assert max_type_rejects(b, df, corr.entries, 0.05, SIM_SETTINGS) == (False, pairwise)
 
     @pytest.mark.parametrize(
-        "modes, pair_floats",
-        [((mode,), None) for mode in mmm.DF_MODES]
-        + [(mmm.DF_MODES, None), (mmm.DF_MODES, 3 * max(mvdist._PAIR_LEVELS) * 8)],
+        "dim, top, edges", [(3, 3.0, 20), (5, 3.4, 30)], ids=["dim3", "dim5"]
+    )
+    @pytest.mark.parametrize(
+        "modes, chunked",
+        [((mode,), False) for mode in mmm.DF_MODES] + [(mmm.DF_MODES, False), (mmm.DF_MODES, True)],
         ids=[*mmm.DF_MODES, "all-modes", "all-modes-chunked"],
     )
-    def test_stacks_match_single_calls(self, monkeypatch, modes, pair_floats):
+    def test_stacks_match_single_calls(self, monkeypatch, dim, top, edges, modes, chunked):
         # one row per (mode, replicate): joint_scale, max_type_bounds and
         # max_type_rejects on a whole stack give exactly the values of one
         # call per row, with df inf marking the normal-law rows of a stack
         # that mixes laws
         rng = np.random.default_rng(5)
-        stats = rng.normal(scale=2.0, size=(40, 3))
-        dfs = rng.integers(5, 60, size=(40, 3))
-        factors = rng.normal(size=(40, 3, 4))
+        stats = rng.normal(scale=2.0, size=(40, dim))
+        dfs = rng.integers(5, 60, size=(40, dim))
+        factors = rng.normal(size=(40, dim, dim + 1))
         cov = factors @ factors.transpose(0, 2, 1)
         sd = np.sqrt(np.diagonal(cov, axis1=1, axis2=2))
         c_hat = cov / (sd[:, :, None] * sd[:, None, :])
-        # 20 replicates at correlation 0.9 whose largest statistic crosses
-        # the band where, in every mode, some decisions reach quadrature
-        edge = np.zeros((20, 3))
-        edge[:, 0] = np.linspace(2.0, 3.0, 20)
+        # replicates at correlation 0.9 whose largest statistic crosses the
+        # band where, in every mode, some decisions reach quadrature and, at
+        # dimension 5, some are settled by the triplewise bounds
+        edge = np.zeros((edges, dim))
+        edge[:, 0] = np.linspace(2.0, top, edges)
         stats = np.concatenate([stats, edge])
-        dfs = np.concatenate([dfs, rng.integers(5, 60, size=(20, 3))])
-        close = np.full((3, 3), 0.9) + 0.1 * np.eye(3)
-        c_hat = np.concatenate([c_hat, np.broadcast_to(close, (20, 3, 3))])
+        dfs = np.concatenate([dfs, rng.integers(5, 60, size=(edges, dim))])
+        close = np.full((dim, dim), 0.9) + 0.1 * np.eye(dim)
+        c_hat = np.concatenate([c_hat, np.broadcast_to(close, (edges, dim, dim))])
         n = len(stats)
         b, df = np.empty((2, len(modes), n))
         for v, mode in enumerate(modes):
@@ -289,36 +294,56 @@ class TestMaxTypeRejects:
                 row_scaled, row_df = joint_scale(stats[i], dfs[i], mode)
                 np.testing.assert_array_equal(row_scaled, scaled[i])
                 assert row_df == (None if law is None else law[i])
-        chunks = []
-        if pair_floats is not None:
-            monkeypatch.setattr(mmm, "_PAIR_BLOCK_FLOATS", pair_floats)
-            hunter_worsley = mmm._hunter_worsley
+        chunks = {"pairwise": [], "triplewise": []}
+        pairs, triples = dim * (dim - 1) // 2, dim * (dim - 1) * (dim - 2) // 6
+        if chunked:
+            # chunks of 8 rows for the pairwise bounds at dimension 3, and of
+            # 4 rows for the triplewise ones at dimension 5 (whose largest
+            # arrays hold 8 floats per triple and node)
+            floats = pairs * max(mvdist._PAIR_LEVELS) * 8
+            if dim >= 4:
+                floats = triples * 8 * sum(mvdist._TRIPLE_LEVELS) * 4
+            monkeypatch.setattr(mmm, "_PAIR_BLOCK_FLOATS", floats)
+            for name, rung in (("_hunter_worsley", "pairwise"), ("_cherry_tree", "triplewise")):
 
-            def spy(p1, *args):
-                chunks.append(len(p1))
-                return hunter_worsley(p1, *args)
+                def spy(p1, *args, bound=getattr(mmm, name), rung=rung):
+                    chunks[rung].append(len(p1))
+                    return bound(p1, *args)
 
-            monkeypatch.setattr(mmm, "_hunter_worsley", spy)
+                monkeypatch.setattr(mmm, name, spy)
         # a stack of normal-law rows alone passes None, as joint_scale gives
         stack_df = None if np.isinf(df).all() else df
-        rejects, accepts, paired = mmm.max_type_bounds(b, stack_df, c_hat, 0.05)
-        assert rejects.any() and accepts.any() and paired.any()
+        rejects, accepts, stage = mmm.max_type_bounds(b, stack_df, c_hat, 0.05)
+        assert rejects.any() and accepts.any()
         assert not (rejects & accepts).any()
-        if pair_floats is not None:
-            # the open rows of the stack span at least three chunks of 8
-            assert len(chunks) >= 3 and max(chunks) == 8
-        decided, stage = max_type_rejects(b, stack_df, c_hat, 0.05, FAST)
         settled = rejects | accepts
+        integrated = DECISION_STAGES.index("integrated")
+        np.testing.assert_array_equal(stage == integrated, ~settled)
+        rungs = ["first_order", "pairwise", "integrated"] + ["triplewise"] * (dim >= 4)
+        for rung in rungs:
+            assert (stage == DECISION_STAGES.index(rung)).any(axis=1).all(), rung
+        if chunked:
+            # every rung's rows go through it in whole chunks, at least three
+            for rung, size in (
+                ("pairwise", floats // (pairs * max(mvdist._PAIR_LEVELS))),
+                ("triplewise", floats // (triples * 8 * sum(mvdist._TRIPLE_LEVELS))),
+            ):
+                if rung == "triplewise" and dim < 4:
+                    assert chunks[rung] == []
+                    continue
+                rows = int((stage >= DECISION_STAGES.index(rung)).sum())
+                assert rows > 2 * size
+                assert chunks[rung] == [size] * (rows // size) + [rows % size] * (rows % size > 0)
+        decided, decided_stage = max_type_rejects(b, stack_df, c_hat, 0.05, FAST)
         np.testing.assert_array_equal(decided[settled], rejects[settled])
-        np.testing.assert_array_equal(stage, np.where(settled, paired, 2))
-        assert (stage == DECISION_STAGES.index("integrated")).any(axis=1).all()
+        np.testing.assert_array_equal(decided_stage, stage)
         for v, mode in enumerate(modes):
             for i in range(n):
                 row_df = None if np.isinf(df[v, i]) else int(df[v, i])
                 assert mmm.max_type_bounds(b[v, i], row_df, c_hat[i], 0.05) == (
                     rejects[v, i],
                     accepts[v, i],
-                    paired[v, i],
+                    stage[v, i],
                 )
                 assert max_type_rejects(b[v, i], row_df, c_hat[i], 0.05, FAST) == (
                     decided[v, i],
@@ -426,13 +451,70 @@ class TestPairwiseBounds:
         ):
             p1 = 2.0 * ndtr(-b)
             assert 0.05 / dim < p1 <= 0.05
+            pairwise = DECISION_STAGES.index("pairwise")
             assert mmm.max_type_bounds(b, None, corr.entries, 0.05) == (
                 rejects,
                 not rejects,
-                True,
+                pairwise,
             )
-            assert max_type_rejects(b, None, corr.entries, 0.05, FAST) == (rejects, 1)
+            assert max_type_rejects(b, None, corr.entries, 0.05, FAST) == (rejects, pairwise)
         assert calls == []
+
+
+class TestTriplewiseBounds:
+    @pytest.mark.parametrize("df", [None, 20])
+    def test_triplewise_settled_decisions_integrate_nothing(self, monkeypatch, df):
+        calls = []
+        rect = mmm.mv_rect_prob
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return rect(*args, **kwargs)
+
+        monkeypatch.setattr(mmm, "mv_rect_prob", spy)
+        dim = 5
+        corr = CorrelationMatrix(np.full((dim, dim), 0.5) + 0.5 * np.eye(dim))
+        critical = equicoordinate_quantile(corr, 0.05, df=df)
+        triplewise = DECISION_STAGES.index("triplewise")
+        # edges just off the critical value on either side, which the
+        # pairwise bounds leave open and the triplewise bounds settle
+        for b, rejects in ((critical - 0.012, False), (critical + 0.025, True)):
+            lower, upper = pairwise_bound_values(corr.entries, b, df)
+            assert lower <= 0.05 < upper
+            assert mmm.max_type_bounds(b, df, corr.entries, 0.05) == (
+                rejects,
+                not rejects,
+                triplewise,
+            )
+            assert max_type_rejects(b, df, corr.entries, 0.05, FAST) == (rejects, triplewise)
+        assert calls == []
+
+    def test_dimension_three_stops_at_the_pairwise_rung(self, monkeypatch):
+        # at dimension 3 the triple is the whole p-value: no triplewise rung
+        monkeypatch.setattr(mmm, "triple_exceedance", None)
+        corr = CorrelationMatrix(np.full((3, 3), 0.5) + 0.5 * np.eye(3))
+        critical = equicoordinate_quantile(corr, 0.05)
+        stages = mmm.max_type_bounds(critical + np.linspace(-0.05, 0.05, 11), None, corr.entries, 0.05)[2]
+        assert DECISION_STAGES.index("triplewise") not in stages
+
+    @pytest.mark.parametrize("m", [4, 5, 6, 9])
+    def test_boros_prekopa_weights_give_the_closed_form(self, m):
+        # Boros & Prekopa (1989): with i = 1 + floor((2 (m - 2) S2 - 6 S3) /
+        # ((m - 1) S1 - 2 S2)), p >= (i + 2m - 1) S1 / ((i + 1) m) - 2 (2i +
+        # m - 2) S2 / (i (i + 1) m) + 6 S3 / (i (i + 1) m); the best of the
+        # weights' bounds is that one
+        rng = np.random.default_rng(m)
+        weights = mmm._boros_prekopa(m)
+        for _ in range(200):
+            counts = rng.dirichlet(np.ones(m + 1))  # P(N = n), n = 0..m
+            n = np.arange(m + 1)
+            s1, s2, s3 = counts @ n, counts @ (n * (n - 1) // 2), counts @ (n * (n - 1) * (n - 2) // 6)
+            i = 1 + np.floor((2 * (m - 2) * s2 - 6 * s3) / ((m - 1) * s1 - 2 * s2))
+            closed = ((i + 2 * m - 1) * i * s1 - 2 * (2 * i + m - 2) * s2 + 6 * s3) / (i * (i + 1) * m)
+            bounds = np.array([s1, s2, s3]) @ weights
+            assert bounds.max() == pytest.approx(closed, rel=1e-12, abs=1e-15)
+            # every weight column is a lower bound of P(N >= 1)
+            assert (bounds <= 1.0 - counts[0] + 1e-12).all()
 
 
 def pairwise_bound_values(corr, b, df, with_error=True):
@@ -445,6 +527,19 @@ def pairwise_bound_values(corr, b, df, with_error=True):
     err = err if with_error else np.zeros_like(err)
     lower = mmm._pair_lower(p1, pair, err, m)[0]
     upper = mmm._hunter_worsley(p1, pair, err, i, j, m)[0]
+    return lower, upper
+
+
+def triplewise_bound_values(corr, b, df):
+    """(lower - error, upper + error) of the triplewise bounds at edge ``b``."""
+    m = corr.shape[0]
+    i, j = np.triu_indices(m, 1)
+    p1 = np.atleast_1d(2.0 * (ndtr(-b) if df is None else stdtr(df, -b)))
+    pair, err = pair_exceedance(b, corr[i, j][None], df)
+    rho = [corr[i[k], j[k]][None] for k in mmm._triples(m)[0]]
+    triple, terr = triple_exceedance(b, *rho, df)
+    lower = mmm._boros_prekopa_lower(p1, pair, err, triple, terr, m)[0]
+    upper = mmm._cherry_tree(p1, pair, err, triple, terr, m)[0]
     return lower, upper
 
 
@@ -522,6 +617,30 @@ def test_pairwise_bounds_enclose_the_tight_p_value(seed, dim, t_path, position):
         assert abs(exact_lower - p) <= 1e-10
 
 
+@hsettings(max_examples=12, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.integers(4, 6),
+    t_path=st.booleans(),
+    position=st.floats(0.0, 1.0),
+)
+def test_triplewise_bounds_enclose_the_tight_p_value(seed, dim, t_path, position):
+    """On random PSD correlations, lower - err <= p <= upper + err for the
+    max-type p-value of ``tight_p_value``, within its error, and the
+    bracket lies within the first-order one."""
+    rng = np.random.default_rng(seed)
+    corr = random_psd_correlation(rng, dim)
+    df = int(rng.integers(3, 80)) if t_path else None
+    lo = marginal_quantile(1.0 - 0.05 / 2.0, df)
+    hi = marginal_quantile(1.0 - 0.05 / (2 * dim), df)
+    b = float(lo + position * (hi - lo))
+    p, error = tight_p_value(corr, b, df)
+    lower, upper = triplewise_bound_values(corr.entries, b, df)
+    p1 = 2.0 * (ndtr(-b) if df is None else stdtr(df, -b))
+    assert p1 - 1e-9 <= lower <= p + error
+    assert p - error <= upper <= dim * p1 + 1e-9
+
+
 @pytest.mark.parametrize(
     "fields",
     [
@@ -544,9 +663,11 @@ def test_integrated_decisions_match_the_tight_p_value(monkeypatch, fields):
         return result
 
     monkeypatch.setattr(mmm, "mv_rect_prob", spy)
-    scenario = Scenario(total_n=50, prop_target=0.6, seed=20150436, replications=200, **fields)
+    scenario = Scenario(total_n=50, prop_target=0.6, seed=20150436, replications=600, **fields)
     simulate.run(scenario)
-    assert decisions
+    # enough replicates that several decisions reach quadrature past the
+    # triplewise bounds
+    assert len(decisions) >= 5
     checked = 0
     for corr, b, df, rejects in decisions:
         p, error = tight_p_value(corr, b, df)

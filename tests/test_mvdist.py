@@ -27,6 +27,7 @@ from mmminfer.mvdist import (
     equicoordinate_quantile,
     mv_rect_prob,
     pair_exceedance,
+    triple_exceedance,
 )
 
 Z975 = 1.959963984540054
@@ -702,6 +703,60 @@ class TestRadialCache:
         assert 8 * mvdist._RADIAL_VALUES == 16 << 20  # the documented 16 MiB
         assert factors.nbytes <= 8 * mvdist._RADIAL_VALUES
 
+    def test_a_near_empty_entry_does_not_evict_a_full_one(self, empty_radial_cache, monkeypatch):
+        # room for one full entry of 8 shifts and 512 more points each
+        monkeypatch.setattr(mvdist, "_RADIAL_VALUES", 8 * (mvdist._RADIAL_POINTS + 512))
+        corr = CorrelationMatrix(np.full((5, 5), 0.5) + 0.5 * np.eye(5))
+        lower, upper = np.full(5, -np.inf), np.full(5, 2.0)
+        full = QuadratureSettings(
+            target_abs_error=1e-12, max_samples=8 << 15, shifts=8, first_round_samples=64
+        )
+        mv_rect_prob(corr, lower, upper, df=5, settings=full)
+        first_round = dataclasses.replace(full, max_samples=8 * 64)
+        for df in (6, 7):  # each a first round of 64 points
+            mv_rect_prob(corr, lower, upper, df=df, settings=first_round)
+        assert [key[3] for key in mvdist._RADIAL_CACHE] == [5, 6, 7]
+        assert [n for _, n in mvdist._RADIAL_CACHE.values()] == [mvdist._RADIAL_POINTS, 64, 64]
+
+    def test_many_near_empty_entries_stay_within_the_bound(self, empty_radial_cache):
+        corr = CorrelationMatrix(np.full((5, 5), 0.5) + 0.5 * np.eye(5))
+        lower, upper = np.full(5, -np.inf), np.full(5, 2.0)
+        s = QuadratureSettings(target_abs_error=1e-12, shifts=8, first_round_samples=64)
+        for df in range(3, 43):  # a first round of 64 points each
+            mv_rect_prob(corr, lower, upper, df=df, settings=dataclasses.replace(s, max_samples=8 * 64))
+        for df in (43, 44):  # and two more rounds
+            mv_rect_prob(corr, lower, upper, df=df, settings=dataclasses.replace(s, max_samples=8 * 256))
+        entries = list(mvdist._RADIAL_CACHE.values())
+        assert len(entries) == 42
+        # a first-round entry allocates what it holds
+        assert all(f.shape == (8, 64) and n == 64 for f, n in entries[:40])
+        # a widened one is reserved in full, its rows written to 256 columns
+        for f, n in entries[40:]:
+            assert f.shape == (8, mvdist._RADIAL_POINTS) and n == 256
+        assert mvdist._radial_held(*entries[-1]) == 8 * mvdist._PAGE_VALUES
+        held = 8 * sum(mvdist._radial_held(*e) for e in entries)
+        assert held == 40 * f.itemsize * 8 * 64 + 2 * 8 * 4096
+        assert held <= 8 * mvdist._RADIAL_VALUES
+
+    def test_widening_keeps_the_values(self, empty_radial_cache):
+        corr = CorrelationMatrix(np.full((5, 5), 0.5) + 0.5 * np.eye(5))
+        lower, upper = np.full(5, -np.inf), np.full(5, 2.0)
+        s = QuadratureSettings(
+            target_abs_error=1e-12, max_samples=8 << 10, shifts=8, first_round_samples=64
+        )
+        first_round = dataclasses.replace(s, max_samples=8 * 64)
+        mv_rect_prob(corr, lower, upper, df=T_DF, settings=first_round)
+        ((narrow, _),) = mvdist._RADIAL_CACHE.values()
+        want = mv_rect_prob(corr, lower, upper, df=T_DF, settings=s)
+        ((wide, filled),) = mvdist._RADIAL_CACHE.values()
+        assert narrow.shape == (8, 64) and wide.shape == (8, mvdist._RADIAL_POINTS)
+        np.testing.assert_array_equal(wide[:, :64], narrow)
+        mvdist._RADIAL_CACHE.clear()
+        got = mv_rect_prob(corr, lower, upper, df=T_DF, settings=s)
+        assert (got.value, got.error) == (want.value, want.error)
+        ((fresh, _),) = mvdist._RADIAL_CACHE.values()
+        np.testing.assert_array_equal(fresh[:, :filled], wide[:, :filled])
+
     def test_least_recently_used_entries_are_dropped(self, empty_radial_cache, monkeypatch):
         # room for two full entries of 8 shifts
         monkeypatch.setattr(mvdist, "_RADIAL_VALUES", 2 * 8 * mvdist._RADIAL_POINTS)
@@ -1156,6 +1211,129 @@ class TestPairExceedance:
             # independent normals
             value, _ = pair_exceedance(2.2, 0.0)
             assert value == pytest.approx(p1 * p1, rel=1e-12)
+
+
+def exact_triple_exceedance(b, rho, df):
+    """P(|X_r| > b for r = 1, 2, 3) and its error by inclusion-exclusion over
+    the boxes B_r = {|X_r| <= b}, whose probabilities come from the exact
+    rule of dimensions 2 and 3 (``mvdist._exact``): 1 - 3 P(B_1) + the sum
+    over pairs of P(B_r B_s) - P(B_1 B_2 B_3)."""
+    r_ij, r_ik, r_jk = rho
+    corr = np.array([[1.0, r_ij, r_ik], [r_ij, 1.0, r_jk], [r_ik, r_jk, 1.0]])
+    p1 = 2.0 * (ndtr(-b) if df is None else stdtr(df, -b))
+    value, error = 1.0 - 3.0 * (1.0 - p1), 0.0
+    for sub in ([0, 1], [0, 2], [1, 2], [0, 1, 2]):
+        box = CorrelationMatrix(corr[np.ix_(sub, sub)])
+        v, e, _ = mvdist._exact(box, np.full(len(sub), -b), np.full(len(sub), b), df)
+        value += v if len(sub) == 2 else -v
+        error += e
+    return value, error
+
+
+def rank_two_triple(rng, high):
+    """Correlations (rho_ij, rho_ik, rho_jk) of three vectors in a plane, the
+    first two within a few degrees of each other (rho_ij 0.98 to 0.999) when
+    ``high``."""
+    angle = rng.uniform(0.0, np.pi, 3)
+    if high:
+        angle[1] = angle[0] + rng.uniform(0.045, 0.2)
+    c = np.cos(angle[:, None] - angle[None, :])
+    return c[0, 1], c[0, 2], c[1, 2]
+
+
+# (rho_ij, rho_ik, rho_jk): moderate and mixed-sign triples, the nested
+# overlaps of the any-family designs up to |rho| 0.999, a union X_3 of the
+# disjoint X_1 and X_2 (rank 2, as Global = S1 u S2), a near-singular
+# triple (smallest eigenvalue 2e-6) and equal correlations at 0 and 0.999
+TRIPLES = (
+    (0.5, 0.5, 0.5),
+    (-0.3, 0.9, -0.2),
+    (0.3, 0.95, 0.5),
+    (0.985, 0.99, 0.999),
+    (0.999, -0.999, -0.998),
+    (0.0, 0.6, 0.8),
+    (0.6, 0.8, 0.0),
+    (0.0, 0.0, 0.0),
+    (0.999, 0.999, 0.999),
+    (0.7, 0.7, -0.0199),
+)
+
+
+class TestTripleExceedance:
+    @pytest.mark.parametrize("df", [None, 3, 7, 18, 48])
+    @pytest.mark.parametrize("b", [1.9, 2.5, 3.2])
+    def test_matches_exact_inclusion_exclusion(self, b, df):
+        rng = np.random.default_rng(31 if df is None else df)
+        triples = TRIPLES + tuple(rank_two_triple(rng, high) for high in (False, True) * 3)
+        value, error = triple_exceedance(b, *np.array(triples).T, df)
+        for rho, v, e in zip(triples, value, error):
+            exact, exact_error = exact_triple_exceedance(b, rho, df)
+            # the reported error is never below the actual one
+            assert abs(v - exact) <= e + exact_error, (rho, v, exact, e, exact_error)
+            assert e <= 1e-5
+
+    def test_near_singular_triples_match_at_every_rank(self):
+        # random triples of rank 1 to 3 whose vectors nearly coincide up to
+        # sign, every |rho| up to 0.999, normal and t
+        rng = np.random.default_rng(7)
+        checked = 0
+        for trial in range(200):
+            sign = rng.choice([-1.0, 1.0], size=(3, 1))
+            vectors = sign + 10.0 ** rng.uniform(-2.0, 0.0) * rng.standard_normal((3, 1 + trial % 3))
+            gram = vectors @ vectors.T
+            d = np.sqrt(np.diag(gram))
+            corr = np.clip(gram / np.outer(d, d), -1.0, 1.0)
+            rho = corr[0, 1], corr[0, 2], corr[1, 2]
+            if max(map(abs, rho)) > 0.999:
+                continue
+            checked += 1
+            b = rng.uniform(1.7, 3.4)
+            df = (None, 3, 10, 30, 48)[trial % 5]
+            v, e = triple_exceedance(b, *rho, df)
+            exact, exact_error = exact_triple_exceedance(b, rho, df)
+            assert abs(v - exact) <= e + exact_error, (rho, b, df, v, exact, e)
+        assert checked >= 50
+
+    def test_vectorized_matches_elementwise(self):
+        rng = np.random.default_rng(8)
+        rho = np.array([rank_two_triple(rng, k % 2 == 1) for k in range(24)]).reshape(4, 6, 3)
+        b = rng.uniform(1.5, 3.5, size=(4, 1))
+        df = rng.integers(2, 80, size=(4, 1))
+        for dfs in (None, df):
+            value, error = triple_exceedance(b, *np.moveaxis(rho, -1, 0), dfs)
+            assert value.shape == error.shape == (4, 6)
+            for r in range(4):
+                row_df = None if dfs is None else int(df[r, 0])
+                for c in range(6):
+                    v, e = triple_exceedance(b[r, 0], *rho[r, c], row_df)
+                    assert v == pytest.approx(value[r, c], rel=1e-12, abs=1e-17)
+                    assert e == pytest.approx(error[r, c], rel=1e-6, abs=1e-17)
+
+    @pytest.mark.parametrize("df", [None, 7])
+    def test_limits(self, df):
+        p1 = 2.0 * (ndtr(-2.2) if df is None else stdtr(df, -2.2))
+        # perfectly (anti-)correlated: all three exceed together
+        value, _ = triple_exceedance(2.2, [1.0, -1.0, 1.0], [1.0, 1.0, -1.0], [1.0, -1.0, -1.0], df)
+        np.testing.assert_allclose(value, p1, rtol=1e-14)
+        # X_3 = X_2: the pair's probability
+        value, _ = triple_exceedance(2.2, 0.4, 0.4, 1.0, df)
+        assert value == pytest.approx(pair_exceedance(2.2, 0.4, df)[0], rel=1e-13)
+        # a zero edge is always exceeded
+        value, _ = triple_exceedance(0.0, 0.3, -0.5, 0.2, df)
+        assert value == pytest.approx(1.0, rel=1e-13)
+        if df is None:
+            # independent normals
+            value, error = triple_exceedance(2.2, 0.0, 0.0, 0.0)
+            assert abs(value - p1**3) <= error
+
+    def test_t_cdf_series_matches_stdtr(self):
+        y = np.concatenate([np.linspace(-60.0, 60.0, 1201), [0.0, 1e-300, -1e200, np.inf, -np.inf]])
+        for df in [*range(1, mvdist._T_SERIES_MAX_DF + 2), 2.5, 1000.0]:
+            got = mvdist._t_cdf(np.float64(df), y)
+            np.testing.assert_allclose(got, stdtr(df, y), rtol=0, atol=1e-14 if df > 1 else 2e-9)
+        # one call may hold several dfs
+        dfs = np.array([[3.0], [12.0], [3.0]])
+        np.testing.assert_array_equal(mvdist._t_cdf(dfs, y[None, :5]), [mvdist._t_cdf(np.float64(d), y[:5]) for d in dfs[:, 0]])
 
 
 class TestSettingsValidation:

@@ -381,7 +381,9 @@ class TestRunValidation:
         custom = mvdist.QuadratureSettings(
             target_abs_error=5e-4, seed=7, shifts=4, first_round_samples=64
         )
-        scenario = small(total_n=50, prop_target=0.6, family="any", overlap=True, replications=40)
+        # enough replicates that a decision reaches quadrature past the
+        # triplewise bounds
+        scenario = small(total_n=50, prop_target=0.6, family="any", overlap=True, replications=300)
         run(scenario, methods=["mmm", "mmm.dfmin"], settings=custom)
         assert seen
         assert {(s.seed, s.shifts) for s in seen} == {(7, 4)}
@@ -841,10 +843,12 @@ class TestBlockEngine:
             undecided.append(entries)
             return checked(entries)
 
+        # one block, in which a decision reaches quadrature past the
+        # triplewise bounds
         scenario = Scenario(
-            total_n=50, prop_target=0.6, family="any", overlap=True, replications=200, seed=5
+            total_n=50, prop_target=0.6, family="any", overlap=True, replications=300, seed=5
         )
         monkeypatch.setattr(mvdist.CorrelationMatrix, "_checked", counting)
         run(scenario, methods=["mmm"])
         assert undecided
-        assert calls == [(200, 5, 5)]
+        assert calls == [(300, 5, 5)]
