@@ -66,6 +66,8 @@ from scipy.special import ndtr, ndtri, stdtr, stdtrit
 from .errors import DegenerateVariance, MismatchedSubjectAxis
 from .linmodels import MarginalModel
 from .mvdist import (
+    _NEAR_LEVELS,
+    _NEAR_ONE,
     _PAIR_LEVELS,
     _TRIPLE_LEVELS,
     CorrelationMatrix,
@@ -458,7 +460,8 @@ def _triplewise(alpha, p1, b, df, rows, rho, pair, err, m):
     tri_pairs = _triples(m)[0]
     rejects, accepts = np.empty((2, len(rows)), dtype=bool)
     # triple_exceedance's largest arrays hold 8 floats per triple and node
-    chunk = max(1, _PAIR_BLOCK_FLOATS // (tri_pairs.shape[1] * 8 * sum(_TRIPLE_LEVELS)))
+    nodes = sum(_NEAR_LEVELS if (np.abs(rho) > _NEAR_ONE).any() else _TRIPLE_LEVELS)
+    chunk = max(1, _PAIR_BLOCK_FLOATS // (tri_pairs.shape[1] * 8 * nodes))
     for start in range(0, len(rows), chunk):
         part = slice(start, start + chunk)
         pv, pe = pair[part], err[part]

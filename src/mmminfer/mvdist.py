@@ -12,8 +12,11 @@ adjusted p-value and simultaneous confidence bound in the package.
   Gauss-Legendre rules for the t; a rectangle that excludes the origin is a
   signed sum of ones that contain it.  This is the polygon form of
   Plackett's reduction (Genz 2004, Statistics and Computing 14).  A
-  full-rank dimension-3 law takes Gauss-Legendre rules over one coordinate,
-  the others being such a polygon.  The error is the gap between two node
+  full-rank dimension-3 law integrates Plackett's identity itself (Plackett
+  1954, Biometrika 41) by Gauss-Legendre rules along a path of correlation
+  matrices from the rank-2 law in which the most correlated pair coincides,
+  whose rectangle is such a polygon (``_plackett_path``); the same path
+  gives ``triple_exceedance``.  The error is the gap between two node
   counts plus a floor above round-off.
 * Higher dimensions integrate the separation-of-variables transform of Genz
   over the unit cube of dimension ``dim - 1`` (one more for multivariate t,
@@ -87,9 +90,19 @@ _PAIR_LEVELS = (12, 24)
 # over the exact rule of dimensions 2 and 3 (b 1.5 to 3.8, ranks 1 to 3,
 # normal and df 1 to 100), the reported error covered the actual one in 2,000
 # random triples with every |rho| up to 0.999, and was at most 3.5e-6; (4, 8)
-# missed twice.  Above 0.999, rank-2 triples whose three variables nearly
-# coincide were off by up to 2e-9, beyond the reported error.
+# missed twice.
 _TRIPLE_LEVELS = (8, 16)
+# Levels of each panel of the Plackett path of a full-rank dimension-3
+# rectangle: within 2e-14 of the 36 full-rank references of
+# tests/data/exact_oracle_dim3.json and 2e-15 of (128, 256) on 547 random
+# rectangles, never beyond the reported error.
+_PATH_LEVELS = (16, 32)
+# Levels of ``triple_exceedance`` where some |rho| exceeds _NEAR_ONE: rank-2
+# triples that nearly coincide turn sharply at the end of the path, and
+# against the polygon rule (8, 16) reported less error than it made on 72
+# of 996 of them, (16, 64) on 2 of 2,984, each with a pair within 1e-13 of
+# +-1, where the float inputs leave P uncertain by 1e-11.
+_NEAR_ONE, _NEAR_LEVELS = 0.999, (16, 64)
 # Integer dfs up to this take the finite series of the t CDF (``_t_cdf``),
 # whose cost grows with df: on the 3,840 values of one dimension-6 row of
 # ``triple_exceedance`` it is 0.13 ms at df 30, 1.1 ms at 500 and overtakes
@@ -103,14 +116,6 @@ _T_SERIES_MAX_DF = 512
 _WEDGE_NODES, _WEDGE_PANEL, _CLEAR, _FLAT = (12, 24), 3.0, 0.35, 1e-13
 # A dimension-3 law with an eigenvalue at most this is taken as rank 2.
 _RANK_TOL = 1e-12
-# Outer rules (error, value) of the full-rank dimension-3 path, the tail it
-# leaves out, and the cuts of its range, in units of the width, around a spot
-# narrower than _SHARP where the inner probability turns.  On the a4
-# decisions of the simulation the error stays below 3e-7, inside the
-# reported one; a _SHARP of 0.5 took ten of them from 3e-11 to 1e-14 at five
-# times the cost.
-_OUTER_NODES, _OUTER_TAIL = (24, 48), 1e-20
-_SHARP, _SHARP_CUTS = 0.05, (-8.0, -2.0, -0.5, 0.0, 0.5, 2.0, 8.0)
 # Brent tolerance in c of the exact quantiles, and the relative tolerance of
 # every Brent root (scipy's, a Python float so the iterates stay floats).
 _EXACT_XTOL = 1e-7
@@ -169,8 +174,9 @@ class RectProb:
     budget ran out, or a ``decide_at`` call stopped once its side was clear,
     which ``decided`` records.  ``samples`` counts integrand evaluations on
     the QMC path (points times scrambles), the polygons whose probability the
-    exact rule summed at dimensions 2 and 3 (one per outer node and polygon
-    when it conditions), and 0 at dimension 1.
+    exact rule summed at dimensions 2 and 3 plus, for a full-rank law, the
+    evaluations of its Plackett path (one per finite corner of a face and
+    node of either rule), and 0 at dimension 1.
     """
 
     value: float
@@ -517,10 +523,10 @@ def _terms(m: int):
 
 
 def _exact(corr, lower, upper, df):
-    """(value, error, polygons) of a rectangle of dimension 2 or 3: a
+    """(value, error, samples) of a rectangle of dimension 2 or 3: a
     ``_slab_prob`` in the rows of a rank-2 factor of a law of rank 2 or less
     (at dimension 3, an eigenvalue at most ``_RANK_TOL``), else
-    ``_conditioned``."""
+    ``_path_rect``."""
     entries = corr.entries
     if corr.dim == 2:
         rho = entries[0, 1]
@@ -528,70 +534,126 @@ def _exact(corr, lower, upper, df):
     else:
         w, v = np.linalg.eigh(entries)
         if w[0] > _RANK_TOL:
-            return _conditioned(entries, lower, upper, df)
+            return _path_rect(entries, lower, upper, df)
         rows = v[:, 1:] * np.sqrt(np.maximum(w[1:], 0.0))
         rows /= np.linalg.norm(rows, axis=1, keepdims=True)
     value, err, polygons = _slab_prob(rows, lower[None], upper[None], df)
     return float(value[0]), float(err[0]), polygons
 
 
-def _conditioned(entries, lower, upper, df):
-    """(value, error, polygons) of a full-rank dimension-3 rectangle.
+def _path_rect(entries, lower, upper, df):
+    """(value, error, samples) of a full-rank dimension-3 rectangle by
+    ``_plackett_path`` from the rank-2 law where X_k = s X_j, (j, k) the most
+    correlated pair, whose rectangle is a ``_slab_prob``; ``samples`` adds
+    one per finite corner and node of either rule to its polygons."""
+    pairs = ((0, 1), (0, 2), (1, 2))
+    j, k = pairs[int(np.argmax([abs(entries[p]) for p in pairs]))]
+    i = 3 - j - k
+    a, r, c = entries[i, j], entries[i, k], entries[j, k]
+    s = 1.0 if c >= 0.0 else -1.0
+    row = np.array([a, math.sqrt((1.0 - a) * (1.0 + a))])
+    rows, order = np.array([[1.0, 0.0], row, s * row]), [i, j, k]
+    start, start_err, used = _slab_prob(rows, lower[None, order], upper[None, order], df)
+    # the corners (x, y) of the faces (j, k) and (i, k), in (x_j, s x_k) and
+    # (x_i, x_k): + at an upper limit, - at a lower and 0 at an infinite one
+    ends = np.stack([lower, upper])
+    sign = np.where(np.isinf(ends), 0.0, [[-1.0], [1.0]])
+    ends[sign == 0.0] = 0.0
+    x = ends[:, [j, i]].T.repeat(2, axis=1)
+    y = np.array([[s], [1.0]]) * np.tile(ends[:, k], 2)
+    weight = sign[:, [j, i]].T.repeat(2, axis=1) * np.tile(sign[:, k], 2)
+    # Where limits of X_j and s X_k lie v apart, the integrand rises from 0
+    # like exp(-scale / t), scale = v^2 / (2 (1 - s c)): panels of t cut at
+    # scale 8^m (m >= -1) below 1 grade the rules (under 1e-24, none).
+    scale = (x[0] - y[0])[weight[0] != 0.0] ** 2 / (2.0 * (1.0 - s * c))
+    cuts = np.append(np.outer(scale[scale > 1e-24], 8.0 ** np.arange(-1, 28)), [0.0, 1.0])
+    theta = np.arcsin(np.sqrt(np.unique(cuts[cuts <= 1.0]))) / (0.5 * np.pi)
+    (nodes, wt), width = _paired_rule(_PATH_LEVELS), np.diff(theta)[:, None]
+    rule = (theta[:-1, None] + width * nodes).ravel(), np.kron(width, wt)
+    uv = np.stack([x + y, x - y], axis=-1)
+    path, err = _plackett_path(a, r, c, (uv, weight), (lower[[i, j]], upper[[i, j]]), df, rule)
+    used += int(np.count_nonzero(weight)) * len(rule[0])
+    return float(start[0] + path), float(start_err[0] + err), used
 
-    Given X_k = x, for the coordinate least correlated with the others, they
-    are normal (means r x, the residual covariance) or t (df + 1, that
-    covariance times (df + x^2) / (df + 1)): a ``_slab_prob``.  Both rules of
-    ``_OUTER_NODES`` integrate x per panel over the limits of X_k, short of
-    tails of ``_OUTER_TAIL``; the t in theta = atan(x / sqrt(df)), where the
-    density is proportional to cos(theta)^(df - 1).
+
+def _plackett_path(a, r, c, corners, limits, df, rule, exceed=False):
+    """P(R) - P(R0) and its error, elementwise over broadcast arrays, for a
+    trivariate normal or t_df law R of correlations rho_ij = ``a``, rho_ik =
+    ``r`` and rho_jk = ``c``, (j, k) the most correlated pair, of sign s, R0
+    being the law where X_k = s X_j.
+
+    P is that of S_i x S_j x S_k, each S an interval or, with ``exceed``, its
+    complement.  Along the straight path from R0 (t = 0) to R (t = 1) only
+    rho_ik and rho_jk move, and by Plackett's identity dP/drho_pq sums over
+    the corners of the (p, q) face a sign (+ at an upper limit, - at a
+    lower, both flipped for a complement) times the density of (X_p, X_q)
+    there times the conditional probability of the third set.  ``corners``,
+    (uv, weight) broadcast to (2, ..., corners, 2) and (2, ..., corners),
+    are those of the faces (j, k), in (x_j, s x_k), and (i, k), in (x_i,
+    x_k), as u = x + y and v = x - y, and their signs, which may count
+    mirrored corners; ``limits``, (lo, hi) broadcast to (2, ...), are X_i's
+    and X_j's.  The t is the normal mixed over its chi scale: the normal's
+    exp(-Q/2), Q the corner's quadratic form, becomes (1 + Q/df)^(-df/2) and
+    the conditional probability that of t_df at the standardized limits
+    times sqrt(df / (df + Q)).
+
+    In t = sin^2(theta) the rho_jk term's 1 / sqrt(1 - rho_jk^2) and the
+    conditional spreads, which vanish at R0, are smooth in theta.  Both
+    rules of ``rule``, nodes x in (0, 1) with a weight column each, take
+    theta = pi x / 2 in one pass: the value is the finer rule's, the error
+    their gap.  Vanishing factors stay factors (1 - s rho_jk(t) = t (1 - s
+    c), 1 - rho_ik(t) = (1 - s a) - t step), never differences of near-equal
+    terms, so near-singular laws keep their accuracy.
     """
-    k = int(np.argmin(np.abs(entries - np.eye(3)).max(axis=1)))
-    other = [j for j in range(3) if j != k]
-    r = entries[other, k]
-    resid = entries[np.ix_(other, other)] - np.outer(r, r)
-    sd = np.sqrt(np.diag(resid))
-    rho = min(max(resid[0, 1] / (sd[0] * sd[1]), -1.0), 1.0)
-    rows = np.array([[1.0, 0.0], [rho, math.sqrt((1.0 - rho) * (1.0 + rho))]])
-    edge = -(ndtri(_OUTER_TAIL) if df is None else stdtrit(df, _OUTER_TAIL))
-    cuts = [max(lower[k], -edge), min(upper[k], edge)]
-    if not cuts[0] < cuts[1]:
-        return 0.0, _ERROR_FLOOR, 0
-    # An inner edge at (lim - r x) / sd crosses the origin at x = lim / r
-    # over a width sd / |r|.  Nearly parallel inner edges (rho near +-1) trade
-    # places where their distances meet, over their angle divided by the
-    # rate at which the distances part.
-    low, high = lower[other], upper[other]
-    lim, slope = np.array([low, high]) / sd, -r / sd
-    side = math.copysign(1.0, rho)
-    gap = slope[0] - side * slope[1]
-    partner = lim[:, 1] if side > 0 else lim[::-1, 1]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        centres = np.append(-lim / slope, (side * partner - lim[:, 0]) / gap)
-        widths = np.append(np.tile(np.abs(1.0 / slope), 2), [rows[1, 1] / abs(gap)] * 2)
-    for centre, width in zip(centres, widths):
-        if math.isfinite(centre) and width < _SHARP:
-            cuts += [centre + m * width for m in _SHARP_CUTS]
-    cuts = np.unique(np.clip(cuts, cuts[0], cuts[1]))
-    if df is not None:
-        cuts = np.arctan(cuts / math.sqrt(df))
-    a, span = cuts[:-1, None], np.diff(cuts)[:, None]
-    t = np.concatenate([(a + span * _gl_rule(n)[0]).ravel() for n in _OUTER_NODES])[:, None]
+    s = np.where(c >= 0.0, 1.0, -1.0)
+    gap = np.maximum(1.0 - s * c, 1e-100)  # 1 - s rho_jk at t = 1
+    step = r - s * a  # d rho_ik / dt
+    spread = (r - a * c) ** 2 / gap
+    x, wt = rule
+    sin, cos = np.sin(0.5 * np.pi * x), np.cos(0.5 * np.pi * x)
+    t = sin * sin
+    a, s, gap, step, spread = (np.asarray(v)[..., None] for v in (a, s, gap, step, spread))
+    tg = t * gap  # 1 - s rho_jk(t)
+    near = 2.0 - tg  # 1 + s rho_jk(t)
+    # 1 - rho_ik(t) and 1 + rho_ik(t), rho_ik(t) = s a + t step
+    ts = t * step
+    minus = np.maximum((1.0 - s * a) - ts, 1e-150)
+    plus = np.maximum((1.0 + s * a) + ts, 1e-150)
+    # var(X_i | X_j, X_k), and var(X_j | X_i, X_k) = det R / (1 - rho_ik^2),
+    # where det R = (1 - rho_jk^2) var(X_i | X_j, X_k)
+    var_i = np.maximum((1.0 - a * a) - t * spread / near, 0.0)
+    var_j = tg * near * var_i / (plus * minus)
+    # Per face and node, in u and v, which are uncorrelated, -Q/2 = (u^2,
+    # v^2) . half and the conditional mean is (u, v) . mean: (a + s rho_ik,
+    # a - s rho_ik) / (2 (1 + s rho_jk), 2 (1 - s rho_jk)) for X_i, the
+    # second -s step / (2 gap), and (a + rho_jk, a - rho_jk) / (2 (1 +
+    # rho_ik), 2 (1 - rho_ik)) for X_j, where rho_jk = s - s tg.
+    half, mean = np.empty((2, 2) + var_j.shape[:-1] + (2, len(t)))  # face, ..., u or v, node
+    np.divide(-0.25, [near, plus], out=half[..., 0, :])
+    np.divide(-0.25, [tg, minus], out=half[..., 1, :])
+    stg = s * tg
+    mean[0, ..., 0, :], mean[1, ..., 0, :] = (a + 0.5 * s * ts) / near, 0.5 * (a + s - stg) / plus
+    mean[0, ..., 1, :], mean[1, ..., 1, :] = -0.5 * s * step / gap, 0.5 * (a - s + stg) / minus
+    sd = np.sqrt([var_i, var_j])[..., None, :]
+    (uv, weight), (lo, hi) = corners, (np.asarray(m)[..., None, None] for m in limits)
+    half_q, mean = (uv * uv) @ half, uv @ mean
+    tails = np.empty((2,) + mean.shape)
+    np.subtract(lo, mean, out=tails[0])
+    np.subtract(mean, hi, out=tails[1])
+    tails *= 1.0 / np.maximum(sd, 1e-150)
     if df is None:
-        density = np.exp(-0.5 * t[:, 0] ** 2) / math.sqrt(2.0 * np.pi)
-        value, err, polygons = _slab_prob(rows, (low - r * t) / sd, (high - r * t) / sd, None)
+        density, cdf = np.exp(half_q), ndtr
     else:
-        density = np.cos(t[:, 0]) ** (df - 1) * math.exp(
-            gammaln(0.5 * (df + 1)) - gammaln(0.5 * df) - 0.5 * math.log(np.pi)
-        )
-        f, cos, shift = math.sqrt((df + 1) / df) / sd, np.cos(t), r * math.sqrt(df) * np.sin(t)
-        value, err, polygons = _slab_prob(
-            rows, f * (low * cos - shift), f * (high * cos - shift), df + 1
-        )
-    n = len(a) * _OUTER_NODES[0]
-    coarse, fine = ((span * _gl_rule(m)[1]).ravel() for m in _OUTER_NODES)
-    value, err = density * value, density * err
-    error = abs(fine @ value[n:] - coarse @ value[:n]) + fine @ err[n:] + _ERROR_FLOOR
-    return float(fine @ value[n:]), float(error), polygons
+        nu = np.asarray(df, dtype=float)[..., None, None]
+        density, cdf = np.exp(-0.5 * nu * np.log1p(-2.0 * half_q / nu)), partial(_t_cdf, nu)
+        tails *= np.sqrt(nu / (nu - 2.0 * half_q))
+    prob = cdf(tails).sum(axis=0)
+    if not exceed:
+        prob = 1.0 - prob
+    f = np.einsum("...c,...cn->...n", weight, density * prob)
+    h = step * sin * cos / np.sqrt(plus * minus) * f[1] - s * cos * np.sqrt(gap / near) * f[0]
+    est = 0.5 * (h @ wt)
+    return est[..., 1], np.abs(est[..., 1] - est[..., 0])
 
 
 def pair_exceedance(b, rho, df=None):
@@ -646,29 +708,14 @@ def triple_exceedance(b, rho_ij, rho_ik, rho_jk, df=None):
     t_df with correlations ``rho_ij``, ``rho_ik`` and ``rho_jk``, elementwise
     over broadcast arrays of edges, correlations and dfs.
 
-    Returns ``(value, error)``.  The coordinates are named so that (j, k) is
-    the most correlated pair, of sign s.  On the straight path R(t), t in
-    [0, 1], from the law where X_k = s X_j (rho_jk = s, rho_ik = s rho_ij),
-    whose probability is ``pair_exceedance(b, rho_ij)``, to the given one,
-    every R(t) is a correlation matrix, and with A_r = {|X_r| > b} Plackett's
-    identity gives
-
-        dP/drho_pq = 2 [w(b, b) P(A_r | b, b) - w(b, -b) P(A_r | b, -b)]:
-
-    w is the density of (X_p, X_q) at a corner of their square and P(A_r |
-    .) the tail of the third coordinate given X_p and X_q there.  For the
-    normal, w = exp(-Q/2) / (2 pi sqrt(1 - rho_pq^2)), Q the corner's
-    quadratic form, and the conditional law is normal.  The t is the normal
-    mixed over its chi scale: exp(-Q/2) becomes (1 + Q/df)^(-df/2) and the
-    conditional tail that of t_df at the standardized limit times sqrt(df /
-    (df + Q)).  In t = sin^2(theta) the rho_jk term's 1 / sqrt(1 - rho_jk^2)
-    and the conditional spreads, which vanish at the singular ends of the
-    path, are smooth in theta.  Both Gauss-Legendre rules of
-    ``_TRIPLE_LEVELS`` take theta over (0, pi/2) in one pass; the value is the
-    pair's plus the finer rule's, the error their gap plus the pair's error
-    and a floor above round-off.  Every conditional variance is a product of
-    factors that vanish on their own, never a difference of near-equal
-    terms, so near-singular triples keep their accuracy.
+    Returns ``(value, error)``.  With (j, k) the most correlated pair, of
+    sign s, ``_plackett_path`` runs from the law where X_k = s X_j, whose
+    probability is ``pair_exceedance(b, rho_ij)``, to the given one, the sets
+    being the complements of [-b, b].  By the X -> -X symmetry two corners
+    of a face are evaluated, each counted twice.  The rules are those of
+    ``_TRIPLE_LEVELS``, or ``_NEAR_LEVELS`` where some |rho| exceeds
+    ``_NEAR_ONE``; the value is the pair's plus the finer rule's, the error
+    their gap plus the pair's error and a floor above round-off.
     """
     b, rij, rik, rjk = np.broadcast_arrays(
         *(np.asarray(v, dtype=float) for v in (b, rho_ij, rho_ik, rho_jk))
@@ -680,50 +727,26 @@ def triple_exceedance(b, rho_ij, rho_ik, rho_jk, df=None):
     c = np.choose(big, [rij, rik, rjk])
     r = np.choose(big, [rjk, rjk, rik])
     start, start_err = pair_exceedance(b, a, df)
-    s = np.where(c >= 0.0, 1.0, -1.0)
-    # 1 - s rho_jk; at |rho_jk| = 1 every term that divides by it vanishes
-    gap = np.maximum(1.0 - s * c, 1e-100)
-    step = r - s * a  # d rho_ik / dt
-    spread = (r - a * c) ** 2 / gap
-    x, wt = _paired_rule(_TRIPLE_LEVELS)
-    sin, cos = np.sin(0.5 * np.pi * x), np.cos(0.5 * np.pi * x)
-    t = sin * sin
-    b, a, s, gap, step, spread = (v[..., None] for v in (b, a, s, gap, step, spread))
-    tg = t * gap  # 1 - s rho_jk(t)
-    near = 2.0 - tg
-    rho_jk = s * (1.0 - tg)
-    rho_ik = s * a + t * step
-    # The third coordinate's conditional mean b num / den at the corners
-    # (b, s b) and (b, -s b) of (X_j, X_k), the third being X_i, and (b, b)
-    # and (b, -b) of (X_i, X_k), the third being X_j; Q = 2 b^2 / den.
-    den = np.stack([near, tg, 1.0 + rho_ik, 1.0 - rho_ik]).reshape((2, 2) + near.shape)
-    np.maximum(den, 1e-150, out=den)
-    plus, minus = den[1]
-    num = np.stack([a + s * rho_ik, -s * t * step, a + rho_jk, a - rho_jk]).reshape(den.shape)
-    mean = b * num / den
-    # var(X_i | X_j, X_k), and var(X_j | X_i, X_k) = det R / (1 - rho_ik^2),
-    # where det R = (1 - rho_jk^2) var(X_i | X_j, X_k)
-    var_i = np.maximum((1.0 - a * a) - t * spread / near, 0.0)
-    sd = np.sqrt(np.stack([var_i, tg * near * var_i / (plus * minus)]))
-    np.maximum(sd, 1e-150, out=sd)
-    limits = np.stack([mean - b, -b - mean])
-    limits /= sd[:, None]
-    if df is None:
-        weight = np.exp(-b * b / den)
-        tails = ndtr(limits)
+    near = np.abs(c) > _NEAR_ONE
+
+    def along(pick, levels):
+        # the corners (b, b) and (b, -b), in (x_j, s x_k) and (x_i, x_k), are
+        # (u, v) = (2 b, 0) and (0, 2 b)
+        edge, cp = b[pick], c[pick]
+        dfs = None if df is None else np.broadcast_to(np.asarray(df, dtype=float), b.shape)[pick]
+        weight = np.array([np.where(cp < 0.0, -2.0, 2.0), np.full(cp.shape, 2.0)])[..., None]
+        corners = edge[..., None, None] * [[2.0, 0.0], [0.0, 2.0]], weight * [1.0, -1.0]
+        rule = _paired_rule(levels)
+        return _plackett_path(a[pick], r[pick], cp, corners, (-edge, edge), dfs, rule, exceed=True)
+
+    if not near.any():
+        path, err = along(..., _TRIPLE_LEVELS)
     else:
-        nu = np.broadcast_to(np.asarray(df, dtype=float), b.shape[:-1])[..., None]
-        q = 2.0 * b * b / den
-        weight = np.exp(-0.5 * nu * np.log1p(q / nu))
-        limits *= np.sqrt(nu / (nu + q))
-        tails = _t_cdf(nu, limits)
-    f = weight * (tails[0] + tails[1])
-    h = sin * cos * step / np.sqrt(plus * minus) * (f[1, 0] - f[1, 1])
-    h -= cos * np.sqrt(gap / near) * (f[0, 0] - f[0, 1])
-    est = h @ wt
-    value = start + est[..., 1]
-    error = np.abs(est[..., 1] - est[..., 0]) + start_err + _ERROR_FLOOR
-    return value, error
+        path, err = np.empty(b.shape), np.empty(b.shape)
+        for pick, levels in ((~near, _TRIPLE_LEVELS), (near, _NEAR_LEVELS)):
+            if pick.any():
+                path[pick], err[pick] = along(pick, levels)
+    return start + path, err + start_err + _ERROR_FLOOR
 
 
 def _t_cdf(nu, y):

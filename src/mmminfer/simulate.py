@@ -75,7 +75,6 @@ __all__ = [
     "power_curves",
     "power_cells",
     "paired_gain",
-    "power_gain",
     "load_scenarios",
 ]
 
@@ -146,10 +145,12 @@ class Scenario:
         for name in ("total_n", "endpoints"):
             if not _is_integer(getattr(self, name)):
                 raise SchemaError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        # json.load reads NaN and Infinity, which no range check below rejects
         for name in ("sd", "prop_target", "delta", "rho"):
             value = getattr(self, name)
-            if not isinstance(value, numbers.Real) or isinstance(value, bool):
-                raise SchemaError(f"{name} must be a real number, got {value!r}")
+            real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+            if not real or not math.isfinite(value):
+                raise SchemaError(f"{name} must be a finite real number, got {value!r}")
         if self.total_n < 8 or self.total_n % 2:
             raise SchemaError(f"total_n must be even and at least 8, got {self.total_n}")
         if not 0.0 < self.prop_target < 1.0:
@@ -700,37 +701,6 @@ def paired_gain(results, baseline: str, method: str) -> float:
         (r.proportion(method) - r.proportion(baseline) for r in results),
         default=-math.inf,
     )
-
-
-def power_gain(
-    total_n: int,
-    sd: float,
-    baseline: str,
-    method: str,
-    cells,
-    family: str = "targeted-or-total",
-    endpoints: int = 1,
-    rho: float = 0.0,
-    replications: int = 10_000,
-    seed: int = 20150436,
-    alpha: float = 0.05,
-    settings: QuadratureSettings = SIM_SETTINGS,
-) -> float:
-    """Largest paired power advantage of ``method`` over ``baseline``.
-
-    ``cells`` lists the (delta, prop_target) settings to scan; both methods
-    see identical replicates within a cell, so each difference is a paired
-    estimate.  Scanning the grid cells where a gain curve peaks reproduces
-    the headline "gain of power" figures.
-    """
-    scenarios = power_cells(
-        total_n, sd, cells, family, endpoints, rho, replications=replications, seed=seed
-    )
-    results = (
-        run(s, methods=[baseline, method], alpha=alpha, settings=settings)
-        for s in scenarios
-    )
-    return paired_gain(results, baseline, method)
 
 
 def load_scenarios(source) -> list:

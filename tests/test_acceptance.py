@@ -36,7 +36,7 @@ from mmminfer.mvdist import (
     equicoordinate_quantile,
     mv_rect_prob,
 )
-from mmminfer.simulate import Scenario, power_gain, run
+from mmminfer.simulate import Scenario, paired_gain, power_cells, run
 from mmminfer.tables import published_names, published_rows
 
 pytestmark = pytest.mark.acceptance
@@ -181,7 +181,7 @@ class TestFamilywiseError:
 
 
 POWER_CLAIMS = [
-    # expected gain, window, power_gain arguments
+    # expected gain, window, the baseline, the method and power_cells arguments
     pytest.param(
         0.0547,
         0.015,
@@ -265,8 +265,11 @@ class TestPowerGains:
 
     @pytest.mark.parametrize("expected, window, kwargs", POWER_CLAIMS)
     def test_claim(self, expected, window, kwargs):
-        gain = power_gain(replications=4_000, **kwargs)
-        assert gain == pytest.approx(expected, abs=window)
+        # as ``tables --which power`` computes it
+        kwargs = dict(kwargs)
+        pair = [kwargs.pop("baseline"), kwargs.pop("method")]
+        results = [run(s, methods=pair) for s in power_cells(replications=4_000, **kwargs)]
+        assert paired_gain(results, *pair) == pytest.approx(expected, abs=window)
 
 
 def random_correlation(rng, dim):

@@ -108,6 +108,14 @@ class TestSimulate:
         assert rows[0]["cellmeans"] != ""
         assert rows[1]["cellmeans"] == ""
 
+    def test_a_non_finite_sd_is_rejected(self, tmp_path, capsys):
+        # json reads NaN; the baselines once wrote rates of 0 for it
+        config = tmp_path / "scenarios.json"
+        config.write_text('[{"total_n": 20, "sd": NaN, "replications": 50}]')
+        assert run_cli(["simulate", str(config), "--methods", "noadjust", "bonferroni"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "sd must be a finite real number" in captured.err
+
     def test_method_subset_limits_columns(self, tmp_path, capsys):
         config = write_scenarios(tmp_path, [{"total_n": 20, "replications": 40}])
         assert run_cli(["simulate", config, "--methods", "bonferroni", "mmm"]) == 0
@@ -452,14 +460,16 @@ class TestTablesRows:
         assert [
             (s.total_n, s.delta, s.prop_target, m) for s, m in zip(scenarios, methods)
         ] == expected
-        # each printed gain is the one power_gain computes claim by claim
+        # each printed gain is the one its claim's cells give on their own
         verdicts = [
             l for l in capsys.readouterr().out.splitlines() if l.endswith((" yes", " NO"))
         ]
         assert len(verdicts) == len(tables.POWER_CLAIMS)
         for line, claim in zip(verdicts, tables.POWER_CLAIMS):
             claim = {k: v for k, v in claim.items() if k not in ("label", "published", "at_least")}
-            gain = simulate.power_gain(replications=20, **claim)
+            pair = [claim.pop("baseline"), claim.pop("method")]
+            cells = simulate.power_cells(replications=20, **claim)
+            gain = simulate.paired_gain([simulate.run(s, methods=pair) for s in cells], *pair)
             assert f" {100 * gain:>8.2f}pp " in line
 
     def test_a6_any_checks_level_control_only(self, capsys):

@@ -14,6 +14,9 @@ The dimension-3 references take about half a minute, so
 estimates, from ``data/exact_oracle_dim3.json``, which
 ``make_exact_oracle_references.py`` writes from ``reference`` below;
 ``test_stored_references_match_their_script`` recomputes a few of them.
+The reference of one near-singular law, on which quad loses accuracy to
+round-off, was computed once at high precision with mpmath
+(``NEAR_RANK_2``).
 """
 
 import json
@@ -308,6 +311,40 @@ def test_rough_cases_within_1e_6(name):
     r = mv_rect_prob(CorrelationMatrix(entries), np.full(dim, -b), np.full(dim, b), df)
     assert abs(r.value - ref) <= 1e-6
     assert r.converged and r.error >= abs(r.value - ref)
+
+
+@pytest.mark.parametrize("df", [None, 3])
+def test_nearly_meeting_limits_match_quadrature(df):
+    # the upper limits of the most correlated pair lie 0.01 apart, and the
+    # lower ones 0.01 and 1e-6: the path turns within t ~ 1e-4 and 1e-12 of
+    # its start
+    entries = MATRICES_3["full"]
+    for lower, upper in (([-INF, -1.0, -0.99], [1.2, 0.3, 0.31]), ([-0.5, 0.2, 0.200001], [INF] * 3)):
+        ref = reference(entries, lower, upper, df)
+        r = mv_rect_prob(CorrelationMatrix(entries), lower, upper, df)
+        assert abs(r.value - ref) <= TOL, (lower, upper, r, ref)
+        assert r.error >= abs(r.value - ref), (lower, upper, r, ref)
+
+
+# A full-rank law near rank 2, indeed near rank 1 (eigenvalues 2.7e-10,
+# 5.6e-9 and 3), on which the exact rule once reported an error of 1.5e-9
+# while 7.5e-8 off, and on which quad warns of round-off.  The reference was
+# computed once with mpmath, at 20 and at 25 digits, which agree to 1e-18.
+# In the eigenvectors' coordinates Y, spherical t, the major coordinate
+# given the two minor ones (in polar form) is t with df + 2 on an interval
+# whose ends are linear in the radius; the radial integral is split at every
+# crossing of the ends, the angular one where a crossing runs off to
+# infinity (tanh-sinh rules).
+NEAR_RANK_2 = ((-0.999999998189, -0.999999998578, 0.999999994380), 2.2678, 3)
+NEAR_RANK_2_REFERENCE = 0.89184786525577836
+
+
+def test_near_rank_2_matches_a_high_precision_reference():
+    (r01, r02, r12), b, df = NEAR_RANK_2
+    corr = CorrelationMatrix([[1.0, r01, r02], [r01, 1.0, r12], [r02, r12, 1.0]])
+    assert np.linalg.eigvalsh(corr.entries)[0] > 1e-12  # the full-rank rule
+    r = mv_rect_prob(corr, [-b] * 3, [b] * 3, df)
+    assert abs(r.value - NEAR_RANK_2_REFERENCE) <= r.error, r
 
 
 def cellmeans_quantile_reference(r1, r2, df, alpha=0.05):

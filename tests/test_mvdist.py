@@ -383,8 +383,8 @@ class TestQuantileRootFind:
         assert set(frozen) == {n}
 
     def test_gl_path_makes_few_frozen_evaluations(self, monkeypatch):
-        # full rank at dimension 3: the exact rule integrates its outer
-        # coordinate with Gauss-Legendre rules; no QMC rule is built
+        # full rank at dimension 3: the exact rule takes its Plackett path
+        # with Gauss-Legendre rules; no QMC rule is built
         events = []
         exact = mvdist._exact
 
@@ -983,7 +983,7 @@ class TestDoublingRounds:
 class TestDecisionStop:
     """``decide_at`` adds one stop to the doubling rounds: an estimate farther
     from it than its error, or twice the target.  The exact rule of
-    dimension 3 (a Gauss-Legendre outer rule, "gl-3") has one round only."""
+    dimension 3 (Gauss-Legendre rules along a Plackett path, "gl-3") has one round only."""
 
     QMC = QuadratureSettings(
         target_abs_error=1e-4, max_samples=8 << 14, shifts=8, first_round_samples=64
@@ -1162,7 +1162,16 @@ class TestGaussLegendreT:
 
 
 @pytest.mark.parametrize(
-    "n", sorted(set(mvdist._WEDGE_NODES + mvdist._OUTER_NODES + mvdist._PAIR_LEVELS))
+    "n",
+    sorted(
+        set(
+            mvdist._WEDGE_NODES
+            + mvdist._PATH_LEVELS
+            + mvdist._PAIR_LEVELS
+            + mvdist._TRIPLE_LEVELS
+            + mvdist._NEAR_LEVELS
+        )
+    ),
 )
 def test_gauss_legendre_rule_equals_scipy(n):
     x, wt = roots_legendre(n)
@@ -1274,7 +1283,7 @@ class TestTripleExceedance:
 
     def test_near_singular_triples_match_at_every_rank(self):
         # random triples of rank 1 to 3 whose vectors nearly coincide up to
-        # sign, every |rho| up to 0.999, normal and t
+        # sign, normal and t; the rank-3 references take the path rule too
         rng = np.random.default_rng(7)
         checked = 0
         for trial in range(200):
@@ -1284,7 +1293,27 @@ class TestTripleExceedance:
             d = np.sqrt(np.diag(gram))
             corr = np.clip(gram / np.outer(d, d), -1.0, 1.0)
             rho = corr[0, 1], corr[0, 2], corr[1, 2]
-            if max(map(abs, rho)) > 0.999:
+            checked += max(map(abs, rho)) > 0.999
+            b = rng.uniform(1.7, 3.4)
+            df = (None, 3, 10, 30, 48)[trial % 5]
+            v, e = triple_exceedance(b, *rho, df)
+            exact, exact_error = exact_triple_exceedance(b, rho, df)
+            assert abs(v - exact) <= e + exact_error, (rho, b, df, v, exact, e)
+        assert checked >= 50
+
+    def test_near_coincident_triples_above_0_999(self):
+        # triples of rank 1 and 2 whose vectors coincide up to sign within
+        # 10^-3.5 to 10^-1, against the polygon rule, normal and t
+        rng = np.random.default_rng(7)
+        checked = 0
+        for trial in range(300):
+            sign = rng.choice([-1.0, 1.0], size=(3, 1))
+            vectors = sign + 10.0 ** rng.uniform(-3.5, -1.0) * rng.standard_normal((3, 1 + trial % 2))
+            gram = vectors @ vectors.T
+            d = np.sqrt(np.diag(gram))
+            corr = np.clip(gram / np.outer(d, d), -1.0, 1.0)
+            rho = corr[0, 1], corr[0, 2], corr[1, 2]
+            if max(map(abs, rho)) <= 0.999:
                 continue
             checked += 1
             b = rng.uniform(1.7, 3.4)
@@ -1292,7 +1321,7 @@ class TestTripleExceedance:
             v, e = triple_exceedance(b, *rho, df)
             exact, exact_error = exact_triple_exceedance(b, rho, df)
             assert abs(v - exact) <= e + exact_error, (rho, b, df, v, exact, e)
-        assert checked >= 50
+        assert checked >= 250
 
     def test_vectorized_matches_elementwise(self):
         rng = np.random.default_rng(8)

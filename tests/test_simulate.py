@@ -451,6 +451,14 @@ class TestLoadScenarios:
         with pytest.raises(SchemaError, match="overlap"):
             load_scenarios(io.StringIO('[{"total_n": 20, "overlap": "false"}]'))
 
+    @pytest.mark.parametrize("field", ["sd", "delta", "prop_target", "rho"])
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+    def test_rejects_non_finite_reals(self, field, value):
+        # json reads these, and no range check of Scenario rejects NaN or an
+        # infinite sd or delta
+        with pytest.raises(SchemaError, match=f"{field} must be a finite real number"):
+            load_scenarios(io.StringIO(f'[{{"total_n": 20, "{field}": {value}}}]'))
+
     @pytest.mark.parametrize("seed", ["-1", "1.5", "null", "true", '"7"'])
     def test_rejects_bad_seeds(self, seed):
         with pytest.raises(SchemaError, match="seed"):
