@@ -30,8 +30,9 @@ adjusted p-value and simultaneous confidence bound in the package.
   needed.  The integrand streams through blocks of at most
   ``_BLOCK_POINTS`` points, each computed from its index range when it is
   evaluated, scaled to floats and summed at once, so neither points nor
-  values are kept; on the t path the radial factors of the leading points
-  are cached (``_cached_radial``).
+  values are kept.  The t path's chi scale s interpolates a 57 KB table of
+  log s per df (``_chi_scale``; 32 tables kept), within a relative 1e-12 of
+  ``gammaincinv``, which moves a probability by about 1e-12 * dim * b.
   Where a pivot of the Cholesky factor is tiny, as for a near-singular
   correlation, the standardized limit of most points lies at or above 9 or
   below -40, where Phi is exactly 1 or 0 in double precision; a block where
@@ -51,17 +52,15 @@ from __future__ import annotations
 import math
 import numbers
 import os
-import threading
 import zipfile
-from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache, partial
 
 import numpy as np
 import numpy.lib.format as npy_format
 import scipy
-from scipy.special import betainc, eval_legendre, gammaincinv, gammaln, ndtr, ndtri
-from scipy.special import owens_t, stdtr, stdtrit
+from scipy.special import betainc, eval_legendre, gammainccinv, gammaincinv, gammaln, ndtr
+from scipy.special import ndtri, owens_t, stdtr, stdtrit
 
 from .errors import NotPSD
 
@@ -309,9 +308,10 @@ def _genz_weights(chol, lower, upper, w, radial=None):
     """Genz transform integrand for P(lower <= X <= upper), X ~ N(0, LL').
 
     ``w`` holds the quadrature points, one row per point; ``radial``
-    optionally carries per-point chi scale factors for the multivariate t
-    case.  Requires dim >= 2 (the 1-d case is handled in closed form
-    upstream).  An infinite limit has conditional probability exactly 0
+    optionally carries per-point chi scale factors s for the multivariate t
+    case (``_chi_scale``, within a relative e = 1e-12, which moves the value
+    by about e * dim * max |limit|).  Requires dim >= 2 (the 1-d case is
+    handled in closed form upstream).  An infinite limit has conditional probability exactly 0
     (lower) or 1 (upper); it is carried as None, so it costs no ``ndtr`` pass
     and no arithmetic.  A finite limit's conditional probability goes
     through ``_ndtr_saturating``, which skips ``ndtr`` where most points of
@@ -812,9 +812,6 @@ _DIRECTION_TABLE = os.path.join(
 )
 # Bytes inflated at a time while skipping the table's unused rows.
 _SKIP_BYTES = 1 << 16
-# Held for each lookup, growth and eviction of _RADIAL_CACHE, so threads
-# sharing a key never compute its factors twice or see an entry half filled.
-_CACHE_LOCK = threading.Lock()
 
 # Most points the QMC integrand sees in one call: a dimension-9 block then
 # keeps its working arrays (about 1 MB) in cache.  On AVERROES, 2**11 to
@@ -920,27 +917,6 @@ def _sobol_range(scrambles, a, b, cols=slice(None)):
     return np.bitwise_xor.accumulate(out, axis=1, out=out)
 
 
-# Radial factors of the multivariate-t path, keyed by (qdim, seed, shifts,
-# df): the leading Sobol column of each scramble mapped through the chi
-# quantile.  An entry is [factors, filled], factors shaped (shifts, width)
-# with its first ``filled`` columns computed on demand.  A new entry is as
-# wide as its first call needs, which for a simulation call is often one
-# first round; the first call that needs more widens it, once, to
-# _RADIAL_POINTS.  A fresh page of that allocation holds memory only once a
-# value in it is written, so the bound _RADIAL_VALUES counts what each entry
-# holds (``_radial_held``): its own width, or whole pages per row of a wide
-# one, and an entry a call barely used cannot evict a full one.  (Widening by
-# a copy at every doubling held the same values but raised the fwer_highdim
-# benchmark's peak RSS by 0.5-0.9 MB.)  Later points are transformed afresh
-# on every call; high-accuracy calls reach them, and now and then so does a
-# loose-target simulation call whose estimate sits near its decision
-# threshold.
-_RADIAL_POINTS = 1 << 14
-_RADIAL_VALUES = 1 << 21
-_PAGE_VALUES = 512  # float64 values per 4 KiB page
-_RADIAL_CACHE: OrderedDict = OrderedDict()
-
-
 def _round_points(first_round_samples):
     """Points per scramble of the first QMC round: ``first_round_samples``
     rounded up to a power of two (2 at least), which keeps the Sobol point
@@ -948,43 +924,63 @@ def _round_points(first_round_samples):
     return 1 << max(math.ceil(math.log2(first_round_samples)), 1)
 
 
-def _radial_factors(u, df):
-    """Chi scale factors s = sqrt(2 * Gamma(df/2)^-1(u) / df) of uniforms."""
-    return np.sqrt(2.0 * gammaincinv(0.5 * df, u) / df)
+# Grid of the chi-scale tables in z = ndtri(u), spanning every uniform the
+# sampler draws (_TINY to 1 - 2**-30): 3,573 nodes, 57 KB per df, at most
+# _CHI_TABLES kept.  On 2M uniforms k * 2**-30 the scale is within 1.2e-13 of
+# gammaincinv at df 1 and 2e-14 from df 3 (2**-7 left 1.9e-12 at df 1);
+# gammaincinv is itself 2.4e-12 off at df 10**6 near u 1e-6 (mpmath).
+_CHI_STEP = 2.0**-8
+_CHI_Z_LO = float(ndtri(_TINY))
+_CHI_NODES = math.ceil((float(ndtri(1.0 - 2.0**-_SOBOL_BITS)) - _CHI_Z_LO) / _CHI_STEP) + 1
+_CHI_TABLES = 32
 
 
-def _radial_held(factors, filled):
-    """Values a radial cache entry holds in memory: all of a first-call
-    entry, whole pages of each row up to ``filled`` of a widened one."""
-    return len(factors) * min(factors.shape[1], -(-filled // _PAGE_VALUES) * _PAGE_VALUES)
+@lru_cache(maxsize=_CHI_TABLES)
+def _chi_table(df):
+    """log s at the grid nodes z and its derivative in z times _CHI_STEP, both
+    read-only.  The nodes are exact quantiles: ``gammaincinv`` of Phi(z) for
+    z <= 0 and ``gammainccinv`` of Phi(-z) above, where 1 - Phi(z) would be
+    rounded away; the slope is phi(z) / (2 x g(x)), g the Gamma(df/2)
+    density, from d log s = dx / 2x and dx = du / g(x)."""
+    z = _CHI_Z_LO + _CHI_STEP * np.arange(_CHI_NODES)
+    a = 0.5 * df
+    lower = z <= 0.0
+    x = np.empty_like(z)
+    x[lower] = gammaincinv(a, ndtr(z[lower]))
+    x[~lower] = gammainccinv(a, ndtr(-z[~lower]))
+    log_s = 0.5 * np.log(x / a)
+    log_slope = gammaln(a) + x - a * np.log(x) - 0.5 * z * z
+    slope = np.exp(log_slope) * (0.5 * _CHI_STEP / math.sqrt(2.0 * math.pi))
+    log_s.flags.writeable = slope.flags.writeable = False
+    return log_s, slope
 
 
-def _cached_radial(qdim, settings, df, end):
-    """Cached radial factors, shaped (shifts, width) with width >= ``end``,
-    of which the first ``end`` columns are filled, from the leading
-    coordinate of the points; ``end`` must not exceed ``_RADIAL_POINTS``.
-    """
-    key = (qdim, settings.seed, settings.shifts, df)
-    with _CACHE_LOCK:
-        entry = _RADIAL_CACHE.pop(key, None)
-        if entry is None:
-            entry = [np.empty((settings.shifts, end)), 0]
-        factors, filled = entry
-        if factors.shape[1] < end:
-            # a new array: a caller may still read the old one
-            entry[0] = np.empty((settings.shifts, _RADIAL_POINTS))
-            entry[0][:, :filled] = factors[:, :filled]
-            factors = entry[0]
-        if filled < end:
-            ints = _sobol_range(_scrambles(qdim, settings.seed, settings.shifts), filled, end, 0)
-            u = np.clip(ints * 2.0**-_SOBOL_BITS, _TINY, 1.0 - _TINY)
-            factors[:, filled:end] = _radial_factors(u, df)
-            entry[1] = end
-        _RADIAL_CACHE[key] = entry  # most recently used last
-        # an entry larger than the whole budget (over 128 shifts) is not kept
-        while sum(_radial_held(*e) for e in _RADIAL_CACHE.values()) > _RADIAL_VALUES:
-            _RADIAL_CACHE.popitem(last=False)
-        return factors
+def _chi_scale(u, df):
+    """Chi scale factors s = sqrt(2 * Gamma(df/2)^-1(u) / df) of uniforms u,
+    clipped to [_TINY, 1 - _TINY], by cubic Hermite interpolation of log s
+    in ndtri(u) on the nodes and slopes of ``_chi_table``: relative error at
+    most 1e-12 on the sampler's uniforms, about 35 ns per value."""
+    log_s, slope = _chi_table(df)
+    t = np.clip(u, _TINY, 1.0 - _TINY)
+    ndtri(t, out=t)
+    t -= _CHI_Z_LO
+    t *= 1.0 / _CHI_STEP
+    i = t.astype(np.intp)
+    np.minimum(i, _CHI_NODES - 2, out=i)
+    t -= i  # position within the interval, in [0, 1]
+    y0, d0 = log_s[i], slope[i]
+    i += 1
+    dy, d1 = log_s[i], slope[i]
+    dy -= y0
+    # y0 + t (d0 + t (c2 + t c3)): y0 + dy and d1 at t = 1
+    c3 = d0 + d1 - 2.0 * dy
+    p = dy - d0 - c3
+    p += c3 * t
+    p *= t
+    p += d0
+    p *= t
+    p += y0
+    return np.exp(p, out=p)
 
 
 class _SobolSampler:
@@ -1004,7 +1000,8 @@ class _SobolSampler:
     computed from its index range by ``_sobol_range``, scaled to floats and
     summed as soon as it is evaluated (``_sums``), so the transient memory
     of one evaluation is a few arrays of that many points (under 3 MB at
-    dimension 9) whatever the sample size.
+    dimension 9) whatever the sample size.  On the t path the leading
+    coordinate gives the chi scale (``_chi_scale``, a 57 KB table per df).
     """
 
     def __init__(self, chol, df, settings: QuadratureSettings):
@@ -1026,11 +1023,7 @@ class _SobolSampler:
         the values kept.
         """
         shifts = self.settings.shifts
-        end = start + count
         scrambles = _scrambles(self.qdim, self.settings.seed, shifts)
-        radial = None
-        if self.df is not None and end <= _RADIAL_POINTS:
-            radial = _cached_radial(self.qdim, self.settings, self.df, end)
         rows = max(_BLOCK_POINTS // count, 1)  # scrambles per block
         # Every block's points go into this one buffer.  With a fresh array
         # per block, malloc handed each block's memory back to the system and
@@ -1045,11 +1038,7 @@ class _SobolSampler:
             if self.df is None:
                 block = _genz_weights(self.chol, lower, upper, w)
             else:
-                if radial is None:
-                    u = np.clip(w[:, 0], _TINY, 1.0 - _TINY)
-                    scale = _radial_factors(u, self.df)
-                else:
-                    scale = radial[j : j + rows, a : a + n].reshape(-1)
+                scale = _chi_scale(w[:, 0], self.df)
                 block = _genz_weights(self.chol, lower, upper, w[:, 1:], scale)
             return block.reshape(-1, n).sum(axis=1)
 

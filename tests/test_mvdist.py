@@ -8,14 +8,13 @@ import subprocess
 import sys
 import threading
 import tracemalloc
-from collections import OrderedDict
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate
-from scipy.special import ndtr, ndtri, roots_legendre, stdtr
+from scipy.special import gammaincinv, ndtr, ndtri, roots_legendre, stdtr
 from scipy.stats import norm, t as student_t
 
 from mmminfer import mvdist
@@ -640,19 +639,24 @@ def t_path_values(calls=T_CALLS):
 
 
 @pytest.fixture
-def empty_radial_cache(monkeypatch):
-    monkeypatch.setattr(mvdist, "_RADIAL_CACHE", OrderedDict())
+def no_chi_tables():
+    mvdist._chi_table.cache_clear()
 
 
 def test_low_dimensions_leave_scipy_stats_unimported():
-    # scipy.stats costs about a second to import
+    # scipy.stats costs about a second to import; the t path's chi-scale
+    # table needs scipy.special only
     script = (
         "import sys\n"
+        "import numpy as np\n"
         "import mmminfer.cli\n"
-        "from mmminfer.mvdist import CorrelationMatrix, equicoordinate_quantile\n"
+        "from mmminfer.mvdist import CorrelationMatrix, equicoordinate_quantile, mv_rect_prob\n"
         "corr = CorrelationMatrix([[1, 0.3, 0.5], [0.3, 1, 0.2], [0.5, 0.2, 1]])\n"
         "equicoordinate_quantile(corr, 0.05, df=20)\n"
-        "print('scipy.stats' in sys.modules)\n"
+        "corr = CorrelationMatrix(np.full((5, 5), 0.5) + 0.5 * np.eye(5))\n"
+        "mv_rect_prob(corr, np.full(5, -2.0), np.full(5, 2.0), df=7)\n"
+        "unwanted = ('scipy.stats', 'scipy.optimize', 'scipy.linalg')\n"
+        "print([m for m in unwanted if m in sys.modules])\n"
     )
     src = str(Path(mvdist.__file__).resolve().parents[1])
     out = subprocess.run(
@@ -663,10 +667,55 @@ def test_low_dimensions_leave_scipy_stats_unimported():
         check=True,
         timeout=120,
     )
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
 
 
-class TestRadialCache:
+# dfs of the chi-scale oracle, from the heaviest tail to nearly normal
+CHI_DFS = [1, 2, 3, 5, 7, 18, 48, 498, 10**4, 10**6]
+
+
+class TestChiScale:
+    @pytest.mark.parametrize("df", CHI_DFS)
+    def test_matches_gammaincinv(self, df):
+        # uniforms the sampler can produce: k * 2**-30 for random k, k near 0
+        # and near 2**30, and _TINY, where k = 0 is clipped
+        rng = np.random.default_rng(df)
+        k = np.concatenate(
+            [rng.integers(0, 1 << 30, 100_000), np.arange(1000), (1 << 30) - np.arange(1, 1001)]
+        )
+        u = np.append(k * 2.0**-30, mvdist._TINY)
+        want = np.sqrt(2.0 * gammaincinv(0.5 * df, np.maximum(u, mvdist._TINY)) / df)
+        got = mvdist._chi_scale(u, df)
+        assert np.abs(got / want - 1.0).max() <= 1e-12
+
+    def test_a_huge_df_agrees_with_the_normal(self):
+        corr = CorrelationMatrix(random_correlation(np.random.default_rng(61), 5))
+        lower, upper = np.full(5, -2.3), np.array([2.3, 2.0, np.inf, 2.6, 2.2])
+        s = QuadratureSettings(target_abs_error=1e-4, shifts=8)
+        t = mv_rect_prob(corr, lower, upper, df=10**6, settings=s)
+        normal = mv_rect_prob(corr, lower, upper, settings=s)
+        assert abs(t.value - normal.value) <= t.error + normal.error
+
+    def test_memory_held_is_the_tables(self, no_chi_tables):
+        corr = CorrelationMatrix(np.full((5, 5), 0.5) + 0.5 * np.eye(5))
+        lower, upper = np.full(5, -np.inf), np.full(5, 2.0)
+        s = QuadratureSettings(
+            target_abs_error=1e-12, max_samples=8 << 14, shifts=8, first_round_samples=64
+        )
+        dfs = range(3, 15)
+        mv_rect_prob(corr, lower, upper, df=2, settings=s)  # the point caches first
+        tracemalloc.start()
+        try:
+            for df in dfs:
+                r = mv_rect_prob(corr, lower, upper, df=df, settings=s)
+                assert r.samples * 2 > s.max_samples  # ran to the sample cap
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        tables = sum(sys.getsizeof(a) for df in dfs for a in mvdist._chi_table(df))
+        # the tables and the lru_cache's few hundred bytes of links per entry
+        assert held <= tables + 1024 * len(dfs)
+
     def test_values_equal_a_fresh_process(self):
         warm = t_path_values(T_CALLS[::-1])
         script = (
@@ -686,92 +735,12 @@ class TestRadialCache:
         )
         assert warm == t_path_values() == json.loads(fresh.stdout)
 
-    def test_call_order_does_not_matter(self, empty_radial_cache):
+    def test_call_order_does_not_matter(self, no_chi_tables):
         forward = t_path_values()
-        mvdist._RADIAL_CACHE.clear()
+        mvdist._chi_table.cache_clear()
         assert t_path_values(T_CALLS[::-1]) == forward
 
-    def test_bytes_stay_under_the_bound(self, empty_radial_cache):
-        corr = CorrelationMatrix(np.full((5, 5), 0.5) + 0.5 * np.eye(5))
-        lower, upper = np.full(5, -np.inf), np.full(5, 2.0)
-        s = QuadratureSettings(target_abs_error=1e-12, shifts=8, first_round_samples=64)
-        r = mv_rect_prob(corr, lower, upper, df=T_DF, settings=s)
-        assert r.samples * 2 > s.max_samples  # ran to the sample cap
-        ((factors, filled),) = mvdist._RADIAL_CACHE.values()
-        assert factors.shape == (8, mvdist._RADIAL_POINTS)
-        assert filled == mvdist._RADIAL_POINTS
-        assert 8 * mvdist._RADIAL_VALUES == 16 << 20  # the documented 16 MiB
-        assert factors.nbytes <= 8 * mvdist._RADIAL_VALUES
-
-    def test_a_near_empty_entry_does_not_evict_a_full_one(self, empty_radial_cache, monkeypatch):
-        # room for one full entry of 8 shifts and 512 more points each
-        monkeypatch.setattr(mvdist, "_RADIAL_VALUES", 8 * (mvdist._RADIAL_POINTS + 512))
-        corr = CorrelationMatrix(np.full((5, 5), 0.5) + 0.5 * np.eye(5))
-        lower, upper = np.full(5, -np.inf), np.full(5, 2.0)
-        full = QuadratureSettings(
-            target_abs_error=1e-12, max_samples=8 << 15, shifts=8, first_round_samples=64
-        )
-        mv_rect_prob(corr, lower, upper, df=5, settings=full)
-        first_round = dataclasses.replace(full, max_samples=8 * 64)
-        for df in (6, 7):  # each a first round of 64 points
-            mv_rect_prob(corr, lower, upper, df=df, settings=first_round)
-        assert [key[3] for key in mvdist._RADIAL_CACHE] == [5, 6, 7]
-        assert [n for _, n in mvdist._RADIAL_CACHE.values()] == [mvdist._RADIAL_POINTS, 64, 64]
-
-    def test_many_near_empty_entries_stay_within_the_bound(self, empty_radial_cache):
-        corr = CorrelationMatrix(np.full((5, 5), 0.5) + 0.5 * np.eye(5))
-        lower, upper = np.full(5, -np.inf), np.full(5, 2.0)
-        s = QuadratureSettings(target_abs_error=1e-12, shifts=8, first_round_samples=64)
-        for df in range(3, 43):  # a first round of 64 points each
-            mv_rect_prob(corr, lower, upper, df=df, settings=dataclasses.replace(s, max_samples=8 * 64))
-        for df in (43, 44):  # and two more rounds
-            mv_rect_prob(corr, lower, upper, df=df, settings=dataclasses.replace(s, max_samples=8 * 256))
-        entries = list(mvdist._RADIAL_CACHE.values())
-        assert len(entries) == 42
-        # a first-round entry allocates what it holds
-        assert all(f.shape == (8, 64) and n == 64 for f, n in entries[:40])
-        # a widened one is reserved in full, its rows written to 256 columns
-        for f, n in entries[40:]:
-            assert f.shape == (8, mvdist._RADIAL_POINTS) and n == 256
-        assert mvdist._radial_held(*entries[-1]) == 8 * mvdist._PAGE_VALUES
-        held = 8 * sum(mvdist._radial_held(*e) for e in entries)
-        assert held == 40 * f.itemsize * 8 * 64 + 2 * 8 * 4096
-        assert held <= 8 * mvdist._RADIAL_VALUES
-
-    def test_widening_keeps_the_values(self, empty_radial_cache):
-        corr = CorrelationMatrix(np.full((5, 5), 0.5) + 0.5 * np.eye(5))
-        lower, upper = np.full(5, -np.inf), np.full(5, 2.0)
-        s = QuadratureSettings(
-            target_abs_error=1e-12, max_samples=8 << 10, shifts=8, first_round_samples=64
-        )
-        first_round = dataclasses.replace(s, max_samples=8 * 64)
-        mv_rect_prob(corr, lower, upper, df=T_DF, settings=first_round)
-        ((narrow, _),) = mvdist._RADIAL_CACHE.values()
-        want = mv_rect_prob(corr, lower, upper, df=T_DF, settings=s)
-        ((wide, filled),) = mvdist._RADIAL_CACHE.values()
-        assert narrow.shape == (8, 64) and wide.shape == (8, mvdist._RADIAL_POINTS)
-        np.testing.assert_array_equal(wide[:, :64], narrow)
-        mvdist._RADIAL_CACHE.clear()
-        got = mv_rect_prob(corr, lower, upper, df=T_DF, settings=s)
-        assert (got.value, got.error) == (want.value, want.error)
-        ((fresh, _),) = mvdist._RADIAL_CACHE.values()
-        np.testing.assert_array_equal(fresh[:, :filled], wide[:, :filled])
-
-    def test_least_recently_used_entries_are_dropped(self, empty_radial_cache, monkeypatch):
-        # room for two full entries of 8 shifts
-        monkeypatch.setattr(mvdist, "_RADIAL_VALUES", 2 * 8 * mvdist._RADIAL_POINTS)
-        corr = CorrelationMatrix(np.full((5, 5), 0.5) + 0.5 * np.eye(5))
-        lower, upper = np.full(5, -np.inf), np.full(5, 2.0)
-        s = QuadratureSettings(
-            target_abs_error=1e-12, max_samples=8 << 15, shifts=8, first_round_samples=64
-        )
-        for df in (5, 6, 5, 7):
-            mv_rect_prob(corr, lower, upper, df=df, settings=s)
-        assert [key[3] for key in mvdist._RADIAL_CACHE] == [5, 7]
-        nbytes = sum(factors.nbytes for factors, _ in mvdist._RADIAL_CACHE.values())
-        assert nbytes <= 8 * mvdist._RADIAL_VALUES
-
-    def test_threads_sharing_a_key_get_the_sequential_values(self, empty_radial_cache):
+    def test_threads_sharing_a_key_get_the_sequential_values(self, no_chi_tables):
         dim = 5
         corr = CorrelationMatrix(random_correlation(np.random.default_rng(93), dim))
         s = QuadratureSettings(
@@ -792,8 +761,8 @@ class TestRadialCache:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            for _ in range(3):  # each round from an empty cache
-                mvdist._RADIAL_CACHE.clear()
+            for _ in range(3):  # each round builds the table
+                mvdist._chi_table.cache_clear()
                 got[:] = [None] * len(edges)
                 threads = [threading.Thread(target=work, args=(k,)) for k in range(len(edges))]
                 for t in threads:
@@ -804,6 +773,8 @@ class TestRadialCache:
                 assert got == want
         finally:
             sys.setswitchinterval(interval)
+
+
 
 
 def scipy_points(qdim, settings, n):
@@ -820,8 +791,8 @@ def scipy_points(qdim, settings, n):
 
 def whole_range_sums(sampler, lower, upper, start, count):
     """Integrand sums per scramble from one integrand call over all points
-    of the range, reshaped into one array (no blocks), on points and radial
-    factors computed here rather than read from the caches."""
+    of the range, reshaped into one array (no blocks), on points drawn from
+    scipy rather than computed by index."""
     s, df = sampler.settings, sampler.df
     end = start + count
     pts = scipy_points(sampler.qdim, s, end)
@@ -829,25 +800,23 @@ def whole_range_sums(sampler, lower, upper, start, count):
     if df is None:
         vals = mvdist._genz_weights(sampler.chol, lower, upper, w)
     else:
-        u = np.clip(w[:, 0], mvdist._TINY, 1.0 - mvdist._TINY)
-        radial = mvdist._radial_factors(u, df)
+        radial = mvdist._chi_scale(w[:, 0], df)
         vals = mvdist._genz_weights(sampler.chol, lower, upper, w[:, 1:], radial)
     return vals.reshape(s.shifts, count).sum(axis=1)
 
 
 BLOCK = mvdist._BLOCK_POINTS
-RADIAL = mvdist._RADIAL_POINTS
 # (start, count, shifts) of one _sums call, against the block size: every
 # scramble in one block, scrambles grouped unevenly, exactly one block per
-# scramble, several blocks per scramble with a short last one; radial
-# factors cached (end <= RADIAL) or computed per block (end > RADIAL).
+# scramble, several blocks per scramble with a short last one, from the
+# first point or a later one.
 SUMS_CASES = {
     "grouped-all": (0, BLOCK // 16, 8),
     "grouped-uneven": (0, BLOCK // 8 - 24, 12),
     "at-block": (0, BLOCK, 3),
-    "above-block-cached": (RADIAL - BLOCK - BLOCK // 2, BLOCK + BLOCK // 2, 3),
-    "above-block-uncached": (RADIAL, BLOCK + BLOCK // 2, 2),
-    "crossing-the-cache": (0, RADIAL + 100, 2),
+    "above-block": (0, BLOCK + BLOCK // 2, 3),
+    "above-block-later": (2 * BLOCK, BLOCK + BLOCK // 2, 2),
+    "several-blocks": (0, 2 * BLOCK + 100, 2),
 }
 
 
@@ -871,7 +840,7 @@ class TestStreamedSums:
 
     @pytest.mark.parametrize("df", [None, 7], ids=["normal", "t"])
     @pytest.mark.parametrize("case", sorted(SUMS_CASES))
-    def test_equals_the_whole_range_formula(self, case, df, empty_radial_cache):
+    def test_equals_the_whole_range_formula(self, case, df):
         start, count, shifts = SUMS_CASES[case]
         sampler = mvdist._SobolSampler(
             CorrelationMatrix(self.CORR).cholesky(), df, QuadratureSettings(shifts=shifts)
@@ -891,7 +860,7 @@ class TestStreamedSums:
         assert sizes == [12 * 256]
 
     @pytest.mark.parametrize("df", [None, 12], ids=["normal", "t"])
-    def test_no_call_exceeds_the_block(self, df, monkeypatch, empty_radial_cache):
+    def test_no_call_exceeds_the_block(self, df, monkeypatch):
         sizes = spy_block_sizes(monkeypatch)
         dim = 9
         corr = CorrelationMatrix(np.full((dim, dim), 0.4) + 0.6 * np.eye(dim))
@@ -921,8 +890,8 @@ class TestStreamedSums:
 
     @pytest.mark.parametrize("df", [None, 12], ids=["normal", "t"])
     def test_one_call_keeps_no_value_array(self, df):
-        # 12 x 2**16 points at dimension 9, past the radial cache: the blocks'
-        # working arrays only, not the 6 MiB of one value per point
+        # 12 x 2**16 points at dimension 9: the blocks' working arrays only,
+        # not the 6 MiB of one value per point
         dim = 9
         corr = CorrelationMatrix(np.full((dim, dim), 0.4) + 0.6 * np.eye(dim))
         sampler = mvdist._SobolSampler(corr.cholesky(), df, QuadratureSettings())
@@ -937,10 +906,10 @@ class TestStreamedSums:
         assert peak < 3 << 20
 
     @pytest.mark.parametrize("df", [None, 12], ids=["normal", "t"])
-    def test_transient_memory_stays_small(self, df, empty_radial_cache):
+    def test_transient_memory_stays_small(self, df, no_chi_tables):
         # one cold two-sided evaluation of 12 x 2**16 samples at dimension 9:
         # its points (24 or 27 MiB as int32) are computed block by block, and on
-        # the t path its radial factors are cached within the trace
+        # the t path its chi-scale table is built within the trace
         dim = 9
         corr = CorrelationMatrix(np.full((dim, dim), 0.4) + 0.6 * np.eye(dim))
         sampler = mvdist._SobolSampler(corr.cholesky(), df, QuadratureSettings())
