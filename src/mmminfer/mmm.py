@@ -66,10 +66,6 @@ from scipy.special import ndtr, ndtri, stdtr, stdtrit
 from .errors import DegenerateVariance, MismatchedSubjectAxis
 from .linmodels import MarginalModel
 from .mvdist import (
-    _NEAR_LEVELS,
-    _NEAR_ONE,
-    _PAIR_LEVELS,
-    _TRIPLE_LEVELS,
     CorrelationMatrix,
     QuadratureSettings,
     mv_rect_prob,
@@ -105,9 +101,9 @@ DECISION_STAGES = ("first_order", "pairwise", "triplewise", "integrated")
 
 _PCLIP = 1e-16
 
-# Largest (replicates, pairs, nodes) array of the pairwise bounds: 2**17
+# Largest (rows, m, m) array of one slice of ``max_type_bounds``: 2**17
 # floats, 1 MiB, as the simulation's replicate blocks.
-_PAIR_BLOCK_FLOATS = 2**17
+_BOUND_FLOATS = 2**17
 
 
 @dataclass(frozen=True)
@@ -277,10 +273,6 @@ def joint_scale(statistics, per_model_df, df_mode: str):
     return statistics, None if np.isinf(df) else int(df)
 
 
-def _joint_scale(fit: MmmFit):
-    return joint_scale(fit.statistics, fit.per_model_df, fit.df_mode)
-
-
 def max_type_p(
     corr: CorrelationMatrix,
     statistics,
@@ -376,7 +368,7 @@ def max_type_bounds(b, df, c_hat, alpha: float):
 
     From dimension 4 on, decisions the pairwise bounds leave open get the
     triplewise bounds, from P(A_i and A_j and A_k) of every triple as well
-    (``mvdist.triple_exceedance``), all rows and triples of a chunk at once:
+    (``mvdist.triple_exceedance``):
 
     * cherry tree (Bukszar & Prekopa 2001, Math. Oper. Res. 26): the events
       join the union one at a time, each adding at most p1 - P(A_k A_a) -
@@ -390,7 +382,10 @@ def max_type_bounds(b, df, c_hat, alpha: float):
 
     Each bound settles a decision only where it clears alpha after the
     errors of the probabilities it is built from are added against it; at
-    m = 2 the pairwise bounds are p = 2 p1 - P(A_1 and A_2) itself.
+    m = 2 the pairwise bounds are p = 2 p1 - P(A_1 and A_2) itself.  Open
+    rows take both rungs in slices of ``_BOUND_FLOATS`` floats per (rows, m,
+    m) array, one kernel call per rung and slice, each row with its own df
+    (inf: normal); the kernels bound their own memory.
 
     Returns ``(rejects, accepts, stage)``, elementwise over the edges: p <=
     alpha, p > alpha, and the index into ``DECISION_STAGES`` of the rung
@@ -400,76 +395,38 @@ def max_type_bounds(b, df, c_hat, alpha: float):
     """
     c_hat = np.asarray(c_hat)
     m = c_hat.shape[-1]
-    b = np.asarray(b, dtype=float)
-    shape = b.shape
-    b = b.reshape(-1)
-    if df is None:
-        df = np.full(b.shape, np.inf)
-    else:
-        df = np.broadcast_to(np.asarray(df, dtype=float), shape).reshape(-1)
-        if not (df >= 1.0).all():
-            raise ValueError(f"df must be None or >= 1 (inf for normal), got {df.min()}")
+    shape = np.shape(b)
+    b = np.asarray(b, dtype=float).reshape(-1)
+    df = np.broadcast_to(np.inf if df is None else np.asarray(df, dtype=float), shape).reshape(-1)
+    if not (df >= 1.0).all():
+        raise ValueError(f"df must be None or >= 1 (inf for normal), got {df.min()}")
     p1 = marginal_p(b, df)
     rejects, accepts = m * p1 <= alpha, p1 > alpha
     stage = np.zeros(b.shape, dtype=np.intp)
     undecided = np.flatnonzero(~(rejects | accepts))
-    if len(undecided):
-        i, j = _pairs(m)
-        rho = np.broadcast_to(c_hat[..., i, j], shape + (len(i),)).reshape(-1, len(i))
-        pair, err = np.empty((2, len(undecided), len(i)))
-        chunk = max(1, _PAIR_BLOCK_FLOATS // (len(i) * max(_PAIR_LEVELS)))
-        for start in range(0, len(undecided), chunk):
-            part = slice(start, start + chunk)
-            rows = undecided[part]
-            pair[part], err[part] = _per_law(pair_exceedance, b, df, rows, rho[rows])
-            upper = _hunter_worsley(p1[rows], pair[part], err[part], i, j, m)
-            lower = _pair_lower(p1[rows], pair[part], err[part], m)
-            rejects[rows] = upper <= alpha
-            accepts[rows] = lower > alpha
-        stage[undecided] = DECISION_STAGES.index("pairwise")
-        left = ~(rejects[undecided] | accepts[undecided])
-        if m >= 4 and left.any():
-            rows = undecided[left]
-            rejects[rows], accepts[rows] = _triplewise(
-                alpha, p1[rows], b, df, rows, rho[rows], pair[left], err[left], m
-            )
-            stage[rows] = DECISION_STAGES.index("triplewise")
+    # each row's matrix as an index into the stack, not a copy per row
+    stack = c_hat.reshape(-1, m, m)
+    matrix = np.broadcast_to(np.arange(len(stack)).reshape(c_hat.shape[:-2]), shape).reshape(-1)
+    i, j = _pairs(m)
+    size = max(1, _BOUND_FLOATS // (m * m))
+    for start in range(0, len(undecided), size):
+        rows = undecided[start : start + size]
+        rho = stack[matrix[rows, None], i, j]
+        pair, err = pair_exceedance(b[rows, None], rho, df[rows, None])
+        rejects[rows] = _hunter_worsley(p1[rows], pair, err, i, j, m) <= alpha
+        accepts[rows] = _pair_lower(p1[rows], pair, err, m) > alpha
+        stage[rows] = DECISION_STAGES.index("pairwise")
+        left = ~(rejects[rows] | accepts[rows])
+        if m < 4 or not left.any():
+            continue
+        rows, rho, pair, err = rows[left], rho[left], pair[left], err[left]
+        rij, rik, rjk = (rho[:, k] for k in _triples(m)[0])
+        triple, terr = triple_exceedance(b[rows, None], rij, rik, rjk, df[rows, None])
+        rejects[rows] = _cherry_tree(p1[rows], pair, err, triple, terr, m) <= alpha
+        accepts[rows] = _boros_prekopa_lower(p1[rows], pair, err, triple, terr, m) > alpha
+        stage[rows] = DECISION_STAGES.index("triplewise")
     stage[~(rejects | accepts)] = DECISION_STAGES.index("integrated")
     return rejects.reshape(shape), accepts.reshape(shape), stage.reshape(shape)
-
-
-def _per_law(kernel, b, df, rows, *args):
-    """``kernel(b, *args, df)`` on ``rows`` of the edges ``b`` and dfs ``df``
-    (inf: normal), one call per law present among them; each of ``args``
-    holds one row per entry of ``rows``.  Returns ``(value, error)``."""
-    t_law = np.isfinite(df[rows])
-    value, error = np.empty((2,) + np.shape(args[0]))
-    for law, law_df in ((~t_law, None), (t_law, df)):
-        if law.any():
-            r = rows[law]
-            dfs = None if law_df is None else law_df[r, None]
-            value[law], error[law] = kernel(b[r, None], *(a[law] for a in args), df=dfs)
-    return value, error
-
-
-def _triplewise(alpha, p1, b, df, rows, rho, pair, err, m):
-    """``(rejects, accepts)`` of the triplewise bounds for ``rows``, whose
-    pair probabilities ``pair`` and errors ``err`` (one row each, pairs as
-    ``_pairs(m)``) are known, in chunks of rows whose largest array of
-    ``triple_exceedance`` stays near ``_PAIR_BLOCK_FLOATS`` floats."""
-    tri_pairs = _triples(m)[0]
-    rejects, accepts = np.empty((2, len(rows)), dtype=bool)
-    # triple_exceedance's largest arrays hold 8 floats per triple and node
-    nodes = sum(_NEAR_LEVELS if (np.abs(rho) > _NEAR_ONE).any() else _TRIPLE_LEVELS)
-    chunk = max(1, _PAIR_BLOCK_FLOATS // (tri_pairs.shape[1] * 8 * nodes))
-    for start in range(0, len(rows), chunk):
-        part = slice(start, start + chunk)
-        pv, pe = pair[part], err[part]
-        rij, rik, rjk = (rho[part][:, k] for k in tri_pairs)
-        triple, terr = _per_law(triple_exceedance, b, df, rows[part], rij, rik, rjk)
-        rejects[part] = _cherry_tree(p1[part], pv, pe, triple, terr, m) <= alpha
-        accepts[part] = _boros_prekopa_lower(p1[part], pv, pe, triple, terr, m) > alpha
-    return rejects, accepts
 
 
 @lru_cache(maxsize=16)
@@ -609,7 +566,7 @@ def adjusted_p(
     settings: QuadratureSettings = QuadratureSettings(),
 ) -> np.ndarray:
     """Max-type adjusted p-values under C_hat and the fit's df mode."""
-    stats, df = _joint_scale(fit)
+    stats, df = joint_scale(fit.statistics, fit.per_model_df, fit.df_mode)
     return max_type_p(fit.c_hat, stats, alternative, df, settings)
 
 
@@ -622,7 +579,7 @@ def critical_values(
     """Per-hypothesis critical values on each statistic's own t/z scale."""
     _check_alternative(alternative)
     tail = "two-sided" if alternative == "two-sided" else "one-sided"
-    _, df = _joint_scale(fit)
+    _, df = joint_scale(fit.statistics, fit.per_model_df, fit.df_mode)
     c = equicoordinate_quantile(fit.c_hat, alpha, tail=tail, df=df, settings=settings)
     if fit.df_mode == "dfind":
         return stdtrit(fit.per_model_df, np.clip(ndtr(c), _PCLIP, 1.0 - _PCLIP))

@@ -44,7 +44,8 @@ dimensions 2 and 3, and above it one frozen QMC rule (see
 ``equicoordinate_quantile``); ``_brent`` is scipy's ``brentq`` step for
 step, so scipy.optimize is not needed either.  ``pair_exceedance`` and
 ``triple_exceedance`` give the bivariate and trivariate exceedances that the
-pairwise and triplewise bounds of ``mmm.max_type_bounds`` need.
+pairwise and triplewise bounds of ``mmm.max_type_bounds`` need, one df per
+element (inf: normal), in slices of bounded memory (``_sliced``).
 """
 
 from __future__ import annotations
@@ -102,6 +103,9 @@ _PATH_LEVELS = (16, 32)
 # of 996 of them, (16, 64) on 2 of 2,984, each with a pair within 1e-13 of
 # +-1, where the float inputs leave P uncertain by 1e-11.
 _NEAR_ONE, _NEAR_LEVELS = 0.999, (16, 64)
+# Elements times Gauss-Legendre nodes of one slice of ``_sliced``: a slice
+# of ``triple_exceedance`` peaks at about 6 MB (normal) and 9 MB (df 18).
+_SLICE_FLOATS = 2**14
 # Integer dfs up to this take the finite series of the t CDF (``_t_cdf``),
 # whose cost grows with df: on the 3,840 values of one dimension-6 row of
 # ``triple_exceedance`` it is 0.13 ms at df 30, 1.1 ms at 500 and overtakes
@@ -309,8 +313,10 @@ def _genz_weights(chol, lower, upper, w, radial=None):
 
     ``w`` holds the quadrature points, one row per point; ``radial``
     optionally carries per-point chi scale factors s for the multivariate t
-    case (``_chi_scale``, within a relative e = 1e-12, which moves the value
-    by about e * dim * max |limit|).  Requires dim >= 2 (the 1-d case is
+    case (``_chi_scale``, within a relative e = 1e-12 of the scale from
+    ``gammaincinv``, which moves the value by about e * dim * max |limit|;
+    ``gammaincinv`` is itself up to 2.4e-12 off the true chi scale at df
+    10^6 near u = 1e-6, by mpmath).  Requires dim >= 2 (the 1-d case is
     handled in closed form upstream).  An infinite limit has conditional probability exactly 0
     (lower) or 1 (upper); it is carried as None, so it costs no ``ndtr`` pass
     and no arithmetic.  A finite limit's conditional probability goes
@@ -392,7 +398,7 @@ def _gl_rule(n: int):
     return 0.5 * (x + 1.0), 0.5 * wt
 
 
-@lru_cache(maxsize=4)
+@lru_cache(maxsize=8)
 def _paired_rule(levels):
     """The nodes of both Gauss-Legendre rules of ``levels``, and a weight
     column each."""
@@ -636,30 +642,95 @@ def _plackett_path(a, r, c, corners, limits, df, rule, exceed=False):
     mean[0, ..., 1, :], mean[1, ..., 1, :] = -0.5 * s * step / gap, 0.5 * (a - s + stg) / minus
     sd = np.sqrt([var_i, var_j])[..., None, :]
     (uv, weight), (lo, hi) = corners, (np.asarray(m)[..., None, None] for m in limits)
-    half_q, mean = (uv * uv) @ half, uv @ mean
+    # -Q/2 and the conditional mean at each corner; rebinding both frees the buffer
+    half, mean = (uv * uv) @ half, uv @ mean
     tails = np.empty((2,) + mean.shape)
     np.subtract(lo, mean, out=tails[0])
     np.subtract(mean, hi, out=tails[1])
     tails *= 1.0 / np.maximum(sd, 1e-150)
     if df is None:
-        density, cdf = np.exp(half_q), ndtr
+        density, cdf = np.exp(half), ndtr
     else:
         nu = np.asarray(df, dtype=float)[..., None, None]
-        density, cdf = np.exp(-0.5 * nu * np.log1p(-2.0 * half_q / nu)), partial(_t_cdf, nu)
-        tails *= np.sqrt(nu / (nu - 2.0 * half_q))
-    prob = cdf(tails).sum(axis=0)
+        density, cdf = np.exp(-0.5 * nu * np.log1p(-2.0 * half / nu)), partial(_t_cdf, nu)
+        tails *= np.sqrt(nu / (nu - 2.0 * half))
+    prob = cdf(tails[0]) + cdf(tails[1])
     if not exceed:
         prob = 1.0 - prob
     f = np.einsum("...c,...cn->...n", weight, density * prob)
     h = step * sin * cos / np.sqrt(plus * minus) * f[1] - s * cos * np.sqrt(gap / near) * f[0]
-    est = 0.5 * (h @ wt)
+    est = 0.5 * _rule_sums(h, wt)
     return est[..., 1], np.abs(est[..., 1] - est[..., 0])
+
+
+def _sliced(kernel, levels, pick, df, *args):
+    """``(value, error)`` of ``kernel(*args, df, rule)``, an exceedance
+    kernel, elementwise over broadcast arrays ``args``, ``df`` (None: inf)
+    and ``pick``.
+
+    Every split of the elements is made here: one call per law (a finite df
+    is the t, passed as an array; inf the normal, passed as None), per rule
+    (``_paired_rule(levels[k])`` where ``pick`` is k) and per slice of at
+    most ``_SLICE_FLOATS`` elements times nodes.  Each value is computed
+    from its own element alone, so the splits change no bit.
+    """
+    *args, df, pick = np.broadcast_arrays(*args, np.inf if df is None else df, pick)
+    shape, pick = pick.shape, pick.ravel()
+    args, df = [v.astype(float).ravel() for v in args], df.astype(float).ravel()
+    if not (df >= 1.0).all():
+        raise ValueError("df must be None or >= 1 (inf for normal) for every element")
+    value, error = np.empty((2, len(df)))
+    t_law = np.isfinite(df)
+    for law in (False, True):
+        for k, rule in enumerate(map(_paired_rule, levels)):
+            group = np.flatnonzero((t_law == law) & (pick == k))
+            size = max(1, _SLICE_FLOATS // len(rule[0]))
+            for start in range(0, len(group), size):
+                part = group[start : start + size]
+                dfs = df[part] if law else None
+                value[part], error[part] = kernel(*(v[part] for v in args), dfs, rule)
+    return value.reshape(shape)[()], error.reshape(shape)[()]
+
+
+def _rule_sums(f, wt):
+    """``f @ wt``, each element's sums from its own values alone, which a
+    BLAS product does not promise as the number of rows changes."""
+    return np.stack([(f * w).sum(axis=-1) for w in wt.T], axis=-1)
+
+
+def _pair_rule(b, rho, df, rule):
+    """``pair_exceedance`` of 1-D elements of one law by the rules of
+    ``rule``."""
+    x, wt = rule
+    half = 0.5 * np.arccos(np.minimum(np.abs(rho), 1.0))
+    b2 = (b * b)[:, None]
+    if df is None:
+        p1 = 2.0 * ndtr(-b)
+
+        def g(w):
+            return np.exp(-b2 / w)
+
+    else:
+        p1 = 2.0 * stdtr(df, -b)
+        nu = df[:, None]
+
+        def g(w):
+            return np.exp(-0.5 * nu * np.log1p(2.0 * b2 / (nu * w)))
+
+    psi = half[:, None] * x
+    # 2 sin^2 psi vanishes only at |rho| = 1, where the interval is empty
+    low = np.maximum(2.0 * np.sin(psi) ** 2, np.finfo(float).tiny)
+    with np.errstate(over="ignore"):
+        est = half[:, None] * _rule_sums(g(2.0 * np.cos(psi) ** 2) - g(low), wt)
+    value = p1 - (2.0 / np.pi) * est[:, 1]
+    error = (2.0 / np.pi) * np.abs(est[:, 1] - est[:, 0]) + _ERROR_FLOOR
+    return value, error
 
 
 def pair_exceedance(b, rho, df=None):
     """P(|X_1| > b, |X_2| > b) for a standard bivariate normal or t_df with
     correlation ``rho``, elementwise over broadcast arrays of edges ``b``,
-    correlations and dfs.
+    correlations and dfs, inf for the normal law (None: all normal).
 
     Returns ``(value, error)``.  With rho = sin(theta), Plackett's identity
     dP/dtheta = (1/pi) [g(1 + sin theta) - g(1 - sin theta)] holds, where
@@ -672,41 +743,35 @@ def pair_exceedance(b, rho, df=None):
 
     a smooth integrand on a short interval.  It is evaluated with the two
     Gauss-Legendre rules of ``_PAIR_LEVELS``; the value is the finer one and
-    the error their difference plus a floor above round-off.
+    the error their difference plus a floor above round-off.  ``_sliced``
+    bounds the memory; each value is that of a call on its element alone.
     """
-    b, rho = np.broadcast_arrays(np.asarray(b, dtype=float), np.asarray(rho, dtype=float))
-    half = 0.5 * np.arccos(np.minimum(np.abs(rho), 1.0))
-    b2 = (b * b)[..., None]
-    if df is None:
-        p1 = 2.0 * ndtr(-b)
+    return _sliced(_pair_rule, (_PAIR_LEVELS,), 0, df, b, rho)
 
-        def g(w):
-            return np.exp(-b2 / w)
 
-    else:
-        nu = np.broadcast_to(np.asarray(df, dtype=float), b.shape)[..., None]
-        p1 = 2.0 * stdtr(nu[..., 0], -b)
-
-        def g(w):
-            return np.exp(-0.5 * nu * np.log1p(2.0 * b2 / (nu * w)))
-
-    est = []
-    for n in _PAIR_LEVELS:
-        x, wt = _gl_rule(n)
-        psi = half[..., None] * x
-        # 2 sin^2 psi vanishes only at |rho| = 1, where the interval is empty
-        low = np.maximum(2.0 * np.sin(psi) ** 2, np.finfo(float).tiny)
-        with np.errstate(over="ignore"):
-            est.append(half * ((g(2.0 * np.cos(psi) ** 2) - g(low)) @ wt))
-    value = p1 - (2.0 / np.pi) * est[-1]
-    error = (2.0 / np.pi) * np.abs(est[-1] - est[0]) + _ERROR_FLOOR
-    return value, error
+def _triple_rule(b, rij, rik, rjk, df, rule):
+    """``triple_exceedance`` of 1-D elements of one law by the rules of
+    ``rule``."""
+    # the most correlated pair becomes (j, k) and the start pair (i, j) is
+    # one of the other two: a = rho_ij, r = rho_ik, c = rho_jk
+    big = np.abs(np.stack([rij, rik, rjk])).argmax(axis=0)
+    a = np.where(big == 0, rik, rij)
+    c = np.choose(big, [rij, rik, rjk])
+    r = np.choose(big, [rjk, rjk, rik])
+    start, start_err = _pair_rule(b, a, df, _paired_rule(_PAIR_LEVELS))
+    # the corners (b, b) and (b, -b), in (x_j, s x_k) and (x_i, x_k), are
+    # (u, v) = (2 b, 0) and (0, 2 b)
+    weight = np.array([np.where(c < 0.0, -2.0, 2.0), np.full(c.shape, 2.0)])[..., None]
+    corners = b[:, None, None] * [[2.0, 0.0], [0.0, 2.0]], weight * [1.0, -1.0]
+    path, err = _plackett_path(a, r, c, corners, (-b, b), df, rule, exceed=True)
+    return start + path, err + start_err + _ERROR_FLOOR
 
 
 def triple_exceedance(b, rho_ij, rho_ik, rho_jk, df=None):
     """P(|X_i| > b, |X_j| > b, |X_k| > b) for a standard trivariate normal or
     t_df with correlations ``rho_ij``, ``rho_ik`` and ``rho_jk``, elementwise
-    over broadcast arrays of edges, correlations and dfs.
+    over broadcast arrays of edges, correlations and dfs, inf for the normal
+    law (None: all normal).
 
     Returns ``(value, error)``.  With (j, k) the most correlated pair, of
     sign s, ``_plackett_path`` runs from the law where X_k = s X_j, whose
@@ -716,37 +781,12 @@ def triple_exceedance(b, rho_ij, rho_ik, rho_jk, df=None):
     ``_TRIPLE_LEVELS``, or ``_NEAR_LEVELS`` where some |rho| exceeds
     ``_NEAR_ONE``; the value is the pair's plus the finer rule's, the error
     their gap plus the pair's error and a floor above round-off.
+    ``_sliced`` bounds the memory; each value is that of a call on its
+    element alone.
     """
-    b, rij, rik, rjk = np.broadcast_arrays(
-        *(np.asarray(v, dtype=float) for v in (b, rho_ij, rho_ik, rho_jk))
-    )
-    # the most correlated pair becomes (j, k) and the start pair (i, j) is
-    # one of the other two: a = rho_ij, r = rho_ik, c = rho_jk
-    big = np.abs(np.stack([rij, rik, rjk])).argmax(axis=0)
-    a = np.where(big == 0, rik, rij)
-    c = np.choose(big, [rij, rik, rjk])
-    r = np.choose(big, [rjk, rjk, rik])
-    start, start_err = pair_exceedance(b, a, df)
-    near = np.abs(c) > _NEAR_ONE
-
-    def along(pick, levels):
-        # the corners (b, b) and (b, -b), in (x_j, s x_k) and (x_i, x_k), are
-        # (u, v) = (2 b, 0) and (0, 2 b)
-        edge, cp = b[pick], c[pick]
-        dfs = None if df is None else np.broadcast_to(np.asarray(df, dtype=float), b.shape)[pick]
-        weight = np.array([np.where(cp < 0.0, -2.0, 2.0), np.full(cp.shape, 2.0)])[..., None]
-        corners = edge[..., None, None] * [[2.0, 0.0], [0.0, 2.0]], weight * [1.0, -1.0]
-        rule = _paired_rule(levels)
-        return _plackett_path(a[pick], r[pick], cp, corners, (-edge, edge), dfs, rule, exceed=True)
-
-    if not near.any():
-        path, err = along(..., _TRIPLE_LEVELS)
-    else:
-        path, err = np.empty(b.shape), np.empty(b.shape)
-        for pick, levels in ((~near, _TRIPLE_LEVELS), (near, _NEAR_LEVELS)):
-            if pick.any():
-                path[pick], err[pick] = along(pick, levels)
-    return start + path, err + start_err + _ERROR_FLOOR
+    near = np.maximum(np.abs(rho_ij), np.maximum(np.abs(rho_ik), np.abs(rho_jk))) > _NEAR_ONE
+    levels = (_TRIPLE_LEVELS, _NEAR_LEVELS)
+    return _sliced(_triple_rule, levels, near, df, b, rho_ij, rho_ik, rho_jk)
 
 
 def _t_cdf(nu, y):
@@ -958,8 +998,10 @@ def _chi_table(df):
 def _chi_scale(u, df):
     """Chi scale factors s = sqrt(2 * Gamma(df/2)^-1(u) / df) of uniforms u,
     clipped to [_TINY, 1 - _TINY], by cubic Hermite interpolation of log s
-    in ndtri(u) on the nodes and slopes of ``_chi_table``: relative error at
-    most 1e-12 on the sampler's uniforms, about 35 ns per value."""
+    in ndtri(u) on the nodes and slopes of ``_chi_table``, about 35 ns per
+    value.  On the sampler's uniforms it is within a relative 1e-12 of
+    sqrt(2 * gammaincinv(df/2, u) / df), the reference, which is itself up
+    to 2.4e-12 off the true chi scale at df 10^6 near u = 1e-6 (mpmath)."""
     log_s, slope = _chi_table(df)
     t = np.clip(u, _TINY, 1.0 - _TINY)
     ndtri(t, out=t)

@@ -294,21 +294,17 @@ class TestMaxTypeRejects:
                 row_scaled, row_df = joint_scale(stats[i], dfs[i], mode)
                 np.testing.assert_array_equal(row_scaled, scaled[i])
                 assert row_df == (None if law is None else law[i])
-        chunks = {"pairwise": [], "triplewise": []}
-        pairs, triples = dim * (dim - 1) // 2, dim * (dim - 1) * (dim - 2) // 6
+        calls = {"pairwise": [], "triplewise": []}
         if chunked:
-            # chunks of 8 rows for the pairwise bounds at dimension 3, and of
-            # 4 rows for the triplewise ones at dimension 5 (whose largest
-            # arrays hold 8 floats per triple and node)
-            floats = pairs * max(mvdist._PAIR_LEVELS) * 8
-            if dim >= 4:
-                floats = triples * 8 * sum(mvdist._TRIPLE_LEVELS) * 4
-            monkeypatch.setattr(mmm, "_PAIR_BLOCK_FLOATS", floats)
-            for name, rung in (("_hunter_worsley", "pairwise"), ("_cherry_tree", "triplewise")):
+            # slices of 8 open rows, one kernel call per rung and slice, and
+            # kernels that split their elements into slices of a few each
+            monkeypatch.setattr(mmm, "_BOUND_FLOATS", 8 * dim * dim)
+            monkeypatch.setattr(mvdist, "_SLICE_FLOATS", 200)
+            for name, rung in (("pair_exceedance", "pairwise"), ("triple_exceedance", "triplewise")):
 
-                def spy(p1, *args, bound=getattr(mmm, name), rung=rung):
-                    chunks[rung].append(len(p1))
-                    return bound(p1, *args)
+                def spy(edge, *args, kernel=getattr(mmm, name), rung=rung):
+                    calls[rung].append(len(edge))
+                    return kernel(edge, *args)
 
                 monkeypatch.setattr(mmm, name, spy)
         # a stack of normal-law rows alone passes None, as joint_scale gives
@@ -323,17 +319,16 @@ class TestMaxTypeRejects:
         for rung in rungs:
             assert (stage == DECISION_STAGES.index(rung)).any(axis=1).all(), rung
         if chunked:
-            # every rung's rows go through it in whole chunks, at least three
-            for rung, size in (
-                ("pairwise", floats // (pairs * max(mvdist._PAIR_LEVELS))),
-                ("triplewise", floats // (triples * 8 * sum(mvdist._TRIPLE_LEVELS))),
-            ):
+            # every rung's rows go through it in at least three slices of at
+            # most 8, the pairwise ones of 8 but the last
+            for rung in ("pairwise", "triplewise"):
                 if rung == "triplewise" and dim < 4:
-                    assert chunks[rung] == []
+                    assert calls[rung] == []
                     continue
                 rows = int((stage >= DECISION_STAGES.index(rung)).sum())
-                assert rows > 2 * size
-                assert chunks[rung] == [size] * (rows // size) + [rows % size] * (rows % size > 0)
+                assert len(calls[rung]) >= 3 and max(calls[rung]) <= 8
+                assert sum(calls[rung]) == rows
+            assert calls["pairwise"][:-1] == [8] * (len(calls["pairwise"]) - 1)
         decided, decided_stage = max_type_rejects(b, stack_df, c_hat, 0.05, FAST)
         np.testing.assert_array_equal(decided[settled], rejects[settled])
         np.testing.assert_array_equal(decided_stage, stage)

@@ -1334,6 +1334,93 @@ class TestTripleExceedance:
         np.testing.assert_array_equal(mvdist._t_cdf(dfs, y[None, :5]), [mvdist._t_cdf(np.float64(d), y[:5]) for d in dfs[:, 0]])
 
 
+def mixed_stack(rng, rows, cols):
+    """Edges (rows, 1), dfs (rows, 1), half inf and half integers 3 to 59,
+    and correlation triples (3, rows, cols) of three vectors in three
+    dimensions, every other one within 10^-3.5 to 10^-2.5 of coinciding up
+    to sign (some |rho| above ``_NEAR_ONE``)."""
+    b = rng.uniform(1.7, 3.4, size=(rows, 1))
+    df = np.where(np.arange(rows)[:, None] % 2 == 0, np.inf, rng.integers(3, 60, size=(rows, 1)))
+    scale = np.where(np.arange(rows * cols) % 2 == 0, 10.0 ** rng.uniform(-3.5, -2.5, rows * cols), 1.0)
+    sign = rng.choice([-1.0, 1.0], size=(rows * cols, 3, 1))
+    vectors = sign + scale[:, None, None] * rng.standard_normal((rows * cols, 3, 3))
+    gram = vectors @ vectors.transpose(0, 2, 1)
+    d = np.sqrt(np.diagonal(gram, axis1=1, axis2=2))
+    corr = np.clip(gram / (d[:, :, None] * d[:, None, :]), -1.0, 1.0)
+    rho = np.stack([corr[:, 0, 1], corr[:, 0, 2], corr[:, 1, 2]]).reshape(3, rows, cols)
+    return b, df, rho
+
+
+class TestSlices:
+    """``pair_exceedance`` and ``triple_exceedance`` split their elements by
+    law, rule levels and slices of ``_SLICE_FLOATS`` element-nodes."""
+
+    @pytest.mark.parametrize("budget", [100, None], ids=["small-slices", "default-slices"])
+    @pytest.mark.parametrize(
+        "kernel, inner, groups",
+        [(pair_exceedance, "_pair_rule", 2), (triple_exceedance, "_plackett_path", 4)],
+        ids=["pair", "triple"],
+    )
+    def test_each_element_as_if_alone(self, monkeypatch, kernel, inner, groups, budget):
+        # normal and t elements, near and ordinary triples, in one call: every
+        # value and error is bit for bit that of a call on its element alone
+        b, df, rho = mixed_stack(np.random.default_rng(23), 40, 15)
+        if kernel is pair_exceedance:
+            rho = rho[:1]
+        else:
+            near = (np.abs(rho) > mvdist._NEAR_ONE).any(axis=0)
+            assert near[np.isinf(df[:, 0])].any() and near[np.isfinite(df[:, 0])].any()
+            assert not near.all()
+        calls = []
+        real = getattr(mvdist, inner)
+
+        def spy(*args, **kwargs):
+            calls.append(len(args[0]))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(mvdist, inner, spy)
+        if budget is not None:
+            monkeypatch.setattr(mvdist, "_SLICE_FLOATS", budget)
+        value, error = kernel(b, *rho, df)
+        # at a budget of 100, each law and level set in three slices or more
+        assert len(calls) >= (3 * groups if budget else groups)
+        if budget is None:
+            assert max(calls) > 100
+        single = np.array(
+            [
+                kernel(b[r, 0], *rho[:, r, c], None if np.isinf(df[r, 0]) else int(df[r, 0]))
+                for r, c in np.ndindex(value.shape)
+            ]
+        )
+        np.testing.assert_array_equal(single[:, 0], value.ravel())
+        np.testing.assert_array_equal(single[:, 1], error.ravel())
+        # df None is an inf df for every element
+        normal = kernel(b, *rho)
+        for got, want in zip(kernel(b, *rho, np.full(b.shape, np.inf)), normal):
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("df", [None, 18])
+    def test_memory_of_one_call_is_that_of_a_slice(self, df):
+        # 100 rows of 120 triples, m = 10: one slice peaks at 6 MB (normal)
+        # and 9 MB (df 18); evaluated at once, the call took over 100 MB
+        b, _, rho = mixed_stack(np.random.default_rng(5), 100, 120)
+        triple_exceedance(b[:2], *rho[:, :2], df)
+        tracemalloc.start()
+        try:
+            triple_exceedance(b, *rho, df)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 << 20
+
+    def test_df_below_one_is_rejected(self):
+        for df in (0, 0.5, np.nan, [3.0, -np.inf]):
+            with pytest.raises(ValueError, match="df"):
+                pair_exceedance(2.0, [0.3, 0.5], df)
+            with pytest.raises(ValueError, match="df"):
+                triple_exceedance(2.0, 0.3, 0.2, [0.5, 0.1], df)
+
+
 class TestSettingsValidation:
     def test_rejects_nonpositive_target(self):
         with pytest.raises(ValueError, match="target_abs_error"):
