@@ -123,6 +123,11 @@ _RANK_TOL = 1e-12
 # every Brent root (scipy's, a Python float so the iterates stay floats).
 _EXACT_XTOL = 1e-7
 _BRENT_RTOL = 4.0 * float(np.finfo(float).eps)
+# The QMC quantile walks on a rule of 1/_ANCHOR_SHARE of the frozen sample
+# anchored at its first full-size value, then takes secant steps on the
+# frozen rule while their predicted miss exceeds _STEP_TOL, half the 1e-5
+# root tolerance (``equicoordinate_quantile``).
+_ANCHOR_SHARE, _STEP_TOL = 16, 5e-6
 # Phi(x) in double precision is exactly 1.0 from _PHI_ONE up (1 - Phi(9) is
 # 1.1e-19, below half an ulp of 1) and exactly 0.0 below _PHI_ZERO (Phi(-40)
 # is about 4e-350, below the least subnormal, 4.9e-324).
@@ -798,40 +803,69 @@ def _t_cdf(nu, y):
     = cos^2(theta), P(|T| <= y) is sin(theta) sum_k c^k prod_j (2j - 1) /
     (2j) over k < nu / 2 for an even df, and (2 / pi) (theta + sin(theta)
     cos(theta) sum_k c^k prod_j 2j / (2j + 1)) over k < (nu - 1) / 2 for an
-    odd one."""
-    values = np.unique(nu)
-    if len(values) == 1:
-        return _t_cdf_at(float(values[0]), y)
-    nu, y = np.broadcast_arrays(nu, y)
-    out = np.empty(y.shape)
-    for v in values:
-        pick = nu == v
-        out[pick] = _t_cdf_at(float(v), y[pick])
-    return out
+    odd one.
 
-
-def _t_cdf_at(nu, y):
-    """``_t_cdf`` of one df."""
-    if nu != int(nu) or nu > _T_SERIES_MAX_DF:
+    All dfs take one Horner pass over all elements, each element's
+    coefficients a row of ``_t_series`` padded by leading zeros (0 c + 0 is
+    0 until its own leading coefficient), and the even and odd finishes are
+    picked elementwise, so each value has the bits of a call on its df
+    alone.  Full-size temporaries are few and reused, as each costs page
+    faults."""
+    nu = np.asarray(nu, dtype=float)
+    if (nu == nu.flat[0]).all():
+        dfs, row = nu.ravel()[:1], 0
+    else:
+        dfs, row = np.unique(nu, return_inverse=True)
+        row = row.reshape(nu.shape)
+    columns, odd, series = _t_series(tuple(dfs.tolist()))
+    if not series.any():
         return stdtr(nu, y)
-    nu = int(nu)
-    y = np.clip(y, -1e150, 1e150)  # y^2 stays finite
-    y2 = y * y
-    c = nu / (nu + y2)
-    odd = nu % 2
-    coef = [1.0]
-    for k in range(1, (nu - 2 - odd) // 2 + 1):
-        coef.append(coef[-1] * ((2 * k) / (2 * k + 1) if odd else (2 * k - 1) / (2 * k)))
-    poly = np.full(y.shape, coef[-1])
-    for a in coef[-2::-1]:  # Horner
+    t = np.clip(y, -1e150, 1e150)  # t^2 stays finite
+    s = nu + t * t
+    c = nu / s
+    coef = columns[:, row]
+    poly = np.empty(c.shape)
+    poly[...] = coef[0]
+    for a in coef[1:]:  # Horner
         poly *= c
         poly += a
-    if not odd:
-        return 0.5 + 0.5 * y / np.sqrt(nu + y2) * poly
-    theta = np.arctan(y / math.sqrt(nu))
-    if nu == 1:
-        return 0.5 + theta / np.pi
-    return 0.5 + (theta + y * math.sqrt(nu) / (nu + y2) * poly) / np.pi
+    if not odd.all():  # even: y / 2 sqrt(nu + y^2) times the sum
+        out = np.divide(0.5 * t, np.sqrt(s, out=c), out=c)
+        out *= poly
+    if odd.any():  # odd: (theta + y sqrt(nu) / (nu + y^2) times the sum) / pi
+        theta = np.arctan(t / np.sqrt(nu))
+        term = t * np.sqrt(nu)
+        term /= s
+        term *= poly
+        term += theta
+        if dfs[0] == 1.0:
+            np.copyto(term, theta, where=nu == 1.0)  # theta / pi
+        term /= np.pi
+        out = term if odd.all() else np.where(odd[row], term, out)
+    out += 0.5
+    return out if series.all() else np.where(series[row], out, stdtr(nu, y))
+
+
+@lru_cache(maxsize=64)
+def _t_series(dfs):
+    """For ``_t_cdf`` of the sorted distinct dfs ``dfs``: the coefficients
+    of the series, a column per df, highest order first, each column
+    padded by leading zeros; whether each df is odd; whether it takes the
+    series.  Coefficient k is coefficient k - 1 times (2k - 1) / 2k for an
+    even df and 2k / (2k + 1) for an odd one, k from 1 to (nu - 2 - odd) /
+    2."""
+    dfs = np.array(dfs)
+    odd = dfs % 2.0 == 1.0
+    series = (dfs == np.floor(dfs)) & (dfs <= _T_SERIES_MAX_DF)
+    size = np.where(series, np.maximum((dfs - 2.0 - odd) // 2.0, 0.0) + 1.0, 0.0)
+    k = np.arange(1.0, max(size.max(), 1.0))
+    ratio = np.where(odd[:, None], 2.0 * k / (2.0 * k + 1.0), (2.0 * k - 1.0) / (2.0 * k))
+    coef = np.multiply.accumulate(np.hstack([np.ones((len(dfs), 1)), ratio]), axis=1)
+    coef[np.arange(coef.shape[1]) >= size[:, None]] = 0.0
+    columns = np.ascontiguousarray(coef[:, ::-1].T)
+    for a in (columns, odd, series):
+        a.flags.writeable = False
+    return columns, odd, series
 
 
 # ---------------------------------------------------------------------------
@@ -1300,11 +1334,13 @@ def _qmc_sizing(sampler, limits, lo, hi, target):
 
     The first-round rule (one round of ``_round_points`` points per scramble)
     is solved on [lo, hi] for its root c0, which fixes the frozen sample size:
-    the one ``sampler.estimate`` stops at, at c0.  Returns (points per
-    scramble, c0, the frozen rule's excess over ``target`` at c0, the
-    first-round slope at c0).  The slope is the secant through c0 and the
-    nearest other first-round evaluation, which is within 1e-5 of c0 after a
-    root-find and the other edge otherwise.
+    the one ``sampler.estimate`` stops at, at c0.  That pass is the frozen
+    rule's first full-size one, and its value at c0 anchors the walk of
+    ``equicoordinate_quantile``.  Returns (points per scramble, c0, the
+    frozen rule's excess over ``target`` at c0, the first-round slope at c0).
+    The slope is the secant through c0 and the nearest other first-round
+    evaluation, which is within 1e-5 of c0 after a root-find and the other
+    edge otherwise.
     """
     first = _round_points(sampler.settings.first_round_samples)
     c0, seen = _edge_or_root(
@@ -1318,6 +1354,45 @@ def _qmc_sizing(sampler, limits, lo, hi, target):
     return n_per_shift, c0, est - target, slope
 
 
+def _walk(excess, a, at_a, slope, lo, hi):
+    """Root of ``excess`` on [lo, hi] to 1e-5 from ``a``, where it is
+    ``at_a``, and a slope there: secant steps, widened 1, 2, 4, ... times
+    until the sign changes, then ``_root``; after the first, the slope is
+    that through the last two points.  The root lies below a point of
+    positive excess and above one of negative, so a flat or falling slope
+    steps across the bracket, and a step past an edge is cut there; an edge
+    beyond which the root lies is the answer."""
+    widen = 1.0
+    while at_a != 0.0:
+        step = widen * -at_a / slope if slope > 0.0 else math.copysign(hi - lo, -at_a)
+        b = min(max(a + step, lo), hi)
+        if b == a:  # a is the edge beyond which the root lies
+            return a
+        at_b = excess(b)
+        if (at_b > 0.0) != (at_a > 0.0):  # _brent returns b if at_b is 0
+            return _root(excess, a, b, at_a, at_b)
+        slope = (at_b - at_a) / (b - a)
+        a, at_a, widen = b, at_b, 2.0 * widen
+    return a
+
+
+def _secant_factor(values, c):
+    """K = |f''| / (2 |f'|) of a function near ``c`` from its ``values`` by
+    point: the second divided difference over the lowest and highest points
+    and the one nearest ``c`` between them, against the first over the outer
+    two; inf with fewer than three points.  A secant step through x_0 and
+    x_1 then misses the root by about K |x_0 - root| |x_1 - root|."""
+    xs = sorted(values)
+    if len(xs) < 3:
+        return math.inf
+    x0, x2 = xs[0], xs[-1]
+    x1 = min(xs[1:-1], key=lambda x: abs(x - c))
+    left = (values[x1] - values[x0]) / (x1 - x0)
+    right = (values[x2] - values[x1]) / (x2 - x1)
+    first = (values[x2] - values[x0]) / (x2 - x0)
+    return abs(right - left) / (x2 - x0) / abs(first) if first != 0.0 else math.inf
+
+
 def equicoordinate_quantile(
     corr: CorrelationMatrix,
     alpha: float,
@@ -1329,17 +1404,31 @@ def equicoordinate_quantile(
 
     ``tail="two-sided"`` solves P(-c <= X_r <= c for all r) = 1 - alpha;
     ``tail="one-sided"`` solves P(X_r <= c for all r) = 1 - alpha.  The
-    answer always lies between the unadjusted and the Bonferroni quantile.
-    Brent's method locates the crossing of 1 - alpha by a deterministic
-    function of c, needing only a sign change over the bracket; an edge where
-    the function already lies on the root's side is the answer.  Dimensions
-    2 and 3 solve the exact probability to 1e-7 in c.  Higher dimensions
-    solve one frozen QMC rule to 1e-5, inside the 1e-4 quantile contract:
-    the sample size that meets the target at c0, the root of the cheap
-    first-round rule (1/256 of a full pass at the default settings), whose
-    sizing estimate is also the frozen value at c0.  Secant steps from c0,
-    first with the first-round slope, then with the frozen rule's own slope
-    widened 2, 4, ... times, bracket the root tightly within the bracket.
+    answer always lies between the unadjusted and the Bonferroni quantile;
+    an edge where the probability already lies on the root's side is the
+    answer.  Dimensions 2 and 3 solve the exact probability by Brent's
+    method to 1e-7 in c, needing only a sign change over the bracket.
+
+    Higher dimensions solve one frozen QMC rule F_N to 1e-5, inside the 1e-4
+    quantile contract: N is the sample size that meets the target at c0,
+    the root of the cheap first-round rule (1/256 of a full pass at the
+    default settings), and that sizing pass also gives F_N(c0).  The walk
+    of ``_walk`` (secant steps from c0, first with the first-round slope,
+    then widened, then Brent's method) runs on the anchored rule G(c) =
+    F_N(c0) + F_n(c) - F_n(c0), whose n = N / ``_ANCHOR_SHARE`` points per
+    scramble (the first round at least) are the leading points of F_N's
+    scrambles: near c0 the difference has about F_N's own error, at 1/16 of
+    its cost.  From G's root c1 a secant step on F_N through c0 and c1 gives
+    c.  A second step, through c1 and c, runs where the first one's
+    predicted miss exceeds ``_STEP_TOL``, half the root tolerance: K |c -
+    c0| |c - c1|, K = |G''| / 2|G'| from G's own evaluations
+    (``_secant_factor``), plus |c - c1|^2 / |c1 - c0|, the most that G's
+    curvature can be off if all of G's miss at c1, which F_N(c1) shows, is
+    curvature.  A step outside the bracket hands over to ``_walk`` on F_N.
+    So the predicted miss, not a sign change of F_N, bounds the answer's
+    distance from F_N's root.  On AVERROES a quantile takes two or three
+    full-size passes, the sizing one included, against four or five for a
+    walk on F_N itself.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
@@ -1362,24 +1451,30 @@ def equicoordinate_quantile(
         )[0]
 
     sampler = _SobolSampler(corr.cholesky(), df, settings)
-    n_per_shift, a, at_a, slope = _qmc_sizing(sampler, limits, lo, hi, target)
+    n_full, c0, at_c0, slope = _qmc_sizing(sampler, limits, lo, hi, target)
+    n_part = max(_round_points(settings.first_round_samples), n_full // _ANCHOR_SHARE)
+    part_c0 = sampler.estimate_fixed(*limits(c0), n_part)[0]
+    anchored = {c0: at_c0}
+
+    def anchored_excess(c):
+        anchored[c] = at_c0 + (sampler.estimate_fixed(*limits(c), n_part)[0] - part_c0)
+        return anchored[c]
 
     def excess(c):
-        return sampler.estimate_fixed(*limits(c), n_per_shift)[0] - target
+        return sampler.estimate_fixed(*limits(c), n_full)[0] - target
 
-    # Secant steps, widened 1, 2, 4, ... times until the sign changes; after
-    # the first, the slope is the frozen rule's own, through its last two
-    # points.  The root lies below a point of positive excess and above one
-    # of negative, so a flat or falling slope steps across the bracket.
-    widen = 1.0
-    while at_a != 0.0:
-        step = widen * -at_a / slope if slope > 0.0 else math.copysign(hi - lo, -at_a)
-        b = min(max(a + step, lo), hi)
-        if b == a:  # a is the edge beyond which the root lies
-            return a
+    c1 = _walk(anchored_excess, c0, at_c0, slope, lo, hi)
+    k = _secant_factor(anchored, c1)
+    a, at_a, b = c0, at_c0, c1
+    for _ in range(2):  # secant steps on F_N
+        if b == a:  # the walk stopped where F_N's own value settled it
+            return b
         at_b = excess(b)
-        if (at_b > 0.0) != (at_a > 0.0):  # _brent returns b if at_b is 0
-            return _root(excess, a, b, at_a, at_b)
         slope = (at_b - at_a) / (b - a)
-        a, at_a, widen = b, at_b, 2.0 * widen
-    return a
+        c = b - at_b / slope if slope > 0.0 else math.inf
+        if not lo <= c <= hi:
+            return _walk(excess, b, at_b, slope, lo, hi)
+        if k * abs(c - a) * abs(c - b) + (c - b) ** 2 / abs(b - a) <= _STEP_TOL:
+            return c
+        a, at_a, b = b, at_b, c
+    return c

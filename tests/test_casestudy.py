@@ -10,7 +10,7 @@ import pytest
 from mmminfer import casestudy, mmm
 from mmminfer.casestudy import CountRow, CountTable, analyze, expand, load_averroes
 from mmminfer.errors import InconsistentTotals, SchemaError
-from mmminfer.tables import published_rows
+from mmminfer.tables import CASE_STUDY_TOLERANCES, published_rows
 
 
 def small_table(unions=None):
@@ -165,18 +165,26 @@ class TestAnalyze:
         assert got == pytest.approx(want, rel=1e-4)
 
     def test_published_table_reproduced(self, report):
+        # the odds ratio and mmm columns at the accepted tolerances; the
+        # unadjusted and Bonferroni columns are closed form, held tighter
+        tolerance = {
+            "noadjust": (5e-4, 5e-3),
+            "bonferroni": (5e-4, 5e-3),
+            "mmm": (CASE_STUDY_TOLERANCES["mmm_p"], CASE_STUDY_TOLERANCES["mmm_lower"]),
+        }
         for row, want in zip(report.rows, published_rows("a2_inference")):
             assert row.endpoint == want["endpoint"]
             assert row.group.startswith(str(want["group"]).split()[0])
-            assert row.display_estimate() == pytest.approx(want["odds_ratio"], abs=0.005)
+            assert row.display_estimate() == pytest.approx(
+                want["odds_ratio"], abs=CASE_STUDY_TOLERANCES["odds_ratio"]
+            )
             for method, prefix in (
                 ("noadjust", "noadjust"),
                 ("bonferroni", "bonferroni"),
                 ("mmm", "mmm"),
             ):
                 cell = row.methods[method]
-                tol_p = 5e-4 if method != "mmm" else 5e-3
-                tol_ci = 5e-3 if method != "mmm" else 0.02
+                tol_p, tol_ci = tolerance[method]
                 assert cell.p == pytest.approx(want[f"{prefix}_p"], abs=tol_p), (
                     row.label,
                     method,

@@ -17,7 +17,7 @@ from scipy import integrate
 from scipy.special import gammaincinv, ndtr, ndtri, roots_legendre, stdtr
 from scipy.stats import norm, t as student_t
 
-from mmminfer import mvdist
+from mmminfer import casestudy, mmm, mvdist
 from mmminfer.errors import NotPSD
 from mmminfer.mvdist import (
     CorrelationMatrix,
@@ -350,36 +350,70 @@ def spy_evaluated_c(monkeypatch):
     return seen
 
 
+def spy_passes(monkeypatch):
+    """Record the upper limit and points per scramble of every fixed-size
+    QMC evaluation, and ("sized", upper limit, points per scramble) of every
+    adaptive one, in order."""
+    events = []
+    fixed, estimate = mvdist._SobolSampler.estimate_fixed, mvdist._SobolSampler.estimate
+
+    def spy_fixed(self, lower, upper, n_per_shift):
+        events.append((float(upper[0]), n_per_shift))
+        return fixed(self, lower, upper, n_per_shift)
+
+    def spy_estimate(self, lower, upper):
+        out = estimate(self, lower, upper)
+        events.append(("sized", float(upper[0]), out[3]))
+        return out
+
+    monkeypatch.setattr(mvdist._SobolSampler, "estimate_fixed", spy_fixed)
+    monkeypatch.setattr(mvdist._SobolSampler, "estimate", spy_estimate)
+    return events
+
+
+def anchored_walk(events, settings):
+    """The first-round evaluations of one QMC quantile, its frozen size N,
+    and its evaluations at N and at the anchored size n = N / 16 (the first
+    round at least) after the sizing pass, which must be its only one and
+    the rest of its evaluations."""
+    marks = [i for i, ev in enumerate(events) if ev[0] == "sized"]
+    assert len(marks) == 1  # sized once, at the first-round root
+    n_full = events[marks[0]][2]
+    first = mvdist._round_points(settings.first_round_samples)
+    n_part = max(first, n_full // 16)
+    coarse, after = events[: marks[0]], events[marks[0] + 1 :]
+    full = [c for c, n in after if n == n_full]
+    anchored = [c for c, n in after if n == n_part]
+    assert n_part < n_full
+    assert set(n for _, n in coarse) == {first}
+    assert len(full) + len(anchored) == len(after)
+    return coarse, n_full, full, anchored
+
+
+def averroes_c_hat():
+    """C_hat of the AVERROES analysis: the stack of the nine models that
+    ``casestudy.analyze`` fits, a near-singular dimension-9 correlation."""
+    fitted = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(casestudy, "infer", lambda models, *args, **kwargs: fitted.append(models))
+        casestudy.analyze(casestudy.load_averroes())
+    return mmm.stack(fitted[0]).c_hat
+
+
 LOOSE = QuadratureSettings(target_abs_error=1e-3, shifts=8)
 
 
 class TestQuantileRootFind:
     def test_qmc_path_makes_few_frozen_evaluations(self, monkeypatch):
-        events = []
-        fixed, estimate = mvdist._SobolSampler.estimate_fixed, mvdist._SobolSampler.estimate
-
-        def spy_fixed(self, lower, upper, n_per_shift):
-            events.append(n_per_shift)
-            return fixed(self, lower, upper, n_per_shift)
-
-        def spy_estimate(self, lower, upper):
-            out = estimate(self, lower, upper)
-            events.append(("sized", out[3]))
-            return out
-
-        monkeypatch.setattr(mvdist._SobolSampler, "estimate_fixed", spy_fixed)
-        monkeypatch.setattr(mvdist._SobolSampler, "estimate", spy_estimate)
+        # the walk runs on the anchored rule at N / 16, and at most two
+        # secant steps on the frozen rule follow it
+        events = spy_passes(monkeypatch)
         corr = CorrelationMatrix(random_correlation(np.random.default_rng(70), 5))
         equicoordinate_quantile(corr, 0.05)
-        marks = [i for i, ev in enumerate(events) if isinstance(ev, tuple)]
-        assert len(marks) == 1  # sized once, at the first-round root
-        n = events[marks[0]][1]
-        coarse, frozen = events[: marks[0]], events[marks[0] + 1 :]
-        first = mvdist._round_points(QuadratureSettings().first_round_samples)
-        assert n > first
-        assert coarse and set(coarse) == {first}
-        assert 1 <= len(frozen) <= 4
-        assert set(frozen) == {n}
+        coarse, n, full, anchored = anchored_walk(events, QuadratureSettings())
+        assert coarse and n // 16 > mvdist._round_points(QuadratureSettings().first_round_samples)
+        assert 1 <= len(full) <= 2
+        assert len(anchored) >= 2  # the anchor at c0 and the walk
 
     def test_gl_path_makes_few_frozen_evaluations(self, monkeypatch):
         # full rank at dimension 3: the exact rule takes its Plackett path
@@ -400,12 +434,16 @@ class TestQuantileRootFind:
         assert all(lo <= c <= hi for c in events)
         assert exact(corr, np.full(3, -q), np.full(3, q), 12)[0] == pytest.approx(0.95, abs=1e-7)
 
-    @pytest.mark.parametrize("tail", ["two-sided", "one-sided"])
-    @pytest.mark.parametrize("df", [None, 11])
-    @pytest.mark.parametrize("dim", [2, 3, 5])
+    @pytest.mark.parametrize(
+        "dim, df, tail",
+        [(dim, df, tail) for dim in (2, 3, 5) for df in (None, 11) for tail in ("two-sided", "one-sided")]
+        + [("averroes", None, "one-sided")],
+    )
     def test_root_matches_a_bisection(self, dim, df, tail):
-        rng = np.random.default_rng(100 + dim)
-        corr = CorrelationMatrix(random_correlation(rng, dim))
+        if dim == "averroes":
+            corr = averroes_c_hat()
+        else:
+            corr = CorrelationMatrix(random_correlation(np.random.default_rng(100 + dim), dim))
         alpha = 0.05
         q = equicoordinate_quantile(corr, alpha, tail=tail, df=df, settings=LOOSE)
         prob, a, b = frozen_prob(corr, alpha, tail, df, LOOSE)
@@ -426,10 +464,11 @@ class TestQuantileRootFind:
 
     @staticmethod
     def walk_with_slope(monkeypatch, slope_of):
-        """The quantile's QMC passes and its distance from a bisection of its
-        frozen rule, with the first-round slope replaced by
-        ``slope_of(slope)``.  At df 11 the frozen rule has two rounds, so it
-        is not the first-round rule."""
+        """The quantile's anchored evaluations after sizing, its bracket and
+        its distance from a bisection of its frozen rule, with the
+        first-round slope replaced by ``slope_of(slope)``.  At df 11 the
+        frozen rule has two rounds, so it is not the first-round rule, and
+        the anchored rule has one."""
         sizing = mvdist._qmc_sizing
 
         def spy_sizing(*args):
@@ -437,14 +476,14 @@ class TestQuantileRootFind:
             return out[:3] + (slope_of(out[3]),)
 
         monkeypatch.setattr(mvdist, "_qmc_sizing", spy_sizing)
-        seen = spy_evaluated_c(monkeypatch)
+        events = spy_passes(monkeypatch)
         corr = CorrelationMatrix(random_correlation(np.random.default_rng(105), 5))
         q = equicoordinate_quantile(corr, 0.05, df=11, settings=LOOSE)
-        walk = list(seen)  # the reference below evaluates more
+        coarse, _, full, anchored = anchored_walk(list(events), LOOSE)
         prob, lo, hi = frozen_prob(corr, 0.05, "two-sided", 11, LOOSE)
-        assert max(n for _, n in walk) > mvdist._round_points(LOOSE.first_round_samples)
-        assert all(lo <= c <= hi for c, _ in walk)
-        return walk, lo, hi, abs(q - bisect_frozen(prob, lo, hi, 0.95))
+        assert 1 <= len(full) <= 2
+        assert all(lo <= c <= hi for c in [c for c, _ in coarse] + full + anchored)
+        return anchored, lo, hi, abs(q - bisect_frozen(prob, lo, hi, 0.95))
 
     @pytest.mark.parametrize("slope", [1e-9, 0.0, -1.0])
     def test_a_useless_slope_walks_to_the_edge_and_still_finds_the_root(
@@ -452,18 +491,16 @@ class TestQuantileRootFind:
     ):
         # a step past the bracket is cut at its edge, and a flat or falling
         # first-round slope steps across the whole bracket
-        walk, lo, hi, miss = self.walk_with_slope(monkeypatch, lambda _: slope)
-        top = max(n for _, n in walk)
-        assert {c for c, n in walk if n == top} & {lo, hi}
+        anchored, lo, hi, miss = self.walk_with_slope(monkeypatch, lambda _: slope)
+        assert set(anchored) & {lo, hi}
         assert miss <= 1e-5
 
     @pytest.mark.parametrize("factor", [4.0, 0.25])
     def test_a_wrong_first_step_still_finds_the_root(self, factor, monkeypatch):
-        # too steep a slope falls short, and the walk widens the frozen
+        # too steep a slope falls short, and the walk widens the anchored
         # rule's own secant step; too flat a slope overshoots
-        walk, lo, hi, miss = self.walk_with_slope(monkeypatch, lambda s: factor * s)
-        top = max(n for _, n in walk)
-        assert not {c for c, n in walk if n == top} & {lo, hi}
+        anchored, lo, hi, miss = self.walk_with_slope(monkeypatch, lambda s: factor * s)
+        assert not set(anchored) & {lo, hi}
         assert miss <= 1e-5
 
     @pytest.mark.parametrize("tail", ["two-sided", "one-sided"])
@@ -1332,6 +1369,20 @@ class TestTripleExceedance:
         # one call may hold several dfs
         dfs = np.array([[3.0], [12.0], [3.0]])
         np.testing.assert_array_equal(mvdist._t_cdf(dfs, y[None, :5]), [mvdist._t_cdf(np.float64(d), y[:5]) for d in dfs[:, 0]])
+
+    @pytest.mark.parametrize(
+        "dfs",
+        [np.arange(3.0, 60.0), np.concatenate([[1.0, 2.0, 2.5, 1000.0], np.arange(3.0, 56.0)])],
+        ids=["stack", "mixed"],
+    )
+    def test_t_cdf_of_57_dfs_equals_one_call_per_df(self, dfs):
+        # the integer dfs 3 to 59 of the worst-case max_type_bounds stack,
+        # or dfs 1 and 2, two beyond the series and 53 on it, in one call
+        y = np.random.default_rng(57).standard_normal((57, 2, 40)) * 3.0
+        y[:, 1, :5] = [0.0, 1e-300, -1e200, np.inf, -np.inf]
+        got = mvdist._t_cdf(dfs[:, None, None], y)
+        for k, df in enumerate(dfs):
+            assert np.array_equal(got[k], mvdist._t_cdf(np.float64(df), y[k])), df
 
 
 def mixed_stack(rng, rows, cols):
