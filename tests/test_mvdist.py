@@ -436,7 +436,12 @@ class TestQuantileRootFind:
 
     @pytest.mark.parametrize(
         "dim, df, tail",
-        [(dim, df, tail) for dim in (2, 3, 5) for df in (None, 11) for tail in ("two-sided", "one-sided")]
+        [
+            (dim, df, tail)
+            for dim in (2, 3, 5)
+            for df in (None, 11)
+            for tail in ("two-sided", "one-sided")
+        ]
         + [("averroes", None, "one-sided")],
     )
     def test_root_matches_a_bisection(self, dim, df, tail):
@@ -479,7 +484,7 @@ class TestQuantileRootFind:
         events = spy_passes(monkeypatch)
         corr = CorrelationMatrix(random_correlation(np.random.default_rng(105), 5))
         q = equicoordinate_quantile(corr, 0.05, df=11, settings=LOOSE)
-        coarse, _, full, anchored = anchored_walk(list(events), LOOSE)
+        coarse, _, full, anchored = anchored_walk(events, LOOSE)
         prob, lo, hi = frozen_prob(corr, 0.05, "two-sided", 11, LOOSE)
         assert 1 <= len(full) <= 2
         assert all(lo <= c <= hi for c in [c for c, _ in coarse] + full + anchored)
