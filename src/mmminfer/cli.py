@@ -196,6 +196,8 @@ def cmd_simulate(args) -> int:
             mmm_decisions=[
                 {m: dict(c) for m, c in result.mmm_decisions.items()} for result in results
             ],
+            # per scenario: each mmm method's samples on integrated decisions
+            mmm_samples=[dict(result.mmm_samples) for result in results],
         )
         print(f"wrote {args.out} and {manifest}", file=sys.stderr)
     else:

@@ -39,14 +39,26 @@ stops at the first that settles the decision:
    the Boros-Prekopa lower bound, built from the trivariate probabilities
    of ``mvdist.triple_exceedance`` as well, with their errors counted
    against them in the same way;
-4. the rectangle probability, integrated once, with ``decide_at`` = 1 - alpha
-   (``mv_rect_prob``): it stops as soon as the estimate settles the decision.
+4. the box probability P(|X_r| <= b for all r), integrated once, with
+   ``decide_at`` = 1 - alpha (``mvdist.max_abs_prob``): it stops as soon as
+   the estimate settles the decision.  From dimension 4 it integrates along
+   rays from the origin, the radius in closed form and the direction by
+   randomized QMC (the spherical-radial rule), which suits a box centred on
+   the origin whatever C_hat's rank; the exact rule at dimension 3.
 
 ``max_type_bounds`` runs the first three rungs on whole arrays of statistics
 and correlation matrices; ``max_type_rejects`` calls it and integrates only
-what it leaves open.  Under ``dfind`` the first-order upper bound is the
-Bonferroni test of the largest statistic, so a Bonferroni rejection is a
-``dfind`` rejection by construction.
+what it leaves open.  Each such b lies at or above the unadjusted
+quantile, so the origin lies deep inside its box.  Under ``dfind`` the
+first-order upper bound is the Bonferroni test of the largest statistic, so
+a Bonferroni rejection is a ``dfind`` rejection by construction.
+
+``max_type_p`` and the critical values keep the separation-of-variables
+rule of ``mv_rect_prob`` (Genz), so the reported p-values and intervals do
+not move.  Their boxes may also be one-sided, with an edge c near the
+origin: along a ray u the box {X_r <= c} ends at radius c / max_r (L u)_r,
+and as c nears 0 a ray's value nears the indicator that every (L u)_r <= 0,
+a discontinuous integrand on which the ray rule loses its advantage.
 
 ``marginal_p`` and ``marginal_ci`` are the marginal test, Student t or the
 normal where the df is inf: the unadjusted and Bonferroni baselines, the p1
@@ -68,6 +80,7 @@ from .linmodels import MarginalModel
 from .mvdist import (
     CorrelationMatrix,
     QuadratureSettings,
+    max_abs_prob,
     mv_rect_prob,
     pair_exceedance,
     triple_exceedance,
@@ -315,20 +328,27 @@ def max_type_rejects(
     c_hat,
     alpha: float = 0.05,
     settings: QuadratureSettings = QuadratureSettings(),
+    *,
+    samples=None,
 ):
     """Whether the two-sided max-type p-value at box edge ``b`` is <= alpha.
 
-    The p-value is 1 - P(-b <= X_r <= b for all r) under the joint law of
+    The p-value is 1 - P(|X_r| <= b for all r) under the joint law of
     ``max_type_p``.  ``b``, ``df`` and ``c_hat`` are stacks as for
     :func:`max_type_bounds`, whose exact bounds (first-order, pairwise and,
     from dimension 4, triplewise) settle most decisions; ``c_hat`` is
     checked once with ``validate_correlation``.  Each decision they leave
-    open is integrated once, at ``settings`` with ``decide_at = 1 - alpha``:
-    the rounds stop at the first estimate farther from 1 - alpha than its
-    error and twice the target.
+    open is integrated once by ``mvdist.max_abs_prob``, at ``settings`` with
+    ``decide_at = 1 - alpha``: the rounds stop at the first estimate farther
+    from 1 - alpha than its error and twice the target.  From dimension 4
+    that is the spherical-radial rule, which integrates the radius of the
+    centred box in closed form; at dimension 3 it is the exact rule.
 
     Returns ``(rejects, stage)``, elementwise over the edges: p <= alpha,
-    and the index into ``DECISION_STAGES`` of the rung that decided.
+    and the index into ``DECISION_STAGES`` of the rung that decided.  An
+    integer array ``samples`` of the edges' shape, if given, receives each
+    integrated decision's ``RectProb.samples``; other entries are left as
+    they are.
     """
     c_hat = validate_correlation(c_hat)
     rejects, accepts, stage = max_type_bounds(b, df, c_hat, alpha)
@@ -340,9 +360,10 @@ def max_type_rejects(
     for k in map(tuple, np.argwhere(open_)):
         corr = CorrelationMatrix._checked(c_hat[k])
         law = None if np.isinf(df[k]) else int(df[k])
-        edge = np.full(m, b[k])
-        rect = mv_rect_prob(corr, -edge, edge, df=law, settings=settings, decide_at=1.0 - alpha)
+        rect = max_abs_prob(corr, b[k], df=law, settings=settings, decide_at=1.0 - alpha)
         rejects[k] = 1.0 - rect.value <= alpha
+        if samples is not None:
+            samples[k] = rect.samples
     return rejects, stage
 
 

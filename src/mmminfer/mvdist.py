@@ -38,6 +38,16 @@ adjusted p-value and simultaneous confidence bound in the package.
   below -40, where Phi is exactly 1 or 0 in double precision; a block where
   most points do writes those values there instead of calling ``ndtr``
   (``_ndtr_saturating``), which changes no bit of the integrand.
+* ``max_abs_prob``, P(|X_r| <= b for every r), keeps those points, rounds
+  and error but integrates along rays from the origin (the spherical-radial
+  rule, ``_ray_weights``): d coordinates give a direction, and the radius at
+  which the ray leaves the box has a chi (normal) or F (t) law in closed
+  form.  The box is centred on the origin, so the integrand is continuous
+  in the direction whatever the correlation's rank, where Genz's converges
+  at about the plain Monte Carlo rate on a near-singular one.  The
+  simulation's open decisions take it; ``mv_rect_prob``, and with it every
+  reported p-value and quantile, keeps the Genz rule, which also serves
+  one-sided boxes.
 
 Equicoordinate quantiles solve the exact probability with Brent's method at
 dimensions 2 and 3, and above it one frozen QMC rule (see
@@ -60,8 +70,8 @@ from functools import lru_cache, partial
 import numpy as np
 import numpy.lib.format as npy_format
 import scipy
-from scipy.special import betainc, eval_legendre, gammainccinv, gammaincinv, gammaln, ndtr
-from scipy.special import ndtri, owens_t, stdtr, stdtrit
+from scipy.special import betainc, chdtr, eval_legendre, fdtr, gammainccinv, gammaincinv, gammaln
+from scipy.special import ndtr, ndtri, owens_t, stdtr, stdtrit
 
 from .errors import NotPSD
 
@@ -71,6 +81,7 @@ __all__ = [
     "QuadratureSettings",
     "RectProb",
     "mv_rect_prob",
+    "max_abs_prob",
     "pair_exceedance",
     "triple_exceedance",
     "equicoordinate_quantile",
@@ -370,6 +381,37 @@ def _genz_weights(chol, lower, upper, w, radial=None):
         if span is not None:
             f *= np.maximum(span, 0.0, out=u) if d is not None and e is not None else span
     return f
+
+
+def _ray_weights(chol, b, df, w, work):
+    """Spherical-radial integrand of P(|X_r| <= b for every r), X = L Z with
+    Z standard normal in d dimensions, or that over the t's chi scale
+    (Deak 1980, Numer. Math. 35; Genz & Bretz 2009, LNS 195, sec. 4.1.2).
+
+    Each row of ``w``, d uniforms, gives z = ndtri(w), in place, a direction
+    u = z / |z| uniform on the sphere.  Along it X = R L u with R^2 ~
+    chi^2_d, so the box holds X while R <= b / m, m = max_r |(L u)_r|: the
+    point's value is ``chdtr(d, b^2 / m^2)``, and for the t, whose R^2 / d
+    is F(d, df), ``fdtr(d, df, b^2 / (d m^2))``.  The box is centred on the
+    origin, so the value is continuous in u whatever L's pivots.  ``work``
+    holds at least 3 floats per point: (L z)_r for one r at a time, the
+    running maximum of its square, and |z|^2, then the values, which are
+    returned as a view of it.  (One (n, d) product per block, in a buffer
+    of d more floats per point, raised peak memory at no gain in speed.)
+    """
+    n, d = w.shape
+    # a coordinate of 0 would make z infinite
+    z = ndtri(np.maximum(w, _TINY, out=w), out=w)
+    y, top, x = work[:n], work[n : 2 * n], work[2 * n : 3 * n]
+    top.fill(0.0)
+    for r in range(d):
+        np.matmul(z[:, : r + 1], chol[r, : r + 1], out=y)
+        y *= y
+        np.maximum(top, y, out=top)
+    np.einsum("ij,ij->i", z, z, out=x)
+    x *= b * b if df is None else b * b / d
+    x /= top
+    return chdtr(d, x, out=x) if df is None else fdtr(d, df, x, out=x)
 
 
 # ---------------------------------------------------------------------------
@@ -1078,12 +1120,17 @@ class _SobolSampler:
     of one evaluation is a few arrays of that many points (under 3 MB at
     dimension 9) whatever the sample size.  On the t path the leading
     coordinate gives the chi scale (``_chi_scale``, a 57 KB table per df).
+
+    With ``rays`` the integrand is that of ``_ray_weights`` for the box
+    [-b, b]^d, b being ``upper[0]``: d coordinates for either law, and a
+    second buffer for the block's temporaries, kept like the points'.
     """
 
-    def __init__(self, chol, df, settings: QuadratureSettings):
+    def __init__(self, chol, df, settings: QuadratureSettings, rays=False):
         self.chol = chol
         self.df = df
-        self.qdim = chol.shape[0] - 1 + (1 if df is not None else 0)
+        self.rays = rays
+        self.qdim = chol.shape[0] - (0 if rays or df is not None else 1)
         self.settings = settings
 
     def _sums(self, lower, upper, start, count):
@@ -1105,13 +1152,17 @@ class _SobolSampler:
         # per block, malloc handed each block's memory back to the system and
         # faulted it in again for the next: about 290,000 page faults and 15 %
         # of the time of one AVERROES analysis.
-        points = np.empty(min(rows * count, _BLOCK_POINTS) * self.qdim)
+        size = min(rows * count, _BLOCK_POINTS)
+        points = np.empty(size * self.qdim)
+        work = np.empty(3 * size) if self.rays else None
 
         def block_sums(j, a, n):
             ints = _sobol_range([x[j : j + rows] for x in scrambles], a, a + n)
             w = np.multiply(ints, 2.0**-_SOBOL_BITS, out=points[: ints.size].reshape(ints.shape))
             w = w.reshape(-1, self.qdim)
-            if self.df is None:
+            if self.rays:
+                block = _ray_weights(self.chol, upper[0], self.df, w, work)
+            elif self.df is None:
                 block = _genz_weights(self.chol, lower, upper, w)
             else:
                 scale = _chi_scale(w[:, 0], self.df)
@@ -1152,13 +1203,16 @@ class _SobolSampler:
             if count == n_per_shift:
                 return self._value(sums, count)
 
-    def estimate(self, lower, upper, decide_at=None):
+    def estimate(self, lower, upper, decide_at=None, rounds=None):
         """Double the sample until the error meets the target, the next
         round would pass ``max_samples`` or the estimate is ``_decided``
         against ``decide_at``; returns (estimate, error, samples, points per
-        scramble)."""
+        scramble).  A dict ``rounds`` receives each round's sums by its
+        points per scramble, for ``_value``."""
         s = self.settings
         for sums, count in self._rounds(lower, upper):
+            if rounds is not None:
+                rounds[count] = sums
             est, err = self._value(sums, count)
             total = count * s.shifts
             done = err <= s.target_abs_error or total * 2 > s.max_samples
@@ -1211,8 +1265,7 @@ def mv_rect_prob(
     nothing up to dimension 3.
     """
     df = _check_df(df)
-    if decide_at is not None and not 0.0 <= decide_at <= 1.0:
-        raise ValueError(f"decide_at must be a probability in [0, 1], got {decide_at!r}")
+    _check_decide_at(decide_at)
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
     if lower.shape != (corr.dim,) or upper.shape != (corr.dim,):
@@ -1223,15 +1276,55 @@ def mv_rect_prob(
         raise ValueError("lower limits must be strictly below upper limits")
     if corr.dim == 1:
         return RectProb(_exact_1d(lower[0], upper[0], df), 0.0, True, 0)
-    target = settings.target_abs_error
     if corr.dim <= _EXACT_MAX_DIM:
         est, err, used = _exact(corr, lower, upper, df)
     else:
         sampler = _SobolSampler(corr.cholesky(), df, settings)
         est, err, used, _ = sampler.estimate(lower, upper, decide_at)
+    return _rect_result(est, err, used, decide_at, settings.target_abs_error)
+
+
+def _check_decide_at(decide_at):
+    if decide_at is not None and not 0.0 <= decide_at <= 1.0:
+        raise ValueError(f"decide_at must be a probability in [0, 1], got {decide_at!r}")
+
+
+def _rect_result(est, err, used, decide_at, target):
     converged = bool(err <= target)
     decided = bool(not converged and _decided(est, err, decide_at, target))
     return RectProb(float(min(max(est, 0.0), 1.0)), float(err), converged, used, decided)
+
+
+def max_abs_prob(
+    corr: CorrelationMatrix,
+    b: float,
+    df: int | None = None,
+    settings: QuadratureSettings = QuadratureSettings(),
+    *,
+    decide_at: float | None = None,
+) -> RectProb:
+    """P(|X_r| <= b for every r) for X ~ N(0, corr) or t_df(corr), b > 0.
+
+    Up to dimension 3 this is ``mv_rect_prob`` of the box [-b, b]^d, exact
+    at a fixed cost.  Above it the box, centred on the origin, is integrated
+    along rays (``_ray_weights``): the radius in closed form, the direction
+    by the scrambled Sobol points, rounds, error and ``decide_at`` stop rule
+    of ``mv_rect_prob``'s randomized path, in d coordinates for either law.
+    The value along each ray is continuous in its direction even for a
+    (near-)singular ``corr``, where the separation-of-variables integrand of
+    ``mv_rect_prob`` converges at about the plain Monte Carlo rate.
+    """
+    b = float(b)
+    if not b > 0.0:
+        raise ValueError(f"b must be positive, got {b!r}")
+    edge = np.full(corr.dim, b)
+    if corr.dim <= _EXACT_MAX_DIM:
+        return mv_rect_prob(corr, -edge, edge, df, settings, decide_at=decide_at)
+    df = _check_df(df)
+    _check_decide_at(decide_at)
+    sampler = _SobolSampler(corr.cholesky(), df, settings, rays=True)
+    est, err, used, _ = sampler.estimate(-edge, edge, decide_at)
+    return _rect_result(est, err, used, decide_at, settings.target_abs_error)
 
 
 def _quantile_bracket(alpha, tail, dim, df):
@@ -1337,7 +1430,8 @@ def _qmc_sizing(sampler, limits, lo, hi, target):
     the one ``sampler.estimate`` stops at, at c0.  That pass is the frozen
     rule's first full-size one, and its value at c0 anchors the walk of
     ``equicoordinate_quantile``.  Returns (points per scramble, c0, the
-    frozen rule's excess over ``target`` at c0, the first-round slope at c0).
+    frozen rule's excess over ``target`` at c0, the first-round slope at c0,
+    the pass's round sums at c0 by points per scramble).
     The slope is the secant through c0 and the nearest other first-round
     evaluation, which is within 1e-5 of c0 after a root-find and the other
     edge otherwise.
@@ -1350,8 +1444,9 @@ def _qmc_sizing(sampler, limits, lo, hi, target):
         seen[hi] = sampler.estimate_fixed(*limits(hi), first)[0] - target
     near = min((c for c in seen if c != c0), key=lambda c: abs(c - c0))
     slope = (seen[c0] - seen[near]) / (c0 - near)
-    est, _, _, n_per_shift = sampler.estimate(*limits(c0))
-    return n_per_shift, c0, est - target, slope
+    rounds = {}
+    est, _, _, n_per_shift = sampler.estimate(*limits(c0), rounds=rounds)
+    return n_per_shift, c0, est - target, slope, rounds
 
 
 def _walk(excess, a, at_a, slope, lo, hi):
@@ -1412,7 +1507,8 @@ def equicoordinate_quantile(
     Higher dimensions solve one frozen QMC rule F_N to 1e-5, inside the 1e-4
     quantile contract: N is the sample size that meets the target at c0,
     the root of the cheap first-round rule (1/256 of a full pass at the
-    default settings), and that sizing pass also gives F_N(c0).  The walk
+    default settings), and that sizing pass also gives F_N(c0), and F_n(c0)
+    from its leading rounds.  The walk
     of ``_walk`` (secant steps from c0, first with the first-round slope,
     then widened, then Brent's method) runs on the anchored rule G(c) =
     F_N(c0) + F_n(c) - F_n(c0), whose n = N / ``_ANCHOR_SHARE`` points per
@@ -1451,9 +1547,10 @@ def equicoordinate_quantile(
         )[0]
 
     sampler = _SobolSampler(corr.cholesky(), df, settings)
-    n_full, c0, at_c0, slope = _qmc_sizing(sampler, limits, lo, hi, target)
+    n_full, c0, at_c0, slope, rounds = _qmc_sizing(sampler, limits, lo, hi, target)
     n_part = max(_round_points(settings.first_round_samples), n_full // _ANCHOR_SHARE)
-    part_c0 = sampler.estimate_fixed(*limits(c0), n_part)[0]
+    # the sizing pass at c0 has already summed F_n's points there
+    part_c0 = sampler._value(rounds[n_part], n_part)[0]
     anchored = {c0: at_c0}
 
     def anchored_excess(c):

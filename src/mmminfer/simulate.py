@@ -35,8 +35,10 @@ call each (``contrasts.fit_cell_means`` fits the cell means and pooled SD of
 the whole block), and the mmm variants one ``mmm.max_type_rejects`` call on a
 (variants, block) stack of edges and laws over the block's C_hat stack, with
 df ``inf`` for the normal-law variants (mmm and dfind); the ``mmm`` module
-docstring describes its decision ladder, and ``SimResult.mmm_decisions``
-counts each variant's decisions per rung (``DECISION_STAGES``).
+docstring describes its decision ladder, ``SimResult.mmm_decisions``
+counts each variant's decisions per rung (``DECISION_STAGES``) and
+``SimResult.mmm_samples`` the integrand evaluations its integrated decisions
+spent.
 The block size follows from the number of models and subjects so that no
 (block, models, subjects) array exceeds 2**17 floats (1 MiB), whatever the
 replicate count; the fit holds about eight such arrays at once, so a block
@@ -229,16 +231,21 @@ class SimResult:
     """Rejection counts per method for one scenario.
 
     ``mmm_decisions`` maps each mmm method to its decision counts per rung
-    of the decision ladder, ``{stage: count}`` over ``DECISION_STAGES``.
+    of the decision ladder, ``{stage: count}`` over ``DECISION_STAGES``, and
+    ``mmm_samples`` to the integrand evaluations (``RectProb.samples``) of
+    its ``integrated`` decisions: QMC points times scrambles from dimension
+    4, the exact rule's evaluations at dimension 3.
     """
 
     scenario: Scenario
     rejections: dict = field(default_factory=dict)
     wall_time: float = 0.0
     mmm_decisions: dict = field(default_factory=dict)
+    mmm_samples: dict = field(default_factory=dict)
 
     def __post_init__(self):
         object.__setattr__(self, "rejections", MappingProxyType(dict(self.rejections)))
+        object.__setattr__(self, "mmm_samples", MappingProxyType(dict(self.mmm_samples)))
         object.__setattr__(
             self,
             "mmm_decisions",
@@ -259,7 +266,13 @@ class SimResult:
         decisions = {m: dict(c) for m, c in self.mmm_decisions.items()}
         return (
             type(self),
-            (self.scenario, dict(self.rejections), self.wall_time, decisions),
+            (
+                self.scenario,
+                dict(self.rejections),
+                self.wall_time,
+                decisions,
+                dict(self.mmm_samples),
+            ),
         )
 
     @property
@@ -546,7 +559,8 @@ def run(
     r always comes from the stream of ``default_rng((scenario.seed, r))``,
     so the counts do not depend on the block size.  Every rectangle that
     ``mmm.max_type_rejects`` integrates uses ``settings``.  The result
-    counts each mmm method's decisions per rung (``mmm_decisions``).
+    counts each mmm method's decisions per rung (``mmm_decisions``) and the
+    samples its integrated decisions spent (``mmm_samples``).
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
@@ -577,6 +591,7 @@ def run(
     started = time.perf_counter()
     counts = dict.fromkeys(methods, 0)
     stages = np.zeros((len(mmm_modes), len(DECISION_STAGES)), dtype=int)
+    spent = np.zeros(len(mmm_modes), dtype=np.int64)
     block = max(1, _BLOCK_FLOATS // (m * scenario.total_n))
     for start in range(0, scenario.replications, block):
         stop = min(start + block, scenario.replications)
@@ -611,7 +626,9 @@ def run(
                 b[v] = np.where(live, np.abs(scaled), 0.0).max(axis=1)
                 if law is not None:
                     df[v] = law
-            rejects, stage = max_type_rejects(b, df, c_hat, alpha, settings)
+            samples = np.zeros(b.shape, dtype=np.int64)
+            rejects, stage = max_type_rejects(b, df, c_hat, alpha, settings, samples=samples)
+            spent += samples.sum(axis=1)
             for v, name in enumerate(mmm_modes):
                 counts[name] += int(rejects[v].sum())
                 stages[v] += np.bincount(stage[v], minlength=len(DECISION_STAGES))
@@ -624,6 +641,7 @@ def run(
             name: dict(zip(DECISION_STAGES, map(int, row)))
             for name, row in zip(mmm_modes, stages)
         },
+        mmm_samples=dict(zip(mmm_modes, map(int, spent))),
     )
 
 

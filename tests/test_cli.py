@@ -175,6 +175,26 @@ class TestSimulate:
         assert run_cli(["simulate", config, "--out", str(second)]) == 0
         assert first.read_bytes() == second.read_bytes()
 
+    def test_manifest_records_integrated_samples(self, tmp_path, monkeypatch, capsys):
+        # dimension 5: some decisions pass the exact bounds and are integrated;
+        # each mmm method records their samples, the same with two workers
+        config = write_scenarios(
+            tmp_path,
+            [{"total_n": 50, "prop_target": 0.6, "family": "any", "overlap": True, "replications": 300}],
+        )
+        manifests = []
+        for jobs in ("1", "2"):
+            monkeypatch.setenv("MMMINFER_JOBS", jobs)
+            out = tmp_path / f"jobs{jobs}.csv"
+            assert run_cli(["simulate", config, "--out", str(out)]) == 0
+            manifests.append(json.loads((tmp_path / f"jobs{jobs}.csv.manifest.json").read_text()))
+        (decisions,), (samples,) = manifests[0]["mmm_decisions"], manifests[0]["mmm_samples"]
+        assert manifests[1]["mmm_samples"] == [samples]
+        assert set(samples) == set(decisions)
+        for method, counts in decisions.items():
+            assert (samples[method] > 0) == (counts["integrated"] > 0)
+        assert sum(samples.values()) > 0
+
     def test_parallel_workers_match_sequential(self, tmp_path, monkeypatch, capsys):
         config = write_scenarios(
             tmp_path,

@@ -216,13 +216,13 @@ class TestMaxTypeRejects:
     @pytest.mark.parametrize("dim", [2, 5])
     def test_exact_bounds_settle_without_quadrature(self, monkeypatch, dim, df):
         calls = []
-        rect = mmm.mv_rect_prob
+        rect = mmm.max_abs_prob
 
         def spy(*args, **kwargs):
             calls.append(args)
             return rect(*args, **kwargs)
 
-        monkeypatch.setattr(mmm, "mv_rect_prob", spy)
+        monkeypatch.setattr(mmm, "max_abs_prob", spy)
         corr = CorrelationMatrix(np.full((dim, dim), 0.5) + 0.5 * np.eye(dim))
         bonferroni_edge = marginal_quantile(1.0 - 0.05 / (2 * dim), df)
         unadjusted_edge = marginal_quantile(1.0 - 0.05 / 2.0, df)
@@ -238,7 +238,7 @@ class TestMaxTypeRejects:
             # the pairwise bound is the p-value itself: nothing is integrated
             assert calls == [] and DECISION_STAGES[stage] == "pairwise"
         else:
-            # at the critical value no exact bound settles: the rectangle is
+            # at the critical value no exact bound settles: the box is
             # integrated
             assert len(calls) == 1 and DECISION_STAGES[stage] == "integrated"
 
@@ -426,13 +426,13 @@ def test_max_type_rejects_matches_tight_p_value(seed, dim, t_path, position):
 class TestPairwiseBounds:
     def test_pairwise_settled_decisions_integrate_nothing(self, monkeypatch):
         calls = []
-        rect = mmm.mv_rect_prob
+        rect = mmm.max_abs_prob
 
         def spy(*args, **kwargs):
             calls.append(args)
             return rect(*args, **kwargs)
 
-        monkeypatch.setattr(mmm, "mv_rect_prob", spy)
+        monkeypatch.setattr(mmm, "max_abs_prob", spy)
         dim = 5
         corr = CorrelationMatrix(np.full((dim, dim), 0.5) + 0.5 * np.eye(dim))
         critical = equicoordinate_quantile(corr, 0.05)
@@ -460,13 +460,13 @@ class TestTriplewiseBounds:
     @pytest.mark.parametrize("df", [None, 20])
     def test_triplewise_settled_decisions_integrate_nothing(self, monkeypatch, df):
         calls = []
-        rect = mmm.mv_rect_prob
+        rect = mmm.max_abs_prob
 
         def spy(*args, **kwargs):
             calls.append(args)
             return rect(*args, **kwargs)
 
-        monkeypatch.setattr(mmm, "mv_rect_prob", spy)
+        monkeypatch.setattr(mmm, "max_abs_prob", spy)
         dim = 5
         corr = CorrelationMatrix(np.full((dim, dim), 0.5) + 0.5 * np.eye(dim))
         critical = equicoordinate_quantile(corr, 0.05, df=df)
@@ -649,15 +649,15 @@ def test_integrated_decisions_match_the_tight_p_value(monkeypatch, fields):
     decision or not, is that of ``tight_p_value`` wherever that p-value lies
     more than three times its error from alpha."""
     decisions = []
-    rect = mmm.mv_rect_prob
+    rect = mmm.max_abs_prob
 
-    def spy(corr, lower, upper, df, settings, *, decide_at):
-        result = rect(corr, lower, upper, df, settings, decide_at=decide_at)
+    def spy(corr, b, df, settings, *, decide_at):
+        result = rect(corr, b, df, settings, decide_at=decide_at)
         assert decide_at == 1.0 - 0.05
-        decisions.append((corr, upper[0], df, 1.0 - result.value <= 0.05))
+        decisions.append((corr, b, df, 1.0 - result.value <= 0.05))
         return result
 
-    monkeypatch.setattr(mmm, "mv_rect_prob", spy)
+    monkeypatch.setattr(mmm, "max_abs_prob", spy)
     scenario = Scenario(total_n=50, prop_target=0.6, seed=20150436, replications=600, **fields)
     simulate.run(scenario)
     # enough replicates that several decisions reach quadrature past the

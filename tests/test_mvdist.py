@@ -361,8 +361,8 @@ def spy_passes(monkeypatch):
         events.append((float(upper[0]), n_per_shift))
         return fixed(self, lower, upper, n_per_shift)
 
-    def spy_estimate(self, lower, upper):
-        out = estimate(self, lower, upper)
+    def spy_estimate(self, lower, upper, **kwargs):
+        out = estimate(self, lower, upper, **kwargs)
         events.append(("sized", float(upper[0]), out[3]))
         return out
 
@@ -413,7 +413,9 @@ class TestQuantileRootFind:
         coarse, n, full, anchored = anchored_walk(events, QuadratureSettings())
         assert coarse and n // 16 > mvdist._round_points(QuadratureSettings().first_round_samples)
         assert 1 <= len(full) <= 2
-        assert len(anchored) >= 2  # the anchor at c0 and the walk
+        # the walk; the anchor at c0 comes from the sizing pass's own rounds
+        (c0,) = [ev[1] for ev in events if ev[0] == "sized"]
+        assert anchored and c0 not in anchored
 
     def test_gl_path_makes_few_frozen_evaluations(self, monkeypatch):
         # full rank at dimension 3: the exact rule takes its Plackett path
@@ -478,7 +480,7 @@ class TestQuantileRootFind:
 
         def spy_sizing(*args):
             out = sizing(*args)
-            return out[:3] + (slope_of(out[3]),)
+            return out[:3] + (slope_of(out[3]),) + out[4:]
 
         monkeypatch.setattr(mvdist, "_qmc_sizing", spy_sizing)
         events = spy_passes(monkeypatch)
@@ -963,6 +965,220 @@ class TestStreamedSums:
         finally:
             tracemalloc.stop()
         assert peak < 16 << 20
+
+
+def gram_correlation(vectors):
+    """Correlation matrix of the rows of ``vectors``."""
+    v = np.asarray(vectors, dtype=float)
+    s = v @ v.T
+    d = np.sqrt(np.diag(s))
+    return s / np.outer(d, d)
+
+
+def ray_rule_case(k):
+    """Case k of 24 random boxes of dimension 2 or 3 (ranks 1 up to full,
+    normal or t with df 3 to 80, b from 1.5 to 3.2), from one stream."""
+    rng = np.random.default_rng(2026)
+    for i in range(k + 1):
+        dim = 2 + i % 2
+        a = rng.standard_normal((dim, int(rng.integers(1, dim + 2))))
+        df = None if i % 3 == 0 else int(rng.integers(3, 81))
+        b = float(rng.uniform(1.5, 3.2))
+    return CorrelationMatrix(gram_correlation(a)), b, df
+
+
+# AVERROES-like rank-deficient dimension 6: all = S1 + S2 and stroke =
+# ischemic + hemorrhagic, the rarer hemorrhagic score at 0.4 of the scale.
+_I1, _H1, _I2, _H2 = np.eye(4) * [1.0, 0.4, 1.0, 0.4]
+RANK_4_OF_6 = gram_correlation(
+    [_I1 + _I2, _I1 + _I2 + _H1 + _H2, _I1, _I1 + _H1, _I2, _I2 + _H2]
+)
+# (correlation, b, df, reference value, reference error): the references
+# are ``mv_rect_prob`` (Genz) at a target of 1e-6 under the default seed,
+# capped at 2e8 samples; the rank-deficient ones stopped at 100,663,296.
+TIGHT_BOXES = {
+    "equi-4": (np.full((4, 4), 0.5) + 0.5 * np.eye(4), 2.4, None, 0.944295383, 4.54e-07),
+    "full-5-t10": (
+        gram_correlation(np.random.default_rng(11).standard_normal((5, 7))),
+        2.6, 10, 0.894739189, 9.19e-07,
+    ),
+    "rank-4-of-6": (RANK_4_OF_6, 2.5, None, 0.956730367, 3.67e-06),
+    "rank-4-of-6-t40": (RANK_4_OF_6, 2.5, 40, 0.945075272, 1.03e-05),
+    "rank-3-of-7": (
+        gram_correlation(np.random.default_rng(12).standard_normal((7, 3))),
+        2.7, None, 0.972814333, 3.01e-06,
+    ),
+}
+
+
+class TestMaxAbsProb:
+    """``max_abs_prob``: the exact rule up to dimension 3, the spherical-radial
+    rule above it."""
+
+    QMC = QuadratureSettings(
+        target_abs_error=1e-4, max_samples=8 << 14, shifts=8, first_round_samples=64
+    )
+    CASES = {"normal-5": (5, None, 11), "t-6": (6, 9, 12)}
+
+    def case(self, name):
+        dim, df, seed = self.CASES[name]
+        return CorrelationMatrix(random_correlation(np.random.default_rng(seed), dim)), df
+
+    @pytest.mark.parametrize("decide_at", [None, 0.9])
+    @pytest.mark.parametrize("df", [None, 7])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_is_the_exact_rule_up_to_dimension_3(self, dim, df, decide_at):
+        corr = CorrelationMatrix(random_correlation(np.random.default_rng(dim), dim))
+        edge = np.full(dim, 2.2)
+        want = mv_rect_prob(corr, -edge, edge, df, decide_at=decide_at)
+        assert mvdist.max_abs_prob(corr, 2.2, df, decide_at=decide_at) == want
+
+    @pytest.mark.parametrize("k", range(24))
+    def test_rays_match_the_exact_rule_at_dimensions_2_and_3(self, k):
+        # the ray integrand itself, where the exact rule is the oracle
+        corr, b, df = ray_rule_case(k)
+        edge = np.full(corr.dim, b)
+        sampler = mvdist._SobolSampler(corr.cholesky(), df, QuadratureSettings(), rays=True)
+        value, error, _, _ = sampler.estimate(-edge, edge)
+        assert abs(value - mvdist._exact(corr, -edge, edge, df)[0]) <= error
+
+    @pytest.mark.parametrize("name", sorted(TIGHT_BOXES))
+    def test_matches_tight_genz_values(self, name):
+        entries, b, df, reference, reference_error = TIGHT_BOXES[name]
+        r = mvdist.max_abs_prob(CorrelationMatrix(entries), b, df)
+        assert r.converged
+        assert abs(r.value - reference) <= r.error + reference_error
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_decide_at_none_changes_nothing(self, name):
+        corr, df = self.case(name)
+        plain = mvdist.max_abs_prob(corr, 2.3, df, self.QMC)
+        assert mvdist.max_abs_prob(corr, 2.3, df, self.QMC, decide_at=None) == plain
+
+    @pytest.mark.parametrize("offset", [0.0, 1e-5, 1e-4, -1e-3, 1e-2])
+    @pytest.mark.parametrize("name", CASES)
+    def test_stops_at_the_first_round_that_meets_a_stop(self, name, offset):
+        corr, df = self.case(name)
+        s, edge = self.QMC, np.full(corr.dim, 2.3)
+        plain = mvdist.max_abs_prob(corr, 2.3, df, s)
+        decide_at = plain.value + offset
+        r = mvdist.max_abs_prob(corr, 2.3, df, s, decide_at=decide_at)
+        assert r.samples <= plain.samples
+        sampler = mvdist._SobolSampler(corr.cholesky(), df, s, rays=True)
+        n, target = mvdist._round_points(s.first_round_samples), s.target_abs_error
+        while n * s.shifts < r.samples:
+            value, err = sampler.estimate_fixed(-edge, edge, n)
+            assert not (err <= target or abs(value - decide_at) > max(err, 2.0 * target))
+            n *= 2
+        value, err = sampler.estimate_fixed(-edge, edge, n)
+        assert n * s.shifts == r.samples
+        assert (r.value, r.error) == (min(max(value, 0.0), 1.0), err)
+        last = 2 * r.samples > s.max_samples
+        assert err <= target or last or abs(value - decide_at) > max(err, 2.0 * target)
+        assert r.converged == (err <= target)
+        assert r.decided == (not r.converged and abs(value - decide_at) > max(err, 2 * target))
+
+    def test_a_decision_stop_is_recorded(self):
+        corr, df = self.case("normal-5")
+        plain = mvdist.max_abs_prob(corr, 2.3, df, self.QMC)
+        r = mvdist.max_abs_prob(corr, 2.3, df, self.QMC, decide_at=plain.value + 1e-2)
+        assert not plain.decided
+        assert r.decided and not r.converged
+        assert r.samples < plain.samples
+
+    def test_decide_at_is_keyword_only_and_a_probability(self):
+        corr, df = self.case("normal-5")
+        with pytest.raises(TypeError):
+            mvdist.max_abs_prob(corr, 2.3, df, self.QMC, 0.95)
+        for decide_at in (np.nan, -1e-9, 1.0 + 1e-9):
+            with pytest.raises(ValueError, match="decide_at"):
+                mvdist.max_abs_prob(corr, 2.3, df, self.QMC, decide_at=decide_at)
+
+    @pytest.mark.parametrize("b", [0.0, -1.0, np.nan])
+    def test_rejects_an_edge_that_is_not_positive(self, b):
+        with pytest.raises(ValueError, match="positive"):
+            mvdist.max_abs_prob(CorrelationMatrix.identity(5), b)
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_same_seed_same_value_other_seed_other_value(self, name):
+        corr, df = self.case(name)
+        first = mvdist.max_abs_prob(corr, 2.3, df, self.QMC)
+        assert mvdist.max_abs_prob(corr, 2.3, df, self.QMC) == first
+        other = dataclasses.replace(self.QMC, seed=1)
+        assert mvdist.max_abs_prob(corr, 2.3, df, other).value != first.value
+
+    def test_threads_get_the_sequential_values(self):
+        corr, df = self.case("t-6")
+        s = QuadratureSettings(
+            target_abs_error=1e-12, max_samples=8 << 12, shifts=8, first_round_samples=64
+        )
+        edges = [1.9 + 0.1 * k for k in range(6)]  # one thread each, more than cores
+        want = [mvdist.max_abs_prob(corr, b, df, s) for b in edges]
+        got = [None] * len(edges)
+
+        def work(k):
+            got[k] = mvdist.max_abs_prob(corr, edges[k], df, s)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(len(edges))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+            assert not any(t.is_alive() for t in threads)
+            assert got == want
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("df", [None, 7], ids=["normal", "t"])
+    def test_blocks_share_one_point_and_one_work_buffer(self, df, monkeypatch):
+        # a fresh array per block costs page faults on every block
+        seen = []
+        rays = mvdist._ray_weights
+
+        def spy(chol, b, law, w, work):
+            seen.append((w, work))
+            return rays(chol, b, law, w, work)
+
+        monkeypatch.setattr(mvdist, "_ray_weights", spy)
+        corr, _ = self.case("normal-5")
+        sampler = mvdist._SobolSampler(corr.cholesky(), df, QuadratureSettings(shifts=2), rays=True)
+        edge = np.full(corr.dim, 2.3)
+        sampler._sums(-edge, edge, 0, 3 * BLOCK)
+        assert len(seen) == 8
+        assert all(np.shares_memory(w, seen[0][0]) for w, _ in seen)
+        assert all(work is seen[0][1] for _, work in seen)
+
+    @pytest.mark.parametrize("df", [None, 7], ids=["normal", "t"])
+    @pytest.mark.parametrize("case", sorted(SUMS_CASES))
+    def test_streamed_sums_equal_one_call_over_the_range(self, case, df):
+        start, count, shifts = SUMS_CASES[case]
+        corr, _ = self.case("normal-5")
+        sampler = mvdist._SobolSampler(corr.cholesky(), df, QuadratureSettings(shifts=shifts), rays=True)
+        edge = np.full(corr.dim, 2.3)
+        w = scipy_points(corr.dim, sampler.settings, start + count)[:, start:]
+        w = w.reshape(-1, corr.dim)
+        values = mvdist._ray_weights(sampler.chol, 2.3, df, w, np.empty(3 * len(w)))
+        want = values.reshape(shifts, count).sum(axis=1)
+        np.testing.assert_array_equal(sampler._sums(-edge, edge, start, count), want)
+
+    @pytest.mark.parametrize("df", [None, 12], ids=["normal", "t"])
+    def test_one_call_keeps_no_value_array(self, df):
+        # 12 x 2**16 points at dimension 9: the blocks' working arrays only
+        dim = 9
+        corr = CorrelationMatrix(np.full((dim, dim), 0.4) + 0.6 * np.eye(dim))
+        sampler = mvdist._SobolSampler(corr.cholesky(), df, QuadratureSettings(), rays=True)
+        edge = np.full(dim, 2.5)
+        sampler._sums(-edge, edge, 0, 256)  # the scrambles are cached first
+        tracemalloc.start()
+        try:
+            sampler._sums(-edge, edge, 0, 1 << 16)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 << 20
 
 
 class TestDoublingRounds:

@@ -367,17 +367,17 @@ class TestRunValidation:
         assert len(calls) == len(runs)
 
     def test_rectangles_use_the_callers_seed_and_shifts(self, monkeypatch):
-        rect = mvdist.mv_rect_prob
+        rect = mvdist.max_abs_prob
         seen = []
 
-        def spy(corr, lower, upper, df=None, settings=mvdist.QuadratureSettings(), **kwargs):
+        def spy(corr, b, df=None, settings=mvdist.QuadratureSettings(), **kwargs):
             seen.append(settings)
-            return rect(corr, lower, upper, df=df, settings=settings, **kwargs)
+            return rect(corr, b, df=df, settings=settings, **kwargs)
 
         # every module's binding, wherever the decision is made
         for name, module in list(sys.modules.items()):
-            if name.startswith("mmminfer") and getattr(module, "mv_rect_prob", None) is rect:
-                monkeypatch.setattr(module, "mv_rect_prob", spy)
+            if name.startswith("mmminfer") and getattr(module, "max_abs_prob", None) is rect:
+                monkeypatch.setattr(module, "max_abs_prob", spy)
         custom = mvdist.QuadratureSettings(
             target_abs_error=5e-4, seed=7, shifts=4, first_round_samples=64
         )
@@ -421,6 +421,12 @@ class TestSimResult:
         copy = pickle.loads(pickle.dumps(result))
         assert copy.mmm_decisions == stages
         assert copy.rejections == result.rejections
+
+    def test_sample_counts_read_only_and_pickled(self):
+        result = SimResult(scenario=small(), rejections={"mmm": 10}, mmm_samples={"mmm": 4096})
+        with pytest.raises(TypeError):
+            result.mmm_samples["mmm"] = 0
+        assert pickle.loads(pickle.dumps(result)).mmm_samples == {"mmm": 4096}
 
 
 class TestLoadScenarios:
@@ -801,13 +807,13 @@ class TestBlockEngine:
 
     def test_only_integrated_decisions_reach_quadrature(self, monkeypatch):
         decide_at = []
-        rect = mmm.mv_rect_prob
+        rect = mmm.max_abs_prob
 
         def spy_rect(*args, **kwargs):
             decide_at.append(kwargs.get("decide_at"))
             return rect(*args, **kwargs)
 
-        monkeypatch.setattr(mmm, "mv_rect_prob", spy_rect)
+        monkeypatch.setattr(mmm, "max_abs_prob", spy_rect)
         fields = dict(ORACLE_ROWS)["a5-any"]
         result = run(Scenario(seed=20150436, **dict(fields, replications=200)))
         open_ = sum(c["integrated"] for c in result.mmm_decisions.values())
@@ -815,6 +821,23 @@ class TestBlockEngine:
         assert settled > 5 * open_ > 0
         # one integration per integrated decision, each stopped at its decision
         assert decide_at == [1.0 - 0.05] * open_
+
+    def test_sample_counts_are_those_of_the_integrated_decisions(self, monkeypatch):
+        spent = []
+        rect = mmm.max_abs_prob
+
+        def spy(*args, **kwargs):
+            result = rect(*args, **kwargs)
+            spent.append(result.samples)
+            return result
+
+        monkeypatch.setattr(mmm, "max_abs_prob", spy)
+        fields = dict(ORACLE_ROWS)["a5-any"]
+        result = run(Scenario(seed=20150436, **dict(fields, replications=200)))
+        assert set(result.mmm_samples) == set(result.mmm_decisions)
+        assert sum(result.mmm_samples.values()) == sum(spent) > 0
+        for name, counts in result.mmm_decisions.items():
+            assert (result.mmm_samples[name] > 0) == (counts["integrated"] > 0)
 
     def test_dimensions_two_and_three_enter_the_pairwise_stage(self, monkeypatch):
         calls = []
